@@ -33,7 +33,7 @@ from .frontend import (
     random_program,
     render_dsl,
 )
-from .machine import DEFAULT_FUEL, NoPath, Program, qpp_walk, run
+from .machine import DEFAULT_FUEL, MachineError, NoPath, Program, qpp_walk, run
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -56,7 +56,11 @@ def cmd_run(args) -> int:
     except (OSError, DslError, DocumentError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    result = run(program, fuel=args.fuel, capture_trace=args.trace)
+    try:
+        result = run(program, fuel=args.fuel, capture_trace=args.trace)
+    except MachineError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     if args.trace:
         print(format_trace(result, ascii_mode=args.ascii), end="")
     f = result.final
@@ -167,7 +171,11 @@ def cmd_reduce_tm(args) -> int:
     except (OSError, json.JSONDecodeError, reduction.FixtureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    report = reduction.run_pipeline(tm, fuel_per_stage=args.fuel_per_stage)
+    try:
+        report = reduction.run_pipeline(tm, fuel_per_stage=args.fuel_per_stage)
+    except MachineError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     rows = [
         ("tm", report.tm_result.halted, report.tm_result.steps, "".join(report.tm_result.tape)),
         ("tsm", report.tsm_result.halted, report.tsm_result.steps, "".join(report.tsm_result.tape)),

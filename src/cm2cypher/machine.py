@@ -9,12 +9,21 @@ is the initial state and state -1 denotes "halted". Counters A and B are
   state graph, mirroring the pruned quantified-path-pattern traversal
   (edges INC / JZDEC_ZERO / JZDEC_POS, predicate on the post-update
   accumulator).
+
+``run`` executes a table decoded once per program and fast-forwards the
+program's counter-transfer cycles exactly: when the run reaches the head of
+a cycle it applies as many whole trips as the counters, the 64-bit bound and
+the remaining fuel allow in one step, then single-steps on. Final
+configuration, ``machine_steps`` and the point where ``CounterOverflow`` is
+raised are those of single-stepping. With ``capture_trace`` it single-steps
+the same way ``step`` does, one trace row per instruction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 INT64_MAX = 2**63 - 1
 HALTED = -1
@@ -96,6 +105,13 @@ class Program:
     def __getitem__(self, state: int) -> Instruction:
         return self.instructions[state]
 
+    @cached_property
+    def _decoded(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], dict]:
+        """``run``'s tables, built on first use and kept on the instance
+        (outside the dataclass fields, so equality, hashing and ``repr``
+        ignore them)."""
+        return _decode(self.instructions)
+
 
 @dataclass(frozen=True)
 class Config:
@@ -137,6 +153,125 @@ class PathResult:
     steps: int
     final_a: int
     final_b: int
+
+
+# Opcodes of the decoded table: the low bit is the counter (0 = A, 1 = B).
+# A cycle head's opcode has _HEAD added.
+_INC_A, _INC_B, _DEC_A, _DEC_B, _HALT = range(5)
+_HEAD = 8
+
+
+def _decode(instructions: tuple[Instruction, ...]):
+    """Per state an opcode, a next/zero target and a positive target, and a
+    summary of every cycle of the positive successor map, keyed by head.
+
+    The positive successor map sends INC to its next state, JZDEC to its
+    positive branch and HALT nowhere. Every state lies on at most one of its
+    cycles. A summary is ``(L, dA, rA, mA, dB, rB, mB)``: the cycle length,
+    and per counter the net change ``d`` of one trip from the head, the
+    least start value ``r`` that keeps every JZDEC on the trip positive, and
+    the highest prefix change ``m`` (at least 0) reached by an INC, so that a
+    trip from X overflows nowhere iff X + m <= INT64_MAX (exact for X up to
+    INT64_MAX).
+    """
+    n = len(instructions)
+    ops = [_HALT] * n
+    nxt = [HALTED] * n
+    pos = [HALTED] * n
+    counter_a = CounterId.A  # a local: enum attribute lookups are slow
+    for i, instr in enumerate(instructions):
+        if isinstance(instr, Inc):
+            ops[i] = _INC_A if instr.counter is counter_a else _INC_B
+            nxt[i] = pos[i] = instr.next
+        elif isinstance(instr, JzDec):
+            ops[i] = _DEC_A if instr.counter is counter_a else _DEC_B
+            nxt[i] = instr.q_zero
+            pos[i] = instr.q_pos
+    cycles: dict[int, tuple[int, ...]] = {}
+    walk = [0] * n  # 1 + the start of the walk that first reached a state
+    for start in range(n):
+        if walk[start]:
+            continue
+        mark, path, s = start + 1, [], start
+        while s != HALTED and not walk[s]:
+            walk[s] = mark
+            path.append(s)
+            s = pos[s]
+        if s == HALTED or walk[s] != mark:
+            continue
+        change, least, peak = [0, 0], [0, 0], [0, 0]
+        cycle = path[path.index(s):]
+        for t in cycle:
+            op = ops[t]
+            c = op & 1
+            x = change[c]
+            if op >= _DEC_A:
+                if x + least[c] < 1:
+                    least[c] = 1 - x
+                change[c] = x - 1
+            else:
+                change[c] = x = x + 1
+                if x > peak[c]:
+                    peak[c] = x
+        cycles[s] = (len(cycle), change[0], least[0], peak[0], change[1], least[1], peak[1])
+        ops[s] += _HEAD
+    return tuple(ops), tuple(nxt), tuple(pos), cycles
+
+
+def _run_decoded(
+    program: Program, fuel: int, state: int, a: int, b: int
+) -> tuple[int, int, int, int]:
+    """``run`` without a trace: (state, a, b, machine_steps)."""
+    ops, nxt, pos, cycles = program._decoded
+    steps = 0
+    while steps < fuel and state != HALTED:
+        op = ops[state]
+        if op >= _HEAD:
+            length, da, ra, ma, db, rb, mb = cycles[state]
+            if ra <= a and a + ma <= INT64_MAX and rb <= b and b + mb <= INT64_MAX:
+                # k whole trips: each keeps its JZDECs positive and its INCs
+                # in range, and together they fit in the remaining fuel.
+                k = (fuel - steps) // length
+                if da < 0:
+                    k = min(k, (a - ra) // -da + 1)
+                elif da > 0:
+                    k = min(k, (INT64_MAX - a - ma) // da + 1)
+                if db < 0:
+                    k = min(k, (b - rb) // -db + 1)
+                elif db > 0:
+                    k = min(k, (INT64_MAX - b - mb) // db + 1)
+                a += k * da
+                b += k * db
+                steps += k * length
+                if steps == fuel:
+                    break
+            op -= _HEAD
+        if op == _DEC_A:
+            if a:
+                a -= 1
+                state = pos[state]
+            else:
+                state = nxt[state]
+        elif op == _DEC_B:
+            if b:
+                b -= 1
+                state = pos[state]
+            else:
+                state = nxt[state]
+        elif op == _INC_A:
+            if a >= INT64_MAX:
+                raise CounterOverflow(f"counter exceeds {INT64_MAX}")
+            a += 1
+            state = nxt[state]
+        elif op == _INC_B:
+            if b >= INT64_MAX:
+                raise CounterOverflow(f"counter exceeds {INT64_MAX}")
+            b += 1
+            state = nxt[state]
+        else:
+            state = HALTED
+        steps += 1
+    return state, a, b, steps
 
 
 def _checked_inc(value: int) -> int:
@@ -181,10 +316,13 @@ def run(
     trace_cap: int = DEFAULT_TRACE_CAP,
     start: Config | None = None,
 ) -> RunResult:
-    """Execute at most ``fuel`` instructions from (0, 0, 0), stopping at halt.
+    """Execute at most ``fuel`` instructions from ``start`` (default
+    (0, 0, 0)), stopping at halt.
 
     ``machine_steps`` counts executed instructions, including the HALT
-    instruction itself; post-halt absorption never executes.
+    instruction itself; post-halt absorption never executes. Cycles are
+    fast-forwarded exactly unless ``capture_trace`` asks for one row per
+    instruction.
     """
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
@@ -192,24 +330,27 @@ def run(
         state, a, b = 0, 0, 0
     else:
         state, a, b = start.state, start.a, start.b
+        if state != HALTED and not (0 <= state < len(program)):
+            raise InvalidProgram(f"state {state} out of range for program")
+    if not capture_trace:
+        state, a, b, steps = _run_decoded(program, fuel, state, a, b)
+        return RunResult(final=Config(state, a, b), machine_steps=steps, halted=state == HALTED)
     trace: list[TraceRow] = []
     truncated = False
     steps = 0
     while steps < fuel and state != HALTED:
         before = state
         state, a, b, tag = _step_raw(program, state, a, b)
-        if capture_trace:
-            if len(trace) < trace_cap:
-                trace.append(TraceRow(steps, before, tag, Config(state, a, b)))
-            else:
-                truncated = True
+        if len(trace) < trace_cap:
+            trace.append(TraceRow(steps, before, tag, Config(state, a, b)))
+        else:
+            truncated = True
         steps += 1
-    final = Config(state, a, b)
     return RunResult(
-        final=final,
+        final=Config(state, a, b),
         machine_steps=steps,
         halted=state == HALTED,
-        trace=tuple(trace) if capture_trace else None,
+        trace=tuple(trace),
         trace_truncated=truncated,
     )
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -13,7 +16,7 @@ from cm2cypher.cli import (
 )
 from cm2cypher.frontend import parse_dsl, random_program
 from cm2cypher.machine import run
-from conftest import FIXTURES
+from conftest import FIXTURES, REPO_ROOT
 
 DEMO_PATH = str(FIXTURES / "demo.2cm")
 DEMO_JSON = str(FIXTURES / "demo.maps.json")
@@ -44,6 +47,22 @@ def test_run_fuel_exhausted(tmp_path, capsys):
     looper.write_text("state 0: INC A -> 0\n")
     assert main(["run", str(looper), "--fuel", "3"]) == EXIT_FUEL
     assert capsys.readouterr().out.startswith("fuel-exhausted")
+
+
+def test_run_counter_overflow_exits_with_input_error(tmp_path):
+    # the self-loop reaches 2^63 - 1 within the fuel, so INC overflows
+    looper = tmp_path / "loop.2cm"
+    looper.write_text("state 0: INC A -> 0\n")
+    env = dict(os.environ)
+    paths = [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cm2cypher.cli", "run", str(looper), "--fuel", str(10**19)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stderr.startswith("error: counter exceeds")
+    assert "Traceback" not in proc.stderr
 
 
 def test_run_missing_file(capsys):
@@ -182,6 +201,20 @@ def test_reduce_tm(tmp_path, capsys):
     # the emitted program is itself runnable and halts
     result = run(parse_dsl(out.read_text()), fuel=1_000_000)
     assert result.halted
+
+
+def test_reduce_tm_counter_overflow_exits_with_input_error(tmp_path, capsys):
+    # input 111 halts in the first three stages; the prime encoding of the
+    # 3-counter values then exceeds 2^63 - 1 long before the fuel runs out
+    doc = json.loads((FIXTURES / "tm" / "unary_successor.json").read_text())
+    doc["input"] = ["1", "1", "1"]
+    machine = tmp_path / "succ3.json"
+    machine.write_text(json.dumps(doc))
+    out = tmp_path / "succ3.2cm"
+    argv = ["reduce-tm", str(machine), "--fuel-per-stage", str(10**30), "--out", str(out)]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: counter exceeds")
+    assert not out.exists()
 
 
 def test_reduce_tm_bad_input(tmp_path, capsys):

@@ -92,6 +92,18 @@ def test_run_trace_cap():
     assert result.machine_steps == 50
 
 
+@pytest.mark.parametrize("capture_trace", [False, True])
+@pytest.mark.parametrize("state", [-2, 4])
+def test_run_rejects_start_state_out_of_range(demo, state, capture_trace):
+    with pytest.raises(InvalidProgram):
+        run(demo, fuel=10, capture_trace=capture_trace, start=Config(state, 0, 0))
+
+
+def test_run_from_halted_start_executes_nothing(demo):
+    result = run(demo, fuel=10, start=Config(-1, 3, 4))
+    assert (result.final, result.machine_steps, result.halted) == (Config(-1, 3, 4), 0, True)
+
+
 def test_program_validation():
     with pytest.raises(InvalidProgram):
         Program(())
@@ -156,3 +168,108 @@ def test_step_is_pure(seed):
     config = Config(0, 3, 1)
     assert step(program, config) == step(program, config)
     assert config == Config(0, 3, 1)
+
+
+# --- cycle fast-forward against the single-step reference --------------------
+
+
+def _outcome(program, fuel, start, capture_trace):
+    """(state, A, B, machine_steps, halted), or the type of the error raised."""
+    try:
+        r = run(program, fuel=fuel, capture_trace=capture_trace, trace_cap=0, start=start)
+    except CounterOverflow as exc:
+        return type(exc)
+    return (r.final.state, r.final.a, r.final.b, r.machine_steps, r.halted)
+
+
+@st.composite
+def _programs(draw):
+    """Random programs of 1-12 states, weighted towards INC and JZDEC so
+    that most runs end in a cycle."""
+    n = draw(st.integers(1, 12))
+    counter = st.sampled_from(CounterId)
+    target = st.integers(0, n - 1)
+    inc = st.builds(Inc, counter, target)
+    jzdec = st.builds(JzDec, counter, target, target)
+    instr = st.one_of(inc, jzdec, inc, jzdec, st.just(Halt()))
+    return Program(tuple(draw(st.lists(instr, min_size=n, max_size=n))))
+
+
+@given(data=st.data(), program=_programs(), fuel=st.integers(0, 5000))
+@settings(max_examples=300, deadline=None)
+def test_run_fast_forward_matches_single_step(data, program, fuel):
+    start = Config(
+        data.draw(st.integers(0, len(program) - 1)),
+        data.draw(st.integers(0, 100)),
+        data.draw(st.integers(0, 100)),
+    )
+    assert _outcome(program, fuel, start, False) == _outcome(program, fuel, start, True)
+
+
+def _folded_outcomes(program, start, max_fuel):
+    """The outcome of a run at every fuel from 0 to max_fuel, by folding step."""
+    outcomes, config, steps = [], start, 0
+    while len(outcomes) <= max_fuel:
+        outcomes.append((config.state, config.a, config.b, steps, config.halted))
+        if not config.halted:
+            try:
+                config = step(program, config)
+            except CounterOverflow:
+                break
+            steps += 1
+    return outcomes + [CounterOverflow] * (max_fuel + 1 - len(outcomes))
+
+
+def _fast_outcomes(program, start, max_fuel):
+    return [_outcome(program, fuel, start, False) for fuel in range(max_fuel + 1)]
+
+
+@given(data=st.data(), program=_programs())
+@settings(max_examples=100, deadline=None)
+def test_run_fast_forward_matches_single_step_near_int64_max(data, program):
+    # Every fuel, so that a trip applied past the step at which
+    # single-stepping overflows shows up as a result where an error is due.
+    near_max = st.integers(INT64_MAX - 50, INT64_MAX)
+    state = data.draw(st.integers(0, len(program) - 1))
+    start = Config(state, data.draw(near_max), data.draw(near_max))
+    assert _fast_outcomes(program, start, 400) == _folded_outcomes(program, start, 400)
+
+
+@pytest.mark.parametrize("counter", list(CounterId))
+@pytest.mark.parametrize("loop", [
+    lambda c: (Inc(c, 0),),  # net +1
+    lambda c: (Inc(c, 1), JzDec(c, 0, 0)),  # net 0, peaks at +1
+    lambda c: (Inc(c, 1), Inc(c, 2), JzDec(c, 0, 0)),  # net +1, peaks at +2
+])
+def test_run_fast_forward_stops_where_single_step_overflows(loop, counter):
+    program = Program(loop(counter))
+    for below in range(4):
+        x = INT64_MAX - below
+        start = Config(0, x, 0) if counter is CounterId.A else Config(0, 0, x)
+        assert _fast_outcomes(program, start, 20) == _folded_outcomes(program, start, 20)
+
+
+def test_run_self_loop_fast_forwards_to_the_fuel():
+    result = run(Program((Inc(CounterId.A, 0),)), fuel=10**12)
+    assert result.final == Config(0, 10**12, 0)
+    assert result.machine_steps == 10**12
+    assert not result.halted
+
+
+def test_run_self_loop_overflows_beyond_int64_max():
+    # the overflow lies 2^63 steps in: a fast-forward that stopped short of
+    # it would single-step for ever
+    with pytest.raises(CounterOverflow):
+        run(Program((Inc(CounterId.A, 0),)), fuel=2**63 + 1)
+
+
+def test_run_transfer_loop_stops_at_its_zero_exit():
+    # state 0 drains A into B (two steps per unit), then exits on A = 0
+    p = Program((JzDec(CounterId.A, 2, 1), Inc(CounterId.B, 0), Halt()))
+    result = run(p, fuel=10**13, start=Config(0, 10**12, 7))
+    assert result.final == Config(-1, 0, 10**12 + 7)
+    assert result.machine_steps == 2 * 10**12 + 2  # trips, zero exit, HALT
+    assert result.halted
+    for a in range(5):
+        start = Config(0, a, 7)
+        assert _fast_outcomes(p, start, 2 * a + 3) == _folded_outcomes(p, start, 2 * a + 3)

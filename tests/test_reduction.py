@@ -293,6 +293,15 @@ def test_pipeline_end_to_end(name):
     assert report.mcm_tape == report.tm_result.tape
 
 
+def test_pipeline_finishes_two_counter_stage_of_billions_of_steps():
+    doc = json.loads((TM_DIR / "unary_successor.json").read_text())
+    doc["input"] = ["1", "1"]
+    report = run_pipeline(load_tm(doc), fuel_per_stage=10**10)
+    assert report.agreements == {"tm/tsm": True, "tsm/mcm": True, "mcm/2cm": True}
+    assert report.cm_result.halted
+    assert report.cm_result.machine_steps == 2_947_573_665
+
+
 def test_pipeline_skips_unfinished_stages():
     report = run_pipeline(tm("unary_successor"), fuel_per_stage=10)
     # 10 steps halts the TM and the stack machine but not the counter stages
