@@ -2,7 +2,9 @@
 
 Commands: run, compile, eval, verify, reduce-tm, live.
 Exit codes: 0 ok, 1 input error, 2 fuel exhausted, 3 connection failure,
-4 semantic mismatch.
+4 semantic mismatch. Input errors (unreadable or malformed files, invalid
+argument values, programs the library rejects) are reported by ``main`` as
+``error: <message>``.
 """
 
 from __future__ import annotations
@@ -51,16 +53,8 @@ def _load_program(path: str) -> Program:
 
 
 def cmd_run(args) -> int:
-    try:
-        program = _load_program(args.program)
-    except (OSError, DslError, DocumentError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        result = run(program, fuel=args.fuel, capture_trace=args.trace)
-    except MachineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    program = _load_program(args.program)
+    result = run(program, fuel=args.fuel, capture_trace=args.trace)
     if args.trace:
         print(format_trace(result, ascii_mode=args.ascii), end="")
     f = result.final
@@ -70,11 +64,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    try:
-        program = _load_program(args.program)
-    except (OSError, DslError, DocumentError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    program = _load_program(args.program)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     name = Path(args.program).stem
@@ -103,20 +93,11 @@ def cmd_compile(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        text = Path(args.query).read_text(encoding="utf-8")
-        params = {}
-        if args.params:
-            params = json.loads(Path(args.params).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        results = run_query_text(text, params)
-    except CypherError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    print(format_results(results))
+    text = Path(args.query).read_text(encoding="utf-8")
+    params = {}
+    if args.params:
+        params = json.loads(Path(args.params).read_text(encoding="utf-8"))
+    print(format_results(run_query_text(text, params)))
     return EXIT_OK
 
 
@@ -166,16 +147,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reduce_tm(args) -> int:
-    try:
-        tm = reduction.load_tm_file(args.machine)
-    except (OSError, json.JSONDecodeError, reduction.FixtureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        report = reduction.run_pipeline(tm, fuel_per_stage=args.fuel_per_stage)
-    except MachineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    tm = reduction.load_tm_file(args.machine)
+    report = reduction.run_pipeline(tm, fuel_per_stage=args.fuel_per_stage)
     rows = [
         ("tm", report.tm_result.halted, report.tm_result.steps, "".join(report.tm_result.tape)),
         ("tsm", report.tsm_result.halted, report.tsm_result.steps, "".join(report.tsm_result.tape)),
@@ -223,24 +196,28 @@ class _HttpQueryClient:
     """Minimal client for the HTTP query API (POST /db/<db>/query/v2)."""
 
     def __init__(self, uri: str, user: str, password: str, database: str = "neo4j"):
-        self.base = uri.rstrip("/")
-        self.auth = (user, password)
-        self.database = database
+        self.url = f"{uri.rstrip('/')}/db/{database}/query/v2"
+        self.credentials = f"{user}:{password}".encode()
 
     def query(self, statement: str, parameters: dict | None = None) -> list[dict]:
-        import requests
+        # imported here: urllib.request loads http.client, email and ssl, which
+        # would add tens of milliseconds and megabytes to every other command
+        import base64
+        import urllib.request
 
         body: dict = {"statement": statement}
         if parameters:
             body["parameters"] = parameters
-        resp = requests.post(
-            f"{self.base}/db/{self.database}/query/v2",
-            json=body,
-            auth=self.auth,
-            timeout=120,
+        headers = {
+            "Authorization": "Basic " + base64.b64encode(self.credentials).decode("ascii"),
+            "Content-Type": "application/json",
+            "Accept": "application/json",
+        }
+        request = urllib.request.Request(
+            self.url, data=json.dumps(body).encode(), headers=headers, method="POST"
         )
-        resp.raise_for_status()
-        data = resp.json()
+        with urllib.request.urlopen(request, timeout=120) as resp:
+            data = json.load(resp)
         if data.get("errors"):
             raise RuntimeError(f"server error: {data['errors']}")
         result = data.get("data", {})
@@ -249,8 +226,6 @@ class _HttpQueryClient:
 
 
 def cmd_live(args) -> int:
-    import requests
-
     settings = _live_settings()
     if settings is None:
         print(
@@ -258,17 +233,19 @@ def cmd_live(args) -> int:
             file=sys.stderr,
         )
         return EXIT_INPUT
-    try:
-        program = _load_program(args.program)
-    except (OSError, DslError, DocumentError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    client = _HttpQueryClient(*settings)
+    program = _load_program(args.program)
     reference = run(program, fuel=args.fuel)
+    if args.approach == "tx":
+        bundle = gen_transactions_script(program)
+        expected = {"state": reference.final.state, "A": reference.final.a, "B": reference.final.b}
+    else:
+        setup, query = gen_qpp_setup(program), gen_qpp_query(args.max_path)
+        walk = qpp_walk(program, fuel=args.fuel)
+        expected = {"steps": walk.steps, "ctrA": walk.final_a, "ctrB": walk.final_b}
+    client = _HttpQueryClient(*settings)
     try:
         if args.approach == "tx":
             client.query("MATCH (m:Machine) DETACH DELETE m")
-            bundle = gen_transactions_script(program)
             client.query(bundle["setup"].text)
             try:
                 client.query(bundle["main"].text)
@@ -278,23 +255,15 @@ def cmd_live(args) -> int:
                 pass
             rows = client.query("MATCH (m:Machine) RETURN m.state AS state, m.A AS A, m.B AS B")
             client.query("MATCH (m:Machine) DETACH DELETE m")
-            got = rows[0] if rows else None
-            expected = {
-                "state": reference.final.state,
-                "A": reference.final.a,
-                "B": reference.final.b,
-            }
         else:
             client.query("MATCH (n:State) DETACH DELETE n")
-            client.query(gen_qpp_setup(program).text)
-            rows = client.query(gen_qpp_query(args.max_path).text)
+            client.query(setup.text)
+            rows = client.query(query.text)
             client.query("MATCH (n:State) DETACH DELETE n")
-            got = rows[0] if rows else None
-            walk = qpp_walk(program, fuel=args.fuel)
-            expected = {"steps": walk.steps, "ctrA": walk.final_a, "ctrB": walk.final_b}
-    except requests.RequestException as exc:
+    except (OSError, ValueError) as exc:  # URLError and HTTPError are OSErrors
         print(f"error: connection failure: {exc}", file=sys.stderr)
         return EXIT_CONNECTION
+    got = rows[0] if rows else None
     if got == expected:
         print(f"match: {got}")
         return EXIT_OK
@@ -364,6 +333,17 @@ def main(argv: list[str] | None = None) -> int:
     except NoPath as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FUEL
+    except (
+        OSError,
+        ValueError,  # also json.JSONDecodeError and the library's argument checks
+        DslError,
+        DocumentError,
+        reduction.ReductionError,
+        CypherError,
+        MachineError,
+    ) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 def entrypoint():  # console-script shim

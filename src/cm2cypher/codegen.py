@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .frontend import to_map_document
-from .machine import Halt, Inc, JzDec, Program
+from .machine import COUNTER_NAMES, Halt, Inc, JzDec, Program
 
 DIALECT_HEADER = "CYPHER 25"
 DEFAULT_MAX_STEPS = 1_000_000
@@ -196,9 +196,10 @@ def gen_qpp_setup(program: Program) -> CypherQuery:
         lines.append(f"CREATE (q{i}{labels} {{name: 'q{i}'}})")
     for i, instr in enumerate(program.instructions):
         if isinstance(instr, Inc):
-            lines.append(f"CREATE (q{i})-[:INC {{c: '{instr.counter.value}'}}]->(q{instr.next})")
+            c = COUNTER_NAMES[instr.counter]
+            lines.append(f"CREATE (q{i})-[:INC {{c: '{c}'}}]->(q{instr.next})")
         elif isinstance(instr, JzDec):
-            c = instr.counter.value
+            c = COUNTER_NAMES[instr.counter]
             lines.append(f"CREATE (q{i})-[:JZDEC_ZERO {{c: '{c}'}}]->(q{instr.q_zero})")
             lines.append(f"CREATE (q{i})-[:JZDEC_POS {{c: '{c}'}}]->(q{instr.q_pos})")
     return CypherQuery(Approach.QPP, "\n".join(lines) + "\n")

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 
 from .machine import (
+    COUNTER_NAMES,
     CounterId,
     Halt,
     Inc,
@@ -50,8 +50,8 @@ _JZDEC_RE = re.compile(r"^JZDEC\s+(\w+)\s*\?\s*(\d+)\s*:\s*(\d+)$")
 
 def _parse_counter(name: str, line_no: int, col: int) -> CounterId:
     try:
-        return CounterId(name)
-    except ValueError:
+        return CounterId[name]
+    except KeyError:
         raise DslError(f"unknown counter {name!r} (expected A or B)", line_no, col) from None
 
 
@@ -112,11 +112,10 @@ def render_dsl(program: Program) -> str:
     lines = []
     for i, instr in enumerate(program.instructions):
         if isinstance(instr, Inc):
-            lines.append(f"state {i}: INC {instr.counter.value} -> {instr.next}")
+            lines.append(f"state {i}: INC {COUNTER_NAMES[instr.counter]} -> {instr.next}")
         elif isinstance(instr, JzDec):
-            lines.append(
-                f"state {i}: JZDEC {instr.counter.value} ? {instr.q_zero} : {instr.q_pos}"
-            )
+            name = COUNTER_NAMES[instr.counter]
+            lines.append(f"state {i}: JZDEC {name} ? {instr.q_zero} : {instr.q_pos}")
         else:
             lines.append(f"state {i}: HALT")
     return "\n".join(lines) + "\n"
@@ -127,13 +126,14 @@ def to_map_document(program: Program) -> list[dict]:
     doc = []
     for i, instr in enumerate(program.instructions):
         if isinstance(instr, Inc):
-            doc.append({"state": i, "op": "INC", "counter": instr.counter.value, "next": instr.next})
+            name = COUNTER_NAMES[instr.counter]
+            doc.append({"state": i, "op": "INC", "counter": name, "next": instr.next})
         elif isinstance(instr, JzDec):
             doc.append(
                 {
                     "state": i,
                     "op": "JZDEC",
-                    "counter": instr.counter.value,
+                    "counter": COUNTER_NAMES[instr.counter],
                     "q_zero": instr.q_zero,
                     "q_pos": instr.q_pos,
                 }
@@ -141,6 +141,10 @@ def to_map_document(program: Program) -> list[dict]:
         else:
             doc.append({"state": i, "op": "HALT", "counter": "", "next": i})
     return doc
+
+
+def _is_state_id(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def from_map_document(doc: list[dict]) -> Program:
@@ -152,23 +156,21 @@ def from_map_document(doc: list[dict]) -> Program:
     for i, entry in enumerate(doc):
         if not isinstance(entry, dict):
             raise DocumentError(f"entry {i}: not a map")
-        if entry.get("state") != i:
+        if not _is_state_id(entry.get("state")) or entry["state"] != i:
             raise DocumentError(f"entry {i}: state field {entry.get('state')!r} != position {i}")
         op = entry.get("op")
+        if op in ("INC", "JZDEC"):
+            counter = entry.get("counter")
+            if counter not in COUNTER_NAMES:
+                raise DocumentError(f"entry {i}: bad counter {counter!r}")
         if op == "INC":
-            counter = entry.get("counter")
-            if counter not in ("A", "B"):
-                raise DocumentError(f"entry {i}: bad counter {counter!r}")
-            if not isinstance(entry.get("next"), int):
+            if not _is_state_id(entry.get("next")):
                 raise DocumentError(f"entry {i}: INC requires integer 'next'")
-            instrs.append(Inc(CounterId(counter), entry["next"]))
+            instrs.append(Inc(CounterId[counter], entry["next"]))
         elif op == "JZDEC":
-            counter = entry.get("counter")
-            if counter not in ("A", "B"):
-                raise DocumentError(f"entry {i}: bad counter {counter!r}")
-            if not isinstance(entry.get("q_zero"), int) or not isinstance(entry.get("q_pos"), int):
+            if not (_is_state_id(entry.get("q_zero")) and _is_state_id(entry.get("q_pos"))):
                 raise DocumentError(f"entry {i}: JZDEC requires integer 'q_zero' and 'q_pos'")
-            instrs.append(JzDec(CounterId(counter), entry["q_zero"], entry["q_pos"]))
+            instrs.append(JzDec(CounterId[counter], entry["q_zero"], entry["q_pos"]))
         elif op == "HALT":
             instrs.append(Halt())
         else:

@@ -1,8 +1,13 @@
-"""2-counter machine model: instructions, configurations, and interpreters.
+"""Counter machine model: instructions, configurations, and interpreters.
 
-A machine is a dense list of instructions indexed by control state; state 0
-is the initial state and state -1 denotes "halted". Counters A and B are
-64-bit non-negative integers. Three execution views are provided:
+A ``Program`` is a dense list of INC / JZDEC / HALT instructions indexed by
+control state over ``num_counters`` counters (default 2), each named by its
+index; state 0 is the initial state and state -1 denotes "halted". The
+reduction pipeline builds a 3-counter ``Program`` from the same instruction
+types. The names A and B (``COUNTER_NAMES``) exist only at the boundaries:
+trace tags, the DSL and JSON formats and code generation. Counters are 64-bit
+non-negative integers. Three execution views are provided for 2-counter
+programs (they raise ``InvalidProgram`` for more counters):
 
 * ``step`` / ``run``  -- the ground-truth fold interpreter,
 * ``qpp_walk``        -- a deterministic guarded walk over the implied
@@ -22,7 +27,7 @@ the same way ``step`` does, one trace row per instruction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, IntEnum
 from functools import cached_property
 
 INT64_MAX = 2**63 - 1
@@ -47,20 +52,25 @@ class NoPath(MachineError):
     """qpp_walk exhausted its fuel before reaching a halt state."""
 
 
-class CounterId(Enum):
-    A = "A"
-    B = "B"
+class CounterId(IntEnum):
+    A = 0
+    B = 1
+
+    __str__ = Enum.__str__  # "CounterId.A" on every Python version, not "0"
+
+
+COUNTER_NAMES = ("A", "B")  # by counter index, for 2-counter programs
 
 
 @dataclass(frozen=True)
 class Inc:
-    counter: CounterId
+    counter: int
     next: int
 
 
 @dataclass(frozen=True)
 class JzDec:
-    counter: CounterId
+    counter: int
     q_zero: int
     q_pos: int
 
@@ -75,23 +85,27 @@ Instruction = Inc | JzDec | Halt
 
 @dataclass(frozen=True)
 class Program:
-    """Dense, deterministic instruction table; one instruction per state."""
+    """Dense, deterministic instruction table over counters
+    0..num_counters-1; one instruction per state."""
 
     instructions: tuple[Instruction, ...]
+    num_counters: int = 2
 
     def __post_init__(self):
         if not self.instructions:
             raise InvalidProgram("program must have at least one state")
-        n = len(self.instructions)
+        n, k = len(self.instructions), self.num_counters
         for i, instr in enumerate(self.instructions):
             if isinstance(instr, Inc):
                 targets = (instr.next,)
             elif isinstance(instr, JzDec):
                 targets = (instr.q_zero, instr.q_pos)
             elif isinstance(instr, Halt):
-                targets = ()
+                continue
             else:
                 raise InvalidProgram(f"state {i}: not an instruction: {instr!r}")
+            if not (isinstance(instr.counter, int) and 0 <= instr.counter < k):
+                raise InvalidProgram(f"state {i}: bad counter {instr.counter!r} for {k} counters")
             for t in targets:
                 if not (0 <= t < n):
                     raise InvalidProgram(
@@ -178,13 +192,12 @@ def _decode(instructions: tuple[Instruction, ...]):
     ops = [_HALT] * n
     nxt = [HALTED] * n
     pos = [HALTED] * n
-    counter_a = CounterId.A  # a local: enum attribute lookups are slow
     for i, instr in enumerate(instructions):
         if isinstance(instr, Inc):
-            ops[i] = _INC_A if instr.counter is counter_a else _INC_B
+            ops[i] = _INC_A + instr.counter
             nxt[i] = pos[i] = instr.next
         elif isinstance(instr, JzDec):
-            ops[i] = _DEC_A if instr.counter is counter_a else _DEC_B
+            ops[i] = _DEC_A + instr.counter
             nxt[i] = instr.q_zero
             pos[i] = instr.q_pos
     cycles: dict[int, tuple[int, ...]] = {}
@@ -280,20 +293,25 @@ def _checked_inc(value: int) -> int:
     return value + 1
 
 
+def _require_two_counters(program: Program) -> None:
+    if program.num_counters > 2:
+        raise InvalidProgram(f"program has {program.num_counters} counters; at most 2 can run")
+
+
 def _step_raw(program: Program, state: int, a: int, b: int) -> tuple[int, int, int, str]:
     """One executed instruction. Caller guarantees state is a valid index."""
     instr = program.instructions[state]
     if isinstance(instr, Inc):
-        name = instr.counter.value
-        if instr.counter is CounterId.A:
+        name = COUNTER_NAMES[instr.counter]
+        if instr.counter == 0:
             return instr.next, _checked_inc(a), b, f"INC({name})"
         return instr.next, a, _checked_inc(b), f"INC({name})"
     if isinstance(instr, JzDec):
-        name = instr.counter.value
-        c = a if instr.counter is CounterId.A else b
+        name = COUNTER_NAMES[instr.counter]
+        c = b if instr.counter else a
         if c == 0:
             return instr.q_zero, a, b, f"JZDEC({name}), {name}=0"
-        if instr.counter is CounterId.A:
+        if instr.counter == 0:
             return instr.q_pos, a - 1, b, f"JZDEC({name}), {name}>0"
         return instr.q_pos, a, b - 1, f"JZDEC({name}), {name}>0"
     return HALTED, a, b, "HALT"
@@ -301,6 +319,7 @@ def _step_raw(program: Program, state: int, a: int, b: int) -> tuple[int, int, i
 
 def step(program: Program, config: Config) -> Config:
     """Apply one machine step; the halted configuration is a fixed point."""
+    _require_two_counters(program)
     if config.state == HALTED:
         return config
     if not (0 <= config.state < len(program)):
@@ -326,6 +345,7 @@ def run(
     """
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
+    _require_two_counters(program)
     if start is None:
         state, a, b = 0, 0, 0
     else:
@@ -370,23 +390,23 @@ def qpp_walk(program: Program, fuel: int = DEFAULT_FUEL) -> PathResult:
     """
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
+    _require_two_counters(program)
     state, a, b = 0, 0, 0
     tags: list[str] = []
     while not _is_halt_state(program, state):
         if len(tags) >= fuel:
             raise NoPath(f"no path to a halt state within {fuel} edges")
         instr = program.instructions[state]
+        name = COUNTER_NAMES[instr.counter]
         if isinstance(instr, Inc):
-            name = instr.counter.value
-            if instr.counter is CounterId.A:
+            if instr.counter == 0:
                 a = _checked_inc(a)
             else:
                 b = _checked_inc(b)
             tags.append(f"INC({name})")
             state = instr.next
         else:
-            name = instr.counter.value
-            c = a if instr.counter is CounterId.A else b
+            c = b if instr.counter else a
             zero_ok = c == 0
             pos_ok = c - 1 >= 0
             assert zero_ok != pos_ok, "guards must be mutually exclusive"
@@ -394,7 +414,7 @@ def qpp_walk(program: Program, fuel: int = DEFAULT_FUEL) -> PathResult:
                 tags.append(f"JZDEC_ZERO({name})")
                 state = instr.q_zero
             else:
-                if instr.counter is CounterId.A:
+                if instr.counter == 0:
                     a -= 1
                 else:
                     b -= 1

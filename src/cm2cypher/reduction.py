@@ -11,6 +11,12 @@ each independently interpretable for differential testing:
                                  product 2^c1 * 3^c2 * 5^c3 [* 7^c4] in
                                  counter A, with B as scratch)
 
+Both counter stages are ``machine.Program`` instruction tables over the same
+INC / JZDEC / HALT instructions, with counters as indices: the 3-counter
+machine is a ``Program`` with ``num_counters=3``. Each stage keeps its own
+interpreter: ``mcm_run`` single-steps the 3-counter machine independently of
+``machine.run``, which runs the 2-counter program.
+
 Conventions (documented here because they are choices, not forced):
 
 * Stack numerals use base s+1 where s is the alphabet size, with digit 0
@@ -37,9 +43,10 @@ import json
 from dataclasses import dataclass
 
 from .machine import (
+    HALTED,
     INT64_MAX,
     Config,
-    CounterId,
+    CounterOverflow,
     Halt,
     Inc,
     JzDec,
@@ -274,78 +281,35 @@ def tm_to_two_stack(tm: TuringMachine) -> TwoStackMachine:
 
 
 @dataclass(frozen=True)
-class McmInc:
-    counter: int
-    next: int
-
-
-@dataclass(frozen=True)
-class McmJzDec:
-    counter: int
-    q_zero: int
-    q_pos: int
-
-
-@dataclass(frozen=True)
-class McmHalt:
-    pass
-
-
-McmInstruction = McmInc | McmJzDec | McmHalt
-
-
-@dataclass(frozen=True)
-class MultiCounterMachine:
-    instructions: tuple[McmInstruction, ...]
-    num_counters: int
-
-    def __post_init__(self):
-        n = len(self.instructions)
-        for i, instr in enumerate(self.instructions):
-            if isinstance(instr, McmInc):
-                targets, counters = (instr.next,), (instr.counter,)
-            elif isinstance(instr, McmJzDec):
-                targets, counters = (instr.q_zero, instr.q_pos), (instr.counter,)
-            else:
-                targets, counters = (), ()
-            for t in targets:
-                if not (0 <= t < n):
-                    raise ReductionError(f"mcm state {i}: dangling target {t}")
-            for c in counters:
-                if not (0 <= c < self.num_counters):
-                    raise ReductionError(f"mcm state {i}: bad counter {c}")
-
-
-@dataclass(frozen=True)
 class McmResult:
     halted: bool
     steps: int
     counters: tuple[int, ...]
 
 
-def mcm_run(mcm: MultiCounterMachine, fuel: int) -> McmResult:
+def mcm_run(mcm: Program, fuel: int) -> McmResult:
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
     counters = [0] * mcm.num_counters
     state = 0
     steps = 0
-    while steps < fuel and state != -1:
+    while steps < fuel and state != HALTED:
         instr = mcm.instructions[state]
-        if isinstance(instr, McmInc):
+        if isinstance(instr, Inc):
+            if counters[instr.counter] >= INT64_MAX:
+                raise CounterOverflow(f"counter exceeds {INT64_MAX}")
             counters[instr.counter] += 1
-            if counters[instr.counter] > INT64_MAX:
-                raise ReductionError("mcm counter overflow")
             state = instr.next
-        elif isinstance(instr, McmJzDec):
+        elif isinstance(instr, JzDec):
             if counters[instr.counter] == 0:
                 state = instr.q_zero
             else:
                 counters[instr.counter] -= 1
                 state = instr.q_pos
         else:
-            state = -1
+            state = HALTED
         steps += 1
-    return McmResult(state == -1, steps, tuple(counters))
+    return McmResult(state == HALTED, steps, tuple(counters))
 
 
 # --- assembler --------------------------------------------------------------
@@ -379,13 +343,13 @@ class _Asm:
         self._aliases[name] = target
 
     def inc(self, counter: int, goto: str):
-        self._instrs.append(("inc", counter, goto))
+        self._instrs.append((Inc, counter, goto))
 
     def jzdec(self, counter: int, goto_zero: str, goto_pos: str):
-        self._instrs.append(("jzdec", counter, goto_zero, goto_pos))
+        self._instrs.append((JzDec, counter, goto_zero, goto_pos))
 
     def halt(self):
-        self._instrs.append(("halt",))
+        self._instrs.append((Halt,))
 
     def _resolve(self, name: str) -> int:
         seen = set()
@@ -398,16 +362,17 @@ class _Asm:
             raise AssertionError(f"undefined label {name}")
         return self._marks[name]
 
-    def build(self) -> list[tuple]:
+    def build(self, num_counters: int) -> Program:
+        resolve = self._resolve
         out = []
         for instr in self._instrs:
-            if instr[0] == "inc":
-                out.append(("inc", instr[1], self._resolve(instr[2])))
-            elif instr[0] == "jzdec":
-                out.append(("jzdec", instr[1], self._resolve(instr[2]), self._resolve(instr[3])))
+            if instr[0] is Inc:
+                out.append(Inc(instr[1], resolve(instr[2])))
+            elif instr[0] is JzDec:
+                out.append(JzDec(instr[1], resolve(instr[2]), resolve(instr[3])))
             else:
-                out.append(("halt",))
-        return out
+                out.append(Halt())
+        return Program(tuple(out), num_counters)
 
 
 def _emit_inc_chain(asm: _Asm, entry: str, counter: int, n: int, done: str):
@@ -499,7 +464,7 @@ def _emit_divide_or_restore(
 _L, _R, _S = 0, 1, 2
 
 
-def two_stack_to_counters(tsm: TwoStackMachine) -> MultiCounterMachine:
+def two_stack_to_counters(tsm: TwoStackMachine) -> Program:
     """Encode each stack as a base-(s+1) numeral in a counter; pushes and
     pops become multiply/divmod gadget loops over the shared scratch."""
     base = len(tsm.alphabet) + 1
@@ -576,21 +541,12 @@ def two_stack_to_counters(tsm: TwoStackMachine) -> MultiCounterMachine:
             target, ops = tsm.transitions[(q, top)]
             compile_ops(handlers[d], ops, 0, d, entry_of[target])
 
-    resolved = asm.build()
     if asm._resolve(entry_label) != 0:
         raise AssertionError("compiled machine entry is not at index 0")
-    instrs: list[McmInstruction] = []
-    for t in resolved:
-        if t[0] == "inc":
-            instrs.append(McmInc(t[1], t[2]))
-        elif t[0] == "jzdec":
-            instrs.append(McmJzDec(t[1], t[2], t[3]))
-        else:
-            instrs.append(McmHalt())
-    return MultiCounterMachine(tuple(instrs), 3)
+    return asm.build(3)
 
 
-def k_counters_to_two(mcm: MultiCounterMachine) -> Program:
+def k_counters_to_two(mcm: Program) -> Program:
     """Prime-exponent encoding: counter vector (c1..ck) lives in A as
     2^c1 * 3^c2 * 5^c3 * 7^c4, with B as scratch. A bootstrap INC(A)
     establishes A = 1 (the all-zero vector) before the first state."""
@@ -604,9 +560,9 @@ def k_counters_to_two(mcm: MultiCounterMachine) -> Program:
     asm.mark(boot)
     asm.inc(a, entry_of[0])
     for i, instr in enumerate(mcm.instructions):
-        if isinstance(instr, McmInc):
+        if isinstance(instr, Inc):
             _emit_mul_const(asm, entry_of[i], a, b, PRIMES[instr.counter], entry_of[instr.next])
-        elif isinstance(instr, McmJzDec):
+        elif isinstance(instr, JzDec):
             _emit_divide_or_restore(
                 asm,
                 entry_of[i],
@@ -619,19 +575,9 @@ def k_counters_to_two(mcm: MultiCounterMachine) -> Program:
         else:
             asm.mark(entry_of[i])
             asm.halt()
-    resolved = asm.build()
     if asm._resolve(boot) != 0:
         raise AssertionError("bootstrap is not at index 0")
-    counter_ids = (CounterId.A, CounterId.B)
-    instrs: list = []
-    for t in resolved:
-        if t[0] == "inc":
-            instrs.append(Inc(counter_ids[t[1]], t[2]))
-        elif t[0] == "jzdec":
-            instrs.append(JzDec(counter_ids[t[1]], t[2], t[3]))
-        else:
-            instrs.append(Halt())
-    return Program(tuple(instrs))
+    return asm.build(2)
 
 
 # --- decoders ---------------------------------------------------------------
@@ -678,7 +624,7 @@ def decode_stack(value: int, alphabet: tuple[str, ...]) -> tuple[str, ...]:
 class PipelineReport:
     tm: TuringMachine
     tsm: TwoStackMachine
-    mcm: MultiCounterMachine
+    mcm: Program
     program: Program
     tm_result: TmResult
     tsm_result: TsmResult

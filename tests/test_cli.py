@@ -1,7 +1,10 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -20,6 +23,7 @@ from conftest import FIXTURES, REPO_ROOT
 
 DEMO_PATH = str(FIXTURES / "demo.2cm")
 DEMO_JSON = str(FIXTURES / "demo.maps.json")
+UNARY_TM = str(FIXTURES / "tm" / "unary_successor.json")
 
 
 # ---------------------------------------------------------------------- run
@@ -223,6 +227,28 @@ def test_reduce_tm_bad_input(tmp_path, capsys):
     assert main(["reduce-tm", str(bad)]) == EXIT_INPUT
 
 
+# ------------------------------------------------------------ input errors
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--count", "1", "--fuel", "0"],
+    ["run", DEMO_PATH, "--fuel", "-1"],
+    ["compile", DEMO_PATH, "--approach", "reduce", "--max-steps", "0", "--out-dir", "{tmp}"],
+    ["compile", DEMO_PATH, "--approach", "qpp", "--max-path", "-1", "--out-dir", "{tmp}"],
+    ["compile", DEMO_PATH, "--approach", "reduce", "--out-dir", "/dev/null/x"],
+    ["reduce-tm", UNARY_TM, "--fuel-per-stage", "-1", "--out", "{tmp}/u.2cm"],
+    ["verify", "--count", "1", "--max-states", "0"],
+    # the program's counter overflows inside check_program_differential
+    ["verify", "--seed", "58", "--count", "1", "--fuel", str(10**19)],
+])
+def test_input_errors_exit_with_error_message(argv, tmp_path, capsys):
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
 # --------------------------------------------------------------------- live
 
 
@@ -234,10 +260,82 @@ def test_live_requires_environment(monkeypatch, capsys):
 
 
 def test_live_unreachable_server(monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "requests", None)  # the client needs no third-party module
     monkeypatch.setenv("CYPHER_URI", "http://127.0.0.1:9")
     monkeypatch.setenv("CYPHER_USER", "neo4j")
     monkeypatch.setenv("CYPHER_PASSWORD", "x")
     assert main(["live", DEMO_PATH, "--approach", "tx"]) == EXIT_CONNECTION
+    assert "connection failure" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_http_client_unloaded():
+    # urllib.request costs every command tens of ms and MiB; only live needs it
+    env = dict(os.environ)
+    paths = [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    code = "import sys, cm2cypher.cli; print('urllib.request' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.stdout.strip() == "False", proc.stderr
+
+
+def test_live_client_posts_json_with_basic_auth(monkeypatch):
+    import urllib.request
+
+    import cm2cypher.cli as cli_mod
+
+    seen = {}
+
+    def fake_urlopen(request, timeout):
+        seen.update(
+            url=request.full_url,
+            method=request.get_method(),
+            auth=request.get_header("Authorization"),
+            body=json.loads(request.data),
+            timeout=timeout,
+        )
+        reply = {"data": {"fields": ["state", "A", "B"], "values": [[-1, 2, 0], [3, 4, 5]]}}
+        return io.BytesIO(json.dumps(reply).encode())
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    client = cli_mod._HttpQueryClient("http://db.example:7474/", "neo4j", "secret")
+    rows = client.query("RETURN $x", {"x": 1})
+    assert rows == [{"state": -1, "A": 2, "B": 0}, {"state": 3, "A": 4, "B": 5}]
+    assert seen == {
+        "url": "http://db.example:7474/db/neo4j/query/v2",
+        "method": "POST",
+        "auth": "Basic bmVvNGo6c2VjcmV0",  # base64 of neo4j:secret
+        "body": {"statement": "RETURN $x", "parameters": {"x": 1}},
+        "timeout": 120,
+    }
+
+
+@pytest.mark.parametrize("status, body", [(500, b'{"errors": []}'), (200, b"<html>")])
+def test_live_bad_server_reply_is_a_connection_failure(status, body, monkeypatch, capsys):
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self.send_response(status)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        monkeypatch.setenv("CYPHER_URI", f"http://127.0.0.1:{server.server_port}")
+        monkeypatch.setenv("CYPHER_USER", "neo4j")
+        monkeypatch.setenv("CYPHER_PASSWORD", "x")
+        assert main(["live", DEMO_PATH, "--approach", "qpp"]) == EXIT_CONNECTION
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
     assert "connection failure" in capsys.readouterr().err
 
 

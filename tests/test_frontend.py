@@ -112,6 +112,20 @@ def test_from_map_document_state_position_mismatch():
         from_map_document([{"state": 1, "op": "HALT", "counter": "", "next": 1}])
 
 
+@pytest.mark.parametrize("doc", [
+    [{"state": False, "op": "INC", "counter": "A", "next": 0}],
+    [{"state": 0, "op": "INC", "counter": "A", "next": False}],
+    [{"state": 0, "op": "JZDEC", "counter": "B", "q_zero": True, "q_pos": 0},
+     {"state": 1, "op": "HALT", "counter": "", "next": 1}],
+    [{"state": 0, "op": "JZDEC", "counter": "B", "q_zero": 1, "q_pos": True},
+     {"state": 1, "op": "HALT", "counter": "", "next": 1}],
+])
+def test_from_map_document_rejects_booleans_as_state_ids(doc):
+    # bool is an int in Python, so without the check false loads as state 0
+    with pytest.raises(DocumentError):
+        from_map_document(doc)
+
+
 def test_from_map_document_missing_jzdec_targets():
     with pytest.raises(DocumentError, match="q_zero"):
         from_map_document([{"state": 0, "op": "JZDEC", "counter": "A", "next": 0}])

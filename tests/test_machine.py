@@ -18,6 +18,7 @@ from cm2cypher.machine import (
     step,
 )
 from cm2cypher.frontend import random_program
+from cm2cypher.reduction import mcm_run
 
 
 def test_step_demo_first(demo):
@@ -111,6 +112,32 @@ def test_program_validation():
         Program((Inc(CounterId.A, 2), Halt()))
     with pytest.raises(InvalidProgram):
         Program((JzDec(CounterId.B, 0, 5),))
+
+
+def test_program_rejects_out_of_range_counter_index():
+    with pytest.raises(InvalidProgram, match="counter"):
+        Program((Inc(2, 0),))
+    with pytest.raises(InvalidProgram, match="counter"):
+        Program((JzDec(-1, 0, 0),))
+    with pytest.raises(InvalidProgram, match="counter"):
+        Program((Inc(3, 0), Halt()), num_counters=3)
+    assert Program((Inc(2, 1), Halt()), num_counters=3).num_counters == 3
+
+
+def test_counter_ids_are_indices():
+    assert Program((Inc(CounterId.B, 0),)) == Program((Inc(1, 0),))
+
+
+def test_interpreters_reject_more_than_two_counters():
+    program = Program((Inc(2, 1), Halt()), num_counters=3)
+    with pytest.raises(InvalidProgram, match="3 counters"):
+        run(program)
+    with pytest.raises(InvalidProgram, match="3 counters"):
+        run(program, capture_trace=True)
+    with pytest.raises(InvalidProgram, match="3 counters"):
+        step(program, Config(0, 0, 0))
+    with pytest.raises(InvalidProgram, match="3 counters"):
+        qpp_walk(program)
 
 
 def test_config_rejects_negative_counters():
@@ -273,3 +300,14 @@ def test_run_transfer_loop_stops_at_its_zero_exit():
     for a in range(5):
         start = Config(0, a, 7)
         assert _fast_outcomes(p, start, 2 * a + 3) == _folded_outcomes(p, start, 2 * a + 3)
+
+
+@given(program=_programs(), fuel=st.integers(0, 2000))
+@settings(max_examples=300, deadline=None)
+def test_mcm_run_agrees_with_run_on_two_counter_programs(program, fuel):
+    # two independent interpreters of the same Program: the reduction's
+    # single-stepping k-counter oracle and the fast-forwarding run
+    mcm = mcm_run(program, fuel)
+    ref = run(program, fuel=fuel)
+    assert (mcm.halted, mcm.steps) == (ref.halted, ref.machine_steps)
+    assert mcm.counters == (ref.final.a, ref.final.b)

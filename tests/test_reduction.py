@@ -4,13 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cm2cypher.machine import Config, Halt, Inc, run
+from cm2cypher.machine import Config, Halt, Inc, InvalidProgram, JzDec, Program, run
 from cm2cypher.reduction import (
     DecodeError,
-    McmHalt,
-    McmInc,
-    McmJzDec,
-    MultiCounterMachine,
     ReductionError,
     decode_counters,
     decode_stack,
@@ -137,7 +133,7 @@ def test_tsm_left_move_extends_tape():
 
 
 def test_mcm_inc_then_halt():
-    mcm = MultiCounterMachine((McmInc(0, 1), McmInc(0, 2), McmHalt()), num_counters=1)
+    mcm = Program((Inc(0, 1), Inc(0, 2), Halt()), num_counters=1)
     result = mcm_run(mcm, fuel=100)
     assert result.halted
     assert result.counters == (2,)
@@ -145,24 +141,22 @@ def test_mcm_inc_then_halt():
 
 
 def test_mcm_jzdec_branches():
-    mcm = MultiCounterMachine(
-        (McmInc(0, 1), McmJzDec(0, 2, 1), McmHalt()), num_counters=1
-    )
+    mcm = Program((Inc(0, 1), JzDec(0, 2, 1), Halt()), num_counters=1)
     result = mcm_run(mcm, fuel=100)
     assert result.halted
     assert result.counters == (0,)
 
 
 def test_mcm_fuel_zero():
-    result = mcm_run(MultiCounterMachine((McmHalt(),), num_counters=1), fuel=0)
+    result = mcm_run(Program((Halt(),), num_counters=1), fuel=0)
     assert not result.halted
 
 
 def test_mcm_validates_targets():
-    with pytest.raises(ReductionError, match="dangling"):
-        MultiCounterMachine((McmInc(0, 5),), num_counters=1)
-    with pytest.raises(ReductionError, match="counter"):
-        MultiCounterMachine((McmInc(3, 0),), num_counters=1)
+    with pytest.raises(InvalidProgram, match="dangling"):
+        Program((Inc(0, 5),), num_counters=1)
+    with pytest.raises(InvalidProgram, match="counter"):
+        Program((Inc(3, 0),), num_counters=1)
 
 
 def test_two_stack_to_counters_preserves_results():
@@ -182,7 +176,7 @@ def test_two_stack_to_counters_preserves_results():
 
 
 def test_k_counters_to_two_trivial_machine():
-    program = k_counters_to_two(MultiCounterMachine((McmHalt(),), num_counters=1))
+    program = k_counters_to_two(Program((Halt(),), num_counters=1))
     assert isinstance(program.instructions[0], Inc)
     result = run(program, fuel=100)
     assert result.halted
@@ -192,9 +186,7 @@ def test_k_counters_to_two_trivial_machine():
 
 
 def test_k_counters_to_two_counts_match_mcm():
-    mcm = MultiCounterMachine(
-        (McmInc(0, 1), McmInc(1, 2), McmInc(0, 3), McmHalt()), num_counters=2
-    )
+    mcm = Program((Inc(0, 1), Inc(1, 2), Inc(0, 3), Halt()), num_counters=2)
     program = k_counters_to_two(mcm)
     result = run(program, fuel=100_000)
     assert result.halted
@@ -205,9 +197,7 @@ def test_k_counters_to_two_counts_match_mcm():
 
 def test_k_counters_to_two_jzdec_restores_on_zero():
     # JZDEC on an untouched counter must leave the encoding intact
-    mcm = MultiCounterMachine(
-        (McmInc(0, 1), McmJzDec(1, 2, 2), McmHalt()), num_counters=2
-    )
+    mcm = Program((Inc(0, 1), JzDec(1, 2, 2), Halt()), num_counters=2)
     result = run(k_counters_to_two(mcm), fuel=100_000)
     assert result.halted
     assert decode_counters(result.final, 2) == (1, 0)
@@ -215,9 +205,7 @@ def test_k_counters_to_two_jzdec_restores_on_zero():
 
 def test_k_counters_to_two_counter_limit():
     with pytest.raises(ReductionError, match="at most"):
-        k_counters_to_two(
-            MultiCounterMachine((McmHalt(),) * 1, num_counters=5)
-        )
+        k_counters_to_two(Program((Halt(),), num_counters=5))
 
 
 @given(
@@ -228,9 +216,9 @@ def test_k_counters_to_two_encodes_arbitrary_increments(counts):
     k = len(counts)
     instrs = []
     for c, n in enumerate(counts):
-        instrs.extend(McmInc(c, len(instrs) + 1) for _ in range(n))
-    instrs.append(McmHalt())
-    mcm = MultiCounterMachine(tuple(instrs), num_counters=k)
+        instrs.extend(Inc(c, len(instrs) + 1) for _ in range(n))
+    instrs.append(Halt())
+    mcm = Program(tuple(instrs), num_counters=k)
     result = run(k_counters_to_two(mcm), fuel=10_000_000)
     assert result.halted
     assert decode_counters(result.final, k) == tuple(counts)
