@@ -1,10 +1,10 @@
 """Command-line harness.
 
 Commands: run, compile, eval, verify, reduce-tm, live.
-Exit codes: 0 ok, 1 input error, 2 fuel exhausted, 3 connection failure,
-4 semantic mismatch. Input errors (unreadable or malformed files, invalid
-argument values, programs the library rejects) are reported by ``main`` as
-``error: <message>``.
+Exit codes: 0 ok, 1 input error, 2 fuel exhausted, 3 connection failure or
+server error reply, 4 semantic mismatch. Input errors (unreadable or
+malformed files, invalid argument values, programs the library rejects) are
+reported by ``main`` as ``error: <message>``.
 """
 
 from __future__ import annotations
@@ -65,29 +65,24 @@ def cmd_run(args) -> int:
 
 def cmd_compile(args) -> int:
     program = _load_program(args.program)
+    # generate everything first: a rejected argument must leave no --out-dir
+    if args.approach == "reduce":
+        outputs = {"reduce.cypher": gen_reduce_query(program, args.max_steps).text}
+    elif args.approach == "tx":
+        bundle = gen_transactions_script(program, parameter_mode=args.parameter_mode)
+        outputs = {"tx.setup.cypher": bundle["setup"].text, "tx.main.cypher": bundle["main"].text,
+                   "tx.read.cypher": bundle["readback"].text}
+        if bundle.parameters is not None:
+            outputs["tx.params.json"] = json.dumps(bundle.parameters, indent=2) + "\n"
+    else:
+        outputs = {"qpp.setup.cypher": gen_qpp_setup(program).text,
+                   "qpp.query.cypher": gen_qpp_query(args.max_path).text}
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     name = Path(args.program).stem
-    written: list[Path] = []
-
-    def emit(suffix: str, text: str):
+    for suffix, text in outputs.items():
         path = out_dir / f"{name}.{suffix}"
         path.write_text(text, encoding="utf-8")
-        written.append(path)
-
-    if args.approach == "reduce":
-        emit("reduce.cypher", gen_reduce_query(program, args.max_steps).text)
-    elif args.approach == "tx":
-        bundle = gen_transactions_script(program, parameter_mode=args.parameter_mode)
-        emit("tx.setup.cypher", bundle["setup"].text)
-        emit("tx.main.cypher", bundle["main"].text)
-        emit("tx.read.cypher", bundle["readback"].text)
-        if bundle.parameters is not None:
-            emit("tx.params.json", json.dumps(bundle.parameters, indent=2) + "\n")
-    else:
-        emit("qpp.setup.cypher", gen_qpp_setup(program).text)
-        emit("qpp.query.cypher", gen_qpp_query(args.max_path).text)
-    for path in written:
         print(path)
     return EXIT_OK
 
@@ -192,6 +187,10 @@ def _live_settings() -> tuple[str, str, str] | None:
     return uri, user, password
 
 
+class ServerError(Exception):
+    """The server answered a statement with an error."""
+
+
 class _HttpQueryClient:
     """Minimal client for the HTTP query API (POST /db/<db>/query/v2)."""
 
@@ -219,7 +218,7 @@ class _HttpQueryClient:
         with urllib.request.urlopen(request, timeout=120) as resp:
             data = json.load(resp)
         if data.get("errors"):
-            raise RuntimeError(f"server error: {data['errors']}")
+            raise ServerError(f"server error: {data['errors']}")
         result = data.get("data", {})
         fields = result.get("fields", [])
         return [dict(zip(fields, row)) for row in result.get("values", [])]
@@ -249,7 +248,7 @@ def cmd_live(args) -> int:
             client.query(bundle["setup"].text)
             try:
                 client.query(bundle["main"].text)
-            except RuntimeError:
+            except ServerError:
                 # the 1/0 halt guard surfaces as a statement error on some
                 # configurations; the readback below decides correctness
                 pass
@@ -262,6 +261,9 @@ def cmd_live(args) -> int:
             client.query("MATCH (n:State) DETACH DELETE n")
     except (OSError, ValueError) as exc:  # URLError and HTTPError are OSErrors
         print(f"error: connection failure: {exc}", file=sys.stderr)
+        return EXIT_CONNECTION
+    except ServerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONNECTION
     got = rows[0] if rows else None
     if got == expected:

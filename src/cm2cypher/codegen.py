@@ -6,18 +6,22 @@
 * qpp     -- graph setup plus a quantified-path-pattern traversal whose
              allReduce predicate prunes invalid counter branches.
 
-Output is a house style (two-space indent, one clause per line); a
-token-level normalizer is provided for whitespace-insensitive comparison.
+Output is a house style (two-space indent, one clause per line). The
+whitespace-insensitive comparison and the primitive lint run on the Cypher
+subset's lexer, so a comment marker inside a string is string content to
+them exactly as to the parser.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
 
+from .cypher.errors import CypherSyntaxError
+from .cypher.lexer import IDENT, PUNCT, STRING, tokenize
+from .cypher.parser import FUNCTION_ARITY
 from .frontend import to_map_document
-from .machine import COUNTER_NAMES, Halt, Inc, JzDec, Program
+from .machine import COUNTER_NAMES, Halt, Inc, JzDec, Program, require_two_counters
 
 DIALECT_HEADER = "CYPHER 25"
 DEFAULT_MAX_STEPS = 1_000_000
@@ -186,6 +190,7 @@ def gen_transactions_script(program: Program, parameter_mode: bool = False) -> S
 def gen_qpp_setup(program: Program) -> CypherQuery:
     """State-graph setup: one node per state (q<i>), :Init on state 0,
     :Halt on halt states; INC edges plus JZDEC_ZERO/JZDEC_POS edge pairs."""
+    require_two_counters(program)
     lines = [DIALECT_HEADER]
     for i, instr in enumerate(program.instructions):
         labels = ":State"
@@ -255,57 +260,52 @@ def gen_qpp_query(max_path: int = DEFAULT_MAX_PATH) -> CypherQuery:
 
 # --- normalization and linting -----------------------------------------
 
-_TOKEN_RE = re.compile(r"'(?:\\.|[^'\\])*'|[A-Za-z_][A-Za-z0-9_]*|\d+|\S")
-_LINE_COMMENT_RE = re.compile(r"//[^\n]*")
-_BLOCK_COMMENT_RE = re.compile(r"/\*.*?\*/", re.S)
-
 
 def normalize_tokens(text: str) -> list[str]:
-    """Comment-stripped token stream; whitespace and line breaks are
-    irrelevant to the comparison."""
-    text = _BLOCK_COMMENT_RE.sub(" ", text)
-    text = _LINE_COMMENT_RE.sub(" ", text)
-    return _TOKEN_RE.findall(text)
+    """Lexemes without comments and whitespace, strings quoted so that none
+    equals an identifier. Raises CypherSyntaxError outside the subset."""
+    return [f"'{t.lexeme}'" if t.kind == STRING else t.lexeme for t in tokenize(text)[:-1]]
 
 
 def queries_token_equal(a: str, b: str) -> bool:
+    """Equality up to whitespace and comments; raises like normalize_tokens."""
     return normalize_tokens(a) == normalize_tokens(b)
 
 
-_LINT_KEYWORDS_ALLOWED = {
-    "cypher", "let", "return", "case", "when", "then", "else", "end",
-    "in", "as", "and", "or", "not", "true", "false", "null",
-}
 _LINT_FORBIDDEN = {
     "match", "create", "merge", "set", "delete", "detach", "remove", "call",
     "unwind", "with", "foreach", "where", "next", "load", "using", "union",
     "apoc", "gds",
 }
-_LINT_FUNCTIONS = {"reduce", "head", "range"}
-
-_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# words allowed before '(': keywords, reduce() and the parser's functions
+_LINT_CALLABLE = {
+    "cypher", "let", "return", "case", "when", "then", "else", "end",
+    "in", "as", "and", "or", "not", "true", "false", "null", "reduce", *FUNCTION_ARITY,
+}
+_COLON, _DOT, _OPEN = (PUNCT, ":"), (PUNCT, "."), (PUNCT, "(")  # (kind, lexeme)
 
 
 def lint_primitives(query: "CypherQuery | str") -> list[str]:
     """Check a reduce-approach query against the pure-expression primitive
     whitelist: no graph operations, no procedure libraries, and only the
-    reduce/head/range functions."""
+    reduce function plus the parser's functions (head, range). Text the
+    lexer rejects is one violation, the lexer's error."""
     text = query.text if isinstance(query, CypherQuery) else query
-    tokens = normalize_tokens(text)
+    try:
+        tokens = tokenize(text)
+    except CypherSyntaxError as exc:
+        return [str(exc)]
     violations = []
+    # tokens[i + 1] exists for an identifier (EOF is last), and tokens[i - 1]
+    # of the first token is EOF, which equals no punctuation
     for i, tok in enumerate(tokens):
-        if not _WORD_RE.fullmatch(tok):
+        if tok.kind != IDENT:
             continue
-        low = tok.lower()
-        if low == "next" and (
-            (i + 1 < len(tokens) and tokens[i + 1] == ":")
-            or (i > 0 and tokens[i - 1] == ".")
-        ):
-            continue  # the 'next' map key or property access, not the NEXT clause
+        low = tok.lexeme.lower()
         if low in _LINT_FORBIDDEN:
-            violations.append(f"forbidden token {tok!r}")
-            continue
-        is_call = i + 1 < len(tokens) and tokens[i + 1] == "("
-        if is_call and low not in _LINT_FUNCTIONS and low not in _LINT_KEYWORDS_ALLOWED:
-            violations.append(f"function {tok!r} outside the primitive whitelist")
+            if low == "next" and (tokens[i + 1][:2] == _COLON or tokens[i - 1][:2] == _DOT):
+                continue  # the 'next' map key or property access, not the NEXT clause
+            violations.append(f"forbidden token {tok.lexeme!r}")
+        elif low not in _LINT_CALLABLE and tokens[i + 1][:2] == _OPEN:
+            violations.append(f"function {tok.lexeme!r} outside the primitive whitelist")
     return violations

@@ -1,26 +1,31 @@
-"""Query evaluation and canonical result formatting."""
+"""Query evaluation and canonical result formatting. Both recurse once per
+nesting level; past Python's recursion limit they raise EvalError."""
 
 from __future__ import annotations
 
 from .ast import Expr, QueryAst
-from .errors import CypherSyntaxError
+from .errors import CypherSyntaxError, EvalError
 from .parser import parse_query
+
+_TOO_DEEP = "expression or value nested too deeply"
 
 
 def evaluate(expr: Expr, environment: dict | None = None, parameters: dict | None = None):
-    return expr.eval(environment or {}, parameters or {})
+    try:
+        return expr.eval(environment or {}, parameters or {})
+    except RecursionError:
+        raise EvalError(_TOO_DEEP) from None
 
 
 def run_query(query: QueryAst, parameters: dict | None = None) -> dict:
-    params = parameters or {}
     env: dict = {}
     for name, expr in query.bindings:
-        env[name] = expr.eval(env, params)
+        env[name] = evaluate(expr, env, parameters)
     results: dict = {}
     for item in query.returns:
         if item.alias in results:
             raise CypherSyntaxError(f"duplicate return alias {item.alias!r}")
-        results[item.alias] = item.expr.eval(env, params)
+        results[item.alias] = evaluate(item.expr, env, parameters)
     return results
 
 
@@ -55,8 +60,11 @@ def format_results(results: dict) -> str:
     A single returned map is flattened to the map itself, matching the
     style of the published result boxes; otherwise aliases are shown.
     """
-    if len(results) == 1:
-        (value,) = results.values()
-        if isinstance(value, dict):
-            return format_value(value)
-    return "{" + ", ".join(f"{k}:{format_value(v)}" for k, v in results.items()) + "}"
+    try:
+        if len(results) == 1:
+            (value,) = results.values()
+            if isinstance(value, dict):
+                return format_value(value)
+        return "{" + ", ".join(f"{k}:{format_value(v)}" for k, v in results.items()) + "}"
+    except RecursionError:
+        raise EvalError(_TOO_DEEP) from None

@@ -1,13 +1,18 @@
 """Tokenizer for the Cypher expression subset.
 
-Covers identifiers, integer literals, single-quoted strings, punctuation
-and operators (including <=, >=, <>), parameters ($name), and both //
-line comments and /* */ block comments.
+Covers identifiers, ASCII integer literals, single-quoted strings,
+punctuation and operators (including <=, >=, <>), parameters ($name), and
+both // line comments and /* */ block comments. One compiled pattern
+splits the text; any other character raises CypherSyntaxError, as does an
+unterminated string or block comment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
+
+from .errors import CypherSyntaxError
 
 IDENT = "ident"
 INT = "int"
@@ -15,12 +20,8 @@ STRING = "string"
 PUNCT = "punct"
 EOF = "eof"
 
-_TWO_CHAR = ("<=", ">=", "<>")
-_SINGLE = set("()[]{},:.|+-*/%=<>$;")
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     lexeme: str
     line: int
@@ -28,86 +29,57 @@ class Token:
     offset: int  # absolute character offset, for source-span recovery
 
 
+# Alternatives are tried in order: blanks and // comments (never a line
+# break), the common tokens, line breaks and block comments, strings, words
+# that start with a non-ASCII character (tokenize rejects those that are not
+# letters), and any one character no token starts with: '/*' or a quote left
+# unterminated, or an illegal character.
+_MASTER = re.compile(
+    r"""
+      (?P<space>[ \t\r]+|//[^\n]*)
+    | (?P<ident>[A-Za-z_]\w*)
+    | (?P<punct><=|>=|<>|/(?![/*])|[()\[\]{},:.|+\-*%=<>$;])
+    | (?P<int>[0-9]+)
+    | (?P<lines>(?:\n|/\*.*?\*/)[ \t\r\n]*)
+    | (?P<string>'[^'\\]*(?:\\.[^'\\]*)*')
+    | (?P<word>[^\W\d]\w*)
+    | (?P<error>/\*|.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_UNTERMINATED = {"/*": "unterminated block comment", "'": "unterminated string literal"}
+_new_token = tuple.__new__  # skips NamedTuple's __new__, a Python-level call
+
+
 def tokenize(text: str) -> list[Token]:
+    """Token list ending in one EOF token; lines and columns are 1-based.
+    An unterminated string or block comment is reported at its start."""
     tokens: list[Token] = []
-    i = 0
+    append = tokens.append
     line = 1
-    col = 1
-    n = len(text)
-
-    def advance(k: int = 1):
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance()
+    line_start = 0  # offset of the first character of the current line
+    for m in _MASTER.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
             continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                advance()
+        start = m.start()
+        lexeme = m.group()
+        if kind == "ident" or kind == "punct" or kind == "int":  # named like the kinds
+            append(_new_token(Token, (kind, lexeme, line, start - line_start + 1, start)))
             continue
-        if text.startswith("/*", i):
-            start_line, start_col = line, col
-            advance(2)
-            while i < n and not text.startswith("*/", i):
-                advance()
-            if i >= n:
-                from .errors import CypherSyntaxError
-
-                raise CypherSyntaxError("unterminated block comment", start_line, start_col)
-            advance(2)
-            continue
-        start_line, start_col, start_off = line, col, i
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token(INT, text[i:j], start_line, start_col, start_off))
-            advance(j - i)
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token(IDENT, text[i:j], start_line, start_col, start_off))
-            advance(j - i)
-            continue
-        if ch == "'":
-            j = i + 1
-            buf = []
-            while j < n and text[j] != "'":
-                if text[j] == "\\" and j + 1 < n:
-                    buf.append(text[j + 1])
-                    j += 2
-                else:
-                    buf.append(text[j])
-                    j += 1
-            if j >= n:
-                from .errors import CypherSyntaxError
-
-                raise CypherSyntaxError("unterminated string literal", start_line, start_col)
-            tokens.append(Token(STRING, "".join(buf), start_line, start_col, start_off))
-            advance(j + 1 - i)
-            continue
-        two = text[i : i + 2]
-        if two in _TWO_CHAR:
-            tokens.append(Token(PUNCT, two, start_line, start_col, start_off))
-            advance(2)
-            continue
-        if ch in _SINGLE:
-            tokens.append(Token(PUNCT, ch, start_line, start_col, start_off))
-            advance()
-            continue
-        from .errors import CypherSyntaxError
-
-        raise CypherSyntaxError(f"illegal character {ch!r}", line, col)
-    tokens.append(Token(EOF, "", line, col, i))
+        if kind == "string":
+            value = lexeme[1:-1]
+            if "\\" in value:
+                value = _ESCAPE.sub(r"\1", value)
+            append(_new_token(Token, (STRING, value, line, start - line_start + 1, start)))
+        elif kind == "word" and lexeme[0].isalpha():
+            append(_new_token(Token, (IDENT, lexeme, line, start - line_start + 1, start)))
+        elif kind == "error" or kind == "word":
+            message = _UNTERMINATED.get(lexeme) or f"illegal character {lexeme[0]!r}"
+            raise CypherSyntaxError(message, line, start - line_start + 1)
+        if "\n" in lexeme:  # lines, or a string that spans lines
+            line += lexeme.count("\n")
+            line_start = start + lexeme.rindex("\n") + 1
+    append(Token(EOF, "", line, len(text) - line_start + 1, len(text)))
     return tokens

@@ -3,7 +3,8 @@
 Query shape: optional "CYPHER 25" header, zero or more LET bindings, one
 RETURN clause, optional trailing semicolon. Anything outside the subset
 (MATCH, CALL, WITH, unknown functions, ...) is rejected at parse time
-with UnsupportedFeature naming the construct.
+with UnsupportedFeature naming the construct, and nesting too deep for
+Python's recursion limit with CypherSyntaxError.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ _UNSUPPORTED = {
     "USE", "USING", "SHOW", "NEXT", "LOAD", "EXISTS", "COUNT", "COLLECT",
 }
 
-_FUNCTIONS = {"head", "range"}
+# callable functions and their argument counts; reduce() has its own syntax
+FUNCTION_ARITY = {"head": 1, "range": 2}
 
 
 class _Parser:
@@ -116,6 +118,13 @@ class _Parser:
                 f"unexpected input after RETURN clause: {tok.lexeme!r}", tok.line, tok.column
             )
         return ast.QueryAst(has_header, tuple(bindings), tuple(returns))
+
+    def parse_expression(self) -> ast.Expr:
+        expr = self.parse_expr()
+        tok = self.peek()
+        if tok.kind != EOF:
+            raise CypherSyntaxError(f"unexpected trailing input {tok.lexeme!r}", tok.line, tok.column)
+        return expr
 
     def parse_return_item(self) -> ast.ReturnItem:
         start = self.peek().offset
@@ -257,7 +266,7 @@ class _Parser:
         name = name_tok.lexeme
         if name == "reduce":
             return self.parse_reduce(name_tok)
-        if name not in _FUNCTIONS:
+        if name not in FUNCTION_ARITY:
             raise UnsupportedFeature(f"function {name}()", name_tok.line, name_tok.column)
         self.expect_punct("(")
         args = [self.parse_expr()]
@@ -265,7 +274,7 @@ class _Parser:
             self.next()
             args.append(self.parse_expr())
         self.expect_punct(")")
-        arity = {"head": 1, "range": 2}[name]
+        arity = FUNCTION_ARITY[name]
         if len(args) != arity:
             raise CypherSyntaxError(
                 f"{name}() takes {arity} argument(s), got {len(args)}",
@@ -372,14 +381,16 @@ class _Parser:
         return ast.SimpleCase(subject, whens, default, case_tok.line, case_tok.column)
 
 
+def _parse(text: str, rule):
+    try:
+        return rule(_Parser(text))
+    except RecursionError:
+        raise CypherSyntaxError("expression nested too deeply") from None
+
+
 def parse_query(text: str) -> ast.QueryAst:
-    return _Parser(text).parse_query()
+    return _parse(text, _Parser.parse_query)
 
 
 def parse_expression(text: str) -> ast.Expr:
-    p = _Parser(text)
-    expr = p.parse_expr()
-    tok = p.peek()
-    if tok.kind != EOF:
-        raise CypherSyntaxError(f"unexpected trailing input {tok.lexeme!r}", tok.line, tok.column)
-    return expr
+    return _parse(text, _Parser.parse_expression)

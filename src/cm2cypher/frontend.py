@@ -26,6 +26,7 @@ from .machine import (
     JzDec,
     Program,
     RunResult,
+    require_two_counters,
 )
 
 
@@ -109,6 +110,7 @@ def parse_dsl(text: str) -> Program:
 
 def render_dsl(program: Program) -> str:
     """Formatting inverse of parse_dsl."""
+    require_two_counters(program)
     lines = []
     for i, instr in enumerate(program.instructions):
         if isinstance(instr, Inc):
@@ -123,6 +125,7 @@ def render_dsl(program: Program) -> str:
 
 def to_map_document(program: Program) -> list[dict]:
     """Map-list encoding: HALT carries counter '' and next = own state."""
+    require_two_counters(program)
     doc = []
     for i, instr in enumerate(program.instructions):
         if isinstance(instr, Inc):

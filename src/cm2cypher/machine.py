@@ -5,9 +5,10 @@ control state over ``num_counters`` counters (default 2), each named by its
 index; state 0 is the initial state and state -1 denotes "halted". The
 reduction pipeline builds a 3-counter ``Program`` from the same instruction
 types. The names A and B (``COUNTER_NAMES``) exist only at the boundaries:
-trace tags, the DSL and JSON formats and code generation. Counters are 64-bit
-non-negative integers. Three execution views are provided for 2-counter
-programs (they raise ``InvalidProgram`` for more counters):
+trace tags, the DSL and JSON formats and code generation, which like the
+execution views below reject more than 2 counters with ``InvalidProgram``
+(``require_two_counters``). Counters are 64-bit non-negative integers. Three
+execution views are provided for 2-counter programs:
 
 * ``step`` / ``run``  -- the ground-truth fold interpreter,
 * ``qpp_walk``        -- a deterministic guarded walk over the implied
@@ -293,9 +294,9 @@ def _checked_inc(value: int) -> int:
     return value + 1
 
 
-def _require_two_counters(program: Program) -> None:
+def require_two_counters(program: Program) -> None:
     if program.num_counters > 2:
-        raise InvalidProgram(f"program has {program.num_counters} counters; at most 2 can run")
+        raise InvalidProgram(f"program has {program.num_counters} counters; at most 2 are supported")
 
 
 def _step_raw(program: Program, state: int, a: int, b: int) -> tuple[int, int, int, str]:
@@ -319,7 +320,7 @@ def _step_raw(program: Program, state: int, a: int, b: int) -> tuple[int, int, i
 
 def step(program: Program, config: Config) -> Config:
     """Apply one machine step; the halted configuration is a fixed point."""
-    _require_two_counters(program)
+    require_two_counters(program)
     if config.state == HALTED:
         return config
     if not (0 <= config.state < len(program)):
@@ -345,7 +346,7 @@ def run(
     """
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
-    _require_two_counters(program)
+    require_two_counters(program)
     if start is None:
         state, a, b = 0, 0, 0
     else:
@@ -390,7 +391,7 @@ def qpp_walk(program: Program, fuel: int = DEFAULT_FUEL) -> PathResult:
     """
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
-    _require_two_counters(program)
+    require_two_counters(program)
     state, a, b = 0, 0, 0
     tags: list[str] = []
     while not _is_halt_state(program, state):

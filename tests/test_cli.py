@@ -115,6 +115,15 @@ def test_compile_qpp(tmp_path):
     assert (tmp_path / "demo.qpp.query.cypher").exists()
 
 
+@pytest.mark.parametrize("bad_arg", [["--approach", "reduce", "--max-steps", "0"],
+                                     ["--approach", "qpp", "--max-path", "-1"]])
+def test_compile_rejected_argument_creates_no_out_dir(bad_arg, tmp_path, capsys):
+    out_dir = tmp_path / "D"
+    assert main(["compile", DEMO_PATH, *bad_arg, "--out-dir", str(out_dir)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out_dir.exists()
+
+
 # --------------------------------------------------------------------- eval
 
 
@@ -146,6 +155,15 @@ def test_eval_runtime_error(tmp_path, capsys):
     query.write_text("RETURN 1/0")
     assert main(["eval", str(query)]) == EXIT_INPUT
     assert "error:" in capsys.readouterr().err
+
+
+def test_eval_deeply_nested_query_is_an_input_error(tmp_path, capsys):
+    query = tmp_path / "q.cypher"
+    query.write_text("RETURN " + "(" * 3000 + "1" + ")" * 3000)
+    assert main(["eval", str(query)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "nested too deeply" in captured.err
+    assert captured.out == ""
 
 
 # ------------------------------------------------------------------- verify
@@ -337,6 +355,22 @@ def test_live_bad_server_reply_is_a_connection_failure(status, body, monkeypatch
         thread.join(timeout=10)
     assert not thread.is_alive()
     assert "connection failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("approach", ["tx", "qpp"])
+def test_live_server_error_reply_exits_with_connection_code(approach, monkeypatch, capsys):
+    import urllib.request
+
+    def fake_urlopen(request, timeout):
+        return io.BytesIO(json.dumps({"errors": [{"message": "boom"}]}).encode())
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    monkeypatch.setenv("CYPHER_URI", "http://db.example:7474")
+    monkeypatch.setenv("CYPHER_USER", "neo4j")
+    monkeypatch.setenv("CYPHER_PASSWORD", "x")
+    assert main(["live", DEMO_PATH, "--approach", approach]) == EXIT_CONNECTION
+    err = capsys.readouterr().err
+    assert err.startswith("error: server error") and "boom" in err
 
 
 @pytest.mark.skipif(

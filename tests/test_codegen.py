@@ -14,8 +14,10 @@ from cm2cypher.codegen import (
     normalize_tokens,
     queries_token_equal,
 )
-from cm2cypher.frontend import random_program
-from cm2cypher.machine import Halt, Inc, JzDec
+from cm2cypher.cypher import CypherSyntaxError
+from cm2cypher.cypher.parser import FUNCTION_ARITY
+from cm2cypher.frontend import random_program, render_dsl, to_map_document
+from cm2cypher.machine import Halt, Inc, InvalidProgram, JzDec, Program
 from conftest import GOLDEN, REFERENCE
 
 
@@ -136,6 +138,12 @@ def test_qpp_setup_labels(demo):
     assert text.count(":Halt") == halts
 
 
+@pytest.mark.parametrize("render", [render_dsl, to_map_document, gen_qpp_setup])
+def test_two_counter_renderings_reject_three_counter_programs(render):
+    with pytest.raises(InvalidProgram, match="3 counters"):
+        render(Program((Inc(2, 1), Halt()), num_counters=3))
+
+
 # ------------------------------------------------------------------- linting
 
 
@@ -156,6 +164,34 @@ def test_lint_allows_next_as_map_key():
     assert lint_primitives("RETURN {next: 3}") == []
 
 
+def test_lint_allows_next_as_property():
+    assert lint_primitives("LET m = {next: 3} RETURN m.next") == []
+    assert lint_primitives("RETURN {a: 1} NEXT RETURN 2") == ["forbidden token 'NEXT'"]
+
+
+@pytest.mark.parametrize("query", ["RETURN '//' + size([1])", "RETURN '/*' + size([1]) + '*/'"])
+def test_lint_sees_past_comment_markers_in_strings(query):
+    assert lint_primitives(query) == ["function 'size' outside the primitive whitelist"]
+
+
+def test_lint_tells_strings_from_punctuation():
+    assert lint_primitives("RETURN size '('") == []
+    assert lint_primitives("RETURN next ':'") == ["forbidden token 'next'"]
+    assert lint_primitives("RETURN '.' next") == ["forbidden token 'next'"]
+
+
+def test_lint_allows_every_parser_function():
+    for name in ["reduce", *FUNCTION_ARITY]:
+        assert lint_primitives(f"RETURN {name}(1)") == []
+    assert lint_primitives("RETURN size(1)")
+
+
+def test_lint_reports_text_outside_the_subset():
+    assert lint_primitives('RETURN "a"') == [
+        "SyntaxError at line 1, column 8: illegal character '\"'"
+    ]
+
+
 # ------------------------------------------------------------- normalization
 
 
@@ -169,6 +205,21 @@ def test_normalize_tokens_ignores_comments_and_whitespace():
 
 def test_normalize_tokens_preserves_string_contents():
     assert normalize_tokens("'a b'") != normalize_tokens("'a  b'")
+
+
+def test_comment_markers_inside_strings_are_string_content():
+    assert not queries_token_equal("RETURN 'a // b'", "RETURN 'a // c'")
+    assert not queries_token_equal("RETURN '/* a */ b'", "RETURN '/* c */ b'")
+    assert normalize_tokens("RETURN 'a // b' // note") == ["RETURN", "'a // b'"]
+
+
+def test_normalized_string_never_equals_identifier():
+    assert not queries_token_equal("RETURN 'x'", "RETURN x")
+
+
+def test_normalize_tokens_rejects_text_outside_the_subset():
+    with pytest.raises(CypherSyntaxError, match="illegal character '!'"):
+        normalize_tokens("RETURN 1 != 2")
 
 
 # ---------------------------------------------------------------- properties

@@ -5,15 +5,19 @@ from hypothesis import strategies as st
 from cm2cypher.cypher import (
     CypherSyntaxError,
     DivisionByZero,
+    EvalError,
     IntegerOverflow,
     TypeMismatch,
     UnknownParameter,
     UnknownVariable,
     UnsupportedFeature,
+    ast,
+    evaluate,
     format_results,
     format_value,
     parse_expression,
     parse_query,
+    run_query,
     run_query_text,
     tokenize,
 )
@@ -75,6 +79,72 @@ def test_tokenize_unterminated_string():
         tokenize("'open")
 
 
+@pytest.mark.parametrize("text, message, line, column", [
+    ("RETURN\n  'open", "unterminated string literal", 2, 3),
+    ("RETURN 'a\\'", "unterminated string literal", 1, 8),
+    ("1 +\n /* open */ 2 /* open", "unterminated block comment", 2, 15),
+    ("/*/", "unterminated block comment", 1, 1),
+    ("RETURN 1 ! 2", "illegal character '!'", 1, 10),
+    ("RETURN\r\n\t\"a\"", "illegal character '\"'", 2, 2),
+])
+def test_tokenize_error_messages_and_positions(text, message, line, column):
+    with pytest.raises(CypherSyntaxError) as exc_info:
+        tokenize(text)
+    assert (exc_info.value.message, exc_info.value.line, exc_info.value.column) == (
+        message, line, column
+    )
+
+
+def test_tokenize_strings_and_comments_span_lines():
+    toks = tokenize("'a\nb' /* c\n\nd */ x // '\ny")
+    assert [(t.kind, t.lexeme, t.line, t.column) for t in toks] == [
+        ("string", "a\nb", 1, 1),
+        ("ident", "x", 4, 6),
+        ("ident", "y", 5, 1),
+        ("eof", "", 5, 2),
+    ]
+
+
+def test_tokenize_comment_markers_inside_strings_are_content():
+    toks = tokenize("'//' + '/* x */'")
+    assert [(t.kind, t.lexeme) for t in toks] == [
+        ("string", "//"), ("punct", "+"), ("string", "/* x */"), ("eof", ""),
+    ]
+
+
+def test_tokenize_non_ascii_identifiers():
+    assert [(t.kind, t.lexeme) for t in tokenize("é1 x² _ß")][:-1] == [
+        ("ident", "é1"), ("ident", "x²"), ("ident", "_ß"),
+    ]
+
+
+@pytest.mark.parametrize("text", ["RETURN ²", "RETURN ٣", "RETURN 1²"])
+def test_integer_literals_are_ascii_digits(text):
+    # '²' used to reach int() and raise ValueError; '٣' evaluated to 3
+    with pytest.raises(CypherSyntaxError, match="illegal character"):
+        run_query_text(text)
+
+
+_CYPHERISH = st.sampled_from(list("aZx_é09² \t\r\n'\"\\/*()[]{},:.|+-%=<>$;!") + ["//", "/*", "*/"])
+
+
+@given(st.lists(_CYPHERISH, max_size=30).map("".join))
+@settings(max_examples=300, deadline=None)
+def test_tokenize_positions_property(text):
+    try:
+        toks = tokenize(text)
+    except CypherSyntaxError:
+        return
+    assert toks[-1].kind == "eof" and toks[-1].offset == len(text)
+    offsets = [t.offset for t in toks]
+    assert offsets == sorted(set(offsets))  # strictly increasing
+    for t in toks:
+        assert t.line == text.count("\n", 0, t.offset) + 1
+        assert t.column == t.offset - (text.rfind("\n", 0, t.offset) + 1) + 1
+        if t.kind != "string":
+            assert text[t.offset:t.offset + len(t.lexeme)] == t.lexeme
+
+
 # ---------------------------------------------------------------- parser
 
 
@@ -122,6 +192,22 @@ def test_syntax_error_reports_position():
     with pytest.raises(CypherSyntaxError) as exc_info:
         parse_query("RETURN (1 + ")
     assert exc_info.value.line == 1
+
+
+DEPTH = 3000
+
+
+@pytest.mark.parametrize("text", [
+    "(" * DEPTH + "1" + ")" * DEPTH,
+    "head([" * DEPTH + "1" + "])" * DEPTH,
+    "NOT " * DEPTH + "true",
+    "-" * DEPTH + "1",
+    "- " * DEPTH + "x",
+], ids=["parentheses", "head", "not", "minus-literal", "minus-variable"])
+def test_deep_nesting_is_a_syntax_error(text):
+    for parse in (parse_query, parse_expression):
+        with pytest.raises(CypherSyntaxError, match="nested too deeply"):
+            parse("RETURN " + text if parse is parse_query else text)
 
 
 # ---------------------------------------------------------------- evaluation
@@ -278,6 +364,26 @@ def test_eval_does_not_mutate_env():
     env = {"y": 1}
     expr.eval(env, {})
     assert env == {"y": 1}
+
+
+def test_deep_expression_is_an_eval_error():
+    expr = ast.BoolLit(True, 1, 1)
+    for _ in range(DEPTH):
+        expr = ast.Not(expr, 1, 1)
+    with pytest.raises(EvalError, match="nested too deeply"):
+        evaluate(expr)
+    query = ast.QueryAst(False, (), (ast.ReturnItem(expr, "x"),))
+    with pytest.raises(EvalError, match="nested too deeply"):
+        run_query(query)
+
+
+def test_deep_values_are_eval_errors():
+    nest = f"reduce(acc = [], i IN range(1, {DEPTH}) | [acc])"
+    with pytest.raises(EvalError, match="nested too deeply"):
+        run_query_text(f"LET a = {nest} RETURN a = a")
+    deep = run_query_text(f"RETURN {nest} AS a")
+    with pytest.raises(EvalError, match="nested too deeply"):
+        format_results(deep)
 
 
 # ---------------------------------------------------------------- formatting
