@@ -36,6 +36,7 @@ from .frontend import (
     render_dsl,
 )
 from .machine import DEFAULT_FUEL, MachineError, NoPath, Program, qpp_walk, run
+from .verify import check_program_differential  # also imported from here by callers
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -94,29 +95,6 @@ def cmd_eval(args) -> int:
         params = json.loads(Path(args.params).read_text(encoding="utf-8"))
     print(format_results(run_query_text(text, params)))
     return EXIT_OK
-
-
-def check_program_differential(program: Program, fuel: int) -> list[str]:
-    """Evaluator-vs-interpreter equality, plus walk agreement when halting.
-    Returns a list of failure descriptions (empty = pass)."""
-    failures = []
-    reference = run(program, fuel=fuel)
-    expected = {"state": reference.final.state, "A": reference.final.a, "B": reference.final.b}
-    evaluated = run_query_text(gen_reduce_query(program, fuel).text)["result"]
-    if evaluated != expected:
-        failures.append(f"evaluator {evaluated} != interpreter {expected}")
-    if reference.halted:
-        walk = qpp_walk(program, fuel=fuel)
-        if walk.steps != reference.machine_steps - 1:
-            failures.append(
-                f"walk steps {walk.steps} != machine steps - 1 ({reference.machine_steps - 1})"
-            )
-        if (walk.final_a, walk.final_b) != (reference.final.a, reference.final.b):
-            failures.append(
-                f"walk counters ({walk.final_a}, {walk.final_b}) != "
-                f"({reference.final.a}, {reference.final.b})"
-            )
-    return failures
 
 
 def cmd_verify(args) -> int:
@@ -343,6 +321,7 @@ def main(argv: list[str] | None = None) -> int:
         reduction.ReductionError,
         CypherError,
         MachineError,
+        RecursionError,  # JSON input nested past the recursion limit
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -6,12 +6,24 @@ three-valued logic, null propagation through arithmetic and comparison,
 null-on-missing for map keys and out-of-range list indexes, negative list
 indexes counting from the end, truncating integer division, and a simple
 CASE whose null subject never matches an arm.
+
+A tree is evaluated by compiling it once into nested closures
+``f(env, params)`` and calling the root (Feeley & Lapalme, "Using Closures
+for Code Generation", 1987). Each node's ``_compile`` picks its operator's
+code, captures its children's closures, and may only specialise without
+changing results or errors: integer fast paths tried before the general
+checks, a dict lookup for a simple CASE over string literals, and literal
+list and map subtrees folded into one value that every evaluation copies
+afresh. ``Expr.eval`` (compile, then call) is the one evaluation path.
+Compiling recurses once per nesting level, as evaluating does;
+``evaluator.evaluate`` maps the resulting ``RecursionError`` to EvalError.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .errors import (
     DivisionByZero,
@@ -25,6 +37,7 @@ INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
 Value = Any  # None | bool | int | str | list | range | dict
+Compiled = Callable[[dict, dict], Value]  # f(env, params)
 
 _MISSING = object()
 
@@ -79,6 +92,61 @@ def eq3(a: Value, b: Value) -> Optional[bool]:
     return False
 
 
+def _constant(value) -> Compiled:
+    return lambda env, params: value
+
+
+def _literal_value(node: "Expr"):
+    """The value of a subtree made only of literals, else _MISSING."""
+    kind = type(node)
+    if kind is IntLit or kind is StrLit or kind is BoolLit:
+        return node.value
+    if kind is NullLit:
+        return None
+    if kind is ListLit:
+        items = []
+        for e in node.items:
+            v = _literal_value(e)
+            if v is _MISSING:
+                return _MISSING
+            items.append(v)
+        return items
+    if kind is MapLit:
+        entries = {}
+        for k, e in node.items:
+            v = _literal_value(e)
+            if v is _MISSING:
+                return _MISSING
+            entries[k] = v
+        return entries
+    return _MISSING
+
+
+def _fresh(value):
+    """A copy of a folded literal whose lists and maps are all new objects."""
+    if type(value) is list:
+        return [_fresh(v) for v in value]
+    if type(value) is dict:
+        return {k: _fresh(v) for k, v in value.items()}
+    return value
+
+
+def _int_literal(node: "Expr") -> Optional[int]:
+    """An integer literal's value, for operator fast paths; else None."""
+    return node.value if type(node) is IntLit and type(node.value) is int else None
+
+
+def _unknown(var: "Var") -> UnknownVariable:
+    return UnknownVariable(f"variable {var.name!r} not defined", var.line, var.column)
+
+
+def _restore(env: dict, name: str, saved) -> None:
+    if saved is _MISSING:
+        env.pop(name, None)
+    else:
+        env[name] = saved
+
+
 class Expr:
     __slots__ = ("line", "column")
 
@@ -87,6 +155,11 @@ class Expr:
         self.column = column
 
     def eval(self, env: dict, params: dict) -> Value:
+        """Compile this tree, then evaluate it once."""
+        value = _literal_value(self)  # a literal tree's fold is already a fresh value
+        return self._compile()(env, params) if value is _MISSING else value
+
+    def _compile(self) -> Compiled:
         raise NotImplementedError
 
 
@@ -97,8 +170,8 @@ class IntLit(Expr):
         super().__init__(line, column)
         self.value = value
 
-    def eval(self, env, params):
-        return self.value
+    def _compile(self):
+        return _constant(self.value)
 
 
 class StrLit(Expr):
@@ -108,8 +181,8 @@ class StrLit(Expr):
         super().__init__(line, column)
         self.value = value
 
-    def eval(self, env, params):
-        return self.value
+    def _compile(self):
+        return _constant(self.value)
 
 
 class BoolLit(Expr):
@@ -119,15 +192,15 @@ class BoolLit(Expr):
         super().__init__(line, column)
         self.value = value
 
-    def eval(self, env, params):
-        return self.value
+    def _compile(self):
+        return _constant(self.value)
 
 
 class NullLit(Expr):
     __slots__ = ()
 
-    def eval(self, env, params):
-        return None
+    def _compile(self):
+        return _constant(None)
 
 
 class Var(Expr):
@@ -137,11 +210,16 @@ class Var(Expr):
         super().__init__(line, column)
         self.name = name
 
-    def eval(self, env, params):
-        v = env.get(self.name, _MISSING)
-        if v is _MISSING:
-            raise UnknownVariable(f"variable {self.name!r} not defined", self.line, self.column)
-        return v
+    def _compile(self):
+        name = self.name
+
+        def var(env, params):
+            try:
+                return env[name]
+            except KeyError:
+                raise _unknown(self) from None
+
+        return var
 
 
 class Param(Expr):
@@ -151,10 +229,15 @@ class Param(Expr):
         super().__init__(line, column)
         self.name = name
 
-    def eval(self, env, params):
-        if self.name not in params:
-            raise UnknownParameter(f"parameter ${self.name} not supplied", self.line, self.column)
-        return params[self.name]
+    def _compile(self):
+        name = self.name
+
+        def param(env, params):
+            if name not in params:
+                raise UnknownParameter(f"parameter ${name} not supplied", self.line, self.column)
+            return params[name]
+
+        return param
 
 
 class MapLit(Expr):
@@ -164,8 +247,19 @@ class MapLit(Expr):
         super().__init__(line, column)
         self.items = items
 
-    def eval(self, env, params):
-        return {k: e.eval(env, params) for k, e in self.items}
+    def _compile(self):
+        value = _literal_value(self)
+        if value is not _MISSING:
+            return lambda env, params: _fresh(value)
+        items = [(k, e._compile()) for k, e in self.items]
+
+        def map_lit(env, params):
+            out = {}  # a loop: a comprehension costs a function call in Python 3.11
+            for k, f in items:
+                out[k] = f(env, params)
+            return out
+
+        return map_lit
 
 
 class ListLit(Expr):
@@ -175,8 +269,19 @@ class ListLit(Expr):
         super().__init__(line, column)
         self.items = items
 
-    def eval(self, env, params):
-        return [e.eval(env, params) for e in self.items]
+    def _compile(self):
+        value = _literal_value(self)
+        if value is not _MISSING:
+            return lambda env, params: _fresh(value)
+        items = [e._compile() for e in self.items]
+
+        def list_lit(env, params):
+            out = []
+            for f in items:
+                out.append(f(env, params))
+            return out
+
+        return list_lit
 
 
 class Prop(Expr):
@@ -187,17 +292,38 @@ class Prop(Expr):
         self.obj = obj
         self.key = key
 
-    def eval(self, env, params):
-        v = self.obj.eval(env, params)
-        if v is None:
-            return None
-        if isinstance(v, dict):
-            return v.get(self.key)
-        raise TypeMismatch(
-            f"property access on non-map value of type {type(v).__name__}",
-            self.line,
-            self.column,
-        )
+    def _compile(self):
+        key, obj = self.key, self.obj
+
+        def general(v):
+            if v is None:
+                return None
+            if isinstance(v, dict):
+                return v.get(key)
+            raise TypeMismatch(
+                f"property access on non-map value of type {type(v).__name__}",
+                self.line,
+                self.column,
+            )
+
+        if type(obj) is Var:
+            name = obj.name
+
+            def var_prop(env, params):
+                try:
+                    v = env[name]
+                except KeyError:
+                    raise _unknown(obj) from None
+                return v.get(key) if type(v) is dict else general(v)
+
+            return var_prop
+        f = obj._compile()
+
+        def prop(env, params):
+            v = f(env, params)
+            return v.get(key) if type(v) is dict else general(v)
+
+        return prop
 
 
 class Index(Expr):
@@ -208,9 +334,19 @@ class Index(Expr):
         self.obj = obj
         self.index = index
 
-    def eval(self, env, params):
-        container = self.obj.eval(env, params)
-        idx = self.index.eval(env, params)
+    def _compile(self):
+        obj, index = self.obj._compile(), self.index._compile()
+
+        def index_(env, params):
+            container = obj(env, params)
+            idx = index(env, params)
+            if type(container) is list and type(idx) is int and 0 <= idx < len(container):
+                return container[idx]
+            return self._general(container, idx)
+
+        return index_
+
+    def _general(self, container, idx):
         if container is None or idx is None:
             return None
         if _is_list(container):
@@ -238,13 +374,18 @@ class Not(Expr):
         super().__init__(line, column)
         self.operand = operand
 
-    def eval(self, env, params):
-        v = self.operand.eval(env, params)
-        if v is None:
-            return None
-        if isinstance(v, bool):
-            return not v
-        raise TypeMismatch("NOT requires a boolean", self.line, self.column)
+    def _compile(self):
+        operand = self.operand._compile()
+
+        def not_(env, params):
+            v = operand(env, params)
+            if v is None:
+                return None
+            if isinstance(v, bool):
+                return not v
+            raise TypeMismatch("NOT requires a boolean", self.line, self.column)
+
+        return not_
 
 
 class Neg(Expr):
@@ -254,13 +395,33 @@ class Neg(Expr):
         super().__init__(line, column)
         self.operand = operand
 
-    def eval(self, env, params):
-        v = self.operand.eval(env, params)
-        if v is None:
-            return None
-        if _is_int(v):
-            return _check64(-v, self)
-        raise TypeMismatch("unary minus requires an integer", self.line, self.column)
+    def _compile(self):
+        operand = self.operand._compile()
+
+        def neg(env, params):
+            v = operand(env, params)
+            if v is None:
+                return None
+            if _is_int(v):
+                return _check64(-v, self)
+            raise TypeMismatch("unary minus requires an integer", self.line, self.column)
+
+        return neg
+
+
+def _divide(l: int, r: int) -> int:
+    q = abs(l) // abs(r)
+    return -q if (l < 0) != (r < 0) else q
+
+
+def _modulo(l: int, r: int) -> int:
+    m = abs(l) % abs(r)  # the remainder takes the sign of the dividend
+    return -m if l < 0 else m
+
+
+_ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide, "%": _modulo}
+_BY_ZERO = {"/": "division by zero", "%": "modulo by zero"}
 
 
 class Binary(Expr):
@@ -272,86 +433,97 @@ class Binary(Expr):
         self.left = left
         self.right = right
 
-    def eval(self, env, params):
-        op = self.op
-        if op == "AND":
-            l = self.left.eval(env, params)
-            if l is False:
-                return False
-            r = self.right.eval(env, params)
-            self._require_bool(l)
-            self._require_bool(r)
-            if r is False:
-                return False
-            if l is None or r is None:
-                return None
-            return True
-        if op == "OR":
-            l = self.left.eval(env, params)
-            if l is True:
-                return True
-            r = self.right.eval(env, params)
-            self._require_bool(l)
-            self._require_bool(r)
-            if r is True:
-                return True
-            if l is None or r is None:
-                return None
-            return False
+    def _compile(self):
+        op, left, right = self.op, self.left._compile(), self.right._compile()
+        c = _int_literal(self.right)
+        if op == "AND" or op == "OR":
+            decisive = op == "OR"  # the left value that decides without the right
+            other = not decisive
 
-        l = self.left.eval(env, params)
-        r = self.right.eval(env, params)
-        if op == "=":
-            return eq3(l, r)
-        if op == "<>":
-            e = eq3(l, r)
-            return None if e is None else not e
-        if op in ("<", "<=", ">", ">="):
-            if l is None or r is None:
-                return None
-            if _is_int(l) and _is_int(r) or (isinstance(l, str) and isinstance(r, str)):
-                if op == "<":
-                    return l < r
-                if op == "<=":
-                    return l <= r
-                if op == ">":
-                    return l > r
-                return l >= r
-            return None  # incomparable types order as null
-        # arithmetic
+            def logic(env, params):
+                l = left(env, params)
+                if l is decisive:
+                    return decisive
+                r = right(env, params)
+                if l is not None and l is not other or r is not None and type(r) is not bool:
+                    raise TypeMismatch(f"{op} requires booleans", self.line, self.column)
+                if r is decisive:
+                    return decisive
+                return None if l is None or r is None else other
+
+            return logic
+        if op == "=" and c is not None:
+
+            def equals_literal(env, params):
+                l = left(env, params)
+                return l == c if type(l) is int else eq3(l, c)
+
+            return equals_literal
+        if op == "=" or op == "<>":
+            equal = op == "="
+
+            def equality(env, params):
+                e = eq3(left(env, params), right(env, params))
+                return None if e is None else e is equal
+
+            return equality
+        if op in _ORDERINGS:
+            compare = _ORDERINGS[op]
+
+            def ordering(env, params):
+                l, r = left(env, params), right(env, params)
+                if l is None or r is None:
+                    return None
+                if _is_int(l) and _is_int(r) or (isinstance(l, str) and isinstance(r, str)):
+                    return compare(l, r)
+                return None  # incomparable types order as null
+
+            return ordering
+        compute = _ARITHMETIC.get(op)
+        if op in _BY_ZERO or compute is None:  # / and %: no fast path
+
+            def checked(env, params):
+                return self._arithmetic(compute, left(env, params), right(env, params))
+
+            return checked
+        if c is not None:
+
+            def arithmetic_literal(env, params):
+                l = left(env, params)
+                if type(l) is int:
+                    v = compute(l, c)
+                    if INT64_MIN <= v <= INT64_MAX:
+                        return v
+                return self._arithmetic(compute, l, c)
+
+            return arithmetic_literal
+
+        def arithmetic(env, params):
+            l, r = left(env, params), right(env, params)
+            if type(l) is int and type(r) is int:
+                v = compute(l, r)
+                if INT64_MIN <= v <= INT64_MAX:
+                    return v
+            return self._arithmetic(compute, l, r)
+
+        return arithmetic
+
+    def _arithmetic(self, compute, l, r):
+        """The general path: null, type, zero-divisor and 64-bit checks."""
         if l is None or r is None:
             return None
         if not (_is_int(l) and _is_int(r)):
             raise TypeMismatch(
-                f"operator {op} requires integers, got "
+                f"operator {self.op} requires integers, got "
                 f"{type(l).__name__} and {type(r).__name__}",
                 self.line,
                 self.column,
             )
-        if op == "+":
-            return _check64(l + r, self)
-        if op == "-":
-            return _check64(l - r, self)
-        if op == "*":
-            return _check64(l * r, self)
-        if op == "/":
-            if r == 0:
-                raise DivisionByZero("division by zero", self.line, self.column)
-            q = abs(l) // abs(r)
-            if (l < 0) != (r < 0):
-                q = -q
-            return _check64(q, self)
-        if op == "%":
-            if r == 0:
-                raise DivisionByZero("modulo by zero", self.line, self.column)
-            # remainder takes the sign of the dividend (truncating division)
-            m = abs(l) % abs(r)
-            return _check64(-m if l < 0 else m, self)
-        raise AssertionError(f"unknown operator {op}")
-
-    def _require_bool(self, v):
-        if v is not None and not isinstance(v, bool):
-            raise TypeMismatch(f"{self.op} requires booleans", self.line, self.column)
+        if compute is None:
+            raise AssertionError(f"unknown operator {self.op}")
+        if r == 0 and self.op in _BY_ZERO:
+            raise DivisionByZero(_BY_ZERO[self.op], self.line, self.column)
+        return _check64(compute(l, r), self)
 
 
 class SimpleCase(Expr):
@@ -363,15 +535,33 @@ class SimpleCase(Expr):
         self.whens = whens  # list of (match_expr, result_expr)
         self.default = default
 
-    def eval(self, env, params):
-        subject = self.subject.eval(env, params)
-        if subject is not None:  # a null subject never matches an arm
-            for match, result in self.whens:
-                if eq3(subject, match.eval(env, params)) is True:
-                    return result.eval(env, params)
-        if self.default is not None:
-            return self.default.eval(env, params)
-        return None
+    def _compile(self):
+        subject = self.subject._compile()
+        default = self.default._compile() if self.default is not None else _constant(None)
+        if all(type(match) is StrLit for match, _ in self.whens):
+            # only a string subject equals a string; reversed, so the first arm wins
+            table = {match.value: result._compile() for match, result in reversed(self.whens)}
+
+            def string_case(env, params):
+                s = subject(env, params)
+                if type(s) is str or isinstance(s, str):
+                    arm = table.get(s)
+                    if arm is not None:
+                        return arm(env, params)
+                return default(env, params)
+
+            return string_case
+        arms = [(match._compile(), result._compile()) for match, result in self.whens]
+
+        def case(env, params):
+            s = subject(env, params)
+            if s is not None:  # a null subject never matches an arm
+                for match, result in arms:
+                    if eq3(s, match(env, params)) is True:
+                        return result(env, params)
+            return default(env, params)
+
+        return case
 
 
 class SearchedCase(Expr):
@@ -382,16 +572,32 @@ class SearchedCase(Expr):
         self.whens = whens  # list of (condition_expr, result_expr)
         self.default = default
 
-    def eval(self, env, params):
-        for cond, result in self.whens:
-            c = cond.eval(env, params)
-            if c is True:
-                return result.eval(env, params)
-            if c is not None and not isinstance(c, bool):
+    def _compile(self):
+        arms = [(cond._compile(), result._compile()) for cond, result in self.whens]
+        default = self.default._compile() if self.default is not None else _constant(None)
+        if len(arms) == 1:  # the fold's two-way CASE: no loop
+            ((cond, result),) = arms
+
+            def case_one(env, params):
+                c = cond(env, params)
+                if c is True:
+                    return result(env, params)
+                if c is False or c is None:
+                    return default(env, params)
                 raise TypeMismatch("CASE condition must be boolean", self.line, self.column)
-        if self.default is not None:
-            return self.default.eval(env, params)
-        return None
+
+            return case_one
+
+        def case(env, params):
+            for cond, result in arms:
+                c = cond(env, params)
+                if c is True:
+                    return result(env, params)
+                if c is not None and c is not False:
+                    raise TypeMismatch("CASE condition must be boolean", self.line, self.column)
+            return default(env, params)
+
+        return case
 
 
 class Reduce(Expr):
@@ -405,29 +611,29 @@ class Reduce(Expr):
         self.list_expr = list_expr
         self.body = body
 
-    def eval(self, env, params):
-        items = self.list_expr.eval(env, params)
-        if not _is_list(items):
-            raise TypeMismatch("reduce requires a list", self.line, self.column)
-        acc = self.init.eval(env, params)
-        acc_name, var_name, body = self.acc_name, self.var_name, self.body
-        saved_acc = env.get(acc_name, _MISSING)
-        saved_var = env.get(var_name, _MISSING)
-        try:
-            for x in items:
-                env[acc_name] = acc
-                env[var_name] = x
-                acc = body.eval(env, params)
-        finally:
-            if saved_acc is _MISSING:
-                env.pop(acc_name, None)
-            else:
-                env[acc_name] = saved_acc
-            if saved_var is _MISSING:
-                env.pop(var_name, None)
-            else:
-                env[var_name] = saved_var
-        return acc
+    def _compile(self):
+        acc_name, var_name = self.acc_name, self.var_name
+        list_expr, init = self.list_expr._compile(), self.init._compile()
+        body = self.body._compile()
+
+        def reduce_(env, params):
+            items = list_expr(env, params)
+            if not _is_list(items):
+                raise TypeMismatch("reduce requires a list", self.line, self.column)
+            acc = init(env, params)
+            saved_acc = env.get(acc_name, _MISSING)
+            saved_var = env.get(var_name, _MISSING)
+            try:
+                for x in items:
+                    env[acc_name] = acc
+                    env[var_name] = x
+                    acc = body(env, params)
+            finally:
+                _restore(env, acc_name, saved_acc)
+                _restore(env, var_name, saved_var)
+            return acc
+
+        return reduce_
 
 
 class Comprehension(Expr):
@@ -440,27 +646,30 @@ class Comprehension(Expr):
         self.where = where
         self.mapper = mapper
 
-    def eval(self, env, params):
-        items = self.list_expr.eval(env, params)
-        if items is None:
-            return None
-        if not _is_list(items):
-            raise TypeMismatch("list comprehension requires a list", self.line, self.column)
-        var_name = self.var_name
-        saved = env.get(var_name, _MISSING)
-        out = []
-        try:
-            for x in items:
-                env[var_name] = x
-                if self.where is not None and self.where.eval(env, params) is not True:
-                    continue
-                out.append(self.mapper.eval(env, params) if self.mapper is not None else x)
-        finally:
-            if saved is _MISSING:
-                env.pop(var_name, None)
-            else:
-                env[var_name] = saved
-        return out
+    def _compile(self):
+        var_name, list_expr = self.var_name, self.list_expr._compile()
+        where = self.where._compile() if self.where is not None else None
+        mapper = self.mapper._compile() if self.mapper is not None else None
+
+        def comprehension(env, params):
+            items = list_expr(env, params)
+            if items is None:
+                return None
+            if not _is_list(items):
+                raise TypeMismatch("list comprehension requires a list", self.line, self.column)
+            saved = env.get(var_name, _MISSING)
+            out = []
+            try:
+                for x in items:
+                    env[var_name] = x
+                    if where is not None and where(env, params) is not True:
+                        continue
+                    out.append(mapper(env, params) if mapper is not None else x)
+            finally:
+                _restore(env, var_name, saved)
+            return out
+
+        return comprehension
 
 
 class Call(Expr):
@@ -471,23 +680,33 @@ class Call(Expr):
         self.name = name
         self.args = args
 
-    def eval(self, env, params):
+    def _compile(self):
+        args = [a._compile() for a in self.args]
         if self.name == "head":
-            v = self.args[0].eval(env, params)
-            if v is None:
-                return None
-            if not _is_list(v):
-                raise TypeMismatch("head requires a list", self.line, self.column)
-            return v[0] if len(v) else None
+            arg = args[0]
+
+            def head(env, params):
+                v = arg(env, params)
+                if v is None:
+                    return None
+                if not _is_list(v):
+                    raise TypeMismatch("head requires a list", self.line, self.column)
+                return v[0] if len(v) else None
+
+            return head
         if self.name == "range":
-            lo = self.args[0].eval(env, params)
-            hi = self.args[1].eval(env, params)
-            if lo is None or hi is None:
-                return None
-            if not (_is_int(lo) and _is_int(hi)):
-                raise TypeMismatch("range requires integers", self.line, self.column)
-            # inclusive of both ends; lazy so huge bounds stay cheap
-            return range(lo, hi + 1)
+            low, high = args
+
+            def range_(env, params):
+                lo, hi = low(env, params), high(env, params)
+                if lo is None or hi is None:
+                    return None
+                if not (_is_int(lo) and _is_int(hi)):
+                    raise TypeMismatch("range requires integers", self.line, self.column)
+                # inclusive of both ends; lazy so huge bounds stay cheap
+                return range(lo, hi + 1)
+
+            return range_
         raise AssertionError(f"unknown function {self.name}")
 
 

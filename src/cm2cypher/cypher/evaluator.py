@@ -1,5 +1,11 @@
-"""Query evaluation and canonical result formatting. Both recurse once per
-nesting level; past Python's recursion limit they raise EvalError."""
+"""Query evaluation and canonical result formatting.
+
+``evaluate`` compiles an expression into closures once (see ``ast``) and
+calls them; ``run_query`` evaluates each LET binding and RETURN item that
+way. Compiling, evaluating and formatting recurse once per nesting level,
+and ``evaluate`` and ``format_results`` turn the ``RecursionError`` raised
+past Python's recursion limit into EvalError.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +14,11 @@ from .errors import CypherSyntaxError, EvalError
 from .parser import parse_query
 
 _TOO_DEEP = "expression or value nested too deeply"
+# the control characters the lexer decodes are escaped back, so that a
+# result stays on one line
+_STRING_ESCAPES = str.maketrans({
+    "\\": "\\\\", "'": "\\'", "\n": "\\n", "\t": "\\t", "\r": "\\r", "\b": "\\b", "\f": "\\f",
+})
 
 
 def evaluate(expr: Expr, environment: dict | None = None, parameters: dict | None = None):
@@ -45,8 +56,7 @@ def format_value(v) -> str:
     if isinstance(v, int):
         return str(v)
     if isinstance(v, str):
-        escaped = v.replace("\\", "\\\\").replace("'", "\\'")
-        return f"'{escaped}'"
+        return "'" + v.translate(_STRING_ESCAPES) + "'"
     if isinstance(v, (list, range)):
         return "[" + ", ".join(format_value(x) for x in v) + "]"
     if isinstance(v, dict):

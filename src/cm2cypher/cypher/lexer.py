@@ -1,6 +1,8 @@
 """Tokenizer for the Cypher expression subset.
 
-Covers identifiers, ASCII integer literals, single-quoted strings,
+Covers identifiers, ASCII integer literals, single-quoted strings (the
+escapes \\n \\t \\r \\b \\f decode to their control characters, and a
+backslash before any other character is dropped: \\\\ \\' \\"),
 punctuation and operators (including <=, >=, <>), parameters ($name), and
 both // line comments and /* */ block comments. One compiled pattern
 splits the text; any other character raises CypherSyntaxError, as does an
@@ -48,6 +50,8 @@ _MASTER = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+# any other escaped character stands for itself
+_ESCAPED = {"n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f"}
 _UNTERMINATED = {"/*": "unterminated block comment", "'": "unterminated string literal"}
 _new_token = tuple.__new__  # skips NamedTuple's __new__, a Python-level call
 
@@ -71,7 +75,7 @@ def tokenize(text: str) -> list[Token]:
         if kind == "string":
             value = lexeme[1:-1]
             if "\\" in value:
-                value = _ESCAPE.sub(r"\1", value)
+                value = _ESCAPE.sub(lambda m: _ESCAPED.get(m[1], m[1]), value)
             append(_new_token(Token, (STRING, value, line, start - line_start + 1, start)))
         elif kind == "word" and lexeme[0].isalpha():
             append(_new_token(Token, (IDENT, lexeme, line, start - line_start + 1, start)))

@@ -166,6 +166,20 @@ def test_eval_deeply_nested_query_is_an_input_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["run", "eval", "reduce-tm"])
+def test_deeply_nested_json_is_an_input_error(command, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    query = tmp_path / "q.cypher"
+    query.write_text("RETURN 1")
+    argv = {"run": ["run", str(deep)], "eval": ["eval", str(query), "--params", str(deep)],
+            "reduce-tm": ["reduce-tm", str(deep)]}[command]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "recursion" in captured.err
+    assert captured.out == ""
+
+
 # ------------------------------------------------------------------- verify
 
 
@@ -185,7 +199,7 @@ def test_differential_check_is_clean_on_random_programs():
 
 def test_differential_check_detects_injected_mutation(monkeypatch):
     # corrupt the generated query so the evaluator disagrees on purpose
-    import cm2cypher.cli as cli_mod
+    import cm2cypher.verify as verify_mod
     from cm2cypher.codegen import gen_reduce_query as real_gen
 
     def sabotaged(program, max_steps):
@@ -193,7 +207,7 @@ def test_differential_check_detects_injected_mutation(monkeypatch):
         object.__setattr__(q, "text", q.text.replace("A: machine.A + 1", "A: machine.A + 2"))
         return q
 
-    monkeypatch.setattr(cli_mod, "gen_reduce_query", sabotaged)
+    monkeypatch.setattr(verify_mod, "gen_reduce_query", sabotaged)
     program = parse_dsl((FIXTURES / "demo.2cm").read_text())
     failures = check_program_differential(program, 2000)
     assert failures and "evaluator" in failures[0]

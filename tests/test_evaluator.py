@@ -400,3 +400,199 @@ def test_format_value():
 def test_format_results_flattens_single_map():
     assert format_results({"result": {"A": 2}}) == "{A:2}"
     assert format_results({"a": 1, "b": 2}) == "{a:1, b:2}"
+
+
+# ---------------------------------------------------------------- error positions
+
+M63 = 2**63
+ERROR_ENV = {"x": 1, "m": {"a": 1}}
+
+
+@pytest.mark.parametrize("text, params, error, message, line, column", [
+    ("{a: 1}.a.b", {}, TypeMismatch, "property access on non-map value of type int", 1, 9),
+    ("x.a", {}, TypeMismatch, "property access on non-map value of type int", 1, 2),
+    ("m.a.b", {}, TypeMismatch, "property access on non-map value of type int", 1, 4),
+    ("[1]\n  ['a']", {}, TypeMismatch, "list index must be an integer", 2, 3),
+    ("[x]['a']", {}, TypeMismatch, "list index must be an integer", 1, 4),
+    ("{a: 1}[0]", {}, TypeMismatch, "map index must be a string", 1, 7),
+    ("m[x]", {}, TypeMismatch, "map index must be a string", 1, 2),
+    ("'s'[0]", {}, TypeMismatch, "cannot index value of type str", 1, 4),
+    ("NOT 1", {}, TypeMismatch, "NOT requires a boolean", 1, 1),
+    ("NOT x", {}, TypeMismatch, "NOT requires a boolean", 1, 1),
+    ("-'a'", {}, TypeMismatch, "unary minus requires an integer", 1, 1),
+    ("-\nm", {}, TypeMismatch, "unary minus requires an integer", 1, 1),
+    ("1 AND true", {}, TypeMismatch, "AND requires booleans", 1, 3),
+    ("true AND 1", {}, TypeMismatch, "AND requires booleans", 1, 6),
+    ("false OR 'x'", {}, TypeMismatch, "OR requires booleans", 1, 7),
+    ("x OR true", {}, TypeMismatch, "OR requires booleans", 1, 3),
+    # the right side is evaluated before the left side is type-checked
+    ("1 AND nope", {}, UnknownVariable, "variable 'nope' not defined", 1, 7),
+    ("1 +\n  'a'", {}, TypeMismatch, "operator + requires integers, got int and str", 1, 3),
+    ("'a' + 1", {}, TypeMismatch, "operator + requires integers, got str and int", 1, 5),
+    ("[1] * 2", {}, TypeMismatch, "operator * requires integers, got list and int", 1, 5),
+    ("CASE WHEN 1 THEN 2 END", {}, TypeMismatch, "CASE condition must be boolean", 1, 1),
+    ("reduce(acc = 0, x IN 5 | acc)", {}, TypeMismatch, "reduce requires a list", 1, 1),
+    ("[x IN 'ab' | x]", {}, TypeMismatch, "list comprehension requires a list", 1, 1),
+    ("[y IN [1] WHERE y.a | y]", {}, TypeMismatch,
+     "property access on non-map value of type int", 1, 18),
+    ("head(5)", {}, TypeMismatch, "head requires a list", 1, 1),
+    ("range(1, true)", {}, TypeMismatch, "range requires integers", 1, 1),
+    ("9223372036854775807 + 1", {}, IntegerOverflow, "integer out of 64-bit range", 1, 21),
+    ("m.a + 9223372036854775807", {}, IntegerOverflow, "integer out of 64-bit range", 1, 5),
+    ("-9223372036854775807 - 2", {}, IntegerOverflow, "integer out of 64-bit range", 1, 22),
+    ("m.a - -9223372036854775808", {}, IntegerOverflow, "integer out of 64-bit range", 1, 5),
+    ("$a * 2", {"a": 2**62}, IntegerOverflow, "integer out of 64-bit range", 1, 4),
+    ("x * $a", {"a": M63}, IntegerOverflow, "integer out of 64-bit range", 1, 3),
+    ("-9223372036854775808 / -1", {}, IntegerOverflow, "integer out of 64-bit range", 1, 22),
+    ("$a % $b", {"a": M63, "b": M63 + 1}, IntegerOverflow, "integer out of 64-bit range", 1, 4),
+    ("- $a", {"a": -M63}, IntegerOverflow, "integer out of 64-bit range", 1, 1),
+    ("1 / 0", {}, DivisionByZero, "division by zero", 1, 3),
+    ("1 % (1 - 1)", {}, DivisionByZero, "modulo by zero", 1, 3),
+    ("nope.a", {}, UnknownVariable, "variable 'nope' not defined", 1, 1),
+    ("1 + nope", {}, UnknownVariable, "variable 'nope' not defined", 1, 5),
+    ("x - nope", {}, UnknownVariable, "variable 'nope' not defined", 1, 5),
+    ("x = nope", {}, UnknownVariable, "variable 'nope' not defined", 1, 5),
+    ("x < nope", {}, UnknownVariable, "variable 'nope' not defined", 1, 5),
+    ("CASE x WHEN nope THEN 1 END", {}, UnknownVariable, "variable 'nope' not defined", 1, 13),
+    ("CASE 'a' WHEN 'a' THEN nope END", {}, UnknownVariable,
+     "variable 'nope' not defined", 1, 24),
+    ("[1, $missing]", {}, UnknownParameter, "parameter $missing not supplied", 1, 5),
+])
+def test_error_class_message_and_position(text, params, error, message, line, column):
+    env = dict(ERROR_ENV)
+    with pytest.raises(EvalError) as exc_info:
+        parse_expression(text).eval(env, params)
+    got = exc_info.value
+    assert (type(got), got.message, got.line, got.column) == (error, message, line, column)
+    assert env == ERROR_ENV
+
+
+def test_unknown_variables_are_only_errors_when_evaluated():
+    assert ev("CASE WHEN false THEN undefined_var ELSE 1 END") == 1
+    assert ev("CASE 'b' WHEN 'a' THEN undefined_var ELSE 1 END") == 1
+    assert ev("false AND undefined_var") is False
+
+
+# ---------------------------------------------------------------- int64 boundary
+
+INT64_MIN = -(2**63)
+_BOUNDARY = st.one_of(
+    st.none(),
+    st.integers(-5, 5),
+    st.integers(INT64_MIN - 3, INT64_MIN + 3),  # includes out-of-range values
+    st.integers(INT64_MAX - 3, INT64_MAX + 3),
+    st.integers(-(2**33), 2**33),
+)
+_ORDER = {"<": int.__lt__, "<=": int.__le__, ">": int.__gt__, ">=": int.__ge__}
+
+
+def _reference(op, l, r=None):
+    """Cypher integer semantics in plain Python: ("value", v) or ("error", class)."""
+    if op == "neg":
+        if l is None:
+            return "value", None
+        v = -l
+    elif l is None or r is None:
+        return "value", None
+    elif op in ("=", "<>"):
+        return "value", (l == r) == (op == "=")
+    elif op in _ORDER:
+        return "value", _ORDER[op](l, r)
+    elif op in ("/", "%") and r == 0:
+        return "error", DivisionByZero
+    elif op == "/":
+        v = abs(l) // abs(r) * (-1 if (l < 0) != (r < 0) else 1)
+    elif op == "%":
+        v = abs(l) % abs(r) * (-1 if l < 0 else 1)
+    else:
+        v = {"+": l + r, "-": l - r, "*": l * r}[op]
+    if INT64_MIN <= v <= INT64_MAX:
+        return "value", v
+    return "error", IntegerOverflow
+
+
+def _outcome(text, params):
+    try:
+        v = parse_expression(text).eval({}, params)
+    except EvalError as exc:
+        return "error", type(exc)
+    return "value", v
+
+
+def _literal(v):
+    return "null" if v is None else f"({v})"
+
+
+@given(_BOUNDARY, _BOUNDARY)
+@settings(max_examples=300, deadline=None)
+def test_int64_boundary_matches_python_reference(l, r):
+    params = {"a": l, "b": r}
+    for op in ("+", "-", "*", "/", "%", "=", "<>", "<", "<=", ">", ">="):
+        want = _reference(op, l, r)
+        for text in (f"$a {op} $b", f"$a {op} {_literal(r)}", f"{_literal(l)} {op} $b"):
+            got = _outcome(text, params)
+            assert (got, type(got[1])) == (want, type(want[1])), text
+    want = _reference("neg", l)
+    got = _outcome("-$a", params)
+    assert (got, type(got[1])) == (want, type(want[1]))
+
+
+def test_literal_results_are_fresh_for_every_run():
+    tree = parse_query("LET p = [{a: [1]}, [2]] RETURN p AS x, [3, [4]] AS y, {m: {n: 5}} AS z")
+    expected = {"x": [{"a": [1]}, [2]], "y": [3, [4]], "z": {"m": {"n": 5}}}
+    first = run_query(tree)
+    assert first == expected
+    first["x"][0]["a"].append(9)
+    first["x"][1].append(9)
+    first["x"].append(9)
+    first["y"][1].append(9)
+    first["z"]["m"]["n"] = 0
+    assert run_query(tree) == expected
+    rows = run_query_text("RETURN [i IN range(1, 2) | [[0], {k: [0]}]] AS a")["a"]
+    rows[0][0].append(1)
+    rows[0][1]["k"].append(1)
+    rows[0].append(1)
+    assert rows == [[[0, 1], {"k": [0, 1]}, 1], [[0], {"k": [0]}]]
+    maps = run_query_text("RETURN [i IN range(1, 2) | {k: {j: [0]}}] AS a")["a"]
+    maps[0]["k"]["j"].append(1)
+    assert maps == [{"k": {"j": [0, 1]}}, {"k": {"j": [0]}}]
+
+
+def test_simple_case_over_string_arms():
+    assert ev("CASE 'a' WHEN 'a' THEN 1 WHEN 'a' THEN 2 END") == 1  # first arm wins
+    for subject in ("1", "true", "null", "['a']", "{a: 'a'}", "$s"):
+        assert ev(f"CASE {subject} WHEN 'a' THEN 1 ELSE 0 END", {"s": 5}) == 0
+    assert ev("CASE $s WHEN 'x' THEN 1 WHEN 'y' THEN 2 END", {"s": "y"}) == 2
+    assert ev("CASE 'z' WHEN 'x' THEN 1 END") is None
+
+
+def test_string_escapes_decode_to_characters():
+    text = r"RETURN 'a\nb\tc\rd\be\ff\\g\'h\"i\qj' AS s"
+    assert run_query_text(text) == {"s": "a\nb\tc\rd\be\ff\\g'h\"iqj"}
+    assert format_results(run_query_text(text)) == r"""{s:'a\nb\tc\rd\be\ff\\g\'h"iqj'}"""
+
+
+@given(st.text())
+@settings(max_examples=300, deadline=None)
+def test_format_value_round_trips_strings(s):
+    literal = format_value(s)
+    assert not any(c in literal for c in "\n\r\t\b\f")
+    assert run_query_text("RETURN " + literal + " AS x")["x"] == s
+
+
+def test_booleans_are_not_integers():
+    # the integer fast paths test type(x) is int; bool is a subclass of int
+    params = {"t": True}
+    assert ev("true = 1") is False
+    assert ev("$t = 1", params) is False
+    assert ev("$t <> 1", params) is True
+    assert ev("$t < 2", params) is None
+    for text in ("$t + 1", "$t - 1", "$t * 1", "1 + $t", "-$t", "[1, 2][$t]"):
+        with pytest.raises(TypeMismatch):
+            ev(text, params)
+
+
+def test_null_case_condition_falls_through():
+    assert ev("CASE WHEN null THEN 1 ELSE 2 END") == 2
+    assert ev("CASE WHEN null THEN 1 WHEN true THEN 3 END") == 3
+    assert ev("CASE WHEN null THEN 1 END") is None

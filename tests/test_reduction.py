@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cm2cypher.codegen import gen_reduce_query
+from cm2cypher.cypher import run_query_text
 from cm2cypher.machine import Config, Halt, Inc, InvalidProgram, JzDec, Program, run
 from cm2cypher.reduction import (
     DecodeError,
@@ -297,3 +299,15 @@ def test_pipeline_skips_unfinished_stages():
     assert report.agreements["tsm/mcm"] is None
     assert report.agreements["mcm/2cm"] is None
     assert report.ok
+
+
+# ---------------------------------------------------------------- fold query
+
+
+@pytest.mark.parametrize("name", ["right_move", "unary_successor"])
+def test_fold_query_agrees_with_interpreter_on_reduced_programs(name):
+    program = k_counters_to_two(two_stack_to_counters(tm_to_two_stack(tm(name))))
+    assert len(program) > 500
+    result = run_query_text(gen_reduce_query(program, 2000).text)["result"]
+    reference = run(program, fuel=2000).final
+    assert result == {"state": reference.state, "A": reference.a, "B": reference.b}
