@@ -93,6 +93,8 @@ def cmd_eval(args) -> int:
     params = {}
     if args.params:
         params = json.loads(Path(args.params).read_text(encoding="utf-8"))
+        if not isinstance(params, dict):
+            raise ValueError("--params must hold a JSON object mapping names to values")
     print(format_results(run_query_text(text, params)))
     return EXIT_OK
 

@@ -50,6 +50,12 @@ def _is_list(v) -> bool:
     return isinstance(v, (list, range))
 
 
+def _length(v) -> int:
+    """len() of a list or range: len() raises OverflowError on a range of more
+    than sys.maxsize items. The evaluator's ranges all step by 1."""
+    return max(0, v.stop - v.start) if type(v) is range else len(v)
+
+
 def _check64(v: int, node: "Expr") -> int:
     if v < INT64_MIN or v > INT64_MAX:
         raise IntegerOverflow("integer out of 64-bit range", node.line, node.column)
@@ -68,7 +74,9 @@ def eq3(a: Value, b: Value) -> Optional[bool]:
     if isinstance(a, str) and isinstance(b, str):
         return a == b
     if _is_list(a) and _is_list(b):
-        if len(a) != len(b):
+        if type(a) is range and type(b) is range:  # integers only: never null
+            return a == b
+        if _length(a) != _length(b):
             return False
         out: Optional[bool] = True
         for x, y in zip(a, b):
@@ -352,7 +360,7 @@ class Index(Expr):
         if _is_list(container):
             if not _is_int(idx):
                 raise TypeMismatch("list index must be an integer", self.line, self.column)
-            n = len(container)
+            n = _length(container)
             if idx < 0:
                 idx += n
             if 0 <= idx < n:
@@ -691,7 +699,7 @@ class Call(Expr):
                     return None
                 if not _is_list(v):
                     raise TypeMismatch("head requires a list", self.line, self.column)
-                return v[0] if len(v) else None
+                return v[0] if v else None
 
             return head
         if self.name == "range":

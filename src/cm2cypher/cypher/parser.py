@@ -5,6 +5,11 @@ RETURN clause, optional trailing semicolon. Anything outside the subset
 (MATCH, CALL, WITH, unknown functions, ...) is rejected at parse time
 with UnsupportedFeature naming the construct, and nesting too deep for
 Python's recursion limit with CypherSyntaxError.
+
+Binary operators are read by one precedence-climbing loop (Pratt, "Top Down
+Operator Precedence", 1973) over the _BINDING_POWER table, loosest first:
+OR, AND, prefix NOT, = <> < <= > >=, + -, * / %. An operator is a
+punctuation token or the keyword AND/OR, never a string or another name.
 """
 
 from __future__ import annotations
@@ -26,6 +31,12 @@ _UNSUPPORTED = {
 
 # callable functions and their argument counts; reduce() has its own syntax
 FUNCTION_ARITY = {"head": 1, "range": 2}
+
+# How tightly each binary operator binds; all of them group to the left.
+# Prefix NOT binds between AND and the comparisons.
+_BINDING_POWER = {"OR": 1, "AND": 2, "=": 4, "<>": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
+                  "+": 5, "-": 5, "*": 6, "/": 6, "%": 6}
+_NOT_POWER = 3
 
 
 class _Parser:
@@ -78,6 +89,19 @@ class _Parser:
         self._reject_unsupported(tok)
         return self.next()
 
+    def expect_ident(self, message: str) -> Token:
+        tok = self.peek()
+        if tok.kind != IDENT:
+            raise CypherSyntaxError(message, tok.line, tok.column)
+        return self.next()
+
+    def parse_comma_list(self, parse_item) -> list:
+        items = [parse_item()]
+        while self.at_punct(","):
+            self.next()
+            items.append(parse_item())
+        return items
+
     def _reject_unsupported(self, tok: Token):
         if tok.kind == IDENT and tok.lexeme.upper() in _UNSUPPORTED:
             raise UnsupportedFeature(tok.lexeme.upper(), tok.line, tok.column)
@@ -102,13 +126,9 @@ class _Parser:
             seen.add(name_tok.lexeme)
             self.expect_punct("=")
             bindings.append((name_tok.lexeme, self.parse_expr()))
-        tok = self.peek()
-        self._reject_unsupported(tok)
+        self._reject_unsupported(self.peek())
         self.expect_keyword("RETURN")
-        returns = [self.parse_return_item()]
-        while self.at_punct(","):
-            self.next()
-            returns.append(self.parse_return_item())
+        returns = self.parse_comma_list(self.parse_return_item)
         if self.at_punct(";"):
             self.next()
         tok = self.peek()
@@ -137,51 +157,30 @@ class _Parser:
             alias = self.text[start:end].strip()
         return ast.ReturnItem(expr, alias)
 
-    # --- expressions (precedence climbing) -------------------------------
+    # --- expressions: one binding-power loop over the binary operators ---
 
-    def parse_expr(self) -> ast.Expr:
-        return self.parse_or()
-
-    def parse_or(self) -> ast.Expr:
-        left = self.parse_and()
-        while self.at_keyword("OR"):
-            tok = self.next()
-            left = ast.Binary("OR", left, self.parse_and(), tok.line, tok.column)
-        return left
-
-    def parse_and(self) -> ast.Expr:
-        left = self.parse_not()
-        while self.at_keyword("AND"):
-            tok = self.next()
-            left = ast.Binary("AND", left, self.parse_not(), tok.line, tok.column)
-        return left
-
-    def parse_not(self) -> ast.Expr:
-        if self.at_keyword("NOT"):
-            tok = self.next()
-            return ast.Not(self.parse_not(), tok.line, tok.column)
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> ast.Expr:
-        left = self.parse_additive()
-        while self.peek().kind == PUNCT and self.peek().lexeme in ("=", "<>", "<", "<=", ">", ">="):
-            tok = self.next()
-            left = ast.Binary(tok.lexeme, left, self.parse_additive(), tok.line, tok.column)
-        return left
-
-    def parse_additive(self) -> ast.Expr:
-        left = self.parse_multiplicative()
-        while self.peek().kind == PUNCT and self.peek().lexeme in ("+", "-"):
-            tok = self.next()
-            left = ast.Binary(tok.lexeme, left, self.parse_multiplicative(), tok.line, tok.column)
-        return left
-
-    def parse_multiplicative(self) -> ast.Expr:
-        left = self.parse_unary()
-        while self.peek().kind == PUNCT and self.peek().lexeme in ("*", "/", "%"):
-            tok = self.next()
-            left = ast.Binary(tok.lexeme, left, self.parse_unary(), tok.line, tok.column)
-        return left
+    def parse_expr(self, min_power: int = 0) -> ast.Expr:
+        # reads binary operators that bind tighter than min_power
+        tok = self.peek()
+        # NOT may start an operand of OR, AND or NOT, not of a tighter operator
+        if min_power <= _NOT_POWER and tok.kind == IDENT and tok.lexeme.upper() == "NOT":
+            self.next()
+            left = ast.Not(self.parse_expr(_NOT_POWER), tok.line, tok.column)
+        else:
+            left = self.parse_unary()
+        while True:
+            tok = self.peek()
+            if tok.kind == PUNCT:
+                op = tok.lexeme
+            elif tok.kind == IDENT:
+                op = tok.lexeme.upper()
+            else:
+                return left
+            power = _BINDING_POWER.get(op, 0)
+            if power <= min_power:
+                return left
+            self.next()
+            left = ast.Binary(op, left, self.parse_expr(power), tok.line, tok.column)
 
     def parse_unary(self) -> ast.Expr:
         if self.at_punct("-"):
@@ -200,10 +199,7 @@ class _Parser:
         while True:
             if self.at_punct("."):
                 tok = self.next()
-                key = self.peek()
-                if key.kind != IDENT:
-                    raise CypherSyntaxError("expected property name after '.'", key.line, key.column)
-                self.next()
+                key = self.expect_ident("expected property name after '.'")
                 expr = ast.Prop(expr, key.lexeme, tok.line, tok.column)
             elif self.at_punct("["):
                 tok = self.next()
@@ -233,10 +229,7 @@ class _Parser:
                 return self.parse_map()
             if tok.lexeme == "$":
                 self.next()
-                name = self.peek()
-                if name.kind != IDENT:
-                    raise CypherSyntaxError("expected parameter name after '$'", name.line, name.column)
-                self.next()
+                name = self.expect_ident("expected parameter name after '$'")
                 return ast.Param(name.lexeme, tok.line, tok.column)
             raise CypherSyntaxError(f"unexpected {tok.lexeme!r}", tok.line, tok.column)
         if tok.kind == IDENT:
@@ -269,10 +262,7 @@ class _Parser:
         if name not in FUNCTION_ARITY:
             raise UnsupportedFeature(f"function {name}()", name_tok.line, name_tok.column)
         self.expect_punct("(")
-        args = [self.parse_expr()]
-        while self.at_punct(","):
-            self.next()
-            args.append(self.parse_expr())
+        args = self.parse_comma_list(self.parse_expr)
         self.expect_punct(")")
         arity = FUNCTION_ARITY[name]
         if len(args) != arity:
@@ -322,54 +312,31 @@ class _Parser:
             return ast.Comprehension(
                 var.lexeme, list_expr, where, mapper, open_tok.line, open_tok.column
             )
-        items = []
-        if not self.at_punct("]"):
-            items.append(self.parse_expr())
-            while self.at_punct(","):
-                self.next()
-                items.append(self.parse_expr())
+        items = [] if self.at_punct("]") else self.parse_comma_list(self.parse_expr)
         self.expect_punct("]")
         return ast.ListLit(items, open_tok.line, open_tok.column)
 
     def parse_map(self) -> ast.Expr:
         open_tok = self.expect_punct("{")
-        items: list[tuple[str, ast.Expr]] = []
-        if not self.at_punct("}"):
-            while True:
-                key = self.peek()
-                if key.kind != IDENT:
-                    raise CypherSyntaxError("expected map key", key.line, key.column)
-                self.next()
-                self.expect_punct(":")
-                items.append((key.lexeme, self.parse_expr()))
-                if not self.at_punct(","):
-                    break
-                self.next()
+        items = [] if self.at_punct("}") else self.parse_comma_list(self.parse_map_entry)
         self.expect_punct("}")
         return ast.MapLit(items, open_tok.line, open_tok.column)
 
+    def parse_map_entry(self) -> tuple[str, ast.Expr]:
+        key = self.expect_ident("expected map key")
+        self.expect_punct(":")
+        return key.lexeme, self.parse_expr()
+
     def parse_case(self) -> ast.Expr:
+        # the simple form is the searched form with a subject
         case_tok = self.next()
-        if self.at_keyword("WHEN"):
-            whens = []
-            while self.at_keyword("WHEN"):
-                self.next()
-                cond = self.parse_expr()
-                self.expect_keyword("THEN")
-                whens.append((cond, self.parse_expr()))
-            default = None
-            if self.at_keyword("ELSE"):
-                self.next()
-                default = self.parse_expr()
-            self.expect_keyword("END")
-            return ast.SearchedCase(whens, default, case_tok.line, case_tok.column)
-        subject = self.parse_expr()
+        subject = None if self.at_keyword("WHEN") else self.parse_expr()
         whens = []
         while self.at_keyword("WHEN"):
             self.next()
-            match = self.parse_expr()
+            cond = self.parse_expr()
             self.expect_keyword("THEN")
-            whens.append((match, self.parse_expr()))
+            whens.append((cond, self.parse_expr()))
         if not whens:
             tok = self.peek()
             raise CypherSyntaxError("CASE requires at least one WHEN arm", tok.line, tok.column)
@@ -378,6 +345,8 @@ class _Parser:
             self.next()
             default = self.parse_expr()
         self.expect_keyword("END")
+        if subject is None:
+            return ast.SearchedCase(whens, default, case_tok.line, case_tok.column)
         return ast.SimpleCase(subject, whens, default, case_tok.line, case_tok.column)
 
 

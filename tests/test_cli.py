@@ -7,6 +7,8 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cm2cypher.cli import (
     EXIT_CONNECTION,
@@ -18,7 +20,7 @@ from cm2cypher.cli import (
     main,
 )
 from cm2cypher.frontend import parse_dsl, random_program
-from cm2cypher.machine import run
+from cm2cypher.machine import CounterId, Halt, Inc, JzDec, Program, run
 from conftest import FIXTURES, REPO_ROOT
 
 DEMO_PATH = str(FIXTURES / "demo.2cm")
@@ -143,6 +145,31 @@ def test_eval_with_params(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "{doubled:42}"
 
 
+@pytest.mark.parametrize("document", ['["n"]', '"xyz"', "7"])
+def test_eval_params_must_be_a_json_object(document, tmp_path, capsys):
+    query = tmp_path / "q.cypher"
+    query.write_text("RETURN $n AS n")
+    params = tmp_path / "p.json"
+    params.write_text(document)
+    assert main(["eval", str(query), "--params", str(params)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == "error: --params must hold a JSON object mapping names to values\n"
+    assert captured.out == ""
+
+
+def test_eval_ranges_past_sys_maxsize(tmp_path, capsys):
+    query = tmp_path / "q.cypher"
+    query.write_text(
+        "RETURN head(range(-1, 9223372036854775807)) AS h,\n"
+        "       range(0, 9223372036854775807)[-1] AS last,\n"
+        "       range(0, 9223372036854775807) = [1] AS eq"
+    )
+    assert main(["eval", str(query)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out == "{h:-1, last:9223372036854775807, eq:false}\n"
+    assert captured.err == ""
+
+
 def test_eval_unsupported_feature(tmp_path, capsys):
     query = tmp_path / "q.cypher"
     query.write_text("MATCH (n) RETURN n")
@@ -195,6 +222,23 @@ def test_verify_rejects_bad_count(capsys):
 def test_differential_check_is_clean_on_random_programs():
     for seed in range(50):
         assert check_program_differential(random_program(seed, 8), 2000) == []
+
+
+@st.composite
+def programs(draw):
+    n = draw(st.integers(1, 64))
+    state = st.integers(0, n - 1)
+    counter = st.sampled_from(CounterId)
+    instruction = st.one_of(
+        st.builds(Inc, counter, state), st.builds(JzDec, counter, state, state), st.just(Halt())
+    )
+    return Program(tuple(draw(st.lists(instruction, min_size=n, max_size=n))))
+
+
+@given(programs(), st.integers(1, 3000))
+@settings(max_examples=100, deadline=None)
+def test_differential_check_is_clean_on_programs_of_up_to_64_states(program, fuel):
+    assert check_program_differential(program, fuel) == []
 
 
 def test_differential_check_detects_injected_mutation(monkeypatch):

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cm2cypher.cypher import (
+    CypherError,
     CypherSyntaxError,
     DivisionByZero,
     EvalError,
@@ -210,6 +211,123 @@ def test_deep_nesting_is_a_syntax_error(text):
             parse("RETURN " + text if parse is parse_query else text)
 
 
+# every raise site of the parser, reached through parse_query
+@pytest.mark.parametrize("text, error, message, line, column", [
+    # an operator lexeme inside a string or a name is not an operator
+    ("RETURN 1 '+' 2", CypherSyntaxError, "unexpected input after RETURN clause: '+'", 1, 10),
+    ("RETURN 1 XOR 2", CypherSyntaxError, "unexpected input after RETURN clause: 'XOR'", 1, 10),
+    ("RETURN a NOT b", CypherSyntaxError, "unexpected input after RETURN clause: 'NOT'", 1, 10),
+    ("RETURN 1 ; 2", CypherSyntaxError, "unexpected input after RETURN clause: '2'", 1, 12),
+    # prefix NOT only where a boolean operand may start
+    ("RETURN 1 = NOT true", CypherSyntaxError, "unexpected keyword 'NOT'", 1, 12),
+    ("RETURN 1 =\n  NOT x", CypherSyntaxError, "unexpected keyword 'NOT'", 2, 3),
+    ("RETURN - NOT x", CypherSyntaxError, "unexpected keyword 'NOT'", 1, 10),
+    ("RETURN WHEN", CypherSyntaxError, "unexpected keyword 'WHEN'", 1, 8),
+    ("RETURN CASE x WHEN 1 THEN 2 ELSE END", CypherSyntaxError, "unexpected keyword 'END'", 1, 34),
+    ("RETURN 1 +", CypherSyntaxError, "unexpected end of input", 1, 11),
+    ("RETURN 1 AND", CypherSyntaxError, "unexpected end of input", 1, 13),
+    ("RETURN NOT", CypherSyntaxError, "unexpected end of input", 1, 11),
+    ("RETURN )", CypherSyntaxError, "unexpected ')'", 1, 8),
+    ("RETURN CASE 1 END", CypherSyntaxError, "CASE requires at least one WHEN arm", 1, 15),
+    ("RETURN CASE WHEN true 1 END", CypherSyntaxError, "expected THEN, found '1'", 1, 23),
+    ("RETURN CASE WHEN true THEN 1", CypherSyntaxError, "expected END, found ''", 1, 29),
+    ("RETURN head()", CypherSyntaxError, "unexpected ')'", 1, 13),
+    ("RETURN head(1, 2)", CypherSyntaxError, "head() takes 1 argument(s), got 2", 1, 8),
+    ("RETURN range(1)", CypherSyntaxError, "range() takes 2 argument(s), got 1", 1, 8),
+    ("RETURN size([1])", UnsupportedFeature, "function size()", 1, 8),
+    ("RETURN $ + 1", CypherSyntaxError, "expected parameter name after '$'", 1, 10),
+    ("RETURN x.", CypherSyntaxError, "expected property name after '.'", 1, 10),
+    ("RETURN x.1", CypherSyntaxError, "expected property name after '.'", 1, 10),
+    ("RETURN {1: 2}", CypherSyntaxError, "expected map key", 1, 9),
+    ("RETURN {'a': 1}", CypherSyntaxError, "expected map key", 1, 9),
+    ("RETURN {a 1}", CypherSyntaxError, "expected ':', found '1'", 1, 11),
+    ("RETURN {a: 1 b: 2}", CypherSyntaxError, "expected '}', found 'b'", 1, 14),
+    ("RETURN (1", CypherSyntaxError, "expected ')', found 'end of input'", 1, 10),
+    ("RETURN x[1", CypherSyntaxError, "expected ']', found 'end of input'", 1, 11),
+    ("RETURN [x IN [1] WHERE x 1]", CypherSyntaxError, "expected ']', found '1'", 1, 26),
+    ("RETURN reduce(a = 0, x 5 | a)", CypherSyntaxError, "expected IN, found '5'", 1, 24),
+    ("RETURN reduce(1 = 0, x IN [1] | a)", CypherSyntaxError, "expected a name, found '1'", 1, 15),
+    ("RETURN 1 AS return", CypherSyntaxError, "expected a name, found 'return'", 1, 13),
+    ("LET 1 = 2 RETURN 1", CypherSyntaxError, "expected a name, found '1'", 1, 5),
+    ("LET x 1 RETURN x", CypherSyntaxError, "expected '=', found '1'", 1, 7),
+    ("LET x = 1 x", CypherSyntaxError, "expected RETURN, found 'x'", 1, 11),
+    ("", CypherSyntaxError, "expected RETURN, found ''", 1, 1),
+    ("LET x = 1 LET x = 2 RETURN x", CypherSyntaxError, "duplicate binding 'x'", 1, 15),
+    ("MATCH (n) RETURN n", UnsupportedFeature, "MATCH", 1, 1),
+    ("LET match = 1 RETURN 1", UnsupportedFeature, "MATCH", 1, 5),
+    ("RETURN exists", UnsupportedFeature, "EXISTS", 1, 8),
+    ("RETURN 1 LIMIT 1", UnsupportedFeature, "LIMIT", 1, 10),
+])
+def test_parse_error_class_message_and_position(text, error, message, line, column):
+    with pytest.raises(CypherError) as exc_info:
+        parse_query(text)
+    got = exc_info.value
+    assert (type(got), got.message, got.line, got.column) == (error, message, line, column)
+
+
+def test_parse_expression_rejects_trailing_input():
+    with pytest.raises(CypherSyntaxError) as exc_info:
+        parse_expression("1 )")
+    got = exc_info.value
+    assert (got.message, got.line, got.column) == ("unexpected trailing input ')'", 1, 3)
+
+
+def sexpr(node):
+    """Operators fully parenthesised, to show how a parse grouped them."""
+    kind = type(node)
+    if kind is ast.Binary:
+        return f"({sexpr(node.left)} {node.op} {sexpr(node.right)})"
+    if kind is ast.Not:
+        return f"(NOT {sexpr(node.operand)})"
+    if kind is ast.Neg:
+        return f"(- {sexpr(node.operand)})"
+    if kind is ast.Prop:
+        return f"{sexpr(node.obj)}.{node.key}"
+    if kind is ast.Index:
+        return f"{sexpr(node.obj)}[{sexpr(node.index)}]"
+    if kind is ast.Var:
+        return node.name
+    return repr(node.value)
+
+
+@pytest.mark.parametrize("text, grouped", [
+    ("1 - 2 - 3", "((1 - 2) - 3)"),
+    ("a = b = c", "((a = b) = c)"),
+    ("a < b <> c", "((a < b) <> c)"),
+    ("NOT a = b", "(NOT (a = b))"),
+    ("NOT a AND b", "((NOT a) AND b)"),
+    ("NOT NOT a", "(NOT (NOT a))"),
+    ("a AND NOT b OR c", "((a AND (NOT b)) OR c)"),
+    ("a OR b AND c", "(a OR (b AND c))"),
+    ("a or b and not c", "(a OR (b AND (NOT c)))"),
+    ("a AND b = c + 1", "(a AND (b = (c + 1)))"),
+    ("NOT a <> b - c", "(NOT (a <> (b - c)))"),
+    ("NOT a < b + c", "(NOT (a < (b + c)))"),
+    ("NOT a <= b - c", "(NOT (a <= (b - c)))"),
+    ("NOT a > b + c", "(NOT (a > (b + c)))"),
+    ("NOT a >= b - c", "(NOT (a >= (b - c)))"),
+    ("a - b / c", "(a - (b / c))"),
+    ("a % b - c", "((a % b) - c)"),
+    ("-2 * 3", "(-2 * 3)"),
+    ("- x.y[0]", "(- x.y[0])"),
+    ("a - -1", "(a - -1)"),
+    ("+ a * - b", "(a * (- b))"),
+    ("1 + 2 * 3 % 4", "(1 + ((2 * 3) % 4))"),
+    ("1 * 2 + 3 / 4 - 5", "(((1 * 2) + (3 / 4)) - 5)"),
+    ("(1 + 2) * 3", "((1 + 2) * 3)"),
+])
+def test_operator_precedence_and_associativity(text, grouped):
+    assert sexpr(parse_expression(text)) == grouped
+
+
+def test_binary_operators_carry_their_own_position():
+    tree = parse_expression("a OR\n  b and 1 + 2")
+    assert (tree.op, tree.line, tree.column) == ("OR", 1, 3)
+    assert (tree.right.op, tree.right.line, tree.right.column) == ("AND", 2, 5)
+    plus = tree.right.right
+    assert (plus.op, plus.line, plus.column) == ("+", 2, 11)
+
+
 # ---------------------------------------------------------------- evaluation
 
 
@@ -272,6 +390,27 @@ def test_range_is_inclusive():
 
 def test_range_is_lazy():
     assert isinstance(ev("range(1, 9223372036854775807)"), range)
+
+
+HUGE = "range(0, 9223372036854775807)"  # 2^63 elements: more than len() can count
+
+
+@pytest.mark.parametrize("text, value", [
+    ("head(range(-1, 9223372036854775807))", -1),
+    (f"{HUGE}[-1]", INT64_MAX),
+    (f"{HUGE}[9223372036854775807]", INT64_MAX),
+    (f"{HUGE}[-9223372036854775808]", 0),
+    (f"range(1, 9223372036854775807)[-9223372036854775808]", None),
+    (f"{HUGE} = [1]", False),
+    (f"[0, null] = {HUGE}", False),
+    (f"{HUGE} = {HUGE}", True),
+    (f"{HUGE} = range(1, 9223372036854775807)", False),
+    ("range(3, 1) = range(5, 2)", True),
+    ("range(1, 2) = [1, null]", None),
+])
+def test_ranges_past_sys_maxsize(text, value):
+    got = ev(text)
+    assert (type(got), got) == (type(value), value)
 
 
 def test_list_indexing():
