@@ -79,7 +79,7 @@ def _program_literal(program: Program) -> str:
 
 _REDUCE_BODY = """\
 LET result = reduce(
-  machine = {{state: 0, A: 0, B: 0}},
+  machine = {state: 0, A: 0, B: 0},
   step IN range(1, max_steps) |
   CASE WHEN machine.state = -1
     THEN machine
@@ -87,23 +87,23 @@ LET result = reduce(
       CASE instr.op
         WHEN 'INC' THEN
           CASE instr.counter
-            WHEN 'A' THEN {{state: instr.next, A: machine.A + 1, B: machine.B}}
-            WHEN 'B' THEN {{state: instr.next, A: machine.A, B: machine.B + 1}}
+            WHEN 'A' THEN {state: instr.next, A: machine.A + 1, B: machine.B}
+            WHEN 'B' THEN {state: instr.next, A: machine.A, B: machine.B + 1}
           END
         WHEN 'JZDEC' THEN
           CASE instr.counter
             WHEN 'A' THEN
               CASE WHEN machine.A = 0
-                THEN {{state: instr.q_zero, A: 0, B: machine.B}}
-                ELSE {{state: instr.q_pos, A: machine.A - 1, B: machine.B}}
+                THEN {state: instr.q_zero, A: 0, B: machine.B}
+                ELSE {state: instr.q_pos, A: machine.A - 1, B: machine.B}
               END
             WHEN 'B' THEN
               CASE WHEN machine.B = 0
-                THEN {{state: instr.q_zero, A: machine.A, B: 0}}
-                ELSE {{state: instr.q_pos, A: machine.A, B: machine.B - 1}}
+                THEN {state: instr.q_zero, A: machine.A, B: 0}
+                ELSE {state: instr.q_pos, A: machine.A, B: machine.B - 1}
               END
           END
-        WHEN 'HALT' THEN {{state: -1, A: machine.A, B: machine.B}}
+        WHEN 'HALT' THEN {state: -1, A: machine.A, B: machine.B}
       END
     ])
   END
@@ -121,7 +121,7 @@ def gen_reduce_query(program: Program, max_steps: int = DEFAULT_MAX_STEPS) -> Cy
         f"{DIALECT_HEADER}\n"
         f"LET program = {_program_literal(program)}\n"
         f"LET max_steps = {max_steps}\n"
-        + _REDUCE_BODY.format()
+        + _REDUCE_BODY
     )
     return CypherQuery(Approach.REDUCE, text)
 

@@ -60,10 +60,14 @@ class _Parser:
         tok = self.peek(ahead)
         return tok.kind == IDENT and tok.lexeme.upper() == word
 
+    def _expected(self, what: str) -> CypherSyntaxError:
+        tok = self.peek()
+        found = "end of input" if tok.kind == EOF else tok.lexeme
+        return CypherSyntaxError(f"expected {what}, found {found!r}", tok.line, tok.column)
+
     def expect_keyword(self, word: str) -> Token:
         if not self.at_keyword(word):
-            tok = self.peek()
-            raise CypherSyntaxError(f"expected {word}, found {tok.lexeme!r}", tok.line, tok.column)
+            raise self._expected(word)
         return self.next()
 
     def at_punct(self, lexeme: str, ahead: int = 0) -> bool:
@@ -72,20 +76,13 @@ class _Parser:
 
     def expect_punct(self, lexeme: str) -> Token:
         if not self.at_punct(lexeme):
-            tok = self.peek()
-            raise CypherSyntaxError(
-                f"expected {lexeme!r}, found {tok.lexeme or 'end of input'!r}",
-                tok.line,
-                tok.column,
-            )
+            raise self._expected(repr(lexeme))
         return self.next()
 
     def expect_name(self) -> Token:
         tok = self.peek()
         if tok.kind != IDENT or tok.lexeme.upper() in _KEYWORDS:
-            raise CypherSyntaxError(
-                f"expected a name, found {tok.lexeme or 'end of input'!r}", tok.line, tok.column
-            )
+            raise self._expected("a name")
         self._reject_unsupported(tok)
         return self.next()
 

@@ -15,7 +15,9 @@ Both counter stages are ``machine.Program`` instruction tables over the same
 INC / JZDEC / HALT instructions, with counters as indices: the 3-counter
 machine is a ``Program`` with ``num_counters=3``. Each stage keeps its own
 interpreter: ``mcm_run`` single-steps the 3-counter machine independently of
-``machine.run``, which runs the 2-counter program.
+``machine.run``, which runs the 2-counter program. Both counter stages are
+emitted by one assembler (``_Asm``) with forward integer labels; emission
+order defines state numbering, so the compiled programs are byte-stable.
 
 Conventions (documented here because they are choices, not forced):
 
@@ -316,79 +318,61 @@ def mcm_run(mcm: Program, fuel: int) -> McmResult:
 
 
 class _Asm:
-    """Counter-machine assembler with symbolic labels.
+    """Counter-machine assembler with forward integer labels.
 
-    All control flow is explicit in instruction targets, so emission
-    order only matters for which label lands at index 0 (the entry).
+    ``label()`` allocates a label, ``mark`` binds it to the index of the
+    next emitted instruction, and ``build`` resolves each target with one
+    list lookup; every label must be marked exactly once. Emission order
+    defines state numbering, so each emitter keeps a fixed order.
     """
 
     def __init__(self):
         self._instrs: list[tuple] = []
-        self._marks: dict[str, int] = {}
-        self._aliases: dict[str, str] = {}
-        self._fresh = 0
+        self.at: list[int | None] = []  # label -> bound instruction index
 
-    def label(self, hint: str = "L") -> str:
-        self._fresh += 1
-        return f"{hint}.{self._fresh}"
+    def label(self) -> int:
+        self.at.append(None)
+        return len(self.at) - 1
 
-    def mark(self, name: str):
-        if name in self._marks or name in self._aliases:
-            raise AssertionError(f"label {name} defined twice")
-        self._marks[name] = len(self._instrs)
+    def mark(self, label: int):
+        if self.at[label] is not None:
+            raise AssertionError(f"label {label} defined twice")
+        self.at[label] = len(self._instrs)
 
-    def alias(self, name: str, target: str):
-        if name in self._marks or name in self._aliases:
-            raise AssertionError(f"label {name} defined twice")
-        self._aliases[name] = target
-
-    def inc(self, counter: int, goto: str):
+    def inc(self, counter: int, goto: int):
         self._instrs.append((Inc, counter, goto))
 
-    def jzdec(self, counter: int, goto_zero: str, goto_pos: str):
+    def jzdec(self, counter: int, goto_zero: int, goto_pos: int):
         self._instrs.append((JzDec, counter, goto_zero, goto_pos))
 
     def halt(self):
         self._instrs.append((Halt,))
 
-    def _resolve(self, name: str) -> int:
-        seen = set()
-        while name in self._aliases:
-            if name in seen:
-                raise AssertionError(f"alias cycle at {name}")
-            seen.add(name)
-            name = self._aliases[name]
-        if name not in self._marks:
-            raise AssertionError(f"undefined label {name}")
-        return self._marks[name]
-
     def build(self, num_counters: int) -> Program:
-        resolve = self._resolve
+        at = self.at
+        if None in at:
+            raise AssertionError(f"undefined label {at.index(None)}")
         out = []
         for instr in self._instrs:
             if instr[0] is Inc:
-                out.append(Inc(instr[1], resolve(instr[2])))
+                out.append(Inc(instr[1], at[instr[2]]))
             elif instr[0] is JzDec:
-                out.append(JzDec(instr[1], resolve(instr[2]), resolve(instr[3])))
+                out.append(JzDec(instr[1], at[instr[2]], at[instr[3]]))
             else:
                 out.append(Halt())
         return Program(tuple(out), num_counters)
 
 
-def _emit_inc_chain(asm: _Asm, entry: str, counter: int, n: int, done: str):
-    """counter += n, then goto done."""
-    if n == 0:
-        asm.alias(entry, done)
-        return
-    cur = entry
-    for i in range(n):
-        nxt = done if i == n - 1 else asm.label()
+def _emit_inc_chain(asm: _Asm, entry: int, counter: int, n: int, done: int):
+    """counter += n, then goto done. Requires n >= 1: every caller adds a
+    base, a prime, a digit or a nonzero remainder."""
+    chain = [entry] + [asm.label() for _ in range(n - 1)] + [done]
+    for cur, nxt in zip(chain, chain[1:]):
         asm.mark(cur)
         asm.inc(counter, nxt)
-        cur = nxt
 
 
-def _emit_move(asm: _Asm, entry: str, src: int, dst: int, done: str):
+def _emit_move(asm: _Asm, entry: int, src: int, dst: int, done: int):
     """dst += src; src = 0."""
     body = asm.label()
     asm.mark(entry)
@@ -397,7 +381,7 @@ def _emit_move(asm: _Asm, entry: str, src: int, dst: int, done: str):
     asm.inc(dst, entry)
 
 
-def _emit_mul_const(asm: _Asm, entry: str, counter: int, scratch: int, k: int, done: str):
+def _emit_mul_const(asm: _Asm, entry: int, counter: int, scratch: int, k: int, done: int):
     """counter *= k via the scratch counter; scratch must be 0 on entry
     and is 0 again on exit."""
     body = asm.label()
@@ -408,46 +392,44 @@ def _emit_mul_const(asm: _Asm, entry: str, counter: int, scratch: int, k: int, d
     _emit_move(asm, move_back, scratch, counter, done)
 
 
-def _emit_push(asm: _Asm, entry: str, counter: int, scratch: int, base: int, digit: int, done: str):
+def _emit_push(asm: _Asm, entry: int, counter: int, scratch: int, base: int, digit: int, done: int):
     """counter = counter * base + digit."""
     mid = asm.label()
     _emit_mul_const(asm, entry, counter, scratch, base, mid)
     _emit_inc_chain(asm, mid, counter, digit, done)
 
 
+def _emit_divmod_scan(asm: _Asm, entry: int, counter: int, scratch: int, base: int) -> list[int]:
+    """Divide counter by base into scratch. Returns the unmarked labels
+    found: found[r] is reached with counter = 0, the quotient in scratch
+    and r = the remainder. The caller emits the code at each found[r]."""
+    attempts = [entry] + [asm.label() for _ in range(base)]  # the last one bumps
+    found = [asm.label() for _ in range(base)]
+    for j in range(base):
+        asm.mark(attempts[j])
+        asm.jzdec(counter, found[j], attempts[j + 1])
+    asm.mark(attempts[base])
+    asm.inc(scratch, entry)
+    return found
+
+
 def _emit_divmod_dispatch(
-    asm: _Asm, entry: str, counter: int, scratch: int, base: int, handlers: list[str]
+    asm: _Asm, entry: int, counter: int, scratch: int, base: int, handlers: list[int]
 ):
     """counter = counter div base; jump to handlers[counter mod base].
     Scratch is 0 on entry and on every handler entry."""
     assert len(handlers) == base
-    attempts = [entry] + [asm.label() for _ in range(base - 1)]
-    bump = asm.label()
-    found = [asm.label() for _ in range(base)]
-    for j in range(base):
-        nxt = attempts[j + 1] if j < base - 1 else bump
-        asm.mark(attempts[j])
-        asm.jzdec(counter, found[j], nxt)
-    asm.mark(bump)
-    asm.inc(scratch, attempts[0])
+    found = _emit_divmod_scan(asm, entry, counter, scratch, base)
     for r in range(base):
         _emit_move(asm, found[r], scratch, counter, handlers[r])
 
 
 def _emit_divide_or_restore(
-    asm: _Asm, entry: str, a: int, b: int, p: int, on_divisible: str, on_indivisible: str
+    asm: _Asm, entry: int, a: int, b: int, p: int, on_divisible: int, on_indivisible: int
 ):
     """If p | a: a = a/p, goto on_divisible. Else restore a unchanged and
     goto on_indivisible. b is scratch, 0 on entry and exit."""
-    attempts = [entry] + [asm.label() for _ in range(p - 1)]
-    bump = asm.label()
-    found = [asm.label() for _ in range(p)]
-    for j in range(p):
-        nxt = attempts[j + 1] if j < p - 1 else bump
-        asm.mark(attempts[j])
-        asm.jzdec(a, found[j], nxt)
-    asm.mark(bump)
-    asm.inc(b, attempts[0])
+    found = _emit_divmod_scan(asm, entry, a, b, p)
     _emit_move(asm, found[0], b, a, on_divisible)
     for r in range(1, p):
         # a was q*p + r with remainder r; rebuild it from the quotient in b
@@ -470,63 +452,57 @@ def two_stack_to_counters(tsm: TwoStackMachine) -> Program:
     base = len(tsm.alphabet) + 1
     digit = {sym: i + 1 for i, sym in enumerate(tsm.alphabet)}
     asm = _Asm()
-    entry_of = {q: asm.label(f"state_{q}") for q in tsm.states}
+    entry_of = {q: asm.label() for q in tsm.states}
 
-    # Load the initial right stack so input[0] ends up on top, then enter
-    # the initial state. Emitted first so the overall entry is index 0.
-    cur = asm.label("boot")
-    entry_label = cur
-    if tsm.initial_right:
-        for i, sym in enumerate(reversed(tsm.initial_right)):
-            nxt = entry_of[tsm.initial] if i == len(tsm.initial_right) - 1 else asm.label()
-            _emit_push(asm, cur, _R, _S, base, digit[sym], nxt)
-            cur = nxt
-    else:
-        asm.alias(cur, entry_of[tsm.initial])
+    # Load the initial right stack so initial_right[0] ends up on top, then
+    # enter the initial state, which is emitted next: the entry is index 0.
+    chain = [asm.label() for _ in tsm.initial_right] + [entry_of[tsm.initial]]
+    for cur, nxt, sym in zip(chain, chain[1:], reversed(tsm.initial_right)):
+        _emit_push(asm, cur, _R, _S, base, digit[sym], nxt)
 
-    def compile_ops(entry: str, ops: tuple[StackOp, ...], i: int, pending: int | None, cont: str):
-        # pending: digit pre-popped from the right stack by the dispatch
-        # (0 = the stack was empty) that the op sequence has not yet
-        # consumed or had restored; None once settled.
+    # pending: digit pre-popped from the right stack by the dispatch (0 =
+    # the stack was empty) that the op sequence has not yet consumed or had
+    # restored; None once settled. A leading PopR consumes it, and code
+    # compiled from ops[i:] starts at the label entry_for returns: cont
+    # itself when that code is empty.
+    def settle(ops, i, pending):
+        if pending is not None and i < len(ops) and isinstance(ops[i], PopR):
+            return i + 1, None
+        return i, pending
+
+    def entry_for(ops, i, pending, cont):
+        i, pending = settle(ops, i, pending)
+        return cont if i == len(ops) and not pending else asm.label()
+
+    def compile_ops(entry, ops, i, pending, cont):
+        i, pending = settle(ops, i, pending)
         if i == len(ops):
             if pending:  # unconsumed non-empty top: push it back
                 _emit_push(asm, entry, _R, _S, base, pending, cont)
-            else:
-                asm.alias(entry, cont)
             return
         op = ops[i]
-        if isinstance(op, PopR):
-            if pending is not None:
-                # consumes the virtual top (a no-op if the stack was empty)
-                compile_ops(entry, ops, i + 1, None, cont)
-            else:
-                nxt = asm.label()
-                _emit_divmod_dispatch(asm, entry, _R, _S, base, [nxt] * base)
-                compile_ops(nxt, ops, i + 1, None, cont)
-        elif isinstance(op, PushR):
-            if pending:
+        if not isinstance(op, PushL):
+            if pending:  # PushR and PopLToR write the right stack: restore its top
                 mid = asm.label()
                 _emit_push(asm, entry, _R, _S, base, pending, mid)
                 entry = mid
-            nxt = asm.label()
-            _emit_push(asm, entry, _R, _S, base, digit[op.symbol], nxt)
-            compile_ops(nxt, ops, i + 1, None, cont)
-        elif isinstance(op, PushL):
-            nxt = asm.label()
-            _emit_push(asm, entry, _L, _S, base, digit[op.symbol], nxt)
-            compile_ops(nxt, ops, i + 1, pending, cont)
-        else:  # PopLToR
-            if pending:
-                mid = asm.label()
-                _emit_push(asm, entry, _R, _S, base, pending, mid)
-                entry = mid
+            pending = None
+        if isinstance(op, PopLToR):
             handlers = [asm.label() for _ in range(base)]
             _emit_divmod_dispatch(asm, entry, _L, _S, base, handlers)
             for e in range(base):
                 moved = digit[tsm.blank] if e == 0 else e
-                nxt = asm.label()
+                nxt = entry_for(ops, i + 1, None, cont)
                 _emit_push(asm, handlers[e], _R, _S, base, moved, nxt)
                 compile_ops(nxt, ops, i + 1, None, cont)
+            return
+        nxt = entry_for(ops, i + 1, pending, cont)
+        if isinstance(op, PopR):
+            _emit_divmod_dispatch(asm, entry, _R, _S, base, [nxt] * base)
+        else:
+            stack = _R if isinstance(op, PushR) else _L
+            _emit_push(asm, entry, stack, _S, base, digit[op.symbol], nxt)
+        compile_ops(nxt, ops, i + 1, pending, cont)
 
     order = [tsm.initial] + [q for q in tsm.states if q != tsm.initial]
     for q in order:
@@ -534,14 +510,17 @@ def two_stack_to_counters(tsm: TwoStackMachine) -> Program:
             asm.mark(entry_of[q])
             asm.halt()
             continue
-        handlers = [asm.label() for _ in range(base)]
-        _emit_divmod_dispatch(asm, entry_of[q], _R, _S, base, handlers)
+        arms = []
         for d in range(base):
             top = tsm.blank if d == 0 else tsm.alphabet[d - 1]
             target, ops = tsm.transitions[(q, top)]
-            compile_ops(handlers[d], ops, 0, d, entry_of[target])
+            cont = entry_of[target]
+            arms.append((entry_for(ops, 0, d, cont), ops, 0, d, cont))
+        _emit_divmod_dispatch(asm, entry_of[q], _R, _S, base, [arm[0] for arm in arms])
+        for arm in arms:
+            compile_ops(*arm)
 
-    if asm._resolve(entry_label) != 0:
+    if asm.at[chain[0]] != 0:
         raise AssertionError("compiled machine entry is not at index 0")
     return asm.build(3)
 
@@ -555,8 +534,8 @@ def k_counters_to_two(mcm: Program) -> Program:
         raise ReductionError(f"at most {len(PRIMES)} counters supported, got {k}")
     a, b = 0, 1
     asm = _Asm()
-    entry_of = [asm.label(f"mcm_{i}") for i in range(len(mcm.instructions))]
-    boot = asm.label("boot")
+    entry_of = [asm.label() for _ in mcm.instructions]
+    boot = asm.label()
     asm.mark(boot)
     asm.inc(a, entry_of[0])
     for i, instr in enumerate(mcm.instructions):
@@ -564,18 +543,13 @@ def k_counters_to_two(mcm: Program) -> Program:
             _emit_mul_const(asm, entry_of[i], a, b, PRIMES[instr.counter], entry_of[instr.next])
         elif isinstance(instr, JzDec):
             _emit_divide_or_restore(
-                asm,
-                entry_of[i],
-                a,
-                b,
-                PRIMES[instr.counter],
-                on_divisible=entry_of[instr.q_pos],
-                on_indivisible=entry_of[instr.q_zero],
+                asm, entry_of[i], a, b, PRIMES[instr.counter],
+                on_divisible=entry_of[instr.q_pos], on_indivisible=entry_of[instr.q_zero],
             )
         else:
             asm.mark(entry_of[i])
             asm.halt()
-    if asm._resolve(boot) != 0:
+    if asm.at[boot] != 0:
         raise AssertionError("bootstrap is not at index 0")
     return asm.build(2)
 

@@ -230,7 +230,7 @@ def test_deep_nesting_is_a_syntax_error(text):
     ("RETURN )", CypherSyntaxError, "unexpected ')'", 1, 8),
     ("RETURN CASE 1 END", CypherSyntaxError, "CASE requires at least one WHEN arm", 1, 15),
     ("RETURN CASE WHEN true 1 END", CypherSyntaxError, "expected THEN, found '1'", 1, 23),
-    ("RETURN CASE WHEN true THEN 1", CypherSyntaxError, "expected END, found ''", 1, 29),
+    ("RETURN CASE WHEN true THEN 1", CypherSyntaxError, "expected END, found 'end of input'", 1, 29),
     ("RETURN head()", CypherSyntaxError, "unexpected ')'", 1, 13),
     ("RETURN head(1, 2)", CypherSyntaxError, "head() takes 1 argument(s), got 2", 1, 8),
     ("RETURN range(1)", CypherSyntaxError, "range() takes 2 argument(s), got 1", 1, 8),
@@ -241,6 +241,8 @@ def test_deep_nesting_is_a_syntax_error(text):
     ("RETURN {1: 2}", CypherSyntaxError, "expected map key", 1, 9),
     ("RETURN {'a': 1}", CypherSyntaxError, "expected map key", 1, 9),
     ("RETURN {a 1}", CypherSyntaxError, "expected ':', found '1'", 1, 11),
+    # an empty string literal is not the end of input
+    ("RETURN {a ''}", CypherSyntaxError, "expected ':', found ''", 1, 11),
     ("RETURN {a: 1 b: 2}", CypherSyntaxError, "expected '}', found 'b'", 1, 14),
     ("RETURN (1", CypherSyntaxError, "expected ')', found 'end of input'", 1, 10),
     ("RETURN x[1", CypherSyntaxError, "expected ']', found 'end of input'", 1, 11),
@@ -251,7 +253,7 @@ def test_deep_nesting_is_a_syntax_error(text):
     ("LET 1 = 2 RETURN 1", CypherSyntaxError, "expected a name, found '1'", 1, 5),
     ("LET x 1 RETURN x", CypherSyntaxError, "expected '=', found '1'", 1, 7),
     ("LET x = 1 x", CypherSyntaxError, "expected RETURN, found 'x'", 1, 11),
-    ("", CypherSyntaxError, "expected RETURN, found ''", 1, 1),
+    ("", CypherSyntaxError, "expected RETURN, found 'end of input'", 1, 1),
     ("LET x = 1 LET x = 2 RETURN x", CypherSyntaxError, "duplicate binding 'x'", 1, 15),
     ("MATCH (n) RETURN n", UnsupportedFeature, "MATCH", 1, 1),
     ("LET match = 1 RETURN 1", UnsupportedFeature, "MATCH", 1, 5),

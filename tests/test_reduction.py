@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -6,10 +7,17 @@ from hypothesis import strategies as st
 
 from cm2cypher.codegen import gen_reduce_query
 from cm2cypher.cypher import run_query_text
+from cm2cypher.frontend import render_dsl
 from cm2cypher.machine import Config, Halt, Inc, InvalidProgram, JzDec, Program, run
 from cm2cypher.reduction import (
     DecodeError,
+    PopLToR,
+    PopR,
+    PushL,
+    PushR,
     ReductionError,
+    TuringMachine,
+    TwoStackMachine,
     decode_counters,
     decode_stack,
     k_counters_to_two,
@@ -174,6 +182,46 @@ def test_two_stack_to_counters_preserves_results():
         assert decode_stack(mcm_res.counters[1], tsm.alphabet) == tsm_res.right
 
 
+@st.composite
+def two_stack_machines(draw):
+    """1-3 working states plus one halting state, 1-3 symbols, op sequences
+    of 0-3 ops, and an empty or non-empty initial right stack: shapes that
+    ``tm_to_two_stack`` never produces (empty sequences, a lone PopR, a
+    PushR after an empty-stack pop) included."""
+    states = tuple(f"q{i}" for i in range(draw(st.integers(1, 3)))) + ("halt",)
+    alphabet = ("_", "a", "b")[: draw(st.integers(1, 3))]
+    symbol = st.sampled_from(alphabet)
+    op = st.one_of(st.just(PopR()), st.builds(PushR, symbol), st.builds(PushL, symbol),
+                   st.just(PopLToR()))
+    transitions = {
+        (q, sym): (draw(st.sampled_from(states)), tuple(draw(st.lists(op, max_size=3))))
+        for q in states[:-1]
+        for sym in alphabet
+    }
+    return TwoStackMachine(
+        states=states,
+        alphabet=alphabet,
+        blank="_",
+        transitions=transitions,
+        initial=draw(st.sampled_from(states)),
+        halting=frozenset({"halt"}),
+        initial_right=tuple(draw(st.lists(symbol, max_size=3))),
+    )
+
+
+@given(tsm=two_stack_machines())
+@settings(max_examples=1000, deadline=None)
+def test_two_stack_to_counters_agrees_with_tsm_run_on_arbitrary_machines(tsm):
+    tsm_res = tsm_run(tsm, fuel=6)
+    if not tsm_res.halted:
+        return
+    mcm_res = mcm_run(two_stack_to_counters(tsm), fuel=10_000_000)
+    assert mcm_res.halted
+    assert mcm_res.counters[2] == 0
+    assert decode_stack(mcm_res.counters[0], tsm.alphabet) == tsm_res.left
+    assert decode_stack(mcm_res.counters[1], tsm.alphabet) == tsm_res.right
+
+
 # --------------------------------------------------------- 2-counter stage
 
 
@@ -281,6 +329,56 @@ def test_pipeline_end_to_end(name):
     assert report.ok
     assert report.agreements == {"tm/tsm": True, "tsm/mcm": True, "mcm/2cm": True}
     assert report.mcm_tape == report.tm_result.tape
+
+
+# Emission order defines state numbering, so the compiled programs are pinned
+# byte for byte: (SHA-256 of render_dsl, 3-counter states, 2-counter states,
+# TM, two-stack, 3-counter and 2-counter steps).
+REDUCED = {
+    "immediate_halt": (
+        "1523648e6bdc0b30c1de346df6a68607dc86ea0453eb81a1f9914e267de16038", 1, 2, 0, 0, 1, 2),
+    "right_move": (
+        "44f40fb37842f625874e0be6a176d1eb6a4ee38444b74dc0ff0afa8e33c311ef", 41, 565, 1, 1, 10, 55),
+    "unary_successor": (
+        "286c18c6969cccd66459a342b68bdf8b63e1dbcf8f89654f84bb88ff471bcf1c", 39, 555, 2, 2, 25,
+        1627),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REDUCED))
+def test_reduced_programs_are_pinned(name):
+    digest, mcm_states, cm_states, *steps = REDUCED[name]
+    report = run_pipeline(tm(name), fuel_per_stage=1_000_000)
+    assert hashlib.sha256(render_dsl(report.program).encode()).hexdigest() == digest
+    assert (len(report.mcm), len(report.program)) == (mcm_states, cm_states)
+    assert [
+        report.tm_result.steps,
+        report.tsm_result.steps,
+        report.mcm_result.steps,
+        report.cm_result.machine_steps,
+    ] == steps
+
+
+@st.composite
+def complete_tms(draw):
+    """Complete TMs over 1-3 working states plus ``halt``, 2-3 symbols and
+    inputs of 0-3 symbols, drawn like ``bench/workloads.py``'s ``random_tm``."""
+    states = tuple(f"q{i}" for i in range(draw(st.integers(1, 3)))) + ("halt",)
+    alphabet = ("_", "a", "b")[: draw(st.integers(2, 3))]
+    transitions = {
+        (q, sym): (draw(st.sampled_from(states)), draw(st.sampled_from(alphabet)),
+                   draw(st.sampled_from("LR")))
+        for q in states[:-1]
+        for sym in alphabet
+    }
+    tape = tuple(draw(st.lists(st.sampled_from(alphabet[1:]), max_size=3)))
+    return TuringMachine(states, alphabet, "_", transitions, "q0", frozenset({"halt"}), tape)
+
+
+@given(machine=complete_tms())
+@settings(max_examples=100, deadline=None)
+def test_pipeline_stages_agree_on_random_complete_tms(machine):
+    assert run_pipeline(machine, fuel_per_stage=20_000).ok
 
 
 def test_pipeline_finishes_two_counter_stage_of_billions_of_steps():
