@@ -168,7 +168,16 @@ def _live_settings() -> tuple[str, str, str] | None:
 
 
 class ServerError(Exception):
-    """The server answered a statement with an error."""
+    """The server answered a statement with an error; ``errors`` is the
+    reply's error list."""
+
+    def __init__(self, errors):
+        super().__init__(f"server error: {errors}")
+        self.errors = errors
+
+
+# the code of the stepper's 1/0 halt guard, the one error that ends it normally
+_HALT_GUARD_CODE = "Neo.ClientError.Statement.ArithmeticError"
 
 
 class _HttpQueryClient:
@@ -198,7 +207,7 @@ class _HttpQueryClient:
         with urllib.request.urlopen(request, timeout=120) as resp:
             data = json.load(resp)
         if data.get("errors"):
-            raise ServerError(f"server error: {data['errors']}")
+            raise ServerError(data["errors"])
         result = data.get("data", {})
         fields = result.get("fields", [])
         return [dict(zip(fields, row)) for row in result.get("values", [])]
@@ -228,10 +237,13 @@ def cmd_live(args) -> int:
             client.query(bundle["setup"].text)
             try:
                 client.query(bundle["main"].text)
-            except ServerError:
+            except ServerError as exc:
                 # the 1/0 halt guard surfaces as a statement error on some
-                # configurations; the readback below decides correctness
-                pass
+                # configurations, and then the readback below decides
+                # correctness; any other error fails the run
+                if not all(isinstance(e, dict) and e.get("code") == _HALT_GUARD_CODE
+                           for e in exc.errors):
+                    raise
             rows = client.query("MATCH (m:Machine) RETURN m.state AS state, m.A AS A, m.B AS B")
             client.query("MATCH (m:Machine) DETACH DELETE m")
         else:

@@ -38,7 +38,6 @@ class Approach(Enum):
 class CypherQuery:
     approach: Approach
     text: str
-    dialect_header: str = DIALECT_HEADER
 
 
 @dataclass(frozen=True)
@@ -126,13 +125,16 @@ def gen_reduce_query(program: Program, max_steps: int = DEFAULT_MAX_STEPS) -> Cy
     return CypherQuery(Approach.REDUCE, text)
 
 
-_TX_STEPPER = """\
+# the stepper in two halves; the program reference goes between them: the
+# LET name program or the parameter $program
+_TX_STEPPER_HEAD = """\
 UNWIND range(1, 9223372036854775807) AS step
-CALL (step) {{
+CALL (step) {
   MATCH (m:Machine)
   WITH m,
     CASE WHEN m.state = -1 THEN 1/0
-      ELSE {program_ref}[m.state]
+      ELSE """
+_TX_STEPPER_TAIL = """[m.state]
     END AS instr
   SET m.state = CASE instr.op
     WHEN 'INC' THEN instr.next
@@ -153,7 +155,7 @@ CALL (step) {{
     WHEN instr.op = 'INC' AND instr.counter = 'B' THEN m.B + 1
     WHEN instr.op = 'JZDEC' AND instr.counter = 'B' AND m.B > 0 THEN m.B - 1
     ELSE m.B END
-}} IN TRANSACTIONS OF 1 ROW
+} IN TRANSACTIONS OF 1 ROW
   ON ERROR BREAK
 """
 
@@ -171,13 +173,13 @@ def gen_transactions_script(program: Program, parameter_mode: bool = False) -> S
         f"{DIALECT_HEADER}\nCREATE (:Machine {{state: 0, A: 0, B: 0}});\n",
     )
     if parameter_mode:
-        main_text = f"{DIALECT_HEADER}\n" + _TX_STEPPER.format(program_ref="$program")
+        main_text = f"{DIALECT_HEADER}\n" + _TX_STEPPER_HEAD + "$program" + _TX_STEPPER_TAIL
         parameters = {"program": to_map_document(program)}
     else:
         main_text = (
             f"{DIALECT_HEADER}\n"
             f"LET program = {_program_literal(program)}\n"
-            + _TX_STEPPER.format(program_ref="program")
+            + _TX_STEPPER_HEAD + "program" + _TX_STEPPER_TAIL
         )
         parameters = None
     main = CypherQuery(Approach.TRANSACTIONS, main_text)
@@ -210,42 +212,25 @@ def gen_qpp_setup(program: Program) -> CypherQuery:
     return CypherQuery(Approach.QPP, "\n".join(lines) + "\n")
 
 
-_QPP_QUERY = """\
-{header}
-MATCH REPEATABLE ELEMENTS
-  p = (init:Init)
-    -[rels:INC|JZDEC_ZERO|JZDEC_POS]->{{0, {max_path}}}
-  (h:Halt)
-WHERE allReduce(
-  m = {{A: 0, B: 0}}, r IN rels |
+# the accumulator update, used by allReduce and by the final reduce
+_QPP_UPDATE = """\
   CASE
-    WHEN r:INC AND r.c = 'A' THEN {{A: m.A + 1, B: m.B}}
-    WHEN r:INC AND r.c = 'B' THEN {{A: m.A, B: m.B + 1}}
-    WHEN r:JZDEC_POS AND r.c = 'A' THEN {{A: m.A - 1, B: m.B}}
-    WHEN r:JZDEC_POS AND r.c = 'B' THEN {{A: m.A, B: m.B - 1}}
+    WHEN r:INC AND r.c = 'A' THEN {A: m.A + 1, B: m.B}
+    WHEN r:INC AND r.c = 'B' THEN {A: m.A, B: m.B + 1}
+    WHEN r:JZDEC_POS AND r.c = 'A' THEN {A: m.A - 1, B: m.B}
+    WHEN r:JZDEC_POS AND r.c = 'B' THEN {A: m.A, B: m.B - 1}
     ELSE m
-  END,
+  END"""
+
+# allReduce's predicate: each JZDEC edge agrees with the updated counter
+_QPP_GUARD = """\
   CASE
     WHEN r:JZDEC_ZERO AND r.c = 'A' THEN m.A = 0
     WHEN r:JZDEC_ZERO AND r.c = 'B' THEN m.B = 0
     WHEN r:JZDEC_POS AND r.c = 'A' THEN m.A >= 0
     WHEN r:JZDEC_POS AND r.c = 'B' THEN m.B >= 0
     ELSE true
-  END
-)
-RETURN rels, length(p) AS steps
-NEXT
-LET final = reduce(m = {{A: 0, B: 0}}, r IN rels |
-  CASE
-    WHEN r:INC AND r.c = 'A' THEN {{A: m.A + 1, B: m.B}}
-    WHEN r:INC AND r.c = 'B' THEN {{A: m.A, B: m.B + 1}}
-    WHEN r:JZDEC_POS AND r.c = 'A' THEN {{A: m.A - 1, B: m.B}}
-    WHEN r:JZDEC_POS AND r.c = 'B' THEN {{A: m.A, B: m.B - 1}}
-    ELSE m
-  END
-)
-RETURN steps, final.A AS ctrA, final.B AS ctrB
-"""
+  END"""
 
 
 def gen_qpp_query(max_path: int = DEFAULT_MAX_PATH) -> CypherQuery:
@@ -253,9 +238,25 @@ def gen_qpp_query(max_path: int = DEFAULT_MAX_PATH) -> CypherQuery:
     post-update accumulator, so the JZDEC_POS checks are >= 0, never > 0."""
     if max_path < 0:
         raise ValueError("max_path must be >= 0")
-    return CypherQuery(
-        Approach.QPP, _QPP_QUERY.format(header=DIALECT_HEADER, max_path=max_path)
+    text = (
+        f"{DIALECT_HEADER}\n"
+        "MATCH REPEATABLE ELEMENTS\n"
+        "  p = (init:Init)\n"
+        "    -[rels:INC|JZDEC_ZERO|JZDEC_POS]->{0, " + str(max_path) + "}\n"
+        "  (h:Halt)\n"
+        "WHERE allReduce(\n"
+        "  m = {A: 0, B: 0}, r IN rels |\n"
+        + _QPP_UPDATE + ",\n"
+        + _QPP_GUARD + "\n"
+        ")\n"
+        "RETURN rels, length(p) AS steps\n"
+        "NEXT\n"
+        "LET final = reduce(m = {A: 0, B: 0}, r IN rels |\n"
+        + _QPP_UPDATE + "\n"
+        ")\n"
+        "RETURN steps, final.A AS ctrA, final.B AS ctrB\n"
     )
+    return CypherQuery(Approach.QPP, text)
 
 
 # --- normalization and linting -----------------------------------------

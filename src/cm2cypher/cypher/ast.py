@@ -7,6 +7,10 @@ null-on-missing for map keys and out-of-range list indexes, negative list
 indexes counting from the end, truncating integer division, and a simple
 CASE whose null subject never matches an arm.
 
+One node class per construct: ``Literal`` holds every constant (null, a
+boolean, an integer or a string) and ``Case`` both CASE forms, the searched
+one having no subject.
+
 A tree is evaluated by compiling it once into nested closures
 ``f(env, params)`` and calling the root (Feeley & Lapalme, "Using Closures
 for Code Generation", 1987). Each node's ``_compile`` picks its operator's
@@ -107,10 +111,8 @@ def _constant(value) -> Compiled:
 def _literal_value(node: "Expr"):
     """The value of a subtree made only of literals, else _MISSING."""
     kind = type(node)
-    if kind is IntLit or kind is StrLit or kind is BoolLit:
+    if kind is Literal:
         return node.value
-    if kind is NullLit:
-        return None
     if kind is ListLit:
         items = []
         for e in node.items:
@@ -141,7 +143,7 @@ def _fresh(value):
 
 def _int_literal(node: "Expr") -> Optional[int]:
     """An integer literal's value, for operator fast paths; else None."""
-    return node.value if type(node) is IntLit and type(node.value) is int else None
+    return node.value if type(node) is Literal and type(node.value) is int else None
 
 
 def _unknown(var: "Var") -> UnknownVariable:
@@ -171,44 +173,15 @@ class Expr:
         raise NotImplementedError
 
 
-class IntLit(Expr):
+class Literal(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value: int, line: int, column: int):
+    def __init__(self, value, line: int, column: int):
         super().__init__(line, column)
-        self.value = value
+        self.value = value  # None, a bool, an int or a str
 
     def _compile(self):
         return _constant(self.value)
-
-
-class StrLit(Expr):
-    __slots__ = ("value",)
-
-    def __init__(self, value: str, line: int, column: int):
-        super().__init__(line, column)
-        self.value = value
-
-    def _compile(self):
-        return _constant(self.value)
-
-
-class BoolLit(Expr):
-    __slots__ = ("value",)
-
-    def __init__(self, value: bool, line: int, column: int):
-        super().__init__(line, column)
-        self.value = value
-
-    def _compile(self):
-        return _constant(self.value)
-
-
-class NullLit(Expr):
-    __slots__ = ()
-
-    def _compile(self):
-        return _constant(None)
 
 
 class Var(Expr):
@@ -534,19 +507,46 @@ class Binary(Expr):
         return _check64(compute(l, r), self)
 
 
-class SimpleCase(Expr):
+class Case(Expr):
+    """Both CASE forms: a subject of None is the searched form."""
+
     __slots__ = ("subject", "whens", "default")
 
     def __init__(self, subject, whens, default, line, column):
         super().__init__(line, column)
         self.subject = subject
-        self.whens = whens  # list of (match_expr, result_expr)
+        self.whens = whens  # list of (match or condition expr, result expr)
         self.default = default
 
     def _compile(self):
-        subject = self.subject._compile()
         default = self.default._compile() if self.default is not None else _constant(None)
-        if all(type(match) is StrLit for match, _ in self.whens):
+        if self.subject is None:
+            arms = [(cond._compile(), result._compile()) for cond, result in self.whens]
+            if len(arms) == 1:  # the fold's two-way CASE: no loop
+                ((cond, result),) = arms
+
+                def case_one(env, params):
+                    c = cond(env, params)
+                    if c is True:
+                        return result(env, params)
+                    if c is False or c is None:
+                        return default(env, params)
+                    raise TypeMismatch("CASE condition must be boolean", self.line, self.column)
+
+                return case_one
+
+            def searched_case(env, params):
+                for cond, result in arms:
+                    c = cond(env, params)
+                    if c is True:
+                        return result(env, params)
+                    if c is not None and c is not False:
+                        raise TypeMismatch("CASE condition must be boolean", self.line, self.column)
+                return default(env, params)
+
+            return searched_case
+        subject = self.subject._compile()
+        if all(type(m) is Literal and type(m.value) is str for m, _ in self.whens):
             # only a string subject equals a string; reversed, so the first arm wins
             table = {match.value: result._compile() for match, result in reversed(self.whens)}
 
@@ -561,7 +561,7 @@ class SimpleCase(Expr):
             return string_case
         arms = [(match._compile(), result._compile()) for match, result in self.whens]
 
-        def case(env, params):
+        def simple_case(env, params):
             s = subject(env, params)
             if s is not None:  # a null subject never matches an arm
                 for match, result in arms:
@@ -569,43 +569,7 @@ class SimpleCase(Expr):
                         return result(env, params)
             return default(env, params)
 
-        return case
-
-
-class SearchedCase(Expr):
-    __slots__ = ("whens", "default")
-
-    def __init__(self, whens, default, line, column):
-        super().__init__(line, column)
-        self.whens = whens  # list of (condition_expr, result_expr)
-        self.default = default
-
-    def _compile(self):
-        arms = [(cond._compile(), result._compile()) for cond, result in self.whens]
-        default = self.default._compile() if self.default is not None else _constant(None)
-        if len(arms) == 1:  # the fold's two-way CASE: no loop
-            ((cond, result),) = arms
-
-            def case_one(env, params):
-                c = cond(env, params)
-                if c is True:
-                    return result(env, params)
-                if c is False or c is None:
-                    return default(env, params)
-                raise TypeMismatch("CASE condition must be boolean", self.line, self.column)
-
-            return case_one
-
-        def case(env, params):
-            for cond, result in arms:
-                c = cond(env, params)
-                if c is True:
-                    return result(env, params)
-                if c is not None and c is not False:
-                    raise TypeMismatch("CASE condition must be boolean", self.line, self.column)
-            return default(env, params)
-
-        return case
+        return simple_case
 
 
 class Reduce(Expr):

@@ -29,6 +29,9 @@ _UNSUPPORTED = {
     "USE", "USING", "SHOW", "NEXT", "LOAD", "EXISTS", "COUNT", "COLLECT",
 }
 
+# the keywords that are constants, each read as a Literal
+_CONSTANTS = {"TRUE": True, "FALSE": False, "NULL": None}
+
 # callable functions and their argument counts; reduce() has its own syntax
 FUNCTION_ARITY = {"head": 1, "range": 2}
 
@@ -183,8 +186,9 @@ class _Parser:
         if self.at_punct("-"):
             tok = self.next()
             operand = self.parse_unary()
-            if isinstance(operand, ast.IntLit):  # fold -<int> into a literal
-                return ast.IntLit(-operand.value, tok.line, tok.column)
+            # fold -<int> into a literal; -true, -null and -'a' keep Neg's checks
+            if type(operand) is ast.Literal and type(operand.value) is int:
+                return ast.Literal(-operand.value, tok.line, tok.column)
             return ast.Neg(operand, tok.line, tok.column)
         if self.at_punct("+"):
             self.next()
@@ -208,12 +212,10 @@ class _Parser:
 
     def parse_primary(self) -> ast.Expr:
         tok = self.peek()
-        if tok.kind == INT:
+        if tok.kind == INT or tok.kind == STRING:
             self.next()
-            return ast.IntLit(int(tok.lexeme), tok.line, tok.column)
-        if tok.kind == STRING:
-            self.next()
-            return ast.StrLit(tok.lexeme, tok.line, tok.column)
+            value = int(tok.lexeme) if tok.kind == INT else tok.lexeme
+            return ast.Literal(value, tok.line, tok.column)
         if tok.kind == PUNCT:
             if tok.lexeme == "(":
                 self.next()
@@ -234,15 +236,9 @@ class _Parser:
             self._reject_unsupported(tok)
             if upper == "CASE":
                 return self.parse_case()
-            if upper == "TRUE":
+            if upper in _CONSTANTS:
                 self.next()
-                return ast.BoolLit(True, tok.line, tok.column)
-            if upper == "FALSE":
-                self.next()
-                return ast.BoolLit(False, tok.line, tok.column)
-            if upper == "NULL":
-                self.next()
-                return ast.NullLit(tok.line, tok.column)
+                return ast.Literal(_CONSTANTS[upper], tok.line, tok.column)
             if upper in _KEYWORDS:
                 raise CypherSyntaxError(f"unexpected keyword {tok.lexeme!r}", tok.line, tok.column)
             if self.at_punct("(", ahead=1):
@@ -342,9 +338,7 @@ class _Parser:
             self.next()
             default = self.parse_expr()
         self.expect_keyword("END")
-        if subject is None:
-            return ast.SearchedCase(whens, default, case_tok.line, case_tok.column)
-        return ast.SimpleCase(subject, whens, default, case_tok.line, case_tok.column)
+        return ast.Case(subject, whens, default, case_tok.line, case_tok.column)
 
 
 def _parse(text: str, rule):

@@ -19,8 +19,20 @@ from cm2cypher.cli import (
     check_program_differential,
     main,
 )
+from cm2cypher.codegen import gen_reduce_query
+from cm2cypher.cypher import IntegerOverflow, run_query_text
 from cm2cypher.frontend import parse_dsl, random_program
-from cm2cypher.machine import CounterId, Halt, Inc, JzDec, Program, run
+from cm2cypher.machine import (
+    INT64_MAX,
+    Config,
+    CounterId,
+    CounterOverflow,
+    Halt,
+    Inc,
+    JzDec,
+    Program,
+    run,
+)
 from conftest import FIXTURES, REPO_ROOT
 
 DEMO_PATH = str(FIXTURES / "demo.2cm")
@@ -225,8 +237,8 @@ def test_differential_check_is_clean_on_random_programs():
 
 
 @st.composite
-def programs(draw):
-    n = draw(st.integers(1, 64))
+def programs(draw, max_states=64):
+    n = draw(st.integers(1, max_states))
     state = st.integers(0, n - 1)
     counter = st.sampled_from(CounterId)
     instruction = st.one_of(
@@ -239,6 +251,29 @@ def programs(draw):
 @settings(max_examples=100, deadline=None)
 def test_differential_check_is_clean_on_programs_of_up_to_64_states(program, fuel):
     assert check_program_differential(program, fuel) == []
+
+
+NEAR_MAX = st.integers(INT64_MAX - 40, INT64_MAX)
+
+
+@given(st.data(), programs(max_states=8), st.integers(1, 300), NEAR_MAX, NEAR_MAX)
+@settings(max_examples=200, deadline=None)
+def test_fold_and_run_agree_at_the_64_bit_boundary(data, program, fuel, a, b):
+    # started within 40 of 2^63 - 1, a counter overflows in run exactly when
+    # it overflows in the fold
+    state = data.draw(st.integers(0, len(program) - 1))
+    text = gen_reduce_query(program, fuel).text
+    start = "machine = {state: 0, A: 0, B: 0}"
+    assert text.count(start) == 1
+    text = text.replace(start, f"machine = {{state: {state}, A: {a}, B: {b}}}")
+    try:
+        reference = run(program, fuel=fuel, start=Config(state, a, b))
+    except CounterOverflow:
+        with pytest.raises(IntegerOverflow):
+            run_query_text(text)
+        return
+    final = reference.final
+    assert run_query_text(text)["result"] == {"state": final.state, "A": final.a, "B": final.b}
 
 
 def test_differential_check_detects_injected_mutation(monkeypatch):
@@ -429,6 +464,35 @@ def test_live_server_error_reply_exits_with_connection_code(approach, monkeypatc
     assert main(["live", DEMO_PATH, "--approach", approach]) == EXIT_CONNECTION
     err = capsys.readouterr().err
     assert err.startswith("error: server error") and "boom" in err
+
+
+@pytest.mark.parametrize("code, exit_code", [
+    ("Neo.ClientError.Statement.ArithmeticError", EXIT_OK),
+    ("Neo.ClientError.Statement.SyntaxError", EXIT_CONNECTION),
+])
+def test_live_tx_stepper_ends_only_on_division_by_zero(code, exit_code, monkeypatch, capsys):
+    import urllib.request
+
+    def fake_urlopen(request, timeout):
+        statement = json.loads(request.data)["statement"]
+        if "IN TRANSACTIONS" in statement:
+            reply = {"errors": [{"code": code, "message": "/ by zero"}]}
+        elif statement.startswith("MATCH (m:Machine) RETURN"):
+            reply = {"data": {"fields": ["state", "A", "B"], "values": [[-1, 2, 0]]}}
+        else:
+            reply = {"data": {"fields": [], "values": []}}
+        return io.BytesIO(json.dumps(reply).encode())
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    monkeypatch.setenv("CYPHER_URI", "http://db.example:7474")
+    monkeypatch.setenv("CYPHER_USER", "neo4j")
+    monkeypatch.setenv("CYPHER_PASSWORD", "x")
+    assert main(["live", DEMO_PATH, "--approach", "tx"]) == exit_code
+    captured = capsys.readouterr()
+    if exit_code == EXIT_OK:
+        assert captured.out.startswith("match:")
+    else:
+        assert captured.err.startswith("error: server error") and code in captured.err
 
 
 @pytest.mark.skipif(

@@ -84,7 +84,6 @@ def test_qpp_matches_reference(demo):
 def test_reduce_query_metadata(demo):
     q = gen_reduce_query(demo)
     assert q.approach is Approach.REDUCE
-    assert q.dialect_header == "CYPHER 25"
     assert q.text.startswith("CYPHER 25")
 
 

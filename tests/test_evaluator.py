@@ -338,6 +338,7 @@ def test_arithmetic_and_precedence():
     assert ev("(1 + 2) * 3") == 9
     assert ev("7 % 3") == 1
     assert ev("-5") == -5
+    assert ev("- -1") == 1
 
 
 def test_integer_division_truncates_toward_zero():
@@ -452,6 +453,7 @@ def test_null_propagation_arithmetic():
     assert ev("null + 1") is None
     assert ev("null[0]") is None
     assert ev("null.x") is None
+    assert ev("-null") is None
 
 
 def test_simple_case():
@@ -459,6 +461,11 @@ def test_simple_case():
     assert ev("CASE 9 WHEN 1 THEN 'a' END") is None
     # a null subject never matches any WHEN arm, even WHEN null
     assert ev("CASE null WHEN null THEN 'hit' ELSE 'miss' END") == "miss"
+    assert ev("CASE null WHEN 'a' THEN 1 ELSE 0 END") == 0
+    assert ev("CASE true WHEN true THEN 1 END") == 1
+    # arms that are not all string literals take the general path
+    assert ev("CASE 'a' WHEN 'a' THEN 1 WHEN 1 THEN 2 END") == 1
+    assert ev("CASE 1 WHEN 'a' THEN 1 WHEN 1 THEN 2 END") == 2
 
 
 def test_searched_case():
@@ -508,7 +515,7 @@ def test_eval_does_not_mutate_env():
 
 
 def test_deep_expression_is_an_eval_error():
-    expr = ast.BoolLit(True, 1, 1)
+    expr = ast.Literal(True, 1, 1)
     for _ in range(DEPTH):
         expr = ast.Not(expr, 1, 1)
     with pytest.raises(EvalError, match="nested too deeply"):
@@ -598,6 +605,8 @@ ERROR_ENV = {"x": 1, "m": {"a": 1}}
     ("CASE 'a' WHEN 'a' THEN nope END", {}, UnknownVariable,
      "variable 'nope' not defined", 1, 24),
     ("[1, $missing]", {}, UnknownParameter, "parameter $missing not supplied", 1, 5),
+    ("-true", {}, TypeMismatch, "unary minus requires an integer", 1, 1),
+    ("-false", {}, TypeMismatch, "unary minus requires an integer", 1, 1),
 ])
 def test_error_class_message_and_position(text, params, error, message, line, column):
     env = dict(ERROR_ENV)
