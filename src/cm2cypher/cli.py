@@ -206,11 +206,22 @@ class _HttpQueryClient:
         )
         with urllib.request.urlopen(request, timeout=120) as resp:
             data = json.load(resp)
+        # a reply of another shape is a ValueError, a connection failure: a
+        # ServerError without an error list would read as the stepper's halt
+        if not isinstance(data, dict):
+            raise ValueError("server reply is not a JSON object")
         if data.get("errors"):
             raise ServerError(data["errors"])
         result = data.get("data", {})
-        fields = result.get("fields", [])
-        return [dict(zip(fields, row)) for row in result.get("values", [])]
+        fields = result.get("fields", []) if isinstance(result, dict) else None
+        rows = result.get("values", []) if isinstance(result, dict) else None
+        if not (_list_of(fields, str) and _list_of(rows, list)):
+            raise ValueError("server reply holds no result table")
+        return [dict(zip(fields, row)) for row in rows]
+
+
+def _list_of(value, kind) -> bool:
+    return isinstance(value, list) and all(isinstance(x, kind) for x in value)
 
 
 def cmd_live(args) -> int:
@@ -241,8 +252,9 @@ def cmd_live(args) -> int:
                 # the 1/0 halt guard surfaces as a statement error on some
                 # configurations, and then the readback below decides
                 # correctness; any other error fails the run
-                if not all(isinstance(e, dict) and e.get("code") == _HALT_GUARD_CODE
-                           for e in exc.errors):
+                if not _list_of(exc.errors, dict) or any(
+                    e.get("code") != _HALT_GUARD_CODE for e in exc.errors
+                ):
                     raise
             rows = client.query("MATCH (m:Machine) RETURN m.state AS state, m.A AS A, m.B AS B")
             client.query("MATCH (m:Machine) DETACH DELETE m")

@@ -113,7 +113,11 @@ RETURN result
 
 def gen_reduce_query(program: Program, max_steps: int = DEFAULT_MAX_STEPS) -> CypherQuery:
     """Pure fold query: one reduce() iteration per machine step, with a
-    halted-absorption branch and let-binding via head([... IN [...] | ...])."""
+    halted-absorption branch and let-binding via head([... IN [...] | ...]).
+
+    The absorption branch returns the accumulator itself, so the in-process
+    evaluator stops the fold at the halt: a halting program costs the steps
+    to its halt, not ``max_steps``."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     text = (

@@ -16,9 +16,19 @@ A tree is evaluated by compiling it once into nested closures
 for Code Generation", 1987). Each node's ``_compile`` picks its operator's
 code, captures its children's closures, and may only specialise without
 changing results or errors: integer fast paths tried before the general
-checks, a dict lookup for a simple CASE over string literals, and literal
-list and map subtrees folded into one value that every evaluation copies
-afresh. ``Expr.eval`` (compile, then call) is the one evaluation path.
+checks, a dict lookup for a simple CASE over string literals, literal list
+and map subtrees folded into one value that every evaluation copies afresh,
+``head([v IN [x] | m])`` (the fold's let-binding idiom) compiled to a direct
+bind of ``v`` to ``x`` around ``m`` that builds neither list, and a
+fixpoint exit in ``reduce``. The exit applies when no ``Var`` in the body
+is named like the element variable (shadowed mentions count too). Such a
+body sees only the accumulator and an environment that does not change
+from one iteration to the next: the subset is pure and deterministic, and
+every binder restores what it binds. So once an iteration returns the
+accumulator object itself (``is``, not equality), every later iteration
+would return an equal value without error, and the loop stops there: a
+halted fold costs the steps to its halt, not its ``max_steps``.
+``Expr.eval`` (compile, then call) is the one evaluation path.
 Compiling recurses once per nesting level, as evaluating does;
 ``evaluator.evaluate`` maps the resulting ``RecursionError`` to EvalError.
 """
@@ -155,6 +165,22 @@ def _restore(env: dict, name: str, saved) -> None:
         env.pop(name, None)
     else:
         env[name] = saved
+
+
+def _mentions(tree: "Expr", name: str) -> bool:
+    """Whether any Var in the tree is called name, shadowed by an inner binder
+    or not: the safe side for the reduce fixpoint exit."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if type(node) is Var:
+            if node.name == name:
+                return True
+        elif isinstance(node, Expr):
+            stack.extend(getattr(node, slot) for slot in type(node).__slots__)
+        elif type(node) is list or type(node) is tuple:
+            stack.extend(node)  # a ListLit's items, MapLit entries, CASE arms, Call args
+    return False
 
 
 class Expr:
@@ -587,6 +613,9 @@ class Reduce(Expr):
         acc_name, var_name = self.acc_name, self.var_name
         list_expr, init = self.list_expr._compile(), self.init._compile()
         body = self.body._compile()
+        # once a body blind to the element returns its accumulator itself,
+        # every later iteration would give an equal value (module docstring)
+        fixpoint = not _mentions(self.body, var_name)
 
         def reduce_(env, params):
             items = list_expr(env, params)
@@ -599,7 +628,10 @@ class Reduce(Expr):
                 for x in items:
                     env[acc_name] = acc
                     env[var_name] = x
-                    acc = body(env, params)
+                    value = body(env, params)
+                    if value is acc and fixpoint:
+                        break
+                    acc = value
             finally:
                 _restore(env, acc_name, saved_acc)
                 _restore(env, var_name, saved_var)
@@ -644,6 +676,33 @@ class Comprehension(Expr):
         return comprehension
 
 
+def _single_bind(node: Expr) -> Optional[Compiled]:
+    """head([v IN [x] | m]), the fold's let-binding idiom, as a direct bind:
+    evaluate x, bind v, evaluate m, with the comprehension's order and errors
+    but neither of its lists. None for any other argument of head."""
+    if not (
+        type(node) is Comprehension
+        and node.where is None
+        and node.mapper is not None
+        and type(node.list_expr) is ListLit
+        and len(node.list_expr.items) == 1
+    ):
+        return None
+    var_name, mapper = node.var_name, node.mapper._compile()
+    item = node.list_expr.items[0]._compile()
+
+    def bind(env, params):
+        x = item(env, params)
+        saved = env.get(var_name, _MISSING)
+        env[var_name] = x
+        try:
+            return mapper(env, params)
+        finally:
+            _restore(env, var_name, saved)
+
+    return bind
+
+
 class Call(Expr):
     __slots__ = ("name", "args")
 
@@ -653,9 +712,11 @@ class Call(Expr):
         self.args = args
 
     def _compile(self):
-        args = [a._compile() for a in self.args]
         if self.name == "head":
-            arg = args[0]
+            bind = _single_bind(self.args[0])
+            if bind is not None:
+                return bind
+            arg = self.args[0]._compile()
 
             def head(env, params):
                 v = arg(env, params)
@@ -667,7 +728,7 @@ class Call(Expr):
 
             return head
         if self.name == "range":
-            low, high = args
+            low, high = (a._compile() for a in self.args)
 
             def range_(env, params):
                 lo, hi = low(env, params), high(env, params)

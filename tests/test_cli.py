@@ -7,7 +7,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cm2cypher.cli import (
@@ -148,6 +148,14 @@ def test_eval_compiled_query_matches_interpreter(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "{A:2, B:0, state:-1}"
 
 
+def test_eval_fold_of_2_to_the_63_steps_stops_at_the_halt(tmp_path, capsys):
+    argv = ["compile", DEMO_PATH, "--approach", "reduce", "--max-steps", str(INT64_MAX)]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["eval", str(tmp_path / "demo.reduce.cypher")]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "{A:2, B:0, state:-1}"
+
+
 def test_eval_with_params(tmp_path, capsys):
     query = tmp_path / "q.cypher"
     query.write_text("RETURN $n * 2 AS doubled")
@@ -274,6 +282,43 @@ def test_fold_and_run_agree_at_the_64_bit_boundary(data, program, fuel, a, b):
         return
     final = reference.final
     assert run_query_text(text)["result"] == {"state": final.state, "A": final.a, "B": final.b}
+
+
+def transfer(source, target):
+    """target += source, one trip of a fast-forwarded cycle per unit."""
+    return Program((JzDec(source, 2, 1), Inc(target, 0), Halt()))
+
+
+def _overflows(program, fuel, start):
+    try:
+        run(program, fuel=fuel, start=start)
+    except CounterOverflow:
+        return True
+    return False
+
+
+@given(programs(max_states=8), st.integers(0, 7), NEAR_MAX, NEAR_MAX)
+@example(transfer(CounterId.A, CounterId.B), 0, INT64_MAX - 40, INT64_MAX - 40)
+@example(transfer(CounterId.B, CounterId.A), 0, INT64_MAX - 40, INT64_MAX - 40)
+@settings(max_examples=200, deadline=None)
+def test_fold_overflows_at_the_step_where_run_first_does(program, state, a, b):
+    # the least fuel at which run overflows, by bisection (overflow is
+    # monotone in fuel); the fold must overflow there and not one step earlier
+    start = Config(state % len(program), a, b)
+    low, high = 0, 300
+    if not _overflows(program, high, start):
+        return
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (low, middle) if _overflows(program, middle, start) else (middle, high)
+    default = "machine = {state: 0, A: 0, B: 0}"
+    rewritten = f"machine = {{state: {start.state}, A: {a}, B: {b}}}"
+    with pytest.raises(IntegerOverflow):
+        run_query_text(gen_reduce_query(program, high).text.replace(default, rewritten))
+    if low:
+        final = run(program, fuel=low, start=start).final
+        text = gen_reduce_query(program, low).text.replace(default, rewritten)
+        assert run_query_text(text)["result"] == {"state": final.state, "A": final.a, "B": final.b}
 
 
 def test_differential_check_detects_injected_mutation(monkeypatch):
@@ -464,6 +509,43 @@ def test_live_server_error_reply_exits_with_connection_code(approach, monkeypatc
     assert main(["live", DEMO_PATH, "--approach", approach]) == EXIT_CONNECTION
     err = capsys.readouterr().err
     assert err.startswith("error: server error") and "boom" in err
+
+
+@pytest.mark.parametrize("approach", ["qpp", "tx"])
+@pytest.mark.parametrize("reply", [
+    [1],
+    {"data": [1]},
+    {"data": {"fields": ["a"], "values": [1]}},
+    {"data": {"fields": [["a"]], "values": [[1]]}},
+    "ok",
+])
+def test_live_reply_of_another_shape_is_a_connection_failure(reply, approach, monkeypatch,
+                                                             capsys):
+    import urllib.request
+
+    monkeypatch.setattr(urllib.request, "urlopen",
+                        lambda request, timeout: io.BytesIO(json.dumps(reply).encode()))
+    monkeypatch.setenv("CYPHER_URI", "http://db.example:7474")
+    monkeypatch.setenv("CYPHER_USER", "neo4j")
+    monkeypatch.setenv("CYPHER_PASSWORD", "x")
+    assert main(["live", DEMO_PATH, "--approach", approach]) == EXIT_CONNECTION
+    assert capsys.readouterr().err.startswith("error: connection failure: server reply")
+
+
+def test_live_tx_stepper_error_reply_without_an_error_list_fails(monkeypatch, capsys):
+    import urllib.request
+
+    def fake_urlopen(request, timeout):
+        failing = "IN TRANSACTIONS" in json.loads(request.data)["statement"]
+        reply = {"errors": 5} if failing else {"data": {"fields": [], "values": []}}
+        return io.BytesIO(json.dumps(reply).encode())
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    monkeypatch.setenv("CYPHER_URI", "http://db.example:7474")
+    monkeypatch.setenv("CYPHER_USER", "neo4j")
+    monkeypatch.setenv("CYPHER_PASSWORD", "x")
+    assert main(["live", DEMO_PATH, "--approach", "tx"]) == EXIT_CONNECTION
+    assert capsys.readouterr().err == "error: server error: 5\n"
 
 
 @pytest.mark.parametrize("code, exit_code", [

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cm2cypher.codegen import gen_reduce_query
 from cm2cypher.cypher import (
     CypherError,
     CypherSyntaxError,
@@ -22,6 +23,8 @@ from cm2cypher.cypher import (
     run_query_text,
     tokenize,
 )
+from cm2cypher.frontend import random_program
+from cm2cypher.machine import run
 from conftest import GOLDEN
 
 INT64_MAX = 2**63 - 1
@@ -386,6 +389,135 @@ def test_head_cases():
     assert ev("head([])") is None
 
 
+# ---------------------------------------------------------------- reduce fixpoint exit
+
+
+class Counted(ast.Expr):
+    """A reduce body that counts the calls of its compiled closure."""
+
+    __slots__ = ("inner", "calls")
+
+    def __init__(self, inner):
+        super().__init__(inner.line, inner.column)
+        self.inner = inner
+        self.calls = 0
+
+    def _compile(self):
+        inner = self.inner._compile()
+
+        def counted(env, params):
+            self.calls += 1
+            return inner(env, params)
+
+        return counted
+
+
+def counted_reduce(text):
+    """The reduce in text with a counting body: (value, body calls)."""
+    expr = parse_expression(text)
+    expr.body = body = Counted(expr.body)
+    return expr.eval({}, {}), body.calls
+
+
+def test_reduce_stops_at_its_fixpoint():
+    text = f"reduce(a = 0, s IN range(1, {INT64_MAX}) | CASE WHEN a = 3 THEN a ELSE a + 1 END)"
+    assert counted_reduce(text) == (3, 4)
+
+
+def test_reduce_body_that_mentions_its_element_runs_every_iteration():
+    text = "reduce(a = 0, s IN [1, 2, 3] | CASE WHEN s = 1 THEN a ELSE a + s END)"
+    assert counted_reduce(text) == (5, 3)
+
+
+@pytest.mark.parametrize("text, value", [
+    # the element reaches the body only through the inner comprehension's list
+    ("reduce(a = 0, s IN [1, 2, 3] | CASE WHEN [s IN [s] | s] = [1] THEN a "
+     "ELSE a + [s IN [s] | s][0] END)", 5),
+    ("reduce(a = 0, s IN [1, 2, 3] | CASE WHEN head([s IN [s] | s]) = 1 THEN a "
+     "ELSE a + head([s IN [s] | s]) END)", 5),
+    # a mention shadowed by an inner binder counts too: the check errs on the safe side
+    ("reduce(a = 0, s IN [1, 2, 3] | head([s IN [a] | s]))", 0),
+    ("reduce(a = 0, s IN [1, 2, 3] | reduce(b = a, s IN [] | s))", 0),
+])
+def test_reduce_body_with_an_inner_mention_runs_every_iteration(text, value):
+    assert counted_reduce(text) == (value, 3)
+
+
+def test_reduce_body_returning_an_equal_new_map_keeps_iterating():
+    text = "reduce(m = {n: 0}, s IN [1, 2, 3] | CASE WHEN m.n = 0 THEN {n: m.n} ELSE m END)"
+    assert counted_reduce(text) == ({"n": 0}, 3)
+
+
+def test_reduce_error_before_the_fixpoint_is_raised():
+    text = (f"reduce(m = {{n: 0}}, s IN range(1, {INT64_MAX}) | "
+            "CASE WHEN m.n = 3 THEN m WHEN m.n = 2 THEN 1 / 0 ELSE {n: m.n + 1} END)")
+    env = {"m": 7}
+    with pytest.raises(DivisionByZero) as exc_info:
+        parse_expression(text).eval(env, {})
+    got = exc_info.value
+    assert (got.message, got.line, got.column) == ("division by zero", 1, 102)
+    assert env == {"m": 7}
+
+
+def test_reduce_fixpoint_exit_restores_shadowed_variables():
+    fold = "reduce(a = 0, s IN range(1, 9) | CASE WHEN a = 2 THEN a ELSE a + 1 END)"
+    assert run_query_text(f"LET a = 7 LET s = 8 LET r = {fold} RETURN a, s, r") == {
+        "a": 7, "s": 8, "r": 2,
+    }
+    env = {"x": 1}
+    assert parse_expression(fold).eval(env, {}) == 2
+    assert env == {"x": 1}
+
+
+def test_fold_of_2_to_the_63_steps_returns_after_the_halt(demo):
+    query = gen_reduce_query(demo, INT64_MAX)
+    assert run_query_text(query.text)["result"] == {"state": -1, "A": 2, "B": 0}
+
+
+def test_fold_of_non_halting_programs_matches_run():
+    checked = 0
+    for seed in range(60):
+        program = random_program(seed, 8)
+        reference = run(program, fuel=5000)
+        if reference.halted:
+            continue
+        final = reference.final
+        result = run_query_text(gen_reduce_query(program, 5000).text)["result"]
+        assert result == {"state": final.state, "A": final.a, "B": final.b}
+        checked += 1
+    assert checked >= 10
+
+
+# ---------------------------------------------------------------- head direct bind
+
+
+def test_head_bind_of_null_binds_null():
+    assert ev("head([v IN [null] | v])") is None
+    assert ev("head([v IN [null] | v.a])") is None
+    assert ev("head([v IN [null] | [v, v]])") == [None, None]
+
+
+def test_head_bind_restores_an_outer_variable():
+    assert run_query_text("LET v = 5 LET r = head([v IN [v + 1] | v * 10]) RETURN v, r") == {
+        "v": 5, "r": 60,
+    }
+    env = {"x": 1}
+    assert parse_expression("head([v IN [x] | v + 1])").eval(env, {}) == 2
+    assert env == {"x": 1}
+
+
+@pytest.mark.parametrize("text, value", [
+    ("head([v IN [1] WHERE v > 0 | v + 1])", 2),
+    ("head([v IN [1] WHERE v > 1 | v + 1])", None),
+    ("head([v IN [1, 2] | v * 10])", 10),
+    ("head([v IN [3]])", 3),
+    ("head([v IN [] | v])", None),
+    ("head([v IN null | v])", None),
+])
+def test_head_of_other_comprehensions_takes_the_general_path(text, value):
+    assert ev(text) == value
+
+
 def test_range_is_inclusive():
     assert list(ev("range(1, 4)")) == [1, 2, 3, 4]
     assert list(ev("range(3, 2)")) == []
@@ -607,6 +739,15 @@ ERROR_ENV = {"x": 1, "m": {"a": 1}}
     ("[1, $missing]", {}, UnknownParameter, "parameter $missing not supplied", 1, 5),
     ("-true", {}, TypeMismatch, "unary minus requires an integer", 1, 1),
     ("-false", {}, TypeMismatch, "unary minus requires an integer", 1, 1),
+    ("head([v IN [nope] | v])", {}, UnknownVariable, "variable 'nope' not defined", 1, 13),
+    ("head([v IN [1 / 0] | v])", {}, DivisionByZero, "division by zero", 1, 15),
+    ("head([v IN [x] | v.a])", {}, TypeMismatch,
+     "property access on non-map value of type int", 1, 19),
+    ("head([x IN ['s'] | -x])", {}, TypeMismatch, "unary minus requires an integer", 1, 20),
+    ("head([v IN [$a] | v * 2])", {"a": 2**62}, IntegerOverflow,
+     "integer out of 64-bit range", 1, 21),
+    ("reduce(x = 0, s IN range(1, 5) | CASE WHEN x = 2 THEN x ELSE x + 1 END) + nope", {},
+     UnknownVariable, "variable 'nope' not defined", 1, 75),
 ])
 def test_error_class_message_and_position(text, params, error, message, line, column):
     env = dict(ERROR_ENV)
