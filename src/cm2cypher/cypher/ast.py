@@ -41,6 +41,7 @@ from typing import Any, Callable, Optional
 
 from .errors import (
     DivisionByZero,
+    EvalError,
     IntegerOverflow,
     TypeMismatch,
     UnknownParameter,
@@ -49,6 +50,9 @@ from .errors import (
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
+# the most elements a comprehension reads or format_value renders from one
+# list or range; a range is lazy, but both would materialise every element
+MAX_LIST_LENGTH = 1_000_000
 
 Value = Any  # None | bool | int | str | list | range | dict
 Compiled = Callable[[dict, dict], Value]  # f(env, params)
@@ -68,6 +72,14 @@ def _length(v) -> int:
     """len() of a list or range: len() raises OverflowError on a range of more
     than sys.maxsize items. The evaluator's ranges all step by 1."""
     return max(0, v.stop - v.start) if type(v) is range else len(v)
+
+
+def check_length(v, line: int | None = None, column: int | None = None) -> None:
+    """EvalError for a list or range longer than MAX_LIST_LENGTH."""
+    n = _length(v)
+    if n > MAX_LIST_LENGTH:
+        message = f"list of {n} elements exceeds the limit of {MAX_LIST_LENGTH}"
+        raise EvalError(message, line, column)
 
 
 def _check64(v: int, node: "Expr") -> int:
@@ -661,6 +673,7 @@ class Comprehension(Expr):
                 return None
             if not _is_list(items):
                 raise TypeMismatch("list comprehension requires a list", self.line, self.column)
+            check_length(items, self.line, self.column)
             saved = env.get(var_name, _MISSING)
             out = []
             try:

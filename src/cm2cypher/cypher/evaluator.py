@@ -4,12 +4,14 @@
 calls them; ``run_query`` evaluates each LET binding and RETURN item that
 way. Compiling, evaluating and formatting recurse once per nesting level,
 and ``evaluate`` and ``format_results`` turn the ``RecursionError`` raised
-past Python's recursion limit into EvalError.
+past Python's recursion limit into EvalError. ``format_value`` renders no
+list or range of more than ``ast.MAX_LIST_LENGTH`` elements; it raises
+EvalError instead.
 """
 
 from __future__ import annotations
 
-from .ast import Expr, QueryAst
+from .ast import Expr, QueryAst, check_length
 from .errors import CypherSyntaxError, EvalError
 from .parser import parse_query
 
@@ -58,6 +60,7 @@ def format_value(v) -> str:
     if isinstance(v, str):
         return "'" + v.translate(_STRING_ESCAPES) + "'"
     if isinstance(v, (list, range)):
+        check_length(v)
         return "[" + ", ".join(format_value(x) for x in v) + "]"
     if isinstance(v, dict):
         return "{" + ", ".join(f"{k}:{format_value(v[k])}" for k in sorted(v)) + "}"

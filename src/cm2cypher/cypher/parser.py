@@ -10,6 +10,12 @@ Binary operators are read by one precedence-climbing loop (Pratt, "Top Down
 Operator Precedence", 1973) over the _BINDING_POWER table, loosest first:
 OR, AND, prefix NOT, = <> < <= > >=, + -, * / %. An operator is a
 punctuation token or the keyword AND/OR, never a string or another name.
+
+Literal fast path: parse_map reads each entry 'key: <int or string>'
+followed by ',' or '}' in one loop over the tokens, and parse_list hands an
+item that starts with '{' to parse_map directly, then reads whatever
+follows its '}' as parse_expr would; the first entry or item of any other
+shape falls back to the general descent, so trees and errors are the same.
 """
 
 from __future__ import annotations
@@ -160,7 +166,7 @@ class _Parser:
     # --- expressions: one binding-power loop over the binary operators ---
 
     def parse_expr(self, min_power: int = 0) -> ast.Expr:
-        # reads binary operators that bind tighter than min_power
+        # an operand, then the binary operators that bind tighter than min_power
         tok = self.peek()
         # NOT may start an operand of OR, AND or NOT, not of a tighter operator
         if min_power <= _NOT_POWER and tok.kind == IDENT and tok.lexeme.upper() == "NOT":
@@ -168,6 +174,9 @@ class _Parser:
             left = ast.Not(self.parse_expr(_NOT_POWER), tok.line, tok.column)
         else:
             left = self.parse_unary()
+        return self.parse_operators(left, min_power)
+
+    def parse_operators(self, left: ast.Expr, min_power: int) -> ast.Expr:
         while True:
             tok = self.peek()
             if tok.kind == PUNCT:
@@ -196,7 +205,9 @@ class _Parser:
         return self.parse_postfix()
 
     def parse_postfix(self) -> ast.Expr:
-        expr = self.parse_primary()
+        return self.parse_suffixes(self.parse_primary())
+
+    def parse_suffixes(self, expr: ast.Expr) -> ast.Expr:
         while True:
             if self.at_punct("."):
                 tok = self.next()
@@ -305,13 +316,50 @@ class _Parser:
             return ast.Comprehension(
                 var.lexeme, list_expr, where, mapper, open_tok.line, open_tok.column
             )
-        items = [] if self.at_punct("]") else self.parse_comma_list(self.parse_expr)
+        items = [] if self.at_punct("]") else self.parse_comma_list(self.parse_list_item)
         self.expect_punct("]")
         return ast.ListLit(items, open_tok.line, open_tok.column)
 
+    def parse_list_item(self) -> ast.Expr:
+        # an item that starts with '{' is read by parse_map directly; whatever
+        # else follows its '}' ('.k', '+ 1', ...) is read as parse_expr reads it
+        if not self.at_punct("{"):
+            return self.parse_expr()
+        item = self.parse_map()
+        tok = self.tokens[self.pos]
+        if tok.kind == PUNCT and (tok.lexeme == "," or tok.lexeme == "]"):
+            return item
+        return self.parse_operators(self.parse_suffixes(item), 0)
+
     def parse_map(self) -> ast.Expr:
         open_tok = self.expect_punct("{")
-        items = [] if self.at_punct("}") else self.parse_comma_list(self.parse_map_entry)
+        tokens, pos, items = self.tokens, self.pos, []
+        # fast path: each entry 'key: <int or string>' followed by ',' or '}'
+        # becomes its Literal here. Each test reads one token past the one
+        # before it, and EOF fails every test, so none reads past the end.
+        while tokens[pos].kind == IDENT:
+            colon = tokens[pos + 1]
+            if colon.kind != PUNCT or colon.lexeme != ":":
+                break
+            value = tokens[pos + 2]
+            if value.kind == INT:
+                literal = ast.Literal(int(value.lexeme), value.line, value.column)
+            elif value.kind == STRING:
+                literal = ast.Literal(value.lexeme, value.line, value.column)
+            else:
+                break
+            end = tokens[pos + 3]
+            if end.kind != PUNCT or (end.lexeme != "," and end.lexeme != "}"):
+                break
+            items.append((tokens[pos].lexeme, literal))
+            pos += 4
+            if end.lexeme == "}":
+                self.pos = pos
+                return ast.MapLit(items, open_tok.line, open_tok.column)
+        # the general path, from the first entry the fast path did not read
+        self.pos = pos
+        if items or not self.at_punct("}"):
+            items += self.parse_comma_list(self.parse_map_entry)
         self.expect_punct("}")
         return ast.MapLit(items, open_tok.line, open_tok.column)
 

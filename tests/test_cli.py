@@ -177,6 +177,20 @@ def test_eval_params_must_be_a_json_object(document, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("text, error", [
+    ("RETURN range(0, 9223372036854775807) AS r", "EvalError: "),
+    ("RETURN [x IN range(0, 9223372036854775807) | x] AS r", "EvalError at line 1, column 8: "),
+])
+def test_eval_of_a_list_past_the_length_limit_is_an_error(text, error, tmp_path, capsys):
+    query = tmp_path / "q.cypher"
+    query.write_text(text)
+    assert main(["eval", str(query)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    limit = "list of 9223372036854775808 elements exceeds the limit of 1000000"
+    assert captured.err == f"error: {error}{limit}\n"
+    assert captured.out == ""
+
+
 def test_eval_ranges_past_sys_maxsize(tmp_path, capsys):
     query = tmp_path / "q.cypher"
     query.write_text(

@@ -262,6 +262,18 @@ def test_deep_nesting_is_a_syntax_error(text):
     ("LET match = 1 RETURN 1", UnsupportedFeature, "MATCH", 1, 5),
     ("RETURN exists", UnsupportedFeature, "EXISTS", 1, 8),
     ("RETURN 1 LIMIT 1", UnsupportedFeature, "LIMIT", 1, 10),
+    # map and list literals cut short or run together: the literal fast path
+    # must read no token past the end and hand each of these to the general
+    # path at the entry or item where it stops
+    ("RETURN {a:", CypherSyntaxError, "unexpected end of input", 1, 11),
+    ("RETURN {a: 1", CypherSyntaxError, "expected '}', found 'end of input'", 1, 13),
+    ("RETURN {a: 1,", CypherSyntaxError, "expected map key", 1, 14),
+    ("RETURN {a: 1,}", CypherSyntaxError, "expected map key", 1, 14),
+    ("RETURN [{a: 1}", CypherSyntaxError, "expected ']', found 'end of input'", 1, 15),
+    ("RETURN [{a: 1},", CypherSyntaxError, "unexpected end of input", 1, 16),
+    ("RETURN [{a: 1} {b: 2}]", CypherSyntaxError, "expected ']', found '{'", 1, 16),
+    ("RETURN {a: 1 'x'}", CypherSyntaxError, "expected '}', found 'x'", 1, 14),
+    ("RETURN [{a: 1, b: 2 c: 3}]", CypherSyntaxError, "expected '}', found 'c'", 1, 21),
 ])
 def test_parse_error_class_message_and_position(text, error, message, line, column):
     with pytest.raises(CypherError) as exc_info:
@@ -331,6 +343,113 @@ def test_binary_operators_carry_their_own_position():
     assert (tree.right.op, tree.right.line, tree.right.column) == ("AND", 2, 5)
     plus = tree.right.right
     assert (plus.op, plus.line, plus.column) == ("+", 2, 11)
+
+
+# literal trees: the parser's fast path for map entries and map items of a
+# list must build the tree the general descent builds
+_GAPS = st.sampled_from(["", " ", "\n", "\t ", "// c\n", "/* c */", "/*\n */ "])
+_KEYS = st.sampled_from(["a", "k", "x_1", "end", "next", "match", "else", "null", "RETURN"])
+_INTS = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80))
+_STRS = st.text(alphabet="ab' \\\n\t/*{},:", max_size=6)
+
+
+def _quote(data, s):
+    out = []
+    for c in s:
+        if c in "\\'":
+            out.append("\\" + c)
+        elif c in "\n\t" and data.draw(st.booleans()):
+            out.append("\\n" if c == "\n" else "\\t")  # else the character itself
+        else:
+            out.append(c)
+    return "'" + "".join(out) + "'"
+
+
+def _literal_tree(data, depth):
+    """(text, value, nodes) of a random literal tree, with a random gap of
+    blanks, line breaks or comments around its tokens and some values
+    followed by '+ 1', '.k' or '[0]'."""
+    def gap():
+        return data.draw(_GAPS)
+
+    kind = data.draw(st.sampled_from(["int", "str", "list", "map"][: 4 if depth else 2]))
+    if kind == "int":
+        n = data.draw(_INTS)
+        text, value, nodes = ("-" + gap() + str(-n) if n < 0 else str(n)), n, 1
+    elif kind == "str":
+        s = data.draw(_STRS)
+        text, value, nodes = _quote(data, s), s, 1
+    elif kind == "list":
+        items = [_literal_tree(data, depth - 1) for _ in range(data.draw(st.integers(0, 3)))]
+        text = "[" + ",".join(gap() + t + gap() for t, _, _ in items) + gap() + "]"
+        value, nodes = [v for _, v, _ in items], 1 + sum(n for _, _, n in items)
+    else:
+        entries = [(data.draw(_KEYS), _literal_tree(data, depth - 1))
+                   for _ in range(data.draw(st.integers(0, 3)))]
+        text = "{" + ",".join(f"{gap()}{k}{gap()}:{gap()}{t}{gap()}"
+                              for k, (t, _, _) in entries) + gap() + "}"
+        value = {k: v for k, (_, v, _) in entries}  # a repeated key: the last one wins
+        nodes = 1 + sum(n for _, (_, _, n) in entries)
+    suffix = data.draw(st.sampled_from(["", "", "+", ".k", "[0]"]))
+    if suffix == "+" and type(value) is int and -(2**63) <= value < INT64_MAX:
+        return f"{text}{gap()}+{gap()}1", value + 1, nodes + 2
+    if suffix == ".k" and type(value) is dict:
+        return f"{text}{gap()}.{gap()}k", value.get("k"), nodes + 1
+    if suffix == "[0]" and type(value) is list:
+        return f"{text}{gap()}[{gap()}0{gap()}]", value[0] if value else None, nodes + 2
+    return text, value, nodes
+
+
+def _nodes(tree):
+    """Every Expr of a tree, each before its children, in source order."""
+    if isinstance(tree, (list, tuple)):
+        for x in tree:
+            yield from _nodes(x)
+    elif isinstance(tree, ast.Expr):
+        yield tree
+        for slot in type(tree).__slots__:
+            yield from _nodes(getattr(tree, slot))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_literal_trees_parse_to_their_value_positions_and_size(data):
+    text, value, nodes = _literal_tree(data, 3)
+    text = data.draw(_GAPS) + text + data.draw(_GAPS)
+    tree = parse_expression(text)
+    assert tree.eval({}, {}) == value
+    # each Literal sits at its INT or STRING token, or at the '-' folded into it
+    tokens = tokenize(text)
+    expected = []
+    for before, tok in zip([None] + tokens, tokens):
+        if tok.kind in ("int", "string"):
+            signed = before is not None and before.kind == "punct" and before.lexeme == "-"
+            literal = int(tok.lexeme) if tok.kind == "int" else tok.lexeme
+            at = before if signed else tok
+            expected.append((at.line, at.column, -literal if signed else literal))
+    nodes_built = list(_nodes(tree))
+    literals = [(n.line, n.column, n.value) for n in nodes_built if type(n) is ast.Literal]
+    assert literals == expected
+    assert len(nodes_built) == nodes
+
+
+def test_map_item_with_a_suffix_is_read_once(monkeypatch):
+    # a parser that reread such an item from its '{' would build 2^12 maps here
+    built = []
+
+    class CountedMapLit(ast.MapLit):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(ast, "MapLit", CountedMapLit)
+    text, value = "1", 1
+    for _ in range(12):
+        text, value = "[{a: " + text + "}.a]", [value]
+    assert parse_expression(text).eval({}, {}) == value
+    assert len(built) == 12
 
 
 # ---------------------------------------------------------------- evaluation
@@ -675,6 +794,30 @@ def test_format_value():
     assert format_value("hi") == "'hi'"
     assert format_value([1, None]) == "[1, null]"
     assert format_value({"state": -1, "A": 2, "B": 0}) == "{A:2, B:0, state:-1}"
+
+
+def test_format_value_caps_list_length(monkeypatch):
+    monkeypatch.setattr(ast, "MAX_LIST_LENGTH", 3)
+    assert format_value([[1, 2, 3], range(4, 7)]) == "[[1, 2, 3], [4, 5, 6]]"
+    for value, n in [([1, 2, 3, 4], 4), ([[1, 2, 3, 4]], 4), (range(0, INT64_MAX), INT64_MAX)]:
+        with pytest.raises(EvalError) as exc_info:
+            format_value(value)
+        got = exc_info.value
+        assert (type(got), got.line, got.column) == (EvalError, None, None)
+        assert got.message == f"list of {n} elements exceeds the limit of 3"
+
+
+def test_comprehension_caps_list_length(monkeypatch):
+    monkeypatch.setattr(ast, "MAX_LIST_LENGTH", 3)
+    assert ev("[x IN range(1, 3) | x * 2]") == [2, 4, 6]
+    assert ev("[x IN [1, 2, 3] WHERE x > 1]") == [2, 3]
+    for text, n in [("[x IN range(1, 4) | x]", 4), ("[x IN [1, 2, 3, 4]]", 4),
+                    (f"[x IN range(0, {INT64_MAX}) WHERE false]", 2**63)]:
+        with pytest.raises(EvalError) as exc_info:
+            ev("\n  " + text)
+        got = exc_info.value
+        assert (type(got), got.line, got.column) == (EvalError, 2, 3)
+        assert got.message == f"list of {n} elements exceeds the limit of 3"
 
 
 def test_format_results_flattens_single_map():

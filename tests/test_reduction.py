@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cm2cypher.codegen import gen_reduce_query
-from cm2cypher.cypher import run_query_text
-from cm2cypher.frontend import render_dsl
+from cm2cypher.cypher import evaluate, parse_query, run_query
+from cm2cypher.frontend import render_dsl, to_map_document
 from cm2cypher.machine import Config, Halt, Inc, InvalidProgram, JzDec, Program, run
 from cm2cypher.reduction import (
     DecodeError,
@@ -406,6 +406,9 @@ def test_pipeline_skips_unfinished_stages():
 def test_fold_query_agrees_with_interpreter_on_reduced_programs(name):
     program = k_counters_to_two(two_stack_to_counters(tm_to_two_stack(tm(name))))
     assert len(program) > 500
-    result = run_query_text(gen_reduce_query(program, 2000).text)["result"]
+    query = parse_query(gen_reduce_query(program, 2000).text)
+    name, literal = query.bindings[0]
+    assert name == "program" and evaluate(literal) == to_map_document(program)
+    result = run_query(query)["result"]
     reference = run(program, fuel=2000).final
     assert result == {"state": reference.state, "A": reference.a, "B": reference.b}
