@@ -88,6 +88,24 @@ def cmd_compile(args) -> int:
     return EXIT_OK
 
 
+def _reject_floats(params: dict):
+    """The subset has no floats: JSON numbers with a fraction or an exponent,
+    and NaN and Infinity, are refused at any depth of a parameter."""
+    for name, value in params.items():
+        stack = [value]
+        while stack:
+            v = stack.pop()
+            if isinstance(v, float):
+                raise ValueError(
+                    f"--params: parameter {name!r} holds the float {v!r}; "
+                    "only integers, strings, booleans, null, lists and maps are supported"
+                )
+            if isinstance(v, list):
+                stack.extend(v)
+            elif isinstance(v, dict):
+                stack.extend(v.values())
+
+
 def cmd_eval(args) -> int:
     text = Path(args.query).read_text(encoding="utf-8")
     params = {}
@@ -95,6 +113,7 @@ def cmd_eval(args) -> int:
         params = json.loads(Path(args.params).read_text(encoding="utf-8"))
         if not isinstance(params, dict):
             raise ValueError("--params must hold a JSON object mapping names to values")
+        _reject_floats(params)
     print(format_results(run_query_text(text, params)))
     return EXIT_OK
 

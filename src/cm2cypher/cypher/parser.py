@@ -48,6 +48,19 @@ _BINDING_POWER = {"OR": 1, "AND": 2, "=": 4, "<>": 4, "<": 4, "<=": 4, ">": 4, "
 _NOT_POWER = 3
 
 
+def _literal(tok: Token) -> ast.Literal:
+    """The Literal of an INT or STRING token."""
+    if tok.kind == STRING:
+        return ast.Literal(tok.lexeme, tok.line, tok.column)
+    try:
+        value = int(tok.lexeme)
+    except ValueError:  # past Python's limit on int() of a digit string
+        raise CypherSyntaxError(
+            f"integer literal of {len(tok.lexeme)} digits is too long", tok.line, tok.column
+        ) from None
+    return ast.Literal(value, tok.line, tok.column)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -225,8 +238,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == INT or tok.kind == STRING:
             self.next()
-            value = int(tok.lexeme) if tok.kind == INT else tok.lexeme
-            return ast.Literal(value, tok.line, tok.column)
+            return _literal(tok)
         if tok.kind == PUNCT:
             if tok.lexeme == "(":
                 self.next()
@@ -342,12 +354,9 @@ class _Parser:
             if colon.kind != PUNCT or colon.lexeme != ":":
                 break
             value = tokens[pos + 2]
-            if value.kind == INT:
-                literal = ast.Literal(int(value.lexeme), value.line, value.column)
-            elif value.kind == STRING:
-                literal = ast.Literal(value.lexeme, value.line, value.column)
-            else:
+            if value.kind != INT and value.kind != STRING:
                 break
+            literal = _literal(value)
             end = tokens[pos + 3]
             if end.kind != PUNCT or (end.lexeme != "," and end.lexeme != "}"):
                 break

@@ -91,6 +91,8 @@ def parse_dsl(text: str) -> Program:
                 int(jm.group(2)),
                 int(jm.group(3)),
             )
+        elif not body:
+            raise DslError("expected an instruction (INC, JZDEC or HALT)", line_no, body_col)
         else:
             raise DslError(f"unknown instruction {body.split()[0]!r}", line_no, body_col)
         by_state[state] = (instr, line_no)
@@ -188,14 +190,15 @@ def format_trace(result: RunResult, ascii_mode: bool = False) -> str:
     """Fixed-width table: Step | Instr | St | A | B.
 
     The mutated counter cell uses arrow notation (e.g. "0->1"); counters
-    before each row are reconstructed from the (0, 0) start.
+    before each row are reconstructed from the run's start, which the
+    first row recovers.
     """
     if result.trace is None:
         raise ValueError("run was executed without capture_trace")
     arrow = "->" if ascii_mode else "→"
     header = ["Step", "Instr", "St", "A", "B"]
     rows = []
-    prev_a, prev_b = 0, 0
+    prev_a, prev_b = result.trace[0].counters_before if result.trace else (0, 0)
     for row in result.trace:
         after = row.config_after
         a_cell = f"{prev_a}{arrow}{after.a}" if after.a != prev_a else str(prev_a)

@@ -152,6 +152,15 @@ class TraceRow:
     instruction_tag: str
     config_after: Config
 
+    @property
+    def counters_before(self) -> tuple[int, int]:
+        """(A, B) before the step, undone from its tag (see ``_step_raw``):
+        an INC added one to its counter, a JZDEC's ">0" arm took one away,
+        and the other instructions changed neither."""
+        tag, a, b = self.instruction_tag, self.config_after.a, self.config_after.b
+        undo = -1 if tag.startswith("INC") else 1 if tag.endswith(">0") else 0
+        return (a + undo, b) if "(A)" in tag else (a, b + undo)
+
 
 @dataclass(frozen=True)
 class RunResult:

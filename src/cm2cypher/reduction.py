@@ -3,13 +3,20 @@
 Compiles a Turing machine down to a 2-counter program in three stages,
 each independently interpretable for differential testing:
 
-    TM  ->  two-stack machine   (tape halves as stacks)
+    TM  ->  two-stack machine   (tape halves as stacks; the TM's own
+                                 transition table)
         ->  3-counter machine   (stacks as base-(s+1) numerals; one
                                  shared scratch counter for the
                                  multiply/divide/mod gadgets)
         ->  2-counter program   (counter vector as the prime-exponent
                                  product 2^c1 * 3^c2 * 5^c3 [* 7^c4] in
                                  counter A, with B as scratch)
+
+The two-stack stage keeps the TM's control and changes only how the tape
+is stored: a step pops the head cell off the right stack, then writes and
+moves. A right move pushes the written symbol onto the left stack; a left
+move pushes it back onto the right stack, then moves the left stack's top
+(a blank if it is empty) onto the right stack.
 
 Both counter stages are ``machine.Program`` instruction tables over the same
 INC / JZDEC / HALT instructions, with counters as indices: the 3-counter
@@ -30,13 +37,14 @@ Conventions (documented here because they are choices, not forced):
 * Moving left at the left tape edge extends the tape with a blank
   (one-way-infinite tape presented as two-way by padding).
 * Step blowup: one two-stack step costs O(base * max stack numeral)
-  3-counter steps (one divmod dispatch plus O(1) push gadgets), and one
-  3-counter step costs O(p * A) 2-counter steps for its prime p. The
-  exponential cost of the prime encoding is intrinsic, but every gadget
-  loop is a cycle that ``run`` fast-forwards exactly, so the 2-counter
-  stage finishes in time proportional to the gadgets entered rather than
-  the steps taken (``unary_successor`` on input 11 takes about 2.9e9
-  steps); it is cut short only by the fuel or by 64-bit overflow.
+  3-counter steps (a divmod dispatch on each stack it pops, and at most
+  two push gadgets), and one 3-counter step costs O(p * A) 2-counter steps
+  for its prime p. The exponential cost of the prime encoding is
+  intrinsic, but every gadget loop is a cycle that ``run`` fast-forwards
+  exactly, so the 2-counter stage finishes in time proportional to the
+  gadgets entered rather than the steps taken (``unary_successor`` on
+  input 11 takes about 2.9e9 steps); it is cut short only by the fuel or
+  by 64-bit overflow.
 """
 
 from __future__ import annotations
@@ -180,36 +188,12 @@ def tm_run(tm: TuringMachine, fuel: int) -> TmResult:
 
 
 @dataclass(frozen=True)
-class PopR:
-    pass
-
-
-@dataclass(frozen=True)
-class PushR:
-    symbol: str
-
-
-@dataclass(frozen=True)
-class PushL:
-    symbol: str
-
-
-@dataclass(frozen=True)
-class PopLToR:
-    """Pop the left stack (blank if empty) and push the symbol onto the
-    right stack."""
-
-
-StackOp = PopR | PushR | PushL | PopLToR
-
-
-@dataclass(frozen=True)
 class TwoStackMachine:
     states: tuple[str, ...]
     alphabet: tuple[str, ...]
     blank: str
-    # (state, top-of-right) -> (state, stack-op sequence)
-    transitions: dict[tuple[str, str], tuple[str, tuple[StackOp, ...]]]
+    # (state, top of right) -> (state, written symbol, move 'L' or 'R')
+    transitions: dict[tuple[str, str], tuple[str, str, str]]
     initial: str
     halting: frozenset[str]
     initial_right: tuple[str, ...]  # bottom of stack last; top = element 0
@@ -236,18 +220,12 @@ def tsm_run(tsm: TwoStackMachine, fuel: int) -> TsmResult:
     state = tsm.initial
     steps = 0
     while steps < fuel and state not in tsm.halting:
-        top = right[-1] if right else tsm.blank
-        state, ops = tsm.transitions[(state, top)]
-        for op in ops:
-            if isinstance(op, PopR):
-                if right:
-                    right.pop()
-            elif isinstance(op, PushR):
-                right.append(op.symbol)
-            elif isinstance(op, PushL):
-                left.append(op.symbol)
-            else:
-                right.append(left.pop() if left else tsm.blank)
+        state, written, move = tsm.transitions[(state, right.pop() if right else tsm.blank)]
+        if move == "R":
+            left.append(written)
+        else:
+            right.append(written)
+            right.append(left.pop() if left else tsm.blank)
         steps += 1
     return TsmResult(
         state in tsm.halting,
@@ -260,19 +238,14 @@ def tsm_run(tsm: TwoStackMachine, fuel: int) -> TsmResult:
 
 def tm_to_two_stack(tm: TuringMachine) -> TwoStackMachine:
     """Left stack = tape left of head (top = nearest cell); right stack =
-    head cell plus rightward tape. One machine step per tape step."""
-    transitions: dict[tuple[str, str], tuple[str, tuple[StackOp, ...]]] = {}
-    for (q, sym), (q2, written, move) in tm.transitions.items():
-        if move == "R":
-            ops: tuple[StackOp, ...] = (PopR(), PushL(written))
-        else:
-            ops = (PopR(), PushR(written), PopLToR())
-        transitions[(q, sym)] = (q2, ops)
+    head cell plus rightward tape. The machine keeps the TM's transitions:
+    a step pops the head cell, then writes and moves (one machine step per
+    tape step)."""
     return TwoStackMachine(
         states=tm.states,
         alphabet=tm.alphabet,
         blank=tm.blank,
-        transitions=transitions,
+        transitions=tm.transitions,
         initial=tm.initial,
         halting=tm.halting,
         initial_right=tm.input,
@@ -447,8 +420,10 @@ _L, _R, _S = 0, 1, 2
 
 
 def two_stack_to_counters(tsm: TwoStackMachine) -> Program:
-    """Encode each stack as a base-(s+1) numeral in a counter; pushes and
-    pops become multiply/divmod gadget loops over the shared scratch."""
+    """Encode each stack as a base-(s+1) numeral in a counter. Each state
+    pops the head cell with a divmod dispatch on the right stack; arm d
+    pushes the written digit onto the left stack (move R), or back onto the
+    right stack and then moves the left stack's top there (move L)."""
     base = len(tsm.alphabet) + 1
     digit = {sym: i + 1 for i, sym in enumerate(tsm.alphabet)}
     asm = _Asm()
@@ -460,65 +435,28 @@ def two_stack_to_counters(tsm: TwoStackMachine) -> Program:
     for cur, nxt, sym in zip(chain, chain[1:], reversed(tsm.initial_right)):
         _emit_push(asm, cur, _R, _S, base, digit[sym], nxt)
 
-    # pending: digit pre-popped from the right stack by the dispatch (0 =
-    # the stack was empty) that the op sequence has not yet consumed or had
-    # restored; None once settled. A leading PopR consumes it, and code
-    # compiled from ops[i:] starts at the label entry_for returns: cont
-    # itself when that code is empty.
-    def settle(ops, i, pending):
-        if pending is not None and i < len(ops) and isinstance(ops[i], PopR):
-            return i + 1, None
-        return i, pending
-
-    def entry_for(ops, i, pending, cont):
-        i, pending = settle(ops, i, pending)
-        return cont if i == len(ops) and not pending else asm.label()
-
-    def compile_ops(entry, ops, i, pending, cont):
-        i, pending = settle(ops, i, pending)
-        if i == len(ops):
-            if pending:  # unconsumed non-empty top: push it back
-                _emit_push(asm, entry, _R, _S, base, pending, cont)
-            return
-        op = ops[i]
-        if not isinstance(op, PushL):
-            if pending:  # PushR and PopLToR write the right stack: restore its top
-                mid = asm.label()
-                _emit_push(asm, entry, _R, _S, base, pending, mid)
-                entry = mid
-            pending = None
-        if isinstance(op, PopLToR):
-            handlers = [asm.label() for _ in range(base)]
-            _emit_divmod_dispatch(asm, entry, _L, _S, base, handlers)
-            for e in range(base):
-                moved = digit[tsm.blank] if e == 0 else e
-                nxt = entry_for(ops, i + 1, None, cont)
-                _emit_push(asm, handlers[e], _R, _S, base, moved, nxt)
-                compile_ops(nxt, ops, i + 1, None, cont)
-            return
-        nxt = entry_for(ops, i + 1, pending, cont)
-        if isinstance(op, PopR):
-            _emit_divmod_dispatch(asm, entry, _R, _S, base, [nxt] * base)
-        else:
-            stack = _R if isinstance(op, PushR) else _L
-            _emit_push(asm, entry, stack, _S, base, digit[op.symbol], nxt)
-        compile_ops(nxt, ops, i + 1, pending, cont)
-
     order = [tsm.initial] + [q for q in tsm.states if q != tsm.initial]
     for q in order:
         if q in tsm.halting:
             asm.mark(entry_of[q])
             asm.halt()
             continue
-        arms = []
+        arms = [asm.label() for _ in range(base)]
+        _emit_divmod_dispatch(asm, entry_of[q], _R, _S, base, arms)
         for d in range(base):
             top = tsm.blank if d == 0 else tsm.alphabet[d - 1]
-            target, ops = tsm.transitions[(q, top)]
-            cont = entry_of[target]
-            arms.append((entry_for(ops, 0, d, cont), ops, 0, d, cont))
-        _emit_divmod_dispatch(asm, entry_of[q], _R, _S, base, [arm[0] for arm in arms])
-        for arm in arms:
-            compile_ops(*arm)
+            target, written, move = tsm.transitions[(q, top)]
+            done = entry_of[target]
+            if move == "R":
+                _emit_push(asm, arms[d], _L, _S, base, digit[written], done)
+            else:
+                pushed = asm.label()
+                handlers = [asm.label() for _ in range(base)]
+                _emit_push(asm, arms[d], _R, _S, base, digit[written], pushed)
+                _emit_divmod_dispatch(asm, pushed, _L, _S, base, handlers)
+                for e in range(base):  # an empty left stack (e = 0) yields a blank
+                    moved = digit[tsm.blank] if e == 0 else e
+                    _emit_push(asm, handlers[e], _R, _S, base, moved, done)
 
     if asm.at[chain[0]] != 0:
         raise AssertionError("compiled machine entry is not at index 0")

@@ -177,6 +177,40 @@ def test_eval_params_must_be_a_json_object(document, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("document, shown", [
+    ('{"x": 1.5}', "1.5"),
+    ('{"y": 1, "x": {"m": [2, [3, 1e400]]}}', "inf"),
+    ('{"x": [NaN]}', "nan"),
+])
+def test_eval_params_reject_floats_at_any_depth(document, shown, tmp_path, capsys):
+    query = tmp_path / "q.cypher"
+    query.write_text("RETURN $x AS x")
+    params = tmp_path / "p.json"
+    params.write_text(document)
+    assert main(["eval", str(query), "--params", str(params)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: --params: parameter 'x' holds the float {shown}; "
+        "only integers, strings, booleans, null, lists and maps are supported\n"
+    )
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, name, text, message", [
+    ("run", "x.2cm", "state 0: HALT\nstate 1:\n",
+     "line 2, column 9: expected an instruction (INC, JZDEC or HALT)"),
+    ("eval", "q.cypher", "RETURN " + "1" * 5000,
+     "SyntaxError at line 1, column 8: integer literal of 5000 digits is too long"),
+], ids=["dsl-empty-body", "int-literal-5000-digits"])
+def test_malformed_input_is_one_error_line(command, name, text, message, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main([command, str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("text, error", [
     ("RETURN range(0, 9223372036854775807) AS r", "EvalError: "),
     ("RETURN [x IN range(0, 9223372036854775807) | x] AS r", "EvalError at line 1, column 8: "),

@@ -274,6 +274,14 @@ def test_deep_nesting_is_a_syntax_error(text):
     ("RETURN [{a: 1} {b: 2}]", CypherSyntaxError, "expected ']', found '{'", 1, 16),
     ("RETURN {a: 1 'x'}", CypherSyntaxError, "expected '}', found 'x'", 1, 14),
     ("RETURN [{a: 1, b: 2 c: 3}]", CypherSyntaxError, "expected '}', found 'c'", 1, 21),
+    # an INT literal past Python's int() digit limit, in the general path, the
+    # map fast path and under a minus
+    pytest.param("RETURN " + "1" * 5000, CypherSyntaxError,
+                 "integer literal of 5000 digits is too long", 1, 8, id="int-5000-digits"),
+    pytest.param("RETURN {a: " + "1" * 5000 + "}", CypherSyntaxError,
+                 "integer literal of 5000 digits is too long", 1, 12, id="map-int-5000-digits"),
+    pytest.param("RETURN -" + "1" * 5000, CypherSyntaxError,
+                 "integer literal of 5000 digits is too long", 1, 9, id="neg-int-5000-digits"),
 ])
 def test_parse_error_class_message_and_position(text, error, message, line, column):
     with pytest.raises(CypherError) as exc_info:
@@ -698,6 +706,35 @@ def test_three_valued_logic():
     assert ev("true AND null") is None
     assert ev("NOT null") is None
     assert ev("null = null") is None
+
+
+# operands the parser cannot fold, so the compiled NOT, OR and map equality run
+@pytest.mark.parametrize("text, params, value", [
+    ("NOT $p", {"p": True}, False),
+    ("NOT $p", {"p": False}, True),
+    ("NOT $p", {"p": None}, None),
+    ("false OR true", {}, True),
+    ("{a: 1, b: [2]} = {b: [2], a: 1}", {}, True),
+    ("{a: 1} = {a: 2}", {}, False),
+    ("{a: 1} = {b: 1}", {}, False),
+    ("{a: 1} = {a: 1, b: 1}", {}, False),
+    ("{a: null} = {a: null}", {}, None),
+    ("{a: null, b: 1} = {a: null, b: 2}", {}, False),
+    ("{a: 1} <> {a: null}", {}, None),
+    ("{a: 1} <> {a: 1}", {}, False),
+])
+def test_logic_and_map_equality_at_run_time(text, params, value):
+    got = ev(text, params)
+    assert (type(got), got) == (type(value), value)
+
+
+def test_duplicate_return_alias_is_a_syntax_error():
+    with pytest.raises(CypherError) as exc_info:
+        run_query_text("RETURN 1 AS x, 2 AS x")
+    got = exc_info.value
+    assert (type(got), got.message, got.line, got.column) == (
+        CypherSyntaxError, "duplicate return alias 'x'", None, None
+    )
 
 
 def test_null_propagation_arithmetic():

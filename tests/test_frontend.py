@@ -82,6 +82,19 @@ def test_parse_dsl_syntax_error_position():
     assert exc_info.value.line == 2
 
 
+@pytest.mark.parametrize("text, column", [
+    ("state 0: HALT\nstate 1:\n", 9),
+    ("state 0: HALT\n  state 1 :   # no body\n", 15),
+])
+def test_parse_dsl_empty_instruction_body(text, column):
+    with pytest.raises(DslError) as exc_info:
+        parse_dsl(text)
+    got = exc_info.value
+    assert (type(got), got.message, got.line, got.column) == (
+        DslError, "expected an instruction (INC, JZDEC or HALT)", 2, column
+    )
+
+
 def test_to_map_document_demo():
     assert to_map_document(DEMO) == DEMO_MAPS
 
@@ -185,6 +198,26 @@ def test_format_trace_truncation_footer():
     result = run(p, fuel=30, capture_trace=True, trace_cap=5)
     table = format_trace(result)
     assert "truncated" in table.splitlines()[-1]
+
+
+@pytest.mark.parametrize("program, start, rows", [
+    (Program((Inc(CounterId.A, 1), Halt())), Config(0, 5, 7), [
+        ["0", "INC(A)", "q0", "5→6", "7"],
+        ["1", "HALT", "q1", "6", "7"],
+    ]),
+    (Program((JzDec(CounterId.B, 1, 1), JzDec(CounterId.A, 2, 2), Halt())), Config(0, 5, 7), [
+        ["0", "JZDEC(B), B>0", "q0", "5", "7→6"],
+        ["1", "JZDEC(A), A>0", "q1", "5→4", "6"],
+        ["2", "HALT", "q2", "4", "6"],
+    ]),
+    (Program((Halt(), JzDec(CounterId.A, 0, 0))), Config(1, 0, 3), [
+        ["0", "JZDEC(A), A=0", "q1", "0", "3"],
+        ["1", "HALT", "q0", "0", "3"],
+    ]),
+])
+def test_format_trace_starts_from_the_run_start(program, start, rows):
+    result = run(program, fuel=10, capture_trace=True, start=start)
+    assert _cells(format_trace(result))[1:] == rows
 
 
 def test_format_trace_requires_trace():

@@ -233,6 +233,19 @@ def test_run_fast_forward_matches_single_step(data, program, fuel):
     assert _outcome(program, fuel, start, False) == _outcome(program, fuel, start, True)
 
 
+@given(data=st.data(), program=_programs())
+@settings(max_examples=200, deadline=None)
+def test_trace_rows_recover_the_counters_before_them(data, program):
+    start = Config(
+        data.draw(st.integers(0, len(program) - 1)),
+        data.draw(st.integers(0, 3)),
+        data.draw(st.integers(0, 3)),
+    )
+    trace = run(program, fuel=30, capture_trace=True, start=start).trace
+    befores = [(start.a, start.b)] + [(r.config_after.a, r.config_after.b) for r in trace]
+    assert [row.counters_before for row in trace] == befores[: len(trace)]
+
+
 def _folded_outcomes(program, start, max_fuel):
     """The outcome of a run at every fuel from 0 to max_fuel, by folding step."""
     outcomes, config, steps = [], start, 0

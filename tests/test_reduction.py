@@ -11,13 +11,8 @@ from cm2cypher.frontend import render_dsl, to_map_document
 from cm2cypher.machine import Config, Halt, Inc, InvalidProgram, JzDec, Program, run
 from cm2cypher.reduction import (
     DecodeError,
-    PopLToR,
-    PopR,
-    PushL,
-    PushR,
     ReductionError,
     TuringMachine,
-    TwoStackMachine,
     decode_counters,
     decode_stack,
     k_counters_to_two,
@@ -183,36 +178,33 @@ def test_two_stack_to_counters_preserves_results():
 
 
 @st.composite
-def two_stack_machines(draw):
-    """1-3 working states plus one halting state, 1-3 symbols, op sequences
-    of 0-3 ops, and an empty or non-empty initial right stack: shapes that
-    ``tm_to_two_stack`` never produces (empty sequences, a lone PopR, a
-    PushR after an empty-stack pop) included."""
+def small_tms(draw):
+    """1-3 working states plus ``halt``, 1-3 symbols with any one of them
+    the blank, any initial state (``halt`` included), an input of 0-3
+    symbols (blanks included) and random moves: left moves off an empty
+    left stack and right moves onto an empty right stack both occur."""
     states = tuple(f"q{i}" for i in range(draw(st.integers(1, 3)))) + ("halt",)
     alphabet = ("_", "a", "b")[: draw(st.integers(1, 3))]
     symbol = st.sampled_from(alphabet)
-    op = st.one_of(st.just(PopR()), st.builds(PushR, symbol), st.builds(PushL, symbol),
-                   st.just(PopLToR()))
     transitions = {
-        (q, sym): (draw(st.sampled_from(states)), tuple(draw(st.lists(op, max_size=3))))
+        (q, sym): (draw(st.sampled_from(states)), draw(symbol), draw(st.sampled_from("LR")))
         for q in states[:-1]
         for sym in alphabet
     }
-    return TwoStackMachine(
-        states=states,
-        alphabet=alphabet,
-        blank="_",
-        transitions=transitions,
-        initial=draw(st.sampled_from(states)),
-        halting=frozenset({"halt"}),
-        initial_right=tuple(draw(st.lists(symbol, max_size=3))),
+    return TuringMachine(
+        states, alphabet, draw(symbol), transitions, draw(st.sampled_from(states)),
+        frozenset({"halt"}), tuple(draw(st.lists(symbol, max_size=3))),
     )
 
 
-@given(tsm=two_stack_machines())
+@given(machine=small_tms())
 @settings(max_examples=1000, deadline=None)
-def test_two_stack_to_counters_agrees_with_tsm_run_on_arbitrary_machines(tsm):
+def test_two_stack_to_counters_agrees_with_tsm_run_on_small_tms(machine):
+    tsm = tm_to_two_stack(machine)
     tsm_res = tsm_run(tsm, fuel=6)
+    tm_res = tm_run(machine, fuel=6)
+    assert (tsm_res.halted, tsm_res.steps) == (tm_res.halted, tm_res.steps)
+    assert tsm_res.tape == tm_res.tape
     if not tsm_res.halted:
         return
     mcm_res = mcm_run(two_stack_to_counters(tsm), fuel=10_000_000)
