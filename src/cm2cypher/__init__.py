@@ -8,7 +8,6 @@ verification.
 """
 
 from .codegen import (
-    Approach,
     CypherQuery,
     ScriptBundle,
     gen_qpp_query,
@@ -31,7 +30,6 @@ from .frontend import (
 )
 from .machine import (
     Config,
-    CounterId,
     CounterOverflow,
     Halt,
     Inc,

@@ -25,6 +25,7 @@ from .codegen import (
     gen_transactions_script,
 )
 from .cypher import CypherError, run_query_text
+from .cypher.ast import INT64_MAX, INT64_MIN
 from .cypher.evaluator import format_results
 from .frontend import (
     DocumentError,
@@ -88,9 +89,9 @@ def cmd_compile(args) -> int:
     return EXIT_OK
 
 
-def _reject_floats(params: dict):
-    """The subset has no floats: JSON numbers with a fraction or an exponent,
-    and NaN and Infinity, are refused at any depth of a parameter."""
+def _check_params(params: dict):
+    """The subset has no floats (JSON numbers with a fraction or an exponent,
+    NaN, Infinity) and only 64-bit integers, at any depth of a parameter."""
     for name, value in params.items():
         stack = [value]
         while stack:
@@ -100,6 +101,9 @@ def _reject_floats(params: dict):
                     f"--params: parameter {name!r} holds the float {v!r}; "
                     "only integers, strings, booleans, null, lists and maps are supported"
                 )
+            if type(v) is int and not INT64_MIN <= v <= INT64_MAX:
+                raise ValueError(f"--params: parameter {name!r} holds the integer {v}, "
+                                 "outside the 64-bit range")
             if isinstance(v, list):
                 stack.extend(v)
             elif isinstance(v, dict):
@@ -113,7 +117,7 @@ def cmd_eval(args) -> int:
         params = json.loads(Path(args.params).read_text(encoding="utf-8"))
         if not isinstance(params, dict):
             raise ValueError("--params must hold a JSON object mapping names to values")
-        _reject_floats(params)
+        _check_params(params)
     print(format_results(run_query_text(text, params)))
     return EXIT_OK
 

@@ -9,17 +9,16 @@
 Output is a house style (two-space indent, one clause per line). The
 whitespace-insensitive comparison and the primitive lint run on the Cypher
 subset's lexer, so a comment marker inside a string is string content to
-them exactly as to the parser.
+them exactly as to the parser, and the lint reads the parser's word tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .cypher.errors import CypherSyntaxError
 from .cypher.lexer import IDENT, PUNCT, STRING, tokenize
-from .cypher.parser import FUNCTION_ARITY
+from .cypher.parser import FUNCTION_ARITY, KEYWORDS, UNSUPPORTED
 from .frontend import to_map_document
 from .machine import COUNTER_NAMES, Halt, Inc, JzDec, Program, require_two_counters
 
@@ -28,15 +27,8 @@ DEFAULT_MAX_STEPS = 1_000_000
 DEFAULT_MAX_PATH = 2**63 - 1
 
 
-class Approach(Enum):
-    REDUCE = "reduce"
-    TRANSACTIONS = "tx"
-    QPP = "qpp"
-
-
 @dataclass(frozen=True)
 class CypherQuery:
-    approach: Approach
     text: str
 
 
@@ -126,7 +118,7 @@ def gen_reduce_query(program: Program, max_steps: int = DEFAULT_MAX_STEPS) -> Cy
         f"LET max_steps = {max_steps}\n"
         + _REDUCE_BODY
     )
-    return CypherQuery(Approach.REDUCE, text)
+    return CypherQuery(text)
 
 
 # the stepper in two halves; the program reference goes between them: the
@@ -172,10 +164,7 @@ def gen_transactions_script(program: Program, parameter_mode: bool = False) -> S
     default the program is inlined as a LET list; ``parameter_mode``
     switches to a ``$program`` reference plus a parameter document.
     """
-    setup = CypherQuery(
-        Approach.TRANSACTIONS,
-        f"{DIALECT_HEADER}\nCREATE (:Machine {{state: 0, A: 0, B: 0}});\n",
-    )
+    setup = CypherQuery(f"{DIALECT_HEADER}\nCREATE (:Machine {{state: 0, A: 0, B: 0}});\n")
     if parameter_mode:
         main_text = f"{DIALECT_HEADER}\n" + _TX_STEPPER_HEAD + "$program" + _TX_STEPPER_TAIL
         parameters = {"program": to_map_document(program)}
@@ -186,8 +175,8 @@ def gen_transactions_script(program: Program, parameter_mode: bool = False) -> S
             + _TX_STEPPER_HEAD + "program" + _TX_STEPPER_TAIL
         )
         parameters = None
-    main = CypherQuery(Approach.TRANSACTIONS, main_text)
-    readback = CypherQuery(Approach.TRANSACTIONS, "MATCH (m:Machine) RETURN m;\n")
+    main = CypherQuery(main_text)
+    readback = CypherQuery("MATCH (m:Machine) RETURN m;\n")
     return ScriptBundle(
         (("setup", setup), ("main", main), ("readback", readback)), parameters
     )
@@ -213,7 +202,7 @@ def gen_qpp_setup(program: Program) -> CypherQuery:
             c = COUNTER_NAMES[instr.counter]
             lines.append(f"CREATE (q{i})-[:JZDEC_ZERO {{c: '{c}'}}]->(q{instr.q_zero})")
             lines.append(f"CREATE (q{i})-[:JZDEC_POS {{c: '{c}'}}]->(q{instr.q_pos})")
-    return CypherQuery(Approach.QPP, "\n".join(lines) + "\n")
+    return CypherQuery("\n".join(lines) + "\n")
 
 
 # the accumulator update, used by allReduce and by the final reduce
@@ -260,7 +249,7 @@ def gen_qpp_query(max_path: int = DEFAULT_MAX_PATH) -> CypherQuery:
         ")\n"
         "RETURN steps, final.A AS ctrA, final.B AS ctrB\n"
     )
-    return CypherQuery(Approach.QPP, text)
+    return CypherQuery(text)
 
 
 # --- normalization and linting -----------------------------------------
@@ -277,24 +266,17 @@ def queries_token_equal(a: str, b: str) -> bool:
     return normalize_tokens(a) == normalize_tokens(b)
 
 
-_LINT_FORBIDDEN = {
-    "match", "create", "merge", "set", "delete", "detach", "remove", "call",
-    "unwind", "with", "foreach", "where", "next", "load", "using", "union",
-    "apoc", "gds",
-}
-# words allowed before '(': keywords, reduce() and the parser's functions
-_LINT_CALLABLE = {
-    "cypher", "let", "return", "case", "when", "then", "else", "end",
-    "in", "as", "and", "or", "not", "true", "false", "null", "reduce", *FUNCTION_ARITY,
-}
-_COLON, _DOT, _OPEN = (PUNCT, ":"), (PUNCT, "."), (PUNCT, "(")  # (kind, lexeme)
+# the parser reads any word after '.' or '$', or before ':', as a name
+_NAME_AFTER = {(PUNCT, "."), (PUNCT, "$")}  # (kind, lexeme), as are the next two
+_COLON, _OPEN = (PUNCT, ":"), (PUNCT, "(")
 
 
 def lint_primitives(query: "CypherQuery | str") -> list[str]:
-    """Check a reduce-approach query against the pure-expression primitive
-    whitelist: no graph operations, no procedure libraries, and only the
-    reduce function plus the parser's functions (head, range). Text the
-    lexer rejects is one violation, the lexer's error."""
+    """Check a reduce-approach query against the parser's word tables: an
+    ``UNSUPPORTED`` word outside a name position, or a call of anything but
+    a keyword, ``reduce`` or a ``FUNCTION_ARITY`` name (case-sensitive, as
+    in ``parse_call``). Any text ``parse_query`` accepts lints clean. Text
+    the lexer rejects is one violation, the lexer's error."""
     text = query.text if isinstance(query, CypherQuery) else query
     try:
         tokens = tokenize(text)
@@ -306,11 +288,11 @@ def lint_primitives(query: "CypherQuery | str") -> list[str]:
     for i, tok in enumerate(tokens):
         if tok.kind != IDENT:
             continue
-        low = tok.lexeme.lower()
-        if low in _LINT_FORBIDDEN:
-            if low == "next" and (tokens[i + 1][:2] == _COLON or tokens[i - 1][:2] == _DOT):
-                continue  # the 'next' map key or property access, not the NEXT clause
-            violations.append(f"forbidden token {tok.lexeme!r}")
-        elif low not in _LINT_CALLABLE and tokens[i + 1][:2] == _OPEN:
-            violations.append(f"function {tok.lexeme!r} outside the primitive whitelist")
+        upper = tok.lexeme.upper()
+        if upper in UNSUPPORTED:
+            if tokens[i - 1][:2] not in _NAME_AFTER and tokens[i + 1][:2] != _COLON:
+                violations.append(f"forbidden token {tok.lexeme!r}")
+        elif upper not in KEYWORDS and tokens[i + 1][:2] == _OPEN:
+            if tok.lexeme != "reduce" and tok.lexeme not in FUNCTION_ARITY:
+                violations.append(f"function {tok.lexeme!r} outside the primitive whitelist")
     return violations

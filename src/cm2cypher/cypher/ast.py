@@ -215,8 +215,10 @@ class Literal(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value, line: int, column: int):
-        super().__init__(line, column)
+        # not through super(): the parser builds one per INT and STRING token
         self.value = value  # None, a bool, an int or a str
+        self.line = line
+        self.column = column
 
     def _compile(self):
         return _constant(self.value)

@@ -24,12 +24,12 @@ from . import ast
 from .errors import CypherSyntaxError, UnsupportedFeature
 from .lexer import EOF, IDENT, INT, PUNCT, STRING, Token, tokenize
 
-_KEYWORDS = {
+KEYWORDS = {
     "LET", "RETURN", "CASE", "WHEN", "THEN", "ELSE", "END",
     "IN", "AS", "AND", "OR", "NOT", "XOR", "TRUE", "FALSE", "NULL", "WHERE",
 }
 
-_UNSUPPORTED = {
+UNSUPPORTED = {
     "MATCH", "OPTIONAL", "CREATE", "MERGE", "SET", "DELETE", "DETACH", "REMOVE",
     "CALL", "UNWIND", "WITH", "FOREACH", "ORDER", "SKIP", "LIMIT", "UNION",
     "USE", "USING", "SHOW", "NEXT", "LOAD", "EXISTS", "COUNT", "COLLECT",
@@ -103,7 +103,7 @@ class _Parser:
 
     def expect_name(self) -> Token:
         tok = self.peek()
-        if tok.kind != IDENT or tok.lexeme.upper() in _KEYWORDS:
+        if tok.kind != IDENT or tok.lexeme.upper() in KEYWORDS:
             raise self._expected("a name")
         self._reject_unsupported(tok)
         return self.next()
@@ -122,7 +122,7 @@ class _Parser:
         return items
 
     def _reject_unsupported(self, tok: Token):
-        if tok.kind == IDENT and tok.lexeme.upper() in _UNSUPPORTED:
+        if tok.kind == IDENT and tok.lexeme.upper() in UNSUPPORTED:
             raise UnsupportedFeature(tok.lexeme.upper(), tok.line, tok.column)
 
     # --- query ----------------------------------------------------------
@@ -262,7 +262,7 @@ class _Parser:
             if upper in _CONSTANTS:
                 self.next()
                 return ast.Literal(_CONSTANTS[upper], tok.line, tok.column)
-            if upper in _KEYWORDS:
+            if upper in KEYWORDS:
                 raise CypherSyntaxError(f"unexpected keyword {tok.lexeme!r}", tok.line, tok.column)
             if self.at_punct("(", ahead=1):
                 return self.parse_call()
@@ -310,7 +310,7 @@ class _Parser:
         # two-token lookahead: "[ name IN" starts a comprehension
         if (
             self.peek().kind == IDENT
-            and self.peek().lexeme.upper() not in _KEYWORDS
+            and self.peek().lexeme.upper() not in KEYWORDS
             and self.at_keyword("IN", ahead=1)
         ):
             var = self.expect_name()

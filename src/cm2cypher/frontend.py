@@ -19,7 +19,6 @@ import re
 
 from .machine import (
     COUNTER_NAMES,
-    CounterId,
     Halt,
     Inc,
     InvalidProgram,
@@ -49,10 +48,10 @@ _INC_RE = re.compile(r"^INC\s+(\w+)\s*->\s*(\d+)$")
 _JZDEC_RE = re.compile(r"^JZDEC\s+(\w+)\s*\?\s*(\d+)\s*:\s*(\d+)$")
 
 
-def _parse_counter(name: str, line_no: int, col: int) -> CounterId:
+def _parse_counter(name: str, line_no: int, col: int) -> int:
     try:
-        return CounterId[name]
-    except KeyError:
+        return COUNTER_NAMES.index(name)
+    except ValueError:
         raise DslError(f"unknown counter {name!r} (expected A or B)", line_no, col) from None
 
 
@@ -171,11 +170,11 @@ def from_map_document(doc: list[dict]) -> Program:
         if op == "INC":
             if not _is_state_id(entry.get("next")):
                 raise DocumentError(f"entry {i}: INC requires integer 'next'")
-            instrs.append(Inc(CounterId[counter], entry["next"]))
+            instrs.append(Inc(COUNTER_NAMES.index(counter), entry["next"]))
         elif op == "JZDEC":
             if not (_is_state_id(entry.get("q_zero")) and _is_state_id(entry.get("q_pos"))):
                 raise DocumentError(f"entry {i}: JZDEC requires integer 'q_zero' and 'q_pos'")
-            instrs.append(JzDec(CounterId[counter], entry["q_zero"], entry["q_pos"]))
+            instrs.append(JzDec(COUNTER_NAMES.index(counter), entry["q_zero"], entry["q_pos"]))
         elif op == "HALT":
             instrs.append(Halt())
         else:
@@ -229,7 +228,7 @@ def random_program(seed: int, max_states: int) -> Program:
     instrs: list[Inc | JzDec | Halt] = []
     for _ in range(n):
         kind = rng.choice(("INC", "INC", "JZDEC", "JZDEC", "HALT"))
-        counter = rng.choice((CounterId.A, CounterId.B))
+        counter = rng.choice((0, 1))
         if kind == "INC":
             instrs.append(Inc(counter, rng.randrange(n)))
         elif kind == "JZDEC":

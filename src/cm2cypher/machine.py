@@ -1,10 +1,11 @@
 """Counter machine model: instructions, configurations, and interpreters.
 
 A ``Program`` is a dense list of INC / JZDEC / HALT instructions indexed by
-control state over ``num_counters`` counters (default 2), each named by its
-index; state 0 is the initial state and state -1 denotes "halted". The
-reduction pipeline builds a 3-counter ``Program`` from the same instruction
-types. The names A and B (``COUNTER_NAMES``) exist only at the boundaries:
+control state over ``num_counters`` counters (default 2), each a plain int
+index in parsed and reduced programs alike; state 0 is the initial state
+and state -1 denotes "halted". The reduction pipeline builds a 3-counter
+``Program`` from the same instruction types. The names A and B
+(``COUNTER_NAMES``, the one table of them) exist only at the boundaries:
 trace tags, the DSL and JSON formats and code generation, which like the
 execution views below reject more than 2 counters with ``InvalidProgram``
 (``require_two_counters``). Counters are 64-bit non-negative integers. Three
@@ -28,7 +29,6 @@ the same way ``step`` does, one trace row per instruction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum, IntEnum
 from functools import cached_property
 
 INT64_MAX = 2**63 - 1
@@ -51,13 +51,6 @@ class InvalidProgram(MachineError):
 
 class NoPath(MachineError):
     """qpp_walk exhausted its fuel before reaching a halt state."""
-
-
-class CounterId(IntEnum):
-    A = 0
-    B = 1
-
-    __str__ = Enum.__str__  # "CounterId.A" on every Python version, not "0"
 
 
 COUNTER_NAMES = ("A", "B")  # by counter index, for 2-counter programs

@@ -339,6 +339,8 @@ class _Asm:
 def _emit_inc_chain(asm: _Asm, entry: int, counter: int, n: int, done: int):
     """counter += n, then goto done. Requires n >= 1: every caller adds a
     base, a prime, a digit or a nonzero remainder."""
+    if n < 1:
+        raise AssertionError(f"increment chain of length {n}")
     chain = [entry] + [asm.label() for _ in range(n - 1)] + [done]
     for cur, nxt in zip(chain, chain[1:]):
         asm.mark(cur)

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cm2cypher.codegen import (
-    Approach,
     gen_qpp_query,
     gen_qpp_setup,
     gen_reduce_query,
@@ -14,8 +13,8 @@ from cm2cypher.codegen import (
     normalize_tokens,
     queries_token_equal,
 )
-from cm2cypher.cypher import CypherSyntaxError
-from cm2cypher.cypher.parser import FUNCTION_ARITY
+from cm2cypher.cypher import CypherError, CypherSyntaxError, UnsupportedFeature, parse_query
+from cm2cypher.cypher.parser import FUNCTION_ARITY, KEYWORDS, UNSUPPORTED
 from cm2cypher.frontend import random_program, render_dsl, to_map_document
 from cm2cypher.machine import Halt, Inc, InvalidProgram, JzDec, Program
 from conftest import GOLDEN, REFERENCE
@@ -83,7 +82,6 @@ def test_qpp_matches_reference(demo):
 
 def test_reduce_query_metadata(demo):
     q = gen_reduce_query(demo)
-    assert q.approach is Approach.REDUCE
     assert q.text.startswith("CYPHER 25")
 
 
@@ -189,6 +187,81 @@ def test_lint_reports_text_outside_the_subset():
     assert lint_primitives('RETURN "a"') == [
         "SyntaxError at line 1, column 8: illegal character '\"'"
     ]
+
+
+# every word the parser treats specially, plus names of library procedures
+# and of functions inside and outside the whitelist, in three letter cases
+_LINT_VOCABULARY = sorted(KEYWORDS | UNSUPPORTED | {"APOC", "GDS", "SIZE", "HEAD", "RANGE", "REDUCE"})
+_words = st.sampled_from(_LINT_VOCABULARY).flatmap(
+    lambda w: st.sampled_from((w.lower(), w.upper(), w.title()))
+)
+# each slot {i} is a name, binder, alias, map key, property, parameter or callee
+_LINT_SHAPES = [
+    "LET {0} = {{{1}: 1, next: 2}} RETURN {0}.{1} AS {2}",
+    "RETURN reduce({0} = 0, {1} IN [${2}] | {0} + {1}) AS {3}",
+    "CYPHER 25 RETURN [{0} IN range(1, 3) WHERE {0} > 1 | {{{1}: {0}}}] AS {2}",
+    "RETURN head([{0} IN [${1}] | {0}.{2}])",
+    "LET {0} = [1] RETURN {1}({0})",
+    "LET {0} = true RETURN {0} {1}({0}) AS {2};",
+    "RETURN {{{0}: {{{1}: 2}}}}.{0}.{1} {2} 1",
+    "{0} RETURN 1",
+]
+
+
+@given(shape=st.sampled_from(_LINT_SHAPES), words=st.lists(_words, min_size=4, max_size=4))
+@settings(max_examples=400, deadline=None)
+def test_lint_agrees_with_the_parser(shape, words):
+    text = shape.format(*words)
+    try:
+        parse_query(text)
+    except UnsupportedFeature:
+        assert lint_primitives(text)
+    except CypherError:
+        pass  # a syntax error: the lint judges only the words
+    else:
+        assert lint_primitives(text) == []
+
+
+@pytest.mark.parametrize("text", [
+    "RETURN [x IN [1] WHERE x > 0]",
+    "RETURN {match: 1}",
+    "LET m = {create: 1} RETURN m.create",
+    "RETURN $set AS x",
+    "LET apoc = 1 RETURN apoc",
+])
+def test_lint_passes_words_the_parser_reads_as_names(text):
+    parse_query(text)
+    assert lint_primitives(text) == []
+
+
+# each position where the parser reads a name and refuses an unsupported word
+_UNSUPPORTED_POSITIONS = [
+    "{} RETURN 1",  # statement start
+    "RETURN {}",  # RETURN operand
+    "LET {} = 1 RETURN 1",  # LET name
+    "RETURN 1 AS {}",  # alias
+    "RETURN reduce({} = 0, x IN [1] | 0)",  # reduce accumulator
+    "RETURN reduce(a = 0, {} IN [1] | a)",  # reduce element
+    "RETURN [{} IN [1] | 1]",  # comprehension variable
+]
+
+
+@pytest.mark.parametrize("word", sorted(UNSUPPORTED))
+def test_lint_flags_every_unsupported_word_the_parser_refuses(word):
+    for position in _UNSUPPORTED_POSITIONS:
+        for spelling in (word, word.lower(), word.title()):
+            text = position.format(spelling)
+            with pytest.raises(UnsupportedFeature):
+                parse_query(text)
+            assert lint_primitives(text) == [f"forbidden token {spelling!r}"], text
+
+
+@pytest.mark.parametrize("name", ["HEAD", "Reduce", "size"])
+def test_lint_flags_calls_the_parser_refuses(name):
+    text = f"RETURN {name}([1])"
+    with pytest.raises(UnsupportedFeature, match=f"function {name}"):
+        parse_query(text)
+    assert lint_primitives(text) == [f"function {name!r} outside the primitive whitelist"]
 
 
 # ------------------------------------------------------------- normalization

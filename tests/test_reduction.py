@@ -13,6 +13,8 @@ from cm2cypher.reduction import (
     DecodeError,
     ReductionError,
     TuringMachine,
+    _Asm,
+    _emit_inc_chain,
     decode_counters,
     decode_stack,
     k_counters_to_two,
@@ -215,6 +217,12 @@ def test_two_stack_to_counters_agrees_with_tsm_run_on_small_tms(machine):
 
 
 # --------------------------------------------------------- 2-counter stage
+
+
+def test_inc_chain_of_length_zero_is_an_assembler_fault():
+    asm = _Asm()
+    with pytest.raises(AssertionError, match="increment chain of length 0"):
+        _emit_inc_chain(asm, asm.label(), 0, 0, asm.label())
 
 
 def test_k_counters_to_two_trivial_machine():
