@@ -124,8 +124,7 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.count < 1:
-        print("error: --count must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("--count must be >= 1")
     passed = failed = 0
     for i in range(args.count):
         seed = args.seed + i
@@ -250,11 +249,7 @@ def _list_of(value, kind) -> bool:
 def cmd_live(args) -> int:
     settings = _live_settings()
     if settings is None:
-        print(
-            "error: live execution needs CYPHER_URI, CYPHER_USER and CYPHER_PASSWORD",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT
+        raise ValueError("live execution needs CYPHER_URI, CYPHER_USER and CYPHER_PASSWORD")
     program = _load_program(args.program)
     reference = run(program, fuel=args.fuel)
     if args.approach == "tx":

@@ -266,9 +266,27 @@ def queries_token_equal(a: str, b: str) -> bool:
     return normalize_tokens(a) == normalize_tokens(b)
 
 
-# the parser reads any word after '.' or '$', or before ':', as a name
-_NAME_AFTER = {(PUNCT, "."), (PUNCT, "$")}  # (kind, lexeme), as are the next two
+# the parser reads any word after '.' or '$', or a map key, as a name
+_NAME_AFTER = {(PUNCT, "."), (PUNCT, "$")}  # (kind, lexeme), as are the next three
+_KEY_AFTER = {(PUNCT, "{"), (PUNCT, ",")}
 _COLON, _OPEN = (PUNCT, ":"), (PUNCT, "(")
+_NESTING = {"(": -1, "[": -1, "{": -1, ")": 1, "]": 1, "}": 1}  # seen scanning back
+
+
+def _is_map_key(tokens: list, i: int) -> bool:
+    """Whether the word at ``tokens[i]``, followed by ':', is a map key: it
+    follows '{', or a ',' whose innermost unclosed bracket is '{'. Only such
+    words pay for the scan back to that bracket."""
+    if tokens[i - 1][:2] not in _KEY_AFTER:
+        return False
+    depth = 0
+    for j in range(i - 1, -1, -1):
+        change = _NESTING.get(tokens[j][1])
+        if change and tokens[j][0] == PUNCT:  # a string is no bracket
+            depth += change
+            if depth < 0:
+                return tokens[j][1] == "{"
+    return False
 
 
 def lint_primitives(query: "CypherQuery | str") -> list[str]:
@@ -290,7 +308,9 @@ def lint_primitives(query: "CypherQuery | str") -> list[str]:
             continue
         upper = tok.lexeme.upper()
         if upper in UNSUPPORTED:
-            if tokens[i - 1][:2] not in _NAME_AFTER and tokens[i + 1][:2] != _COLON:
+            if tokens[i - 1][:2] not in _NAME_AFTER and not (
+                tokens[i + 1][:2] == _COLON and _is_map_key(tokens, i)
+            ):
                 violations.append(f"forbidden token {tok.lexeme!r}")
         elif upper not in KEYWORDS and tokens[i + 1][:2] == _OPEN:
             if tok.lexeme != "reduce" and tok.lexeme not in FUNCTION_ARITY:

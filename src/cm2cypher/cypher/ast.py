@@ -104,26 +104,21 @@ def eq3(a: Value, b: Value) -> Optional[bool]:
             return a == b
         if _length(a) != _length(b):
             return False
-        out: Optional[bool] = True
-        for x, y in zip(a, b):
-            e = eq3(x, y)
-            if e is False:
-                return False
-            if e is None:
-                out = None
-        return out
-    if isinstance(a, dict) and isinstance(b, dict):
+        pairs = zip(a, b)
+    elif isinstance(a, dict) and isinstance(b, dict):
         if set(a) != set(b):
             return False
-        out = True
-        for k in a:
-            e = eq3(a[k], b[k])
-            if e is False:
-                return False
-            if e is None:
-                out = None
-        return out
-    return False
+        pairs = ((a[k], b[k]) for k in a)
+    else:
+        return False
+    out: Optional[bool] = True
+    for x, y in pairs:
+        e = eq3(x, y)
+        if e is False:
+            return False
+        if e is None:
+            out = None
+    return out
 
 
 def _constant(value) -> Compiled:

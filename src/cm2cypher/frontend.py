@@ -188,25 +188,19 @@ def from_map_document(doc: list[dict]) -> Program:
 def format_trace(result: RunResult, ascii_mode: bool = False) -> str:
     """Fixed-width table: Step | Instr | St | A | B.
 
-    The mutated counter cell uses arrow notation (e.g. "0->1"); counters
-    before each row are reconstructed from the run's start, which the
-    first row recovers.
+    The mutated counter cell uses arrow notation (e.g. "0->1").
     """
     if result.trace is None:
         raise ValueError("run was executed without capture_trace")
     arrow = "->" if ascii_mode else "→"
     header = ["Step", "Instr", "St", "A", "B"]
     rows = []
-    prev_a, prev_b = result.trace[0].counters_before if result.trace else (0, 0)
     for row in result.trace:
-        after = row.config_after
-        a_cell = f"{prev_a}{arrow}{after.a}" if after.a != prev_a else str(prev_a)
-        b_cell = f"{prev_b}{arrow}{after.b}" if after.b != prev_b else str(prev_b)
-        rows.append(
-            [str(row.step), row.instruction_tag, f"q{row.state_before}", a_cell, b_cell]
-        )
-        prev_a, prev_b = after.a, after.b
-    widths = [max(len(header[c]), *(len(r[c]) for r in rows)) if rows else len(header[c]) for c in range(5)]
+        before, after = row.config_before, row.config_after
+        a_cell = f"{before.a}{arrow}{after.a}" if after.a != before.a else str(before.a)
+        b_cell = f"{before.b}{arrow}{after.b}" if after.b != before.b else str(before.b)
+        rows.append([str(row.step), row.instruction_tag, f"q{before.state}", a_cell, b_cell])
+    widths = [max(len(r[c]) for r in [header, *rows]) for c in range(5)]
     lines = [" | ".join(h.ljust(w) for h, w in zip(header, widths))]
     lines.append("-+-".join("-" * w for w in widths))
     for r in rows:

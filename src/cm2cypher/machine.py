@@ -23,7 +23,8 @@ a cycle it applies as many whole trips as the counters, the 64-bit bound and
 the remaining fuel allow in one step, then single-steps on. Final
 configuration, ``machine_steps`` and the point where ``CounterOverflow`` is
 raised are those of single-stepping. With ``capture_trace`` it single-steps
-the same way ``step`` does, one trace row per instruction.
+the same way ``step`` does, one trace row per instruction holding the
+configurations before and after it.
 """
 
 from __future__ import annotations
@@ -141,18 +142,9 @@ class Config:
 @dataclass(frozen=True)
 class TraceRow:
     step: int
-    state_before: int
+    config_before: Config
     instruction_tag: str
     config_after: Config
-
-    @property
-    def counters_before(self) -> tuple[int, int]:
-        """(A, B) before the step, undone from its tag (see ``_step_raw``):
-        an INC added one to its counter, a JZDEC's ">0" arm took one away,
-        and the other instructions changed neither."""
-        tag, a, b = self.instruction_tag, self.config_after.a, self.config_after.b
-        undo = -1 if tag.startswith("INC") else 1 if tag.endswith(">0") else 0
-        return (a + undo, b) if "(A)" in tag else (a, b + undo)
 
 
 @dataclass(frozen=True)
@@ -362,10 +354,10 @@ def run(
     truncated = False
     steps = 0
     while steps < fuel and state != HALTED:
-        before = state
+        before = state, a, b
         state, a, b, tag = _step_raw(program, state, a, b)
         if len(trace) < trace_cap:
-            trace.append(TraceRow(steps, before, tag, Config(state, a, b)))
+            trace.append(TraceRow(steps, Config(*before), tag, Config(state, a, b)))
         else:
             truncated = True
         steps += 1

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -312,6 +313,7 @@ def test_verify_small_batch(capsys):
 
 def test_verify_rejects_bad_count(capsys):
     assert main(["verify", "--count", "0"]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", "error: --count must be >= 1\n")
 
 
 def test_differential_check_is_clean_on_random_programs():
@@ -478,6 +480,131 @@ def test_input_errors_exit_with_error_message(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.out == ""
+
+
+# ---------------------------------------------------------- failure contract
+# Mutated inputs through main(): every run ends in a documented exit code,
+# an exit 1 prints exactly one "error:" line and nothing else on stderr, and
+# no exception escapes (one would fail the test).
+
+_PROGRAM_SEEDS = [(FIXTURES / "demo.2cm").read_bytes(),
+                  b"state 0: JZDEC A ? 1 : 0\nstate 1: INC B -> 2  # note\nstate 2: HALT\n",
+                  b"state 0: INC A -> 1\nstate 1: JZDEC B ? 0 : 1\n"]  # never halts
+_SPLICES = [b"-", b"0", b"9" * 20, b":", b"?", b"->", b"#", b"\n", b"state 7: ", b"INC",
+            b"JZDEC", b"HALT", b"A", b"C", b"\xff", b"\x00", b"{", b"[", b"'", b"$x", b"\\",
+            b"/*", b"(", b")", b",", b"reduce(", b"null", b"1.5", b'"', b"\xc3\xa9"]
+
+
+@st.composite
+def _mutated(draw, seeds):
+    """A seed with up to four byte edits: insert, delete or overwrite."""
+    data = bytearray(draw(st.sampled_from(seeds)))
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(data)))
+        piece = draw(st.sampled_from(_SPLICES) | st.binary(min_size=1, max_size=2))
+        op = draw(st.sampled_from(("insert", "delete", "overwrite")))
+        if op == "insert":
+            data[i:i] = piece
+        elif op == "delete":
+            del data[i:i + len(piece)]
+        else:
+            data[i:i + len(piece)] = piece
+    return bytes(data)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**64, 2**64) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _json_mutated(draw, document):
+    """``document`` with one to three values replaced, each by another of its
+    scalars or by any JSON value, or, one time in ten, its text byte-mutated."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_mutated([json.dumps(document).encode()]))
+    doc = json.loads(json.dumps(document))
+    slots, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        for key in range(len(node)) if isinstance(node, list) else node:
+            slots.append((node, key))
+            if isinstance(node[key], (list, dict)):
+                stack.append(node[key])
+    scalars = [node[key] for node, key in slots if not isinstance(node[key], (list, dict))]
+    for _ in range(draw(st.integers(1, 3))):
+        node, key = draw(st.sampled_from(slots))
+        node[key] = draw(st.sampled_from(scalars) | _JSON)
+    return json.dumps(doc).encode()
+
+
+def _assert_contract(argv, allowed):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in allowed, (code, err.getvalue())
+    lines = err.getvalue().splitlines(keepends=True)
+    if code == EXIT_INPUT:
+        assert len(lines) == 1 and lines[0].startswith("error: ") and lines[0].endswith("\n"), lines
+    else:
+        assert lines == []
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(text=_mutated(_PROGRAM_SEEDS))
+@settings(max_examples=300, deadline=None)
+def test_run_of_a_mutated_program_keeps_the_exit_contract(text, fuzz_dir):
+    path = fuzz_dir / "p.2cm"
+    path.write_bytes(text)
+    _assert_contract(["run", str(path), "--fuel", "500", "--trace"],
+                     {EXIT_OK, EXIT_INPUT, EXIT_FUEL})
+
+
+@given(text=_json_mutated(json.loads((FIXTURES / "demo.maps.json").read_text())),
+       approach=st.sampled_from(("reduce", "tx", "qpp")))
+@settings(max_examples=200, deadline=None)
+def test_compile_of_a_mutated_map_document_keeps_the_exit_contract(text, approach, fuzz_dir):
+    path = fuzz_dir / "p.json"
+    path.write_bytes(text)
+    _assert_contract(["compile", str(path), "--approach", approach,
+                      "--out-dir", str(fuzz_dir / "out")], {EXIT_OK, EXIT_INPUT})
+
+
+@given(text=_json_mutated(json.loads((FIXTURES / "tm" / "unary_successor.json").read_text())))
+@settings(max_examples=200, deadline=None)
+def test_reduce_tm_of_a_mutated_machine_keeps_the_exit_contract(text, fuzz_dir):
+    path = fuzz_dir / "tm.json"
+    path.write_bytes(text)
+    _assert_contract(["reduce-tm", str(path), "--fuel-per-stage", "2000",
+                      "--out", str(fuzz_dir / "tm.2cm")], {EXIT_OK, EXIT_INPUT})
+
+
+_QUERY_SEEDS = [
+    gen_reduce_query(parse_dsl(_PROGRAM_SEEDS[0].decode()), 20).text.encode(),
+    b"CYPHER 25 LET y = [v IN range(1, 3) WHERE v > 1 | {k: v * $x}] RETURN y, $y AS p",
+    b"RETURN CASE WHEN $x = 1 THEN 'a\\n' ELSE head([$y, null]) END AS c, 7 % 3 AS m",
+]
+
+
+@given(text=_mutated(_QUERY_SEEDS),
+       params=st.none() | st.fixed_dictionaries({"x": _JSON, "y": _JSON}) | _JSON
+       | _mutated([b'{"x": 1, "y": [2]}']))
+@settings(max_examples=300, deadline=None)
+def test_eval_of_a_mutated_query_keeps_the_exit_contract(text, params, fuzz_dir):
+    query = fuzz_dir / "q.cypher"
+    query.write_bytes(text)
+    argv = ["eval", str(query)]
+    if params is not None:
+        path = fuzz_dir / "params.json"
+        path.write_bytes(params if isinstance(params, bytes) else json.dumps(params).encode())
+        argv += ["--params", str(path)]
+    _assert_contract(argv, {EXIT_OK, EXIT_INPUT})
 
 
 # --------------------------------------------------------------------- live

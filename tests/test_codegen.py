@@ -205,6 +205,9 @@ _LINT_SHAPES = [
     "LET {0} = true RETURN {0} {1}({0}) AS {2};",
     "RETURN {{{0}: {{{1}: 2}}}}.{0}.{1} {2} 1",
     "{0} RETURN 1",
+    "RETURN {{a: {0}: 1}}",
+    "RETURN 1, {0}: 2",
+    "RETURN head([1, {0}: 2])",
 ]
 
 
@@ -228,6 +231,9 @@ def test_lint_agrees_with_the_parser(shape, words):
     "LET m = {create: 1} RETURN m.create",
     "RETURN $set AS x",
     "LET apoc = 1 RETURN apoc",
+    "RETURN {a: 1, limit: 2}",
+    "RETURN {a: [1, 2], limit: 3}",
+    "RETURN {a: head([{b: 1}, (2)]), limit: 3}",
 ])
 def test_lint_passes_words_the_parser_reads_as_names(text):
     parse_query(text)
@@ -243,6 +249,13 @@ _UNSUPPORTED_POSITIONS = [
     "RETURN reduce({} = 0, x IN [1] | 0)",  # reduce accumulator
     "RETURN reduce(a = 0, {} IN [1] | a)",  # reduce element
     "RETURN [{} IN [1] | 1]",  # comprehension variable
+    # before ':', a word is a map key only after '{' or after a ',' whose
+    # innermost unclosed bracket is '{'
+    "RETURN {{a: {}: 1}}",
+    "RETURN [x IN [1] WHERE x = 1 | {}: 2]",
+    "RETURN 1, {}: 2",
+    "RETURN head([1, {}: 2])",
+    "RETURN range(1, {}: 2)",
 ]
 
 

@@ -245,8 +245,10 @@ def test_trace_rows_recover_the_counters_before_them(data, program):
         data.draw(st.integers(0, 3)),
     )
     trace = run(program, fuel=30, capture_trace=True, start=start).trace
-    befores = [(start.a, start.b)] + [(r.config_after.a, r.config_after.b) for r in trace]
-    assert [row.counters_before for row in trace] == befores[: len(trace)]
+    if trace:
+        assert trace[0].config_before == start
+    for prev, row in zip(trace, trace[1:]):
+        assert row.config_before == prev.config_after
 
 
 def _folded_outcomes(program, start, max_fuel):
