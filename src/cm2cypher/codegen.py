@@ -266,27 +266,8 @@ def queries_token_equal(a: str, b: str) -> bool:
     return normalize_tokens(a) == normalize_tokens(b)
 
 
-# the parser reads any word after '.' or '$', or a map key, as a name
-_NAME_AFTER = {(PUNCT, "."), (PUNCT, "$")}  # (kind, lexeme), as are the next three
-_KEY_AFTER = {(PUNCT, "{"), (PUNCT, ",")}
-_COLON, _OPEN = (PUNCT, ":"), (PUNCT, "(")
-_NESTING = {"(": -1, "[": -1, "{": -1, ")": 1, "]": 1, "}": 1}  # seen scanning back
-
-
-def _is_map_key(tokens: list, i: int) -> bool:
-    """Whether the word at ``tokens[i]``, followed by ':', is a map key: it
-    follows '{', or a ',' whose innermost unclosed bracket is '{'. Only such
-    words pay for the scan back to that bracket."""
-    if tokens[i - 1][:2] not in _KEY_AFTER:
-        return False
-    depth = 0
-    for j in range(i - 1, -1, -1):
-        change = _NESTING.get(tokens[j][1])
-        if change and tokens[j][0] == PUNCT:  # a string is no bracket
-            depth += change
-            if depth < 0:
-                return tokens[j][1] == "{"
-    return False
+_OPENERS = {"(", "[", "{"}
+_CLOSERS = {")", "]", "}"}
 
 
 def lint_primitives(query: "CypherQuery | str") -> list[str]:
@@ -301,18 +282,30 @@ def lint_primitives(query: "CypherQuery | str") -> list[str]:
     except CypherSyntaxError as exc:
         return [str(exc)]
     violations = []
-    # tokens[i + 1] exists for an identifier (EOF is last), and tokens[i - 1]
-    # of the first token is EOF, which equals no punctuation
-    for i, tok in enumerate(tokens):
-        if tok.kind != IDENT:
+    opened: list[str] = []  # the unclosed brackets, innermost last
+    before = ""  # the punctuation right before tok; "" after any other token
+    for tok, after in zip(tokens, tokens[1:]):  # EOF is last
+        kind, lexeme = tok[0], tok[1]
+        if kind == PUNCT:  # a string is no bracket
+            if lexeme in _OPENERS:
+                opened.append(lexeme)
+            elif lexeme in _CLOSERS and opened:
+                opened.pop()  # whatever its kind; the parser rejects a mismatch
+            before = lexeme
             continue
-        upper = tok.lexeme.upper()
-        if upper in UNSUPPORTED:
-            if tokens[i - 1][:2] not in _NAME_AFTER and not (
-                tokens[i + 1][:2] == _COLON and _is_map_key(tokens, i)
-            ):
-                violations.append(f"forbidden token {tok.lexeme!r}")
-        elif upper not in KEYWORDS and tokens[i + 1][:2] == _OPEN:
-            if tok.lexeme != "reduce" and tok.lexeme not in FUNCTION_ARITY:
-                violations.append(f"function {tok.lexeme!r} outside the primitive whitelist")
+        if kind == IDENT:
+            upper = lexeme.upper()
+            if upper in UNSUPPORTED:
+                # a name after '.' or '$', or a map key: after '{' or a ','
+                # whose innermost unclosed bracket is '{', and before ':'
+                if before not in (".", "$") and not (
+                    after[:2] == (PUNCT, ":")
+                    and before in ("{", ",")
+                    and opened[-1:] == ["{"]
+                ):
+                    violations.append(f"forbidden token {lexeme!r}")
+            elif upper not in KEYWORDS and after[:2] == (PUNCT, "("):
+                if lexeme != "reduce" and lexeme not in FUNCTION_ARITY:
+                    violations.append(f"function {lexeme!r} outside the primitive whitelist")
+        before = ""
     return violations

@@ -496,13 +496,9 @@ class Binary(Expr):
 
             return ordering
         compute = _ARITHMETIC.get(op)
-        if op in _BY_ZERO or compute is None:  # / and %: no fast path
-
-            def checked(env, params):
-                return self._arithmetic(compute, left(env, params), right(env, params))
-
-            return checked
-        if c is not None:
+        # + - * by an integer literal, as the generated folds use them, skip
+        # the general path while the result fits; / and % never do
+        if c is not None and compute is not None and op not in _BY_ZERO:
 
             def arithmetic_literal(env, params):
                 l = left(env, params)
@@ -514,15 +510,10 @@ class Binary(Expr):
 
             return arithmetic_literal
 
-        def arithmetic(env, params):
-            l, r = left(env, params), right(env, params)
-            if type(l) is int and type(r) is int:
-                v = compute(l, r)
-                if INT64_MIN <= v <= INT64_MAX:
-                    return v
-            return self._arithmetic(compute, l, r)
+        def checked(env, params):
+            return self._arithmetic(compute, left(env, params), right(env, params))
 
-        return arithmetic
+        return checked
 
     def _arithmetic(self, compute, l, r):
         """The general path: null, type, zero-divisor and 64-bit checks."""

@@ -95,6 +95,9 @@ class TuringMachine:
     input: tuple[str, ...]
 
     def __post_init__(self):
+        if len(set(self.states)) < len(self.states):  # each state name is one label
+            repeated = next(q for i, q in enumerate(self.states) if q in self.states[:i])
+            raise FixtureError(f"state {repeated!r} repeated in states")
         if self.blank not in self.alphabet:
             raise FixtureError(f"blank {self.blank!r} not in alphabet")
         if self.initial not in self.states:

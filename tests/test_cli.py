@@ -20,7 +20,8 @@ from cm2cypher.cli import (
     check_program_differential,
     main,
 )
-from cm2cypher.codegen import gen_reduce_query
+from cm2cypher import reduction
+from cm2cypher.codegen import DEFAULT_MAX_PATH, gen_qpp_query, gen_qpp_setup, gen_reduce_query
 from cm2cypher.cypher import IntegerOverflow, run_query_text
 from cm2cypher.frontend import parse_dsl, random_program
 from cm2cypher.machine import (
@@ -38,6 +39,9 @@ from conftest import FIXTURES, REPO_ROOT
 DEMO_PATH = str(FIXTURES / "demo.2cm")
 DEMO_JSON = str(FIXTURES / "demo.maps.json")
 UNARY_TM = str(FIXTURES / "tm" / "unary_successor.json")
+# lists a state twice; the reduction gives each state name one label
+DUPLICATE_STATE_TM = {"states": ["q0", "q0"], "alphabet": ["_"], "blank": "_",
+                      "transitions": [], "initial": "q0", "halting": ["q0"], "input": []}
 
 
 # ---------------------------------------------------------------------- run
@@ -460,6 +464,25 @@ def test_reduce_tm_bad_input(tmp_path, capsys):
     assert main(["reduce-tm", str(bad)]) == EXIT_INPUT
 
 
+def test_reduce_tm_rejects_a_repeated_state(tmp_path, capsys):
+    machine = tmp_path / "dup.json"
+    machine.write_text(json.dumps(DUPLICATE_STATE_TM))
+    assert main(["reduce-tm", str(machine), "--out", str(tmp_path / "dup.2cm")]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: state 'q0' repeated in states\n"
+
+
+def test_reduce_tm_stage_disagreement_exits_with_input_error(tmp_path, monkeypatch, capsys):
+    # the immediate-halt machine leaves every counter 0; this program does not
+    monkeypatch.setattr(reduction, "k_counters_to_two",
+                        lambda mcm: Program((Inc(0, 1), Inc(0, 2), Halt())))
+    argv = ["reduce-tm", str(FIXTURES / "tm" / "immediate_halt.json"),
+            "--out", str(tmp_path / "halt.2cm")]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "mcm/2cm: DISAGREE" in captured.out
+    assert captured.err == "error: stage disagreement (compiler bug)\n"
+
+
 # ------------------------------------------------------------ input errors
 
 
@@ -521,8 +544,9 @@ _JSON = st.recursive(
 
 @st.composite
 def _json_mutated(draw, document):
-    """``document`` with one to three values replaced, each by another of its
-    scalars or by any JSON value, or, one time in ten, its text byte-mutated."""
+    """``document`` with one to three edits, each replacing a value by another
+    of its scalars or by any JSON value, or appending to a list a copy of one
+    of its elements; or, one time in ten, its text byte-mutated."""
     if draw(st.integers(0, 9)) == 0:
         return draw(_mutated([json.dumps(document).encode()]))
     doc = json.loads(json.dumps(document))
@@ -534,7 +558,12 @@ def _json_mutated(draw, document):
             if isinstance(node[key], (list, dict)):
                 stack.append(node[key])
     scalars = [node[key] for node, key in slots if not isinstance(node[key], (list, dict))]
+    lists = [node[key] for node, key in slots if isinstance(node[key], list) and node[key]]
     for _ in range(draw(st.integers(1, 3))):
+        if lists and draw(st.integers(0, 3)) == 0:
+            items = draw(st.sampled_from(lists))
+            items.append(json.loads(json.dumps(draw(st.sampled_from(items)))))
+            continue
         node, key = draw(st.sampled_from(slots))
         node[key] = draw(st.sampled_from(scalars) | _JSON)
     return json.dumps(doc).encode()
@@ -577,6 +606,7 @@ def test_compile_of_a_mutated_map_document_keeps_the_exit_contract(text, approac
 
 
 @given(text=_json_mutated(json.loads((FIXTURES / "tm" / "unary_successor.json").read_text())))
+@example(text=json.dumps(DUPLICATE_STATE_TM).encode())
 @settings(max_examples=200, deadline=None)
 def test_reduce_tm_of_a_mutated_machine_keeps_the_exit_contract(text, fuzz_dir):
     path = fuzz_dir / "tm.json"
@@ -777,6 +807,52 @@ def test_live_tx_stepper_ends_only_on_division_by_zero(code, exit_code, monkeypa
         assert captured.out.startswith("match:")
     else:
         assert captured.err.startswith("error: server error") and code in captured.err
+
+
+@pytest.mark.parametrize("row, exit_code", [([5, 2, 0], EXIT_OK), ([5, 1, 0], EXIT_MISMATCH)])
+def test_live_qpp_compares_the_traversal_row(row, exit_code, monkeypatch, capsys):
+    import urllib.request
+
+    statements = []
+
+    def fake_urlopen(request, timeout):
+        statements.append(json.loads(request.data)["statement"])
+        traversal = "allReduce" in statements[-1]
+        values = [row] if traversal else []
+        fields = ["steps", "ctrA", "ctrB"] if traversal else []
+        return io.BytesIO(json.dumps({"data": {"fields": fields, "values": values}}).encode())
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    monkeypatch.setenv("CYPHER_URI", "http://db.example:7474")
+    monkeypatch.setenv("CYPHER_USER", "neo4j")
+    monkeypatch.setenv("CYPHER_PASSWORD", "x")
+    assert main(["live", DEMO_PATH, "--approach", "qpp"]) == exit_code
+    cleanup = "MATCH (n:State) DETACH DELETE n"
+    setup = gen_qpp_setup(parse_dsl((FIXTURES / "demo.2cm").read_text())).text
+    assert statements == [cleanup, setup, gen_qpp_query(DEFAULT_MAX_PATH).text, cleanup]
+    captured = capsys.readouterr()
+    if exit_code == EXIT_OK:
+        assert captured.out == "match: {'steps': 5, 'ctrA': 2, 'ctrB': 0}\n"
+    else:
+        assert captured.err.startswith("mismatch: ")
+
+
+def test_live_qpp_without_a_halting_path_exits_before_connecting(tmp_path, monkeypatch,
+                                                                  capsys):
+    import urllib.request
+
+    def fake_urlopen(request, timeout):
+        raise AssertionError("the walk fails before any statement is sent")
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    monkeypatch.setenv("CYPHER_URI", "http://db.example:7474")
+    monkeypatch.setenv("CYPHER_USER", "neo4j")
+    monkeypatch.setenv("CYPHER_PASSWORD", "x")
+    loop = tmp_path / "loop.2cm"
+    loop.write_text("state 0: INC A -> 0\n")
+    argv = ["live", str(loop), "--approach", "qpp", "--fuel", "1000"]
+    assert main(argv) == EXIT_FUEL
+    assert capsys.readouterr().err == "error: no path to a halt state within 1000 edges\n"
 
 
 @pytest.mark.skipif(

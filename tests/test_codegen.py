@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -275,6 +276,24 @@ def test_lint_flags_calls_the_parser_refuses(name):
     with pytest.raises(UnsupportedFeature, match=f"function {name}"):
         parse_query(text)
     assert lint_primitives(text) == [f"function {name!r} outside the primitive whitelist"]
+
+
+def test_lint_time_is_linear_in_the_text():
+    # many map keys after a long list: finding each key's innermost bracket
+    # must not cost the tokens before it
+    text = ("RETURN {a: [" + ", ".join(["0"] * 20_000) + "], "
+            + ", ".join(f"limit: {i}" for i in range(1000)) + "}")
+
+    def best_of_three(call):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            call(text)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert lint_primitives(text) == []
+    assert best_of_three(lint_primitives) < best_of_three(parse_query)
 
 
 # ------------------------------------------------------------- normalization

@@ -708,7 +708,8 @@ def test_three_valued_logic():
     assert ev("null = null") is None
 
 
-# operands the parser cannot fold, so the compiled NOT, OR and map equality run
+# operands the parser cannot fold, so the compiled NOT, OR, map equality, range
+# and map index run
 @pytest.mark.parametrize("text, params, value", [
     ("NOT $p", {"p": True}, False),
     ("NOT $p", {"p": False}, True),
@@ -722,6 +723,10 @@ def test_three_valued_logic():
     ("{a: null, b: 1} = {a: null, b: 2}", {}, False),
     ("{a: 1} <> {a: null}", {}, None),
     ("{a: 1} <> {a: 1}", {}, False),
+    ("range(null, 1)", {}, None),
+    ("range(1, null)", {}, None),
+    ("{a: 1}['a']", {}, 1),
+    ("{a: 1}['b']", {}, None),
 ])
 def test_logic_and_map_equality_at_run_time(text, params, value):
     got = ev(text, params)
@@ -928,6 +933,9 @@ ERROR_ENV = {"x": 1, "m": {"a": 1}}
      "integer out of 64-bit range", 1, 21),
     ("reduce(x = 0, s IN range(1, 5) | CASE WHEN x = 2 THEN x ELSE x + 1 END) + nope", {},
      UnknownVariable, "variable 'nope' not defined", 1, 75),
+    # a non-boolean condition after the first arm, in the loop over the arms
+    ("CASE WHEN false THEN 1 WHEN 2 THEN 3 END", {}, TypeMismatch,
+     "CASE condition must be boolean", 1, 1),
 ])
 def test_error_class_message_and_position(text, params, error, message, line, column):
     env = dict(ERROR_ENV)

@@ -11,6 +11,7 @@ from cm2cypher.frontend import render_dsl, to_map_document
 from cm2cypher.machine import Config, Halt, Inc, InvalidProgram, JzDec, Program, run
 from cm2cypher.reduction import (
     DecodeError,
+    FixtureError,
     ReductionError,
     TuringMachine,
     _Asm,
@@ -57,6 +58,15 @@ def test_load_tm_rejects_bad_move():
     doc = json.loads((TM_DIR / "unary_successor.json").read_text())
     doc["transitions"][0][4] = "U"
     with pytest.raises(ReductionError):
+        load_tm(doc)
+
+
+@pytest.mark.parametrize("states", [["q0", "q0"], ["q0", "q1", "q1"]])
+def test_load_tm_rejects_a_repeated_state(states):
+    # each state name becomes one label of the 2-stack stage
+    doc = {"states": states, "alphabet": ["_"], "blank": "_", "transitions": [],
+           "initial": "q0", "halting": states, "input": []}
+    with pytest.raises(FixtureError, match="state '.*' repeated in states"):
         load_tm(doc)
 
 
