@@ -28,6 +28,28 @@ every binder restores what it binds. So once an iteration returns the
 accumulator object itself (``is``, not equality), every later iteration
 would return an equal value without error, and the loop stops there: a
 halted fold costs the steps to its halt, not its ``max_steps``.
+
+Compiling also threads constants, a partial evaluation (Jones, Gomard &
+Sestoft, *Partial Evaluation and Automatic Program Generation*, 1993).
+``_compile(consts)`` takes a map from names to the values ``env`` holds for
+them throughout the evaluation; ``run_query`` hands each LET binding and
+RETURN item a snapshot of the earlier LET values. A ``Var`` named in
+``consts`` compiles to a constant that returns the very object an ``env``
+lookup would. Every binder (``reduce``'s accumulator and element, a
+comprehension's variable, the ``head`` direct bind) drops the names it binds
+from ``consts`` before compiling the code in its scope, so a shadowed name
+is read from ``env`` as before. A property of a known map or null folds to a
+constant; a known non-map keeps its closure and so its ``TypeMismatch`` at
+run time. A simple CASE whose subject is known and whose match values are
+all literals compiles only the arm ``eq3`` picks. In ``head([v IN [c[e]] |
+m])`` with ``c`` a known list, an integer ``0 <= e < len(c)`` runs an ``m``
+compiled with ``v`` known to be ``c[e]``, on first use of that index and
+memoised in the compiled closure: a fold over a program table compiles one
+step body per state it visits, with every field of the entry folded. Any
+other ``e`` takes the general path, with the errors of ``c[e]``. No value
+is copied or built at compile time, so results, their identity, errors and
+their positions stay as they are.
+
 ``Expr.eval`` (compile, then call) is the one evaluation path.
 Compiling recurses once per nesting level, as evaluating does;
 ``evaluator.evaluate`` maps the resulting ``RecursionError`` to EvalError.
@@ -53,6 +75,10 @@ INT64_MAX = 2**63 - 1
 # the most elements a comprehension reads or format_value renders from one
 # list or range; a range is lazy, but both would materialise every element
 MAX_LIST_LENGTH = 1_000_000
+# the most entries of a known table one head bind compiles a step body for;
+# later indexes take the general path, so a table read once per entry costs
+# neither a compile per entry nor the memory of its bodies
+MAX_SPECIALISED = 4096
 
 Value = Any  # None | bool | int | str | list | range | dict
 Compiled = Callable[[dict, dict], Value]  # f(env, params)
@@ -190,6 +216,31 @@ def _mentions(tree: "Expr", name: str) -> bool:
     return False
 
 
+def _known(node: "Expr", consts: dict):
+    """The value node has at every evaluation when consts holds, if reading it
+    can neither raise nor build a new object; else _MISSING. Known are a name
+    in consts, a scalar literal, and a property of a known map or null."""
+    kind = type(node)
+    if kind is Var:
+        return consts.get(node.name, _MISSING)
+    if kind is Literal:
+        return node.value
+    if kind is Prop:
+        obj = _known(node.obj, consts)
+        if obj is None:
+            return None
+        if isinstance(obj, dict):
+            return obj.get(node.key)
+    return _MISSING
+
+
+def _without(consts: dict, *names: str) -> dict:
+    """consts inside a binder of names: what it binds is no longer known."""
+    if any(name in consts for name in names):
+        return {k: v for k, v in consts.items() if k not in names}
+    return consts
+
+
 class Expr:
     __slots__ = ("line", "column")
 
@@ -197,12 +248,16 @@ class Expr:
         self.line = line
         self.column = column
 
-    def eval(self, env: dict, params: dict) -> Value:
-        """Compile this tree, then evaluate it once."""
+    def eval(self, env: dict, params: dict, consts: dict | None = None) -> Value:
+        """Compile this tree, then evaluate it once. consts maps names to the
+        very values env holds for them throughout the evaluation (module
+        docstring); the caller does not change it while the tree runs."""
         value = _literal_value(self)  # a literal tree's fold is already a fresh value
-        return self._compile()(env, params) if value is _MISSING else value
+        if value is not _MISSING:
+            return value
+        return self._compile({} if consts is None else consts)(env, params)
 
-    def _compile(self) -> Compiled:
+    def _compile(self, consts: dict) -> Compiled:
         raise NotImplementedError
 
 
@@ -215,7 +270,7 @@ class Literal(Expr):
         self.line = line
         self.column = column
 
-    def _compile(self):
+    def _compile(self, consts):
         return _constant(self.value)
 
 
@@ -226,8 +281,10 @@ class Var(Expr):
         super().__init__(line, column)
         self.name = name
 
-    def _compile(self):
+    def _compile(self, consts):
         name = self.name
+        if name in consts:
+            return _constant(consts[name])
 
         def var(env, params):
             try:
@@ -245,7 +302,7 @@ class Param(Expr):
         super().__init__(line, column)
         self.name = name
 
-    def _compile(self):
+    def _compile(self, consts):
         name = self.name
 
         def param(env, params):
@@ -263,11 +320,11 @@ class MapLit(Expr):
         super().__init__(line, column)
         self.items = items
 
-    def _compile(self):
+    def _compile(self, consts):
         value = _literal_value(self)
         if value is not _MISSING:
             return lambda env, params: _fresh(value)
-        items = [(k, e._compile()) for k, e in self.items]
+        items = [(k, e._compile(consts)) for k, e in self.items]
 
         def map_lit(env, params):
             out = {}  # a loop: a comprehension costs a function call in Python 3.11
@@ -285,11 +342,11 @@ class ListLit(Expr):
         super().__init__(line, column)
         self.items = items
 
-    def _compile(self):
+    def _compile(self, consts):
         value = _literal_value(self)
         if value is not _MISSING:
             return lambda env, params: _fresh(value)
-        items = [e._compile() for e in self.items]
+        items = [e._compile(consts) for e in self.items]
 
         def list_lit(env, params):
             out = []
@@ -308,8 +365,18 @@ class Prop(Expr):
         self.obj = obj
         self.key = key
 
-    def _compile(self):
+    def _compile(self, consts):
+        return self._fold(consts)[0]
+
+    def _fold(self, consts):
+        """This read's closure, and its value if known, else _MISSING. A chain
+        of reads hands its known values up as it compiles, so compiling it
+        stays linear in its length."""
         key, obj = self.key, self.obj
+        f, known = obj._fold(consts) if type(obj) is Prop else (None, _known(obj, consts))
+        if known is None or isinstance(known, dict):
+            value = None if known is None else known.get(key)
+            return _constant(value), value
 
         def general(v):
             if v is None:
@@ -322,7 +389,7 @@ class Prop(Expr):
                 self.column,
             )
 
-        if type(obj) is Var:
+        if type(obj) is Var and obj.name not in consts:
             name = obj.name
 
             def var_prop(env, params):
@@ -332,14 +399,14 @@ class Prop(Expr):
                     raise _unknown(obj) from None
                 return v.get(key) if type(v) is dict else general(v)
 
-            return var_prop
-        f = obj._compile()
+            return var_prop, _MISSING
+        f = obj._compile(consts) if f is None else f
 
         def prop(env, params):
             v = f(env, params)
             return v.get(key) if type(v) is dict else general(v)
 
-        return prop
+        return prop, _MISSING
 
 
 class Index(Expr):
@@ -350,8 +417,8 @@ class Index(Expr):
         self.obj = obj
         self.index = index
 
-    def _compile(self):
-        obj, index = self.obj._compile(), self.index._compile()
+    def _compile(self, consts):
+        obj, index = self.obj._compile(consts), self.index._compile(consts)
 
         def index_(env, params):
             container = obj(env, params)
@@ -390,8 +457,8 @@ class Not(Expr):
         super().__init__(line, column)
         self.operand = operand
 
-    def _compile(self):
-        operand = self.operand._compile()
+    def _compile(self, consts):
+        operand = self.operand._compile(consts)
 
         def not_(env, params):
             v = operand(env, params)
@@ -411,8 +478,8 @@ class Neg(Expr):
         super().__init__(line, column)
         self.operand = operand
 
-    def _compile(self):
-        operand = self.operand._compile()
+    def _compile(self, consts):
+        operand = self.operand._compile(consts)
 
         def neg(env, params):
             v = operand(env, params)
@@ -449,8 +516,8 @@ class Binary(Expr):
         self.left = left
         self.right = right
 
-    def _compile(self):
-        op, left, right = self.op, self.left._compile(), self.right._compile()
+    def _compile(self, consts):
+        op, left, right = self.op, self.left._compile(consts), self.right._compile(consts)
         c = _int_literal(self.right)
         if op == "AND" or op == "OR":
             decisive = op == "OR"  # the left value that decides without the right
@@ -544,10 +611,10 @@ class Case(Expr):
         self.whens = whens  # list of (match or condition expr, result expr)
         self.default = default
 
-    def _compile(self):
-        default = self.default._compile() if self.default is not None else _constant(None)
+    def _compile(self, consts):
+        default = self.default._compile(consts) if self.default is not None else _constant(None)
         if self.subject is None:
-            arms = [(cond._compile(), result._compile()) for cond, result in self.whens]
+            arms = [(c._compile(consts), result._compile(consts)) for c, result in self.whens]
             if len(arms) == 1:  # the fold's two-way CASE: no loop
                 ((cond, result),) = arms
 
@@ -571,10 +638,17 @@ class Case(Expr):
                 return default(env, params)
 
             return searched_case
-        subject = self.subject._compile()
+        if all(type(m) is Literal for m, _ in self.whens):
+            s = _known(self.subject, consts)
+            if s is not _MISSING:  # the arm is known too: compile only that one
+                for match, result in self.whens:
+                    if eq3(s, match.value) is True:
+                        return result._compile(consts)
+                return default
+        subject = self.subject._compile(consts)
         if all(type(m) is Literal and type(m.value) is str for m, _ in self.whens):
             # only a string subject equals a string; reversed, so the first arm wins
-            table = {match.value: result._compile() for match, result in reversed(self.whens)}
+            table = {m.value: result._compile(consts) for m, result in reversed(self.whens)}
 
             def string_case(env, params):
                 s = subject(env, params)
@@ -585,7 +659,7 @@ class Case(Expr):
                 return default(env, params)
 
             return string_case
-        arms = [(match._compile(), result._compile()) for match, result in self.whens]
+        arms = [(match._compile(consts), result._compile(consts)) for match, result in self.whens]
 
         def simple_case(env, params):
             s = subject(env, params)
@@ -609,10 +683,10 @@ class Reduce(Expr):
         self.list_expr = list_expr
         self.body = body
 
-    def _compile(self):
+    def _compile(self, consts):
         acc_name, var_name = self.acc_name, self.var_name
-        list_expr, init = self.list_expr._compile(), self.init._compile()
-        body = self.body._compile()
+        list_expr, init = self.list_expr._compile(consts), self.init._compile(consts)
+        body = self.body._compile(_without(consts, acc_name, var_name))
         # once a body blind to the element returns its accumulator itself,
         # every later iteration would give an equal value (module docstring)
         fixpoint = not _mentions(self.body, var_name)
@@ -650,10 +724,11 @@ class Comprehension(Expr):
         self.where = where
         self.mapper = mapper
 
-    def _compile(self):
-        var_name, list_expr = self.var_name, self.list_expr._compile()
-        where = self.where._compile() if self.where is not None else None
-        mapper = self.mapper._compile() if self.mapper is not None else None
+    def _compile(self, consts):
+        var_name, list_expr = self.var_name, self.list_expr._compile(consts)
+        inner = _without(consts, var_name)
+        where = self.where._compile(inner) if self.where is not None else None
+        mapper = self.mapper._compile(inner) if self.mapper is not None else None
 
         def comprehension(env, params):
             items = list_expr(env, params)
@@ -677,10 +752,15 @@ class Comprehension(Expr):
         return comprehension
 
 
-def _single_bind(node: Expr) -> Optional[Compiled]:
+def _single_bind(node: Expr, consts: dict) -> Optional[Compiled]:
     """head([v IN [x] | m]), the fold's let-binding idiom, as a direct bind:
     evaluate x, bind v, evaluate m, with the comprehension's order and errors
-    but neither of its lists. None for any other argument of head."""
+    but neither of its lists. None for any other argument of head.
+
+    When x is c[e] with c a known list, each index of c that e takes gets
+    its own m, compiled on first use with v known to be that entry, so it
+    reads nothing from env for v and needs no bind. Any other value of e
+    takes the general path, with the errors of c[e]."""
     if not (
         type(node) is Comprehension
         and node.where is None
@@ -689,11 +769,10 @@ def _single_bind(node: Expr) -> Optional[Compiled]:
         and len(node.list_expr.items) == 1
     ):
         return None
-    var_name, mapper = node.var_name, node.mapper._compile()
-    item = node.list_expr.items[0]._compile()
+    var_name, source = node.var_name, node.list_expr.items[0]
+    mapper = node.mapper._compile(_without(consts, var_name))
 
-    def bind(env, params):
-        x = item(env, params)
+    def bound(x, env, params):
         saved = env.get(var_name, _MISSING)
         env[var_name] = x
         try:
@@ -701,7 +780,24 @@ def _single_bind(node: Expr) -> Optional[Compiled]:
         finally:
             _restore(env, var_name, saved)
 
-    return bind
+    table = _known(source.obj, consts) if type(source) is Index else _MISSING
+    if type(table) is not list:
+        item = source._compile(consts)
+        return lambda env, params: bound(item(env, params), env, params)
+    index, n, bodies = source.index._compile(consts), len(table), {}
+
+    def bind_entry(env, params):
+        i = index(env, params)
+        if type(i) is int and 0 <= i < n:
+            body = bodies.get(i)
+            if body is None:
+                if len(bodies) == MAX_SPECIALISED:
+                    return bound(table[i], env, params)
+                body = bodies[i] = node.mapper._compile({**consts, var_name: table[i]})
+            return body(env, params)
+        return bound(source._general(table, i), env, params)
+
+    return bind_entry
 
 
 class Call(Expr):
@@ -712,12 +808,12 @@ class Call(Expr):
         self.name = name
         self.args = args
 
-    def _compile(self):
+    def _compile(self, consts):
         if self.name == "head":
-            bind = _single_bind(self.args[0])
+            bind = _single_bind(self.args[0], consts)
             if bind is not None:
                 return bind
-            arg = self.args[0]._compile()
+            arg = self.args[0]._compile(consts)
 
             def head(env, params):
                 v = arg(env, params)
@@ -729,7 +825,7 @@ class Call(Expr):
 
             return head
         if self.name == "range":
-            low, high = (a._compile() for a in self.args)
+            low, high = (a._compile(consts) for a in self.args)
 
             def range_(env, params):
                 lo, hi = low(env, params), high(env, params)

@@ -2,9 +2,10 @@
 
 ``evaluate`` compiles an expression into closures once (see ``ast``) and
 calls them; ``run_query`` evaluates each LET binding and RETURN item that
-way. Compiling, evaluating and formatting recurse once per nesting level,
-and ``evaluate`` and ``format_results`` turn the ``RecursionError`` raised
-past Python's recursion limit into EvalError. ``format_value`` renders no
+way, handing in a snapshot of the earlier LET values as constants.
+Compiling, evaluating and formatting recurse once per nesting level, and
+``evaluate`` and ``format_results`` turn the ``RecursionError`` raised past
+Python's recursion limit into EvalError. ``format_value`` renders no
 list or range of more than ``ast.MAX_LIST_LENGTH`` elements; it raises
 EvalError instead.
 """
@@ -23,22 +24,29 @@ _STRING_ESCAPES = str.maketrans({
 })
 
 
-def evaluate(expr: Expr, environment: dict | None = None, parameters: dict | None = None):
+def evaluate(
+    expr: Expr,
+    environment: dict | None = None,
+    parameters: dict | None = None,
+    constants: dict | None = None,
+):
+    """The value of expr. constants, if given, maps names to the values the
+    environment holds for them, which the compiler may then fold (see ast)."""
     try:
-        return expr.eval(environment or {}, parameters or {})
+        return expr.eval(environment or {}, parameters or {}, constants)
     except RecursionError:
         raise EvalError(_TOO_DEEP) from None
 
 
 def run_query(query: QueryAst, parameters: dict | None = None) -> dict:
     env: dict = {}
-    for name, expr in query.bindings:
-        env[name] = evaluate(expr, env, parameters)
+    for name, expr in query.bindings:  # every earlier LET value is a constant
+        env[name] = evaluate(expr, env, parameters, dict(env))
     results: dict = {}
     for item in query.returns:
         if item.alias in results:
             raise CypherSyntaxError(f"duplicate return alias {item.alias!r}")
-        results[item.alias] = evaluate(item.expr, env, parameters)
+        results[item.alias] = evaluate(item.expr, env, parameters, dict(env))
     return results
 
 

@@ -95,9 +95,12 @@ class TuringMachine:
     input: tuple[str, ...]
 
     def __post_init__(self):
-        if len(set(self.states)) < len(self.states):  # each state name is one label
-            repeated = next(q for i, q in enumerate(self.states) if q in self.states[:i])
-            raise FixtureError(f"state {repeated!r} repeated in states")
+        # each state name is one label, each symbol one digit of the stack encoding
+        for kind, field, names in (("state", "states", self.states),
+                                   ("symbol", "alphabet", self.alphabet)):
+            if len(set(names)) < len(names):
+                repeated = next(x for i, x in enumerate(names) if x in names[:i])
+                raise FixtureError(f"{kind} {repeated!r} repeated in {field}")
         if self.blank not in self.alphabet:
             raise FixtureError(f"blank {self.blank!r} not in alphabet")
         if self.initial not in self.states:
@@ -127,9 +130,11 @@ def load_tm(doc: dict) -> TuringMachine:
     """Fixture format: states, alphabet, blank, transitions (5-tuples),
     initial, halting, input."""
     try:
-        transitions = {
-            (q, sym): (q2, sym2, move) for q, sym, q2, sym2, move in doc["transitions"]
-        }
+        transitions = {}
+        for q, sym, q2, sym2, move in doc["transitions"]:
+            if (q, sym) in transitions:  # else the later transition would silently win
+                raise FixtureError(f"transition ({q!r}, {sym!r}) repeated in transitions")
+            transitions[q, sym] = (q2, sym2, move)
         return TuringMachine(
             states=tuple(doc["states"]),
             alphabet=tuple(doc["alphabet"]),

@@ -471,6 +471,26 @@ def test_reduce_tm_rejects_a_repeated_state(tmp_path, capsys):
     assert capsys.readouterr().err == "error: state 'q0' repeated in states\n"
 
 
+def _unary_successor_with(field, extra):
+    doc = json.loads((FIXTURES / "tm" / "unary_successor.json").read_text())
+    return dict(doc, **{field: doc[field] + [extra]})
+
+
+@pytest.mark.parametrize("doc, message", [
+    # the alphabet would reduce to 797 states with an unverified 2-counter stage
+    (_unary_successor_with("alphabet", "1"), "symbol '1' repeated in alphabet"),
+    # the second transition for ('q0', '1') used to win silently
+    (_unary_successor_with("transitions", ["q0", "1", "qh", "1", "L"]),
+     "transition ('q0', '1') repeated in transitions"),
+], ids=["symbol", "transition"])
+def test_reduce_tm_rejects_a_repeated_symbol_or_transition(doc, message, tmp_path, capsys):
+    machine, out = tmp_path / "dup.json", tmp_path / "dup.2cm"
+    machine.write_text(json.dumps(doc))
+    assert main(["reduce-tm", str(machine), "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_reduce_tm_stage_disagreement_exits_with_input_error(tmp_path, monkeypatch, capsys):
     # the immediate-halt machine leaves every counter 0; this program does not
     monkeypatch.setattr(reduction, "k_counters_to_two",

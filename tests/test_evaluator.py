@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -529,8 +531,8 @@ class Counted(ast.Expr):
         self.inner = inner
         self.calls = 0
 
-    def _compile(self):
-        inner = self.inner._compile()
+    def _compile(self, consts):
+        inner = self.inner._compile(consts)
 
         def counted(env, params):
             self.calls += 1
@@ -643,6 +645,229 @@ def test_head_bind_restores_an_outer_variable():
 ])
 def test_head_of_other_comprehensions_takes_the_general_path(text, value):
     assert ev(text) == value
+
+
+# ---------------------------------------------------------------- LET constants
+
+# the LET values a query may hold: scalars, lists and maps, and tables of maps
+_SCALARS = ["null", "true", "false", "0", "1", "-1", "2", "9223372036854775807",
+            "'INC'", "'JZDEC'", "'A'", "'B'", "''"]
+_FIELDS = ("op", "counter", "next", "k")
+_INDEXES = ["0", "1", "2", "3", "-1", "-2", "-5", "7", "null", "'op'", "true", "false",
+            "9223372036854775807"]
+
+
+def _const_text(rng, depth):
+    kind = rng.choice(["scalar", "table", "table", "list", "map"][: 5 if depth else 1])
+    if kind == "scalar":
+        return rng.choice(_SCALARS)
+    if kind == "list":
+        return "[" + ", ".join(_const_text(rng, depth - 1) for _ in range(rng.randint(0, 3))) + "]"
+    if kind == "map":
+        return _const_map(rng, depth - 1)
+    return "[" + ", ".join(_const_map(rng, depth - 1) for _ in range(rng.randint(0, 4))) + "]"
+
+
+def _const_map(rng, depth):
+    keys = rng.sample(_FIELDS, rng.randint(1, len(_FIELDS)))
+    return "{" + ", ".join(f"{k}: {_const_text(rng, depth)}" for k in keys) + "}"
+
+
+def _expr_text(rng, depth, scope=()):
+    """A random expression over the constants c and d, the binder names v and
+    acc, and the parameter $p; binders may shadow c and d. A name is most
+    often one of the two innermost binders in scope."""
+    def sub(*bound):
+        return "(" + _expr_text(rng, depth - 1, scope + bound) + ")"
+
+    def body(*bound):  # a binder's body, often a plain use of what it binds
+        var = rng.choice(bound)
+        return rng.choice([lambda: var, lambda: f"{var}.op", lambda: f"[{var}, {sub(*bound)}]",
+                           lambda: sub(*bound), lambda: sub(*bound)])()
+
+    def name():
+        if scope and rng.random() < 0.6:
+            return rng.choice(scope[-2:])
+        return rng.choice(["c", "c", "d", "d", "v", *scope])
+
+    def binder():
+        return rng.choice(["c", "d", "v", "v"])
+
+    def entry():  # c[e], mostly with an index that needs no evaluation
+        return f"c[{rng.choice(_INDEXES) if rng.random() < 0.8 else sub()}]"
+
+    if depth == 0:
+        return name() if rng.random() < 0.5 else rng.choice(_SCALARS + ["$p"])
+    kind = rng.choice(["index", "prop", "case", "searched", "arith", "head", "head",
+                       "comprehension", "reduce", "map", "list"])
+    if kind == "index":
+        return entry() if rng.random() < 0.5 else f"{sub()}[{sub()}]"
+    if kind == "prop":
+        target = rng.choice([entry, name, name, sub])()
+        return f"{target}.{rng.choice(_FIELDS + ('zz',))}"
+    if kind == "case":
+        subject = rng.choice([lambda: name() + ".op", lambda: name() + ".counter",
+                              lambda: entry() + ".op", name, sub])()
+        whens = " ".join(f"WHEN {rng.choice(_SCALARS)} THEN {sub()}"
+                         for _ in range(rng.randint(1, 3)))
+        default = f" ELSE {sub()}" if rng.random() < 0.5 else ""
+        return f"CASE {subject} {whens}{default} END"
+    if kind == "searched":
+        return f"CASE WHEN {sub()} THEN {sub()} ELSE {sub()} END"
+    if kind == "arith":
+        op = rng.choice(["+", "-", "=", "<>", "<"])
+        return f"{sub()} {op} {'1' if rng.random() < 0.5 else sub()}"
+    if kind == "head":
+        var, source = binder(), entry() if rng.random() < 0.5 else sub()
+        return f"head([{var} IN [{source}] | {body(var)}])"
+    if kind == "comprehension":
+        var = binder()
+        where = f" WHERE {body(var)}" if rng.random() < 0.5 else ""
+        items = rng.choice([lambda: "c", lambda: "[c, d]", lambda: "range(1, 3)", sub])()
+        return f"[{var} IN {items}{where} | {body(var)}]"
+    if kind == "reduce":
+        acc, var = rng.choice(["acc", "c", "d"]), binder()
+        items = rng.choice([lambda: "c", lambda: "range(1, 3)", sub])()
+        return f"reduce({acc} = {sub()}, {var} IN {items} | {body(acc, var)})"
+    if kind == "map":
+        return f"{{op: {sub()}, next: {sub()}}}"
+    return f"[{sub()}, {sub()}]"
+
+
+def _outcome_of(thunk):
+    """A value by repr, which tells true from 1, or an error's class,
+    message and position."""
+    try:
+        return "value", repr(thunk())
+    except EvalError as exc:
+        return "error", type(exc), exc.message, exc.line, exc.column
+
+
+@given(st.integers(0, 2**32))  # a seed: hypothesis draws are slow for a grammar this size
+@settings(max_examples=1000, deadline=None)
+def test_let_constants_change_no_value_error_or_environment(seed):
+    rng = random.Random(seed)
+    lets = [f"LET c = {_const_text(rng, 3)}",
+            f"LET d = {rng.choice([_const_text(rng, 2), 'c[1]', 'c'])}"]
+    returns = [_expr_text(rng, 3) for _ in range(rng.randint(1, 2))]
+    text = "\n".join(lets) + "\nRETURN " + ", ".join(f"{e} AS r{i}" for i, e in enumerate(returns))
+    tree = parse_query(text)
+    params = {"p": rng.choice([None, 1, "INC", [0, 1]])}
+
+    def reference():  # every expression evaluated with no constants
+        env = {}
+        for name, expr in tree.bindings:
+            env[name] = evaluate(expr, env, params)
+        return {item.alias: evaluate(item.expr, env, params) for item in tree.returns}
+
+    assert _outcome_of(lambda: run_query(tree, params)) == _outcome_of(reference), text
+    env = {}
+    for name, expr in tree.bindings:
+        got = _outcome_of(lambda: evaluate(expr, env, params, dict(env)))
+        assert got == _outcome_of(lambda: evaluate(expr, env, params)), text
+        if got[0] == "error":
+            return
+        env[name] = evaluate(expr, env, params)
+    for item in tree.returns:
+        before = dict(env)
+        got = _outcome_of(lambda: evaluate(item.expr, env, params, dict(env)))
+        assert env == before and all(env[k] is before[k] for k in env), text
+        assert got == _outcome_of(lambda: evaluate(item.expr, env, params)), text
+
+
+@pytest.mark.parametrize("text, value", [
+    # a known map's property and a CASE over it fold, with Cypher equality
+    ("LET c = {op: 'INC'} RETURN CASE c.op WHEN 'INC' THEN 1 ELSE 2 END AS r", 1),
+    ("LET c = [{op: 1}] RETURN head([v IN [c[0]] | CASE v.op WHEN '1' THEN 1 WHEN 1 THEN 3 END])"
+     " AS r", 3),
+    ("LET c = [{}] RETURN head([v IN [c[0]] | CASE v.op WHEN null THEN 1 ELSE 2 END]) AS r", 2),
+    ("LET c = true RETURN CASE c WHEN 1 THEN 1 WHEN true THEN 2 END AS r", 2),
+    ("LET c = 0 RETURN CASE c WHEN false THEN 1 END AS r", None),
+    ("LET c = [1] RETURN CASE c WHEN 1 THEN 1 ELSE c END AS r", [1]),
+    ("LET c = null RETURN c.op AS r", None),
+    # a binder's name is not the constant inside its scope
+    ("LET c = [{op: 'INC'}] RETURN head([c IN [c[0].op] | c]) AS r", "INC"),
+    ("LET c = [5, 6] RETURN [c IN [1, 2] | c] AS r", [1, 2]),
+    ("LET c = [5, 6] RETURN reduce(c = 0, s IN [1, 2] | c + s) AS r", 3),
+    ("LET c = [5, 6] RETURN head([v IN [c[-1]] | head([c IN [v] | c + 1])]) AS r", 7),
+    # the indexes that take the general path of c[e]
+    ("LET c = [5, 6] RETURN head([v IN [c[-2]] | v]) AS r", 5),
+    ("LET c = [5, 6] RETURN head([v IN [c[2]] | v]) AS r", None),
+    ("LET c = [5, 6] RETURN head([v IN [c[null]] | v]) AS r", None),
+])
+def test_let_constants_fold_within_their_scope(text, value):
+    assert run_query_text(text)["r"] == value
+
+
+@pytest.mark.parametrize("text, error, message, column", [
+    ("LET c = [5] RETURN head([v IN [c['a']] | v]) AS r", TypeMismatch,
+     "list index must be an integer", 33),
+    ("LET c = [5] RETURN head([v IN [c[true]] | v]) AS r", TypeMismatch,
+     "list index must be an integer", 33),
+    ("LET c = [5] RETURN head([v IN [c[0]] | v.op]) AS r", TypeMismatch,
+     "property access on non-map value of type int", 41),
+    ("LET c = 5 RETURN c.op AS r", TypeMismatch,
+     "property access on non-map value of type int", 19),
+    ("LET c = [{n: 9223372036854775807}] RETURN head([v IN [c[0]] | v.n + 1]) AS r",
+     IntegerOverflow, "integer out of 64-bit range", 67),
+])
+def test_let_constants_keep_errors_and_positions(text, error, message, column):
+    with pytest.raises(EvalError) as exc_info:
+        run_query_text(text)
+    got = exc_info.value
+    assert (type(got), got.message, got.line, got.column) == (error, message, 1, column)
+
+
+def test_a_constant_is_the_let_value_itself():
+    tree = parse_query("LET c = [{a: [1]}] RETURN c AS r, c[0].a AS s, "
+                       "head([v IN [c[0]] | v]) AS t")
+    results = run_query(tree)
+    assert results["r"][0]["a"] is results["s"]
+    assert results["t"] is results["r"][0]
+
+
+class CountedCompiles(ast.Expr):
+    """A head bind's body that records the value of its variable, if known,
+    each time it is compiled."""
+
+    __slots__ = ("inner", "var_name", "known")
+
+    def __init__(self, inner, var_name):
+        super().__init__(inner.line, inner.column)
+        self.inner, self.var_name, self.known = inner, var_name, []
+
+    def _compile(self, consts):
+        self.known.append(consts.get(self.var_name, "unknown"))
+        return self.inner._compile(consts)
+
+
+def test_each_table_entry_compiles_once_per_query():
+    program = random_program(4, 8)
+    steps = 60
+    trace = run(program, fuel=steps, capture_trace=True).trace
+    visited = {row.config_before.state for row in trace}
+    tree = parse_query(gen_reduce_query(program, steps).text)
+    (head,) = (n for n in _nodes(tree.bindings) if type(n) is ast.Comprehension)
+    head.mapper = counted = CountedCompiles(head.mapper, head.var_name)
+    first = run_query(tree)
+    assert counted.known.count("unknown") == 1  # the general path, compiled eagerly
+    entries = [e for e in counted.known if e != "unknown"]
+    assert sorted(e["state"] for e in entries) == sorted(visited)
+    assert len(visited) > 1
+    # a second run compiles afresh: no memo outlives its query's evaluation
+    assert run_query(tree) == first
+    assert len(counted.known) == 2 * (1 + len(entries))
+
+
+def test_a_table_read_once_per_entry_compiles_a_bounded_number_of_bodies(monkeypatch):
+    monkeypatch.setattr(ast, "MAX_SPECIALISED", 3)
+    tree = parse_query("LET c = [x IN range(0, 9) | {a: x}] "
+                       "RETURN [i IN range(0, 11) | head([v IN [c[i]] | v.a])] AS r")
+    (comprehension, head) = (n for n in _nodes(tree.returns[0].expr)
+                             if type(n) is ast.Comprehension)
+    head.mapper = counted = CountedCompiles(head.mapper, head.var_name)
+    assert run_query(tree) == {"r": list(range(10)) + [None, None]}
+    assert [e for e in counted.known if e != "unknown"] == [{"a": 0}, {"a": 1}, {"a": 2}]
 
 
 def test_range_is_inclusive():

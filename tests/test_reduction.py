@@ -70,6 +70,24 @@ def test_load_tm_rejects_a_repeated_state(states):
         load_tm(doc)
 
 
+@pytest.mark.parametrize("alphabet, symbol", [(["_", "_"], "_"), (["1", "_", "1"], "1")])
+def test_load_tm_rejects_a_repeated_symbol(alphabet, symbol):
+    # each symbol is one digit of the two-stack stage's stack encoding
+    doc = json.loads((TM_DIR / "unary_successor.json").read_text())
+    doc["alphabet"] = alphabet
+    with pytest.raises(FixtureError) as exc_info:
+        load_tm(doc)
+    assert str(exc_info.value) == f"symbol {symbol!r} repeated in alphabet"
+
+
+def test_load_tm_rejects_a_repeated_transition():
+    doc = json.loads((TM_DIR / "unary_successor.json").read_text())
+    doc["transitions"].append(["q0", "_", "q0", "_", "L"])
+    with pytest.raises(FixtureError) as exc_info:
+        load_tm(doc)
+    assert str(exc_info.value) == "transition ('q0', '_') repeated in transitions"
+
+
 # --------------------------------------------------------------- tm_run
 
 
