@@ -43,9 +43,10 @@ class DocumentError(Exception):
     """Schema violation in a map-list program document."""
 
 
-_LINE_RE = re.compile(r"^\s*state\s+(\d+)\s*:\s*(.*?)\s*$")
-_INC_RE = re.compile(r"^INC\s+(\w+)\s*->\s*(\d+)$")
-_JZDEC_RE = re.compile(r"^JZDEC\s+(\w+)\s*\?\s*(\d+)\s*:\s*(\d+)$")
+# [0-9], not \d: \d also matches other scripts' digits, which int() would accept
+_LINE_RE = re.compile(r"^\s*state\s+([0-9]+)\s*:\s*(.*?)\s*$")
+_INC_RE = re.compile(r"^INC\s+(\w+)\s*->\s*([0-9]+)$")
+_JZDEC_RE = re.compile(r"^JZDEC\s+(\w+)\s*\?\s*([0-9]+)\s*:\s*([0-9]+)$")
 
 
 def _parse_counter(name: str, line_no: int, col: int) -> int:
@@ -53,6 +54,13 @@ def _parse_counter(name: str, line_no: int, col: int) -> int:
         return COUNTER_NAMES.index(name)
     except ValueError:
         raise DslError(f"unknown counter {name!r} (expected A or B)", line_no, col) from None
+
+
+def _parse_state(digits: str, line_no: int, col: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's limit on integer string conversion
+        raise DslError(f"state number of {len(digits)} digits is too long", line_no, col) from None
 
 
 def parse_dsl(text: str) -> Program:
@@ -65,7 +73,7 @@ def parse_dsl(text: str) -> Program:
         if not m:
             col = len(line) - len(line.lstrip()) + 1
             raise DslError("expected 'state <n>: <instruction>'", line_no, col)
-        state = int(m.group(1))
+        state = _parse_state(m.group(1), line_no, m.start(1) + 1)
         body = m.group(2)
         body_col = line.index(body, m.start(2)) + 1 if body else len(line) + 1
         if state in by_state:
@@ -80,15 +88,18 @@ def parse_dsl(text: str) -> Program:
             im = _INC_RE.match(body)
             if not im:
                 raise DslError("expected 'INC <A|B> -> <n>'", line_no, body_col)
-            instr = Inc(_parse_counter(im.group(1), line_no, body_col), int(im.group(2)))
+            instr = Inc(
+                _parse_counter(im.group(1), line_no, body_col),
+                _parse_state(im.group(2), line_no, body_col + im.start(2)),
+            )
         elif body.startswith("JZDEC"):
             jm = _JZDEC_RE.match(body)
             if not jm:
                 raise DslError("expected 'JZDEC <A|B> ? <n_zero> : <n_pos>'", line_no, body_col)
             instr = JzDec(
                 _parse_counter(jm.group(1), line_no, body_col),
-                int(jm.group(2)),
-                int(jm.group(3)),
+                _parse_state(jm.group(2), line_no, body_col + jm.start(2)),
+                _parse_state(jm.group(3), line_no, body_col + jm.start(3)),
             )
         elif not body:
             raise DslError("expected an instruction (INC, JZDEC or HALT)", line_no, body_col)

@@ -22,9 +22,13 @@ Both counter stages are ``machine.Program`` instruction tables over the same
 INC / JZDEC / HALT instructions, with counters as indices: the 3-counter
 machine is a ``Program`` with ``num_counters=3``. Each stage keeps its own
 interpreter: ``mcm_run`` single-steps the 3-counter machine independently of
-``machine.run``, which runs the 2-counter program. Both counter stages are
-emitted by one assembler (``_Asm``) with forward integer labels; emission
-order defines state numbering, so the compiled programs are byte-stable.
+``machine.run``, which runs the 2-counter program. The 3-counter stage is
+emitted by an assembler (``_Asm``) with forward integer labels. The
+2-counter stage relocates gadget templates: the assembler builds each
+(kind, prime) gadget once, on first use, and each 3-counter state gets a
+copy shifted to its entry, with its exits set to its successors' entries.
+Emission order defines state numbering, so the compiled programs are
+byte-stable.
 
 Conventions (documented here because they are choices, not forced):
 
@@ -39,18 +43,23 @@ Conventions (documented here because they are choices, not forced):
 * Step blowup: one two-stack step costs O(base * max stack numeral)
   3-counter steps (a divmod dispatch on each stack it pops, and at most
   two push gadgets), and one 3-counter step costs O(p * A) 2-counter steps
-  for its prime p. The exponential cost of the prime encoding is
-  intrinsic, but every gadget loop is a cycle that ``run`` fast-forwards
-  exactly, so the 2-counter stage finishes in time proportional to the
-  gadgets entered rather than the steps taken (``unary_successor`` on
-  input 11 takes about 2.9e9 steps); it is cut short only by the fuel or
-  by 64-bit overflow.
+  for its prime p. Exactly, a gadget entered with A = a costs a(3p + 1) + 2
+  steps for an INC and, with a = qp + r, q(p + 3) + 2 for a JZDEC when
+  r = 0 and 2q(p + 1) + 2r + 2 otherwise; the bootstrap and a HALT cost 1
+  each. The exponential cost of the prime encoding is intrinsic, but
+  every gadget loop is a cycle that ``run`` fast-forwards exactly, so the
+  2-counter stage finishes in time proportional to the gadgets entered
+  rather than the steps taken (``unary_successor`` on input 11 takes
+  2,947,573,665 steps); it is cut short only by the fuel or by 64-bit
+  overflow.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
+from itertools import accumulate
 
 from .machine import (
     HALTED,
@@ -126,23 +135,36 @@ class TuringMachine:
                     raise FixtureError(f"missing transition for ({q!r}, {sym!r})")
 
 
+def _strings(value, field: str) -> list[str]:
+    """``value`` if it is a JSON list of strings. Anything else is refused:
+    a string or an object would split into its characters or keys, and a
+    number cannot be printed as a tape cell."""
+    if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
+        raise FixtureError(f"{field} must be a list of strings")
+    return value
+
+
 def load_tm(doc: dict) -> TuringMachine:
     """Fixture format: states, alphabet, blank, transitions (5-tuples),
     initial, halting, input."""
     try:
         transitions = {}
-        for q, sym, q2, sym2, move in doc["transitions"]:
+        rows = doc["transitions"]
+        if not isinstance(rows, list):
+            raise FixtureError("transitions must be a list of 5-string lists")
+        for i, row in enumerate(rows):
+            q, sym, q2, sym2, move = _strings(row, f"transitions[{i}]")
             if (q, sym) in transitions:  # else the later transition would silently win
                 raise FixtureError(f"transition ({q!r}, {sym!r}) repeated in transitions")
             transitions[q, sym] = (q2, sym2, move)
         return TuringMachine(
-            states=tuple(doc["states"]),
-            alphabet=tuple(doc["alphabet"]),
+            states=tuple(_strings(doc["states"], "states")),
+            alphabet=tuple(_strings(doc["alphabet"], "alphabet")),
             blank=doc["blank"],
             transitions=transitions,
             initial=doc["initial"],
-            halting=frozenset(doc["halting"]),
-            input=tuple(doc["input"]),
+            halting=frozenset(_strings(doc["halting"], "halting")),
+            input=tuple(_strings(doc["input"], "input")),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FixtureError(f"malformed machine description: {exc}") from exc
@@ -426,7 +448,8 @@ def _emit_divide_or_restore(
 
 # --- stage compilers --------------------------------------------------------
 
-_L, _R, _S = 0, 1, 2
+_L, _R, _S = 0, 1, 2  # the 3-counter stage's counters
+_A, _B = 0, 1  # the 2-counter stage's
 
 
 def two_stack_to_counters(tsm: TwoStackMachine) -> Program:
@@ -473,33 +496,65 @@ def two_stack_to_counters(tsm: TwoStackMachine) -> Program:
     return asm.build(3)
 
 
+@cache
+def _gadget(kind: type, p: int) -> tuple[tuple[int, int, int | None], ...]:
+    """The 2-counter gadget of a 3-counter ``kind`` (``Inc`` or ``JzDec``)
+    instruction on the counter of prime p, assembled on first use and kept
+    (at most eight: two kinds by four primes).
+
+    Each row is (counter, next, None) for an INC and (counter, q_zero,
+    q_pos) for a JZDEC. A target t < n, the gadget's length, is the offset t
+    from the entry; t = n is the first exit (the INC's successor, the
+    JZDEC's branch taken when p divides A) and t = n + 1 the second (the
+    JZDEC's branch taken when it does not)."""
+    asm = _Asm()
+    entry, first, second = asm.label(), asm.label(), asm.label()
+    if kind is Inc:
+        _emit_mul_const(asm, entry, _A, _B, p, first)
+    else:
+        _emit_divide_or_restore(asm, entry, _A, _B, p, on_divisible=first, on_indivisible=second)
+    # the exits become placeholder halts past the end, so build resolves them
+    asm.mark(first)
+    asm.halt()
+    asm.mark(second)
+    asm.halt()
+    if asm.at[entry] != 0:
+        raise AssertionError(f"{kind.__name__} gadget for prime {p} is not entered at 0")
+    n = asm.at[first]
+    return tuple(
+        (i.counter, i.next, None) if isinstance(i, Inc) else (i.counter, i.q_zero, i.q_pos)
+        for i in asm.build(2).instructions[:n]
+    )
+
+
 def k_counters_to_two(mcm: Program) -> Program:
     """Prime-exponent encoding: counter vector (c1..ck) lives in A as
     2^c1 * 3^c2 * 5^c3 * 7^c4, with B as scratch. A bootstrap INC(A)
-    establishes A = 1 (the all-zero vector) before the first state."""
+    establishes A = 1 (the all-zero vector) before the first state.
+
+    Each state's gadget is its (kind, prime) template from ``_gadget``,
+    relocated: state i's entry is the bootstrap plus the lengths of the
+    gadgets before it (a HALT takes one slot), and the exits are filled
+    with the successors' entries."""
     k = mcm.num_counters
     if k > len(PRIMES):
         raise ReductionError(f"at most {len(PRIMES)} counters supported, got {k}")
-    a, b = 0, 1
-    asm = _Asm()
-    entry_of = [asm.label() for _ in mcm.instructions]
-    boot = asm.label()
-    asm.mark(boot)
-    asm.inc(a, entry_of[0])
-    for i, instr in enumerate(mcm.instructions):
+    gadgets = [
+        None if isinstance(instr, Halt) else _gadget(type(instr), PRIMES[instr.counter])
+        for instr in mcm.instructions
+    ]
+    entry = list(accumulate((1 if g is None else len(g) for g in gadgets), initial=1))
+    out: list = [Inc(_A, entry[0])]
+    for instr, g, base in zip(mcm.instructions, gadgets, entry):
+        if g is None:
+            out.append(Halt())
+            continue
         if isinstance(instr, Inc):
-            _emit_mul_const(asm, entry_of[i], a, b, PRIMES[instr.counter], entry_of[instr.next])
-        elif isinstance(instr, JzDec):
-            _emit_divide_or_restore(
-                asm, entry_of[i], a, b, PRIMES[instr.counter],
-                on_divisible=entry_of[instr.q_pos], on_indivisible=entry_of[instr.q_zero],
-            )
+            loc = [*range(base, base + len(g)), entry[instr.next]]
         else:
-            asm.mark(entry_of[i])
-            asm.halt()
-    if asm.at[boot] != 0:
-        raise AssertionError("bootstrap is not at index 0")
-    return asm.build(2)
+            loc = [*range(base, base + len(g)), entry[instr.q_pos], entry[instr.q_zero]]
+        out.extend(Inc(c, loc[t]) if u is None else JzDec(c, loc[t], loc[u]) for c, t, u in g)
+    return Program(tuple(out), 2)
 
 
 # --- decoders ---------------------------------------------------------------

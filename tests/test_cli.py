@@ -1,8 +1,6 @@
 import contextlib
 import io
 import json
-import os
-import subprocess
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -34,7 +32,7 @@ from cm2cypher.machine import (
     Program,
     run,
 )
-from conftest import FIXTURES, REPO_ROOT
+from conftest import FIXTURES, JSON_VALUES, run_python
 
 DEMO_PATH = str(FIXTURES / "demo.2cm")
 DEMO_JSON = str(FIXTURES / "demo.maps.json")
@@ -75,13 +73,7 @@ def test_run_counter_overflow_exits_with_input_error(tmp_path):
     # the self-loop reaches 2^63 - 1 within the fuel, so INC overflows
     looper = tmp_path / "loop.2cm"
     looper.write_text("state 0: INC A -> 0\n")
-    env = dict(os.environ)
-    paths = [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]
-    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "cm2cypher.cli", "run", str(looper), "--fuel", str(10**19)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = run_python("-m", "cm2cypher.cli", "run", str(looper), "--fuel", str(10**19))
     assert proc.returncode == EXIT_INPUT
     assert proc.stderr.startswith("error: counter exceeds")
     assert "Traceback" not in proc.stderr
@@ -491,6 +483,23 @@ def test_reduce_tm_rejects_a_repeated_symbol_or_transition(doc, message, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("alphabet", "1_"),  # used to load as ("1", "_")
+    ("input", "11"),  # used to load as two symbols
+    ("states", {"q0": 0, "qh": 0}),  # used to load as its keys
+    ("input", [1]),  # used to end in a traceback when the tape was printed
+])
+def test_reduce_tm_requires_a_list_of_strings(field, value, tmp_path, capsys):
+    doc = json.loads((FIXTURES / "tm" / "unary_successor.json").read_text())
+    machine, out = tmp_path / "bad.json", tmp_path / "bad.2cm"
+    machine.write_text(json.dumps(dict(doc, **{field: value})))
+    assert main(["reduce-tm", str(machine), "--out", str(out)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {field} must be a list of strings\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_reduce_tm_stage_disagreement_exits_with_input_error(tmp_path, monkeypatch, capsys):
     # the immediate-halt machine leaves every counter 0; this program does not
     monkeypatch.setattr(reduction, "k_counters_to_two",
@@ -555,13 +564,6 @@ def _mutated(draw, seeds):
     return bytes(data)
 
 
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-2**64, 2**64) | st.floats() | st.text(max_size=3),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-    max_leaves=6,
-)
-
-
 @st.composite
 def _json_mutated(draw, document):
     """``document`` with one to three edits, each replacing a value by another
@@ -585,7 +587,7 @@ def _json_mutated(draw, document):
             items.append(json.loads(json.dumps(draw(st.sampled_from(items)))))
             continue
         node, key = draw(st.sampled_from(slots))
-        node[key] = draw(st.sampled_from(scalars) | _JSON)
+        node[key] = draw(st.sampled_from(scalars) | JSON_VALUES)
     return json.dumps(doc).encode()
 
 
@@ -643,7 +645,7 @@ _QUERY_SEEDS = [
 
 
 @given(text=_mutated(_QUERY_SEEDS),
-       params=st.none() | st.fixed_dictionaries({"x": _JSON, "y": _JSON}) | _JSON
+       params=st.none() | st.fixed_dictionaries({"x": JSON_VALUES, "y": JSON_VALUES}) | JSON_VALUES
        | _mutated([b'{"x": 1, "y": [2]}']))
 @settings(max_examples=300, deadline=None)
 def test_eval_of_a_mutated_query_keeps_the_exit_contract(text, params, fuzz_dir):
@@ -678,12 +680,7 @@ def test_live_unreachable_server(monkeypatch, capsys):
 
 def test_cli_import_leaves_http_client_unloaded():
     # urllib.request costs every command tens of ms and MiB; only live needs it
-    env = dict(os.environ)
-    paths = [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]
-    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
-    code = "import sys, cm2cypher.cli; print('urllib.request' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60)
+    proc = run_python("-c", "import sys, cm2cypher.cli; print('urllib.request' in sys.modules)")
     assert proc.stdout.strip() == "False", proc.stderr
 
 

@@ -23,7 +23,7 @@ from cm2cypher.machine import (
     Program,
     run,
 )
-from conftest import FIXTURES
+from conftest import FIXTURES, JSON_VALUES
 
 DEMO = Program(
     (
@@ -142,6 +142,55 @@ def test_from_map_document_rejects_booleans_as_state_ids(doc):
 def test_from_map_document_missing_jzdec_targets():
     with pytest.raises(DocumentError, match="q_zero"):
         from_map_document([{"state": 0, "op": "JZDEC", "counter": "A", "next": 0}])
+
+
+_ENTRIES = st.fixed_dictionaries({}, optional={
+    key: values | JSON_VALUES for key, values in (
+        ("state", st.integers(-1, 3)), ("op", st.sampled_from(["INC", "JZDEC", "HALT"])),
+        ("counter", st.sampled_from(["A", "B", ""])), ("next", st.integers(-1, 3)),
+        ("q_zero", st.integers(-1, 3)), ("q_pos", st.integers(-1, 3)))
+})
+
+
+@given(doc=st.lists(_ENTRIES, max_size=4) | JSON_VALUES)
+@settings(max_examples=500, deadline=None)
+def test_from_map_document_raises_only_document_error(doc):
+    try:
+        from_map_document(doc)
+    except DocumentError:
+        pass
+
+
+_DSL_PIECES = ["state", " ", "\t", "0", "1", "9" * 5000, "\u0663", ":", "INC", "JZDEC", "HALT",
+               "A", "B", "C", "->", "?", "#", "\n", "\xa0", "\x85"]
+
+
+@given(text=st.lists(st.sampled_from(_DSL_PIECES), max_size=14).map("".join) | st.text())
+@settings(max_examples=500, deadline=None)
+def test_parse_dsl_raises_only_dsl_error(text):
+    try:
+        parse_dsl(text)
+    except DslError:
+        pass
+
+
+@pytest.mark.parametrize("text, column", [
+    ("state " + "9" * 5000 + ": HALT", 7),
+    ("state 0: INC A -> " + "9" * 5000, 19),
+    ("state 0: JZDEC A ? 0 : " + "9" * 5000, 24),
+], ids=["state", "inc-target", "jzdec-target"])
+def test_parse_dsl_rejects_a_state_number_past_the_conversion_limit(text, column):
+    with pytest.raises(DslError) as exc_info:
+        parse_dsl(text)
+    got = exc_info.value
+    assert (got.message, got.line, got.column) == (
+        "state number of 5000 digits is too long", 1, column)
+
+
+def test_parse_dsl_reads_only_ascii_digits():
+    # U+0663 is ARABIC-INDIC DIGIT THREE, which int() reads as 3
+    with pytest.raises(DslError, match="expected 'state <n>: <instruction>'"):
+        parse_dsl("state \u0663: HALT")
 
 
 @given(seed=st.integers(0, 100_000))

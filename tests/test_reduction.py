@@ -1,5 +1,6 @@
 import hashlib
 import json
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +11,16 @@ from cm2cypher.cypher import evaluate, parse_query, run_query
 from cm2cypher.frontend import render_dsl, to_map_document
 from cm2cypher.machine import Config, Halt, Inc, InvalidProgram, JzDec, Program, run
 from cm2cypher.reduction import (
+    PRIMES,
     DecodeError,
     FixtureError,
     ReductionError,
     TuringMachine,
     _Asm,
+    _emit_divide_or_restore,
     _emit_inc_chain,
+    _emit_mul_const,
+    _gadget,
     decode_counters,
     decode_stack,
     k_counters_to_two,
@@ -28,7 +33,7 @@ from cm2cypher.reduction import (
     tsm_run,
     two_stack_to_counters,
 )
-from conftest import FIXTURES
+from conftest import FIXTURES, JSON_VALUES, run_python
 
 TM_DIR = FIXTURES / "tm"
 
@@ -78,6 +83,53 @@ def test_load_tm_rejects_a_repeated_symbol(alphabet, symbol):
     with pytest.raises(FixtureError) as exc_info:
         load_tm(doc)
     assert str(exc_info.value) == f"symbol {symbol!r} repeated in alphabet"
+
+
+@pytest.mark.parametrize("field", ["states", "alphabet", "halting", "input"])
+@pytest.mark.parametrize("value", ["_1", {"_": 0, "1": 0}, ["_", 1]],
+                         ids=["string", "object", "number"])
+def test_load_tm_requires_a_list_of_strings(field, value):
+    # a string or an object used to split into its characters or keys
+    doc = json.loads((TM_DIR / "unary_successor.json").read_text())
+    doc[field] = value
+    with pytest.raises(FixtureError) as exc_info:
+        load_tm(doc)
+    assert str(exc_info.value) == f"{field} must be a list of strings"
+
+
+@pytest.mark.parametrize("transitions, message", [
+    ({"q0_qR": 0}, "transitions must be a list of 5-string lists"),
+    (["q01q1R"], "transitions[0] must be a list of strings"),
+    ([["q0", "1", "q0", "1", "R"], ["q0", "_", "qh", 1, "R"]],
+     "transitions[1] must be a list of strings"),
+])
+def test_load_tm_requires_transitions_as_lists_of_strings(transitions, message):
+    doc = json.loads((TM_DIR / "unary_successor.json").read_text())
+    doc["transitions"] = transitions
+    with pytest.raises(FixtureError) as exc_info:
+        load_tm(doc)
+    assert str(exc_info.value) == message
+
+
+_NAMES = st.sampled_from(["q0", "qh", "_", "1", "L", "R"]) | JSON_VALUES
+
+
+@given(doc=st.fixed_dictionaries({}, optional={
+    "states": st.lists(_NAMES, max_size=3) | JSON_VALUES,
+    "alphabet": st.lists(_NAMES, max_size=3) | JSON_VALUES,
+    "blank": _NAMES,
+    "transitions": st.lists(st.lists(_NAMES, min_size=4, max_size=6) | JSON_VALUES, max_size=3)
+    | JSON_VALUES,
+    "initial": _NAMES,
+    "halting": st.lists(_NAMES, max_size=2) | JSON_VALUES,
+    "input": st.lists(_NAMES, max_size=3) | JSON_VALUES,
+}) | JSON_VALUES)
+@settings(max_examples=500, deadline=None)
+def test_load_tm_raises_only_fixture_error(doc):
+    try:
+        load_tm(doc)
+    except FixtureError:
+        pass
 
 
 def test_load_tm_rejects_a_repeated_transition():
@@ -282,8 +334,90 @@ def test_k_counters_to_two_jzdec_restores_on_zero():
 
 
 def test_k_counters_to_two_counter_limit():
+    _gadget.cache_clear()
     with pytest.raises(ReductionError, match="at most"):
-        k_counters_to_two(Program((Halt(),), num_counters=5))
+        k_counters_to_two(Program((Inc(4, 1), Halt()), num_counters=5))
+    assert _gadget.cache_info().currsize == 0  # refused before any gadget is built
+
+
+def test_gadgets_are_built_on_first_use_not_at_import():
+    code = "import cm2cypher.reduction as r; print(r._gadget.cache_info().currsize)"
+    proc = run_python("-c", code)
+    assert proc.stdout.strip() == "0", proc.stderr
+
+
+def _label_assembled_k_counters_to_two(mcm: Program) -> Program:
+    """The reference: every gadget assembled through its own labels."""
+    a, b = 0, 1
+    asm = _Asm()
+    entry_of = [asm.label() for _ in mcm.instructions]
+    boot = asm.label()
+    asm.mark(boot)
+    asm.inc(a, entry_of[0])
+    for i, instr in enumerate(mcm.instructions):
+        if isinstance(instr, Inc):
+            _emit_mul_const(asm, entry_of[i], a, b, PRIMES[instr.counter], entry_of[instr.next])
+        elif isinstance(instr, JzDec):
+            _emit_divide_or_restore(
+                asm, entry_of[i], a, b, PRIMES[instr.counter],
+                on_divisible=entry_of[instr.q_pos], on_indivisible=entry_of[instr.q_zero],
+            )
+        else:
+            asm.mark(entry_of[i])
+            asm.halt()
+    assert asm.at[boot] == 0
+    return asm.build(2)
+
+
+@st.composite
+def counter_programs(draw):
+    """Valid programs of 1-12 states over 1-4 counters: INC, JZDEC and HALT
+    with random targets."""
+    k, n = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    counter, state = st.integers(0, k - 1), st.integers(0, n - 1)
+    instr = (st.builds(Inc, counter, state) | st.builds(JzDec, counter, state, state)
+             | st.just(Halt()))
+    return Program(tuple(draw(st.lists(instr, min_size=n, max_size=n))), k)
+
+
+@given(mcm=counter_programs())
+@settings(max_examples=300, deadline=None)
+def test_relocated_gadgets_equal_the_label_assembled_program(mcm):
+    assert k_counters_to_two(mcm) == _label_assembled_k_counters_to_two(mcm)
+
+
+def two_counter_steps(mcm: Program) -> int:
+    """The 2-counter steps ``k_counters_to_two(mcm)`` takes to its halt,
+    summed gadget by gadget while single-stepping ``mcm``: 1 for the
+    bootstrap and for the HALT; for a gadget entered with A = a on the
+    counter of prime p, a(3p + 1) + 2 for an INC and, with a = qp + r,
+    q(p + 3) + 2 for a JZDEC when r = 0 and 2q(p + 1) + 2r + 2 otherwise."""
+    counters = [0] * mcm.num_counters
+    state, steps = 0, 1
+    while not isinstance(instr := mcm[state], Halt):
+        p = PRIMES[instr.counter]
+        a = prod(q**c for q, c in zip(PRIMES, counters))
+        if isinstance(instr, Inc):
+            steps += a * (3 * p + 1) + 2
+            counters[instr.counter] += 1
+            state = instr.next
+            continue
+        q, r = divmod(a, p)
+        if r == 0:
+            steps += q * (p + 3) + 2
+            counters[instr.counter] -= 1
+            state = instr.q_pos
+        else:
+            steps += 2 * q * (p + 1) + 2 * r + 2
+            state = instr.q_zero
+    return steps + 1
+
+
+@pytest.mark.parametrize("name, steps", [
+    ("immediate_halt", 2), ("right_move", 55), ("unary_successor", 1627)])
+def test_two_counter_steps_follow_the_gadget_cost_formula(name, steps):
+    report = run_pipeline(tm(name), fuel_per_stage=1_000_000)
+    assert two_counter_steps(report.mcm) == report.cm_result.machine_steps == steps
 
 
 @given(
@@ -415,7 +549,7 @@ def test_pipeline_finishes_two_counter_stage_of_billions_of_steps():
     report = run_pipeline(load_tm(doc), fuel_per_stage=10**10)
     assert report.agreements == {"tm/tsm": True, "tsm/mcm": True, "mcm/2cm": True}
     assert report.cm_result.halted
-    assert report.cm_result.machine_steps == 2_947_573_665
+    assert report.cm_result.machine_steps == two_counter_steps(report.mcm) == 2_947_573_665
 
 
 def test_pipeline_skips_unfinished_stages():
