@@ -123,8 +123,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.count < 1:
-        raise ValueError("--count must be >= 1")
+    for flag, value in (("--count", args.count), ("--max-states", args.max_states),
+                        ("--fuel", args.fuel)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1")
     passed = failed = 0
     for i in range(args.count):
         seed = args.seed + i

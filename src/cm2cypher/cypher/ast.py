@@ -15,19 +15,18 @@ A tree is evaluated by compiling it once into nested closures
 ``f(env, params)`` and calling the root (Feeley & Lapalme, "Using Closures
 for Code Generation", 1987). Each node's ``_compile`` picks its operator's
 code, captures its children's closures, and may only specialise without
-changing results or errors: integer fast paths tried before the general
-checks, a dict lookup for a simple CASE over string literals, literal list
-and map subtrees folded into one value that every evaluation copies afresh,
-``head([v IN [x] | m])`` (the fold's let-binding idiom) compiled to a direct
-bind of ``v`` to ``x`` around ``m`` that builds neither list, and a
-fixpoint exit in ``reduce``. The exit applies when no ``Var`` in the body
-is named like the element variable (shadowed mentions count too). Such a
-body sees only the accumulator and an environment that does not change
-from one iteration to the next: the subset is pure and deterministic, and
-every binder restores what it binds. So once an iteration returns the
-accumulator object itself (``is``, not equality), every later iteration
-would return an equal value without error, and the loop stops there: a
-halted fold costs the steps to its halt, not its ``max_steps``.
+changing results or errors. It keeps the specialisations the fold runs: a
+property of a variable read straight from ``env``, ``=`` and ``+ - *``
+against an integer literal tried before the general checks, a searched
+CASE of one arm without its loop, and a fixpoint exit in ``reduce``. The
+exit applies when no ``Var`` in the body is named like the element variable
+(shadowed mentions count too). Such a body sees only the accumulator and an
+environment that does not change from one iteration to the next: the subset
+is pure and deterministic, and every binder restores what it binds. So once
+an iteration returns the accumulator object itself (``is``, not equality),
+every later iteration would return an equal value without error, and the
+loop stops there: a halted fold costs the steps to its halt, not its
+``max_steps``.
 
 Compiling also threads constants, a partial evaluation (Jones, Gomard &
 Sestoft, *Partial Evaluation and Automatic Program Generation*, 1993).
@@ -45,12 +44,15 @@ all literals compiles only the arm ``eq3`` picks. In ``head([v IN [c[e]] |
 m])`` with ``c`` a known list, an integer ``0 <= e < len(c)`` runs an ``m``
 compiled with ``v`` known to be ``c[e]``, on first use of that index and
 memoised in the compiled closure: a fold over a program table compiles one
-step body per state it visits, with every field of the entry folded. Any
-other ``e`` takes the general path, with the errors of ``c[e]``. No value
-is copied or built at compile time, so results, their identity, errors and
-their positions stay as they are.
+step body per state it visits, with every field of the entry folded, and
+builds neither list of the comprehension. Any other ``e`` takes the general
+path, with the errors of ``c[e]``; any other argument of ``head`` builds its
+lists. No value is copied or built at compile time, so results, their
+identity, errors and their positions stay as they are.
 
-``Expr.eval`` (compile, then call) is the one evaluation path.
+``Expr.eval`` (compile, then call) is the one evaluation path, except that a
+tree made only of literals (the fold's program table) is built as its value
+without compiling.
 Compiling recurses once per nesting level, as evaluating does;
 ``evaluator.evaluate`` maps the resulting ``RecursionError`` to EvalError.
 """
@@ -173,15 +175,6 @@ def _literal_value(node: "Expr"):
             entries[k] = v
         return entries
     return _MISSING
-
-
-def _fresh(value):
-    """A copy of a folded literal whose lists and maps are all new objects."""
-    if type(value) is list:
-        return [_fresh(v) for v in value]
-    if type(value) is dict:
-        return {k: _fresh(v) for k, v in value.items()}
-    return value
 
 
 def _int_literal(node: "Expr") -> Optional[int]:
@@ -321,9 +314,6 @@ class MapLit(Expr):
         self.items = items
 
     def _compile(self, consts):
-        value = _literal_value(self)
-        if value is not _MISSING:
-            return lambda env, params: _fresh(value)
         items = [(k, e._compile(consts)) for k, e in self.items]
 
         def map_lit(env, params):
@@ -343,9 +333,6 @@ class ListLit(Expr):
         self.items = items
 
     def _compile(self, consts):
-        value = _literal_value(self)
-        if value is not _MISSING:
-            return lambda env, params: _fresh(value)
         items = [e._compile(consts) for e in self.items]
 
         def list_lit(env, params):
@@ -419,15 +406,7 @@ class Index(Expr):
 
     def _compile(self, consts):
         obj, index = self.obj._compile(consts), self.index._compile(consts)
-
-        def index_(env, params):
-            container = obj(env, params)
-            idx = index(env, params)
-            if type(container) is list and type(idx) is int and 0 <= idx < len(container):
-                return container[idx]
-            return self._general(container, idx)
-
-        return index_
+        return lambda env, params: self._general(obj(env, params), index(env, params))
 
     def _general(self, container, idx):
         if container is None or idx is None:
@@ -646,19 +625,6 @@ class Case(Expr):
                         return result._compile(consts)
                 return default
         subject = self.subject._compile(consts)
-        if all(type(m) is Literal and type(m.value) is str for m, _ in self.whens):
-            # only a string subject equals a string; reversed, so the first arm wins
-            table = {m.value: result._compile(consts) for m, result in reversed(self.whens)}
-
-            def string_case(env, params):
-                s = subject(env, params)
-                if type(s) is str or isinstance(s, str):
-                    arm = table.get(s)
-                    if arm is not None:
-                        return arm(env, params)
-                return default(env, params)
-
-            return string_case
         arms = [(match._compile(consts), result._compile(consts)) for match, result in self.whens]
 
         def simple_case(env, params):
@@ -753,14 +719,14 @@ class Comprehension(Expr):
 
 
 def _single_bind(node: Expr, consts: dict) -> Optional[Compiled]:
-    """head([v IN [x] | m]), the fold's let-binding idiom, as a direct bind:
-    evaluate x, bind v, evaluate m, with the comprehension's order and errors
-    but neither of its lists. None for any other argument of head.
-
-    When x is c[e] with c a known list, each index of c that e takes gets
-    its own m, compiled on first use with v known to be that entry, so it
-    reads nothing from env for v and needs no bind. Any other value of e
-    takes the general path, with the errors of c[e]."""
+    """head([v IN [c[e]] | m]) with c a known list, the fold's read of its
+    program table, as a direct bind that builds neither of the
+    comprehension's lists. Each index of c that e takes gets its own m,
+    compiled on first use with v known to be that entry, so it reads nothing
+    from env for v and needs no bind. Any other value of e, and any index
+    past MAX_SPECIALISED bodies, binds v to c[e] around the general m, with
+    the errors of c[e]. None for any other argument of head, which then
+    takes the general path."""
     if not (
         type(node) is Comprehension
         and node.where is None
@@ -770,32 +736,27 @@ def _single_bind(node: Expr, consts: dict) -> Optional[Compiled]:
     ):
         return None
     var_name, source = node.var_name, node.list_expr.items[0]
-    mapper = node.mapper._compile(_without(consts, var_name))
-
-    def bound(x, env, params):
-        saved = env.get(var_name, _MISSING)
-        env[var_name] = x
-        try:
-            return mapper(env, params)
-        finally:
-            _restore(env, var_name, saved)
-
     table = _known(source.obj, consts) if type(source) is Index else _MISSING
     if type(table) is not list:
-        item = source._compile(consts)
-        return lambda env, params: bound(item(env, params), env, params)
+        return None
+    mapper = node.mapper._compile(_without(consts, var_name))
     index, n, bodies = source.index._compile(consts), len(table), {}
 
     def bind_entry(env, params):
         i = index(env, params)
         if type(i) is int and 0 <= i < n:
             body = bodies.get(i)
-            if body is None:
-                if len(bodies) == MAX_SPECIALISED:
-                    return bound(table[i], env, params)
+            if body is not None:
+                return body(env, params)
+            if len(bodies) < MAX_SPECIALISED:
                 body = bodies[i] = node.mapper._compile({**consts, var_name: table[i]})
-            return body(env, params)
-        return bound(source._general(table, i), env, params)
+                return body(env, params)
+        saved = env.get(var_name, _MISSING)
+        env[var_name] = source._general(table, i)
+        try:
+            return mapper(env, params)
+        finally:
+            _restore(env, var_name, saved)
 
     return bind_entry
 

@@ -176,12 +176,8 @@ def load_tm_file(path) -> TuringMachine:
 
 
 def _trim(tape: list[str] | tuple[str, ...], blank: str) -> tuple[str, ...]:
-    tape = list(tape)
-    while tape and tape[0] == blank:
-        tape.pop(0)
-    while tape and tape[-1] == blank:
-        tape.pop()
-    return tuple(tape)
+    marked = [i for i, symbol in enumerate(tape) if symbol != blank]
+    return tuple(tape[marked[0]:marked[-1] + 1]) if marked else ()
 
 
 @dataclass(frozen=True)
@@ -207,9 +203,9 @@ def tm_run(tm: TuringMachine, fuel: int) -> TmResult:
                 tape.append(tm.blank)
         else:
             head -= 1
-            if head < 0:
-                tape.insert(0, tm.blank)
-                head = 0
+            if head < 0:  # grow by the tape's length, so moving left costs O(1) amortised
+                head = len(tape) - 1
+                tape[:0] = [tm.blank] * len(tape)
         steps += 1
     return TmResult(state in tm.halting, steps, _trim(tape, tm.blank))
 

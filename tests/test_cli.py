@@ -312,6 +312,13 @@ def test_verify_rejects_bad_count(capsys):
     assert capsys.readouterr() == ("", "error: --count must be >= 1\n")
 
 
+@pytest.mark.parametrize("flag", ["--fuel", "--max-states"])
+def test_verify_names_the_flag_it_rejects(flag, capsys):
+    # the message names the flag, not the parameter it feeds (max_steps)
+    assert main(["verify", "--count", "1", flag, "0"]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: {flag} must be >= 1\n")
+
+
 def test_differential_check_is_clean_on_random_programs():
     for seed in range(50):
         assert check_program_differential(random_program(seed, 8), 2000) == []
@@ -434,6 +441,21 @@ def test_reduce_tm(tmp_path, capsys):
     # the emitted program is itself runnable and halts
     result = run(parse_dsl(out.read_text()), fuel=1_000_000)
     assert result.halted
+
+
+@pytest.mark.parametrize("move", ["R", "L"])
+def test_reduce_tm_of_a_blank_runner_finishes_at_the_default_fuel(move, tmp_path):
+    # a machine that never halts and only writes blanks: a stage quadratic
+    # in its tape length would take minutes here at the default fuel
+    machine = tmp_path / "runner.json"
+    machine.write_text(json.dumps({
+        "states": ["q0", "qh"], "alphabet": ["_"], "blank": "_", "initial": "q0",
+        "halting": ["qh"], "input": [], "transitions": [["q0", "_", "q0", "_", move]],
+    }))
+    proc = run_python("-m", "cm2cypher.cli", "reduce-tm", str(machine),
+                      "--out", str(tmp_path / "runner.2cm"))  # under run_python's timeout
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "tm/tsm: skipped (fuel exhausted)" in proc.stdout.splitlines()
 
 
 def test_reduce_tm_counter_overflow_exits_with_input_error(tmp_path, capsys):
@@ -635,6 +657,14 @@ def test_reduce_tm_of_a_mutated_machine_keeps_the_exit_contract(text, fuzz_dir):
     path.write_bytes(text)
     _assert_contract(["reduce-tm", str(path), "--fuel-per-stage", "2000",
                       "--out", str(fuzz_dir / "tm.2cm")], {EXIT_OK, EXIT_INPUT})
+
+
+@given(*[st.integers(-2, 3)] * 4)
+@settings(max_examples=200, deadline=None)
+def test_verify_of_small_arguments_keeps_the_exit_contract(seed, count, max_states, fuel):
+    _assert_contract(["verify", "--seed", str(seed), "--count", str(count),
+                      "--max-states", str(max_states), "--fuel", str(fuel)],
+                     {EXIT_OK, EXIT_INPUT, EXIT_MISMATCH})
 
 
 _QUERY_SEEDS = [

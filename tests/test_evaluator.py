@@ -25,6 +25,7 @@ from cm2cypher.cypher import (
     run_query_text,
     tokenize,
 )
+from cm2cypher.cypher.parser import FUNCTION_ARITY, KEYWORDS, UNSUPPORTED
 from cm2cypher.frontend import random_program
 from cm2cypher.machine import run
 from conftest import GOLDEN
@@ -1300,3 +1301,53 @@ def test_null_case_condition_falls_through():
     assert ev("CASE WHEN null THEN 1 ELSE 2 END") == 2
     assert ev("CASE WHEN null THEN 1 WHEN true THEN 3 END") == 3
     assert ev("CASE WHEN null THEN 1 END") is None
+
+
+# ---------------------------------------------------- library failure contract
+# parse_query and run_query_text raise only CypherError subclasses, whatever
+# the text and whatever subset values the parameters hold. These inputs also
+# reach the general paths that serve every case without a fast path.
+
+_SUBSET_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=3) | st.integers(-INT64_MAX - 1, INT64_MAX)
+    | st.sampled_from([0, 1, -1, INT64_MAX, -INT64_MAX - 1]),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(["x", "state", "A"]) | st.text(max_size=2),
+                                     inner, max_size=3)),
+    max_leaves=6,
+)
+_PARAMS = st.fixed_dictionaries({"p": _SUBSET_VALUES})  # $q stays unsupplied
+_SOUP_TOKENS = st.sampled_from(
+    sorted(KEYWORDS) + sorted(UNSUPPORTED)[:3] + sorted(FUNCTION_ARITY)
+    + ["reduce", "CYPHER", "25", "x", "acc", "state", "$p", "$q", "$", "'s'", "''"]
+    + list("()[]{},:.|+-*/%=<>;") + ["<=", ">=", "<>", "//", "/*", "*/", "\n"]
+    + ["0", "1", str(INT64_MAX), str(INT64_MAX + 1), str(2**64), "9" * 4301]
+    # operands for general paths the fold never takes: indexing, a simple
+    # CASE over strings, head of a one-element comprehension over no table
+    + ["$p.x", "$p[0]", "$p['x']", "CASE $p WHEN 'a' THEN 1 WHEN 's' THEN 2 END",
+       "head([v IN [$p] | v])", "head([v IN [$p[1]] | v + 1])", "[$p, {x: $p}]"]
+)
+
+
+def _raises_only_cypher_errors(text, params):
+    try:
+        parse_query(text)
+    except CypherError:
+        pass
+    try:
+        run_query_text(text, params)
+    except CypherError:
+        pass
+
+
+@given(st.text(max_size=80), _PARAMS)
+@settings(max_examples=300, deadline=None)
+def test_arbitrary_text_raises_only_cypher_errors(text, params):
+    _raises_only_cypher_errors(text, params)
+
+
+@given(st.sampled_from(["", "RETURN ", "LET x = "]), st.lists(_SOUP_TOKENS, max_size=24),
+       st.sampled_from([" ", ""]), _PARAMS)
+@settings(max_examples=1000, deadline=None)
+def test_token_soup_raises_only_cypher_errors(prefix, tokens, separator, params):
+    _raises_only_cypher_errors(prefix + separator.join(tokens), params)

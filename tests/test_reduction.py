@@ -216,6 +216,17 @@ def test_tsm_left_move_extends_tape():
     assert tsm_res.tape == tm_res.tape
 
 
+@pytest.mark.parametrize("fuel", [0, 1, 2, 3, 7, 100])
+def test_a_left_writer_keeps_its_tape_across_growth(fuel):
+    # tm_run grows the tape leftward by blocks; the trim keeps inner blanks
+    writer = load_tm({"states": ["q0", "qh"], "alphabet": ["a", "_"], "blank": "_",
+                      "transitions": [["q0", "a", "q0", "a", "L"], ["q0", "_", "q0", "a", "L"]],
+                      "initial": "q0", "halting": ["qh"], "input": ["a", "_", "a"]})
+    expected = ("a",) * max(fuel, 1) + ("_", "a")
+    assert tm_run(writer, fuel).tape == expected
+    assert tsm_run(tm_to_two_stack(writer), fuel).tape == expected
+
+
 # ------------------------------------------------------------ mcm stage
 
 
