@@ -127,6 +127,8 @@ def cmd_verify(args) -> int:
                         ("--fuel", args.fuel)):
         if value < 1:
             raise ValueError(f"{flag} must be >= 1")
+    if args.fuel > INT64_MAX:  # the fold's max_steps, a 64-bit literal
+        raise ValueError(f"--fuel must be <= {INT64_MAX}")
     passed = failed = 0
     for i in range(args.count):
         seed = args.seed + i

@@ -7,24 +7,24 @@
              allReduce predicate prunes invalid counter branches.
 
 Output is a house style (two-space indent, one clause per line). The
-whitespace-insensitive comparison and the primitive lint run on the Cypher
-subset's lexer, so a comment marker inside a string is string content to
-them exactly as to the parser, and the lint reads the parser's word tables.
+whitespace-insensitive comparison runs on the Cypher subset's lexer, so a
+comment marker inside a string is string content to it exactly as to the
+parser, and the primitive lint is the parser's verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cypher.errors import CypherSyntaxError
-from .cypher.lexer import IDENT, PUNCT, STRING, tokenize
-from .cypher.parser import FUNCTION_ARITY, KEYWORDS, UNSUPPORTED
+from .cypher.errors import CypherError
+from .cypher.lexer import STRING, tokenize
+from .cypher.parser import parse_query
 from .frontend import to_map_document
-from .machine import COUNTER_NAMES, Halt, Inc, JzDec, Program, require_two_counters
+from .machine import COUNTER_NAMES, INT64_MAX, Halt, Inc, JzDec, Program, require_two_counters
 
 DIALECT_HEADER = "CYPHER 25"
 DEFAULT_MAX_STEPS = 1_000_000
-DEFAULT_MAX_PATH = 2**63 - 1
+DEFAULT_MAX_PATH = INT64_MAX
 
 
 @dataclass(frozen=True)
@@ -112,6 +112,8 @@ def gen_reduce_query(program: Program, max_steps: int = DEFAULT_MAX_STEPS) -> Cy
     to its halt, not ``max_steps``."""
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    if max_steps > INT64_MAX:
+        raise ValueError(f"max_steps must be <= {INT64_MAX}")
     text = (
         f"{DIALECT_HEADER}\n"
         f"LET program = {_program_literal(program)}\n"
@@ -231,6 +233,8 @@ def gen_qpp_query(max_path: int = DEFAULT_MAX_PATH) -> CypherQuery:
     post-update accumulator, so the JZDEC_POS checks are >= 0, never > 0."""
     if max_path < 0:
         raise ValueError("max_path must be >= 0")
+    if max_path > INT64_MAX:
+        raise ValueError(f"max_path must be <= {INT64_MAX}")
     text = (
         f"{DIALECT_HEADER}\n"
         "MATCH REPEATABLE ELEMENTS\n"
@@ -266,46 +270,13 @@ def queries_token_equal(a: str, b: str) -> bool:
     return normalize_tokens(a) == normalize_tokens(b)
 
 
-_OPENERS = {"(", "[", "{"}
-_CLOSERS = {")", "]", "}"}
-
-
 def lint_primitives(query: "CypherQuery | str") -> list[str]:
-    """Check a reduce-approach query against the parser's word tables: an
-    ``UNSUPPORTED`` word outside a name position, or a call of anything but
-    a keyword, ``reduce`` or a ``FUNCTION_ARITY`` name (case-sensitive, as
-    in ``parse_call``). Any text ``parse_query`` accepts lints clean. Text
-    the lexer rejects is one violation, the lexer's error."""
+    """The parser's verdict on a reduce-approach query: ``[]`` when
+    ``parse_query`` accepts the text, else the one ``CypherError`` it
+    raised, as its string."""
     text = query.text if isinstance(query, CypherQuery) else query
     try:
-        tokens = tokenize(text)
-    except CypherSyntaxError as exc:
+        parse_query(text)
+    except CypherError as exc:
         return [str(exc)]
-    violations = []
-    opened: list[str] = []  # the unclosed brackets, innermost last
-    before = ""  # the punctuation right before tok; "" after any other token
-    for tok, after in zip(tokens, tokens[1:]):  # EOF is last
-        kind, lexeme = tok[0], tok[1]
-        if kind == PUNCT:  # a string is no bracket
-            if lexeme in _OPENERS:
-                opened.append(lexeme)
-            elif lexeme in _CLOSERS and opened:
-                opened.pop()  # whatever its kind; the parser rejects a mismatch
-            before = lexeme
-            continue
-        if kind == IDENT:
-            upper = lexeme.upper()
-            if upper in UNSUPPORTED:
-                # a name after '.' or '$', or a map key: after '{' or a ','
-                # whose innermost unclosed bracket is '{', and before ':'
-                if before not in (".", "$") and not (
-                    after[:2] == (PUNCT, ":")
-                    and before in ("{", ",")
-                    and opened[-1:] == ["{"]
-                ):
-                    violations.append(f"forbidden token {lexeme!r}")
-            elif upper not in KEYWORDS and after[:2] == (PUNCT, "("):
-                if lexeme != "reduce" and lexeme not in FUNCTION_ARITY:
-                    violations.append(f"function {lexeme!r} outside the primitive whitelist")
-        before = ""
-    return violations
+    return []

@@ -48,8 +48,9 @@ _BINDING_POWER = {"OR": 1, "AND": 2, "=": 4, "<>": 4, "<": 4, "<=": 4, ">": 4, "
 _NOT_POWER = 3
 
 
-def _literal(tok: Token) -> ast.Literal:
-    """The Literal of an INT or STRING token."""
+def _literal(tok: Token, minus: Token | None = None) -> ast.Literal:
+    """The Literal of an INT or STRING token; an INT after the '-' token
+    ``minus`` is negative and sits at the '-'."""
     if tok.kind == STRING:
         return ast.Literal(tok.lexeme, tok.line, tok.column)
     try:
@@ -58,6 +59,17 @@ def _literal(tok: Token) -> ast.Literal:
         raise CypherSyntaxError(
             f"integer literal of {len(tok.lexeme)} digits is too long", tok.line, tok.column
         ) from None
+    if minus is not None:
+        value, tok = -value, minus
+    return _int_literal(value, tok)
+
+
+def _int_literal(value: int, tok: Token) -> ast.Literal:
+    """An integer Literal at tok; the subset's integers are 64-bit."""
+    if not ast.INT64_MIN <= value <= ast.INT64_MAX:
+        raise CypherSyntaxError(
+            f"integer literal {value} is outside the 64-bit range", tok.line, tok.column
+        )
     return ast.Literal(value, tok.line, tok.column)
 
 
@@ -207,10 +219,14 @@ class _Parser:
     def parse_unary(self) -> ast.Expr:
         if self.at_punct("-"):
             tok = self.next()
+            # -<digits> is one literal, so -9223372036854775808 is in range;
+            # a '.' or '[' after the digits binds tighter than the '-'
+            if self.peek().kind == INT and not (self.at_punct(".", 1) or self.at_punct("[", 1)):
+                return _literal(self.next(), tok)
             operand = self.parse_unary()
             # fold -<int> into a literal; -true, -null and -'a' keep Neg's checks
             if type(operand) is ast.Literal and type(operand.value) is int:
-                return ast.Literal(-operand.value, tok.line, tok.column)
+                return _int_literal(-operand.value, tok)
             return ast.Neg(operand, tok.line, tok.column)
         if self.at_punct("+"):
             self.next()

@@ -24,7 +24,8 @@ the remaining fuel allow in one step, then single-steps on. Final
 configuration, ``machine_steps`` and the point where ``CounterOverflow`` is
 raised are those of single-stepping. With ``capture_trace`` it single-steps
 the same way ``step`` does, one trace row per instruction holding the
-configurations before and after it.
+configurations before and after it, until the trace holds ``trace_cap``
+rows; the rest of the run is untraced.
 """
 
 from __future__ import annotations
@@ -335,8 +336,8 @@ def run(
 
     ``machine_steps`` counts executed instructions, including the HALT
     instruction itself; post-halt absorption never executes. Cycles are
-    fast-forwarded exactly unless ``capture_trace`` asks for one row per
-    instruction.
+    fast-forwarded exactly, except while ``capture_trace`` records one row
+    per instruction, up to ``trace_cap`` rows.
     """
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
@@ -351,16 +352,16 @@ def run(
         state, a, b, steps = _run_decoded(program, fuel, state, a, b)
         return RunResult(final=Config(state, a, b), machine_steps=steps, halted=state == HALTED)
     trace: list[TraceRow] = []
-    truncated = False
     steps = 0
-    while steps < fuel and state != HALTED:
+    while steps < fuel and state != HALTED and len(trace) < trace_cap:
         before = state, a, b
         state, a, b, tag = _step_raw(program, state, a, b)
-        if len(trace) < trace_cap:
-            trace.append(TraceRow(steps, Config(*before), tag, Config(state, a, b)))
-        else:
-            truncated = True
+        trace.append(TraceRow(steps, Config(*before), tag, Config(state, a, b)))
         steps += 1
+    truncated = steps < fuel and state != HALTED
+    if truncated:  # the trace is full: the rest of the run is untraced
+        state, a, b, rest = _run_decoded(program, fuel - steps, state, a, b)
+        steps += rest
     return RunResult(
         final=Config(state, a, b),
         machine_steps=steps,

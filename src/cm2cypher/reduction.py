@@ -42,11 +42,14 @@ Conventions (documented here because they are choices, not forced):
   (one-way-infinite tape presented as two-way by padding).
 * Step blowup: one two-stack step costs O(base * max stack numeral)
   3-counter steps (a divmod dispatch on each stack it pops, and at most
-  two push gadgets), and one 3-counter step costs O(p * A) 2-counter steps
-  for its prime p. Exactly, a gadget entered with A = a costs a(3p + 1) + 2
-  steps for an INC and, with a = qp + r, q(p + 3) + 2 for a JZDEC when
-  r = 0 and 2q(p + 1) + 2r + 2 otherwise; the bootstrap and a HALT cost 1
-  each. The exponential cost of the prime encoding is intrinsic, but
+  two push gadgets). Exactly, with base b, a dispatch on v = qb + r costs
+  q(b + 3) + r + 2 steps, a push of digit d onto v costs v(3b + 1) + d + 2
+  (the input load is one push per input symbol) and a HALT costs 1. One
+  3-counter step costs O(p * A) 2-counter steps for its prime p. Exactly,
+  a gadget entered with A = a costs a(3p + 1) + 2 steps for an INC and,
+  with a = qp + r, q(p + 3) + 2 for a JZDEC when r = 0 and
+  2q(p + 1) + 2r + 2 otherwise; the bootstrap and a HALT cost 1 each.
+  The exponential cost of the prime encoding is intrinsic, but
   every gadget loop is a cycle that ``run`` fast-forwards exactly, so the
   2-counter stage finishes in time proportional to the gadgets entered
   rather than the steps taken (``unary_successor`` on input 11 takes

@@ -79,6 +79,19 @@ def test_run_counter_overflow_exits_with_input_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_run_trace_of_a_self_loop_finishes_past_its_cap(tmp_path):
+    # rows stop at the cap; the rest of the 10^12 steps runs untraced, so
+    # the run ends well within run_python's timeout
+    looper = tmp_path / "loop.2cm"
+    looper.write_text("state 0: INC A -> 0\n")
+    proc = run_python("-m", "cm2cypher.cli", "run", str(looper), "--trace",
+                      "--fuel", str(10**12))
+    assert proc.returncode == EXIT_FUEL, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-2].startswith("... trace truncated at 10000 rows")
+    assert lines[-1] == f"fuel-exhausted state=0 A={10**12} B=0 steps={10**12}"
+
+
 def test_run_missing_file(capsys):
     assert main(["run", "/nonexistent.2cm"]) == EXIT_INPUT
     assert "error:" in capsys.readouterr().err
@@ -319,6 +332,12 @@ def test_verify_names_the_flag_it_rejects(flag, capsys):
     assert capsys.readouterr() == ("", f"error: {flag} must be >= 1\n")
 
 
+def test_verify_names_the_fuel_no_fold_can_hold(capsys):
+    # the fold's max_steps is a 64-bit literal; the message names --fuel
+    assert main(["verify", "--count", "1", "--fuel", str(10**23)]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: --fuel must be <= {INT64_MAX}\n")
+
+
 def test_differential_check_is_clean_on_random_programs():
     for seed in range(50):
         assert check_program_differential(random_program(seed, 8), 2000) == []
@@ -545,8 +564,12 @@ def test_reduce_tm_stage_disagreement_exits_with_input_error(tmp_path, monkeypat
     ["compile", DEMO_PATH, "--approach", "reduce", "--out-dir", "/dev/null/x"],
     ["reduce-tm", UNARY_TM, "--fuel-per-stage", "-1", "--out", "{tmp}/u.2cm"],
     ["verify", "--count", "1", "--max-states", "0"],
-    # the program's counter overflows inside check_program_differential
+    # a fuel past 2^63 - 1, which no 64-bit fold literal holds
     ["verify", "--seed", "58", "--count", "1", "--fuel", str(10**19)],
+    ["compile", DEMO_PATH, "--approach", "reduce", "--max-steps", str(INT64_MAX + 1),
+     "--out-dir", "{tmp}"],
+    ["compile", DEMO_PATH, "--approach", "qpp", "--max-path", str(INT64_MAX + 1),
+     "--out-dir", "{tmp}"],
 ])
 def test_input_errors_exit_with_error_message(argv, tmp_path, capsys):
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
@@ -659,7 +682,7 @@ def test_reduce_tm_of_a_mutated_machine_keeps_the_exit_contract(text, fuzz_dir):
                       "--out", str(fuzz_dir / "tm.2cm")], {EXIT_OK, EXIT_INPUT})
 
 
-@given(*[st.integers(-2, 3)] * 4)
+@given(*[st.integers(-2, 3)] * 3, st.integers(-2, 3) | st.sampled_from([INT64_MAX + 1, 10**23]))
 @settings(max_examples=200, deadline=None)
 def test_verify_of_small_arguments_keeps_the_exit_contract(seed, count, max_states, fuel):
     _assert_contract(["verify", "--seed", str(seed), "--count", str(count),

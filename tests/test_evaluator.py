@@ -285,6 +285,22 @@ def test_deep_nesting_is_a_syntax_error(text):
                  "integer literal of 5000 digits is too long", 1, 12, id="map-int-5000-digits"),
     pytest.param("RETURN -" + "1" * 5000, CypherSyntaxError,
                  "integer literal of 5000 digits is too long", 1, 9, id="neg-int-5000-digits"),
+    # an INT literal outside 64 bits after the '-' fold: alone, in the map
+    # fast path, negated twice, below -2^63, in parentheses, under a suffix
+    ("RETURN 100000000000000000000000 AS x", CypherSyntaxError,
+     "integer literal 100000000000000000000000 is outside the 64-bit range", 1, 8),
+    ("RETURN 9223372036854775808", CypherSyntaxError,
+     "integer literal 9223372036854775808 is outside the 64-bit range", 1, 8),
+    ("RETURN {a: 9223372036854775808}", CypherSyntaxError,
+     "integer literal 9223372036854775808 is outside the 64-bit range", 1, 12),
+    ("RETURN - -9223372036854775808", CypherSyntaxError,
+     "integer literal 9223372036854775808 is outside the 64-bit range", 1, 8),
+    ("RETURN [1, -9223372036854775809]", CypherSyntaxError,
+     "integer literal -9223372036854775809 is outside the 64-bit range", 1, 12),
+    ("RETURN -(9223372036854775808)", CypherSyntaxError,
+     "integer literal 9223372036854775808 is outside the 64-bit range", 1, 10),
+    ("RETURN -9223372036854775808.x", CypherSyntaxError,
+     "integer literal 9223372036854775808 is outside the 64-bit range", 1, 9),
 ])
 def test_parse_error_class_message_and_position(text, error, message, line, column):
     with pytest.raises(CypherError) as exc_info:
@@ -360,7 +376,7 @@ def test_binary_operators_carry_their_own_position():
 # list must build the tree the general descent builds
 _GAPS = st.sampled_from(["", " ", "\n", "\t ", "// c\n", "/* c */", "/*\n */ "])
 _KEYS = st.sampled_from(["a", "k", "x_1", "end", "next", "match", "else", "null", "RETURN"])
-_INTS = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80))
+_INTS = st.one_of(st.integers(-3, 3), st.integers(-(2**63), INT64_MAX))
 _STRS = st.text(alphabet="ab' \\\n\t/*{},:", max_size=6)
 
 
@@ -1219,7 +1235,7 @@ def _reference(op, l, r=None):
 def _outcome(text, params):
     try:
         v = parse_expression(text).eval({}, params)
-    except EvalError as exc:
+    except CypherError as exc:
         return "error", type(exc)
     return "value", v
 
@@ -1228,15 +1244,25 @@ def _literal(v):
     return "null" if v is None else f"({v})"
 
 
+def _with_literal(want, v):
+    """``want`` for an expression holding the literal of v: a literal
+    outside 64 bits is a syntax error, before anything is evaluated."""
+    if v is not None and not INT64_MIN <= v <= INT64_MAX:
+        return "error", CypherSyntaxError
+    return want
+
+
 @given(_BOUNDARY, _BOUNDARY)
 @settings(max_examples=300, deadline=None)
 def test_int64_boundary_matches_python_reference(l, r):
     params = {"a": l, "b": r}
     for op in ("+", "-", "*", "/", "%", "=", "<>", "<", "<=", ">", ">="):
         want = _reference(op, l, r)
-        for text in (f"$a {op} $b", f"$a {op} {_literal(r)}", f"{_literal(l)} {op} $b"):
+        for text, expected in ((f"$a {op} $b", want),
+                               (f"$a {op} {_literal(r)}", _with_literal(want, r)),
+                               (f"{_literal(l)} {op} $b", _with_literal(want, l))):
             got = _outcome(text, params)
-            assert (got, type(got[1])) == (want, type(want[1])), text
+            assert (got, type(got[1])) == (expected, type(expected[1])), text
     want = _reference("neg", l)
     got = _outcome("-$a", params)
     assert (got, type(got[1])) == (want, type(want[1]))

@@ -204,9 +204,10 @@ def test_step_is_pure(seed):
 
 
 def _outcome(program, fuel, start, capture_trace):
-    """(state, A, B, machine_steps, halted), or the type of the error raised."""
+    """(state, A, B, machine_steps, halted), or the type of the error raised.
+    A traced run keeps every row, so it single-steps to the end."""
     try:
-        r = run(program, fuel=fuel, capture_trace=capture_trace, trace_cap=0, start=start)
+        r = run(program, fuel=fuel, capture_trace=capture_trace, trace_cap=fuel, start=start)
     except CounterOverflow as exc:
         return type(exc)
     return (r.final.state, r.final.a, r.final.b, r.machine_steps, r.halted)
@@ -234,6 +235,33 @@ def test_run_fast_forward_matches_single_step(data, program, fuel):
         data.draw(st.integers(0, 100)),
     )
     assert _outcome(program, fuel, start, False) == _outcome(program, fuel, start, True)
+
+
+@given(data=st.data(), program=_programs(), fuel=st.integers(0, 3000))
+@settings(max_examples=300, deadline=None)
+def test_a_capped_trace_runs_on_untraced_to_the_uncapped_result(data, program, fuel):
+    # past trace_cap rows the run fast-forwards; all it reports equals a run
+    # whose trace holds every row
+    counter = st.integers(0, 100) | st.integers(INT64_MAX - 50, INT64_MAX)
+    start = Config(data.draw(st.integers(0, len(program) - 1)), data.draw(counter),
+                   data.draw(counter))
+    cap = data.draw(st.integers(0, fuel + 1))
+
+    def traced(trace_cap):
+        try:
+            return run(program, fuel=fuel, capture_trace=True, trace_cap=trace_cap, start=start)
+        except CounterOverflow as exc:
+            return type(exc)
+
+    full, capped = traced(fuel), traced(cap)
+    if full is CounterOverflow:
+        assert capped is CounterOverflow
+        return
+    assert not full.trace_truncated
+    assert (capped.final, capped.machine_steps, capped.halted) == (
+        full.final, full.machine_steps, full.halted)
+    assert capped.trace == full.trace[:cap]
+    assert capped.trace_truncated == (full.machine_steps > cap)
 
 
 @given(data=st.data(), program=_programs())

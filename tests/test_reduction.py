@@ -16,6 +16,7 @@ from cm2cypher.reduction import (
     FixtureError,
     ReductionError,
     TuringMachine,
+    TwoStackMachine,
     _Asm,
     _emit_divide_or_restore,
     _emit_inc_chain,
@@ -429,6 +430,60 @@ def two_counter_steps(mcm: Program) -> int:
 def test_two_counter_steps_follow_the_gadget_cost_formula(name, steps):
     report = run_pipeline(tm(name), fuel_per_stage=1_000_000)
     assert two_counter_steps(report.mcm) == report.cm_result.machine_steps == steps
+
+
+def three_counter_steps(tsm: TwoStackMachine) -> int:
+    """The 3-counter steps ``two_stack_to_counters(tsm)`` takes to its halt,
+    summed gadget by gadget while single-stepping ``tsm`` with its stacks
+    as base-b numerals, b = |alphabet| + 1: v(3b + 1) + d + 2 for a push of
+    digit d onto v, q(b + 3) + r + 2 for a divmod dispatch on v = qb + r,
+    and 1 for the HALT. The input load pushes each input symbol."""
+    b = len(tsm.alphabet) + 1
+    digit = {sym: i + 1 for i, sym in enumerate(tsm.alphabet)}
+    steps, stacks = 0, {"L": 0, "R": 0}
+
+    def push(stack, d):
+        nonlocal steps
+        steps += stacks[stack] * (3 * b + 1) + d + 2
+        stacks[stack] = stacks[stack] * b + d
+
+    def pop(stack):
+        nonlocal steps
+        stacks[stack], r = divmod(stacks[stack], b)
+        steps += stacks[stack] * (b + 3) + r + 2
+        return r
+
+    for sym in reversed(tsm.initial_right):
+        push("R", digit[sym])
+    state = tsm.initial
+    while state not in tsm.halting:
+        top = pop("R")
+        state, written, move = tsm.transitions[(state, tsm.alphabet[top - 1] if top else tsm.blank)]
+        if move == "R":
+            push("L", digit[written])
+        else:
+            push("R", digit[written])
+            moved = pop("L")  # an empty left stack (0) yields a blank
+            push("R", moved or digit[tsm.blank])
+    return steps + 1
+
+
+@pytest.mark.parametrize("name, steps", [
+    ("immediate_halt", 1), ("right_move", 10), ("unary_successor", 25)])
+def test_three_counter_steps_follow_the_gadget_cost_formula(name, steps):
+    tsm = tm_to_two_stack(tm(name))
+    assert three_counter_steps(tsm) == mcm_run(two_stack_to_counters(tsm), 10**6).steps == steps
+
+
+@given(machine=small_tms())
+@settings(max_examples=300, deadline=None)
+def test_three_counter_steps_follow_the_gadget_cost_formula_on_random_tms(machine):
+    tsm = tm_to_two_stack(machine)
+    if not tsm_run(tsm, 40).halted:
+        return
+    result = mcm_run(two_stack_to_counters(tsm), 10**7)
+    assert result.halted
+    assert three_counter_steps(tsm) == result.steps
 
 
 @given(
