@@ -809,6 +809,5 @@ class ReturnItem:
 
 @dataclass(frozen=True)
 class QueryAst:
-    has_header: bool
     bindings: tuple[tuple[str, Expr], ...]
     returns: tuple[ReturnItem, ...]

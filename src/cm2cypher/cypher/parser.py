@@ -1,10 +1,11 @@
 """Recursive-descent parser for the expression subset.
 
 Query shape: optional "CYPHER 25" header, zero or more LET bindings, one
-RETURN clause, optional trailing semicolon. Anything outside the subset
-(MATCH, CALL, WITH, unknown functions, ...) is rejected at parse time
-with UnsupportedFeature naming the construct, and nesting too deep for
-Python's recursion limit with CypherSyntaxError.
+RETURN clause, optional trailing semicolon. A LET name or a RETURN alias
+that repeats is a CypherSyntaxError at the repeat. Anything outside the
+subset (MATCH, CALL, WITH, unknown functions, ...) is rejected at parse
+time with UnsupportedFeature naming the construct, and nesting too deep
+for Python's recursion limit with CypherSyntaxError.
 
 Binary operators are read by one precedence-climbing loop (Pratt, "Top Down
 Operator Precedence", 1973) over the _BINDING_POWER table, loosest first:
@@ -140,11 +141,9 @@ class _Parser:
     # --- query ----------------------------------------------------------
 
     def parse_query(self) -> ast.QueryAst:
-        has_header = False
         if self.at_keyword("CYPHER") and self.peek(1).kind == INT:
             self.next()
             self.next()
-            has_header = True
         bindings: list[tuple[str, ast.Expr]] = []
         seen = set()
         while self.at_keyword("LET"):
@@ -159,7 +158,8 @@ class _Parser:
             bindings.append((name_tok.lexeme, self.parse_expr()))
         self._reject_unsupported(self.peek())
         self.expect_keyword("RETURN")
-        returns = self.parse_comma_list(self.parse_return_item)
+        aliases: set[str] = set()
+        returns = self.parse_comma_list(lambda: self.parse_return_item(aliases))
         if self.at_punct(";"):
             self.next()
         tok = self.peek()
@@ -168,7 +168,7 @@ class _Parser:
             raise CypherSyntaxError(
                 f"unexpected input after RETURN clause: {tok.lexeme!r}", tok.line, tok.column
             )
-        return ast.QueryAst(has_header, tuple(bindings), tuple(returns))
+        return ast.QueryAst(tuple(bindings), tuple(returns))
 
     def parse_expression(self) -> ast.Expr:
         expr = self.parse_expr()
@@ -177,15 +177,20 @@ class _Parser:
             raise CypherSyntaxError(f"unexpected trailing input {tok.lexeme!r}", tok.line, tok.column)
         return expr
 
-    def parse_return_item(self) -> ast.ReturnItem:
-        start = self.peek().offset
+    def parse_return_item(self, aliases: set[str]) -> ast.ReturnItem:
+        # a repeated alias is reported at the name after AS, or at the item's
+        # first token when the alias is the item's own text
+        tok = self.peek()
         expr = self.parse_expr()
         if self.at_keyword("AS"):
             self.next()
-            alias = self.expect_name().lexeme
+            tok = self.expect_name()
+            alias = tok.lexeme
         else:
-            end = self.peek().offset
-            alias = self.text[start:end].strip()
+            alias = self.text[tok.offset:self.peek().offset].strip()
+        if alias in aliases:
+            raise CypherSyntaxError(f"duplicate return alias {alias!r}", tok.line, tok.column)
+        aliases.add(alias)
         return ast.ReturnItem(expr, alias)
 
     # --- expressions: one binding-power loop over the binary operators ---

@@ -3,8 +3,8 @@
 Compiles a Turing machine down to a 2-counter program in three stages,
 each independently interpretable for differential testing:
 
-    TM  ->  two-stack machine   (tape halves as stacks; the TM's own
-                                 transition table)
+    TM  ->  two-stack machine   (the TM itself, its tape halves run as
+                                 stacks)
         ->  3-counter machine   (stacks as base-(s+1) numerals; one
                                  shared scratch counter for the
                                  multiply/divide/mod gadgets)
@@ -12,11 +12,12 @@ each independently interpretable for differential testing:
                                  product 2^c1 * 3^c2 * 5^c3 [* 7^c4] in
                                  counter A, with B as scratch)
 
-The two-stack stage keeps the TM's control and changes only how the tape
-is stored: a step pops the head cell off the right stack, then writes and
-moves. A right move pushes the written symbol onto the left stack; a left
-move pushes it back onto the right stack, then moves the left stack's top
-(a blank if it is empty) onto the right stack.
+The two-stack stage is the ``TuringMachine`` itself: ``tsm_run`` and
+``two_stack_to_counters`` take it and change only how the tape is stored.
+A step pops the head cell off the right stack, then writes and moves. A
+right move pushes the written symbol onto the left stack; a left move
+pushes it back onto the right stack, then moves the left stack's top (a
+blank if it is empty) onto the right stack.
 
 Both counter stages are ``machine.Program`` instruction tables over the same
 INC / JZDEC / HALT instructions, with counters as indices: the 3-counter
@@ -25,10 +26,10 @@ interpreter: ``mcm_run`` single-steps the 3-counter machine independently of
 ``machine.run``, which runs the 2-counter program. The 3-counter stage is
 emitted by an assembler (``_Asm``) with forward integer labels. The
 2-counter stage relocates gadget templates: the assembler builds each
-(kind, prime) gadget once, on first use, and each 3-counter state gets a
-copy shifted to its entry, with its exits set to its successors' entries.
-Emission order defines state numbering, so the compiled programs are
-byte-stable.
+(kind, prime) gadget's rows once, on first use, and each 3-counter state
+gets a copy shifted to its entry, with its exits set to its successors'
+entries. Emission order defines state numbering, so the compiled programs
+are byte-stable.
 
 Conventions (documented here because they are choices, not forced):
 
@@ -217,18 +218,6 @@ def tm_run(tm: TuringMachine, fuel: int) -> TmResult:
 
 
 @dataclass(frozen=True)
-class TwoStackMachine:
-    states: tuple[str, ...]
-    alphabet: tuple[str, ...]
-    blank: str
-    # (state, top of right) -> (state, written symbol, move 'L' or 'R')
-    transitions: dict[tuple[str, str], tuple[str, str, str]]
-    initial: str
-    halting: frozenset[str]
-    initial_right: tuple[str, ...]  # bottom of stack last; top = element 0
-
-
-@dataclass(frozen=True)
 class TsmResult:
     halted: bool
     steps: int
@@ -241,44 +230,38 @@ def _stacks_to_tape(left, right, blank) -> tuple[str, ...]:
     return _trim(list(left) + list(reversed(right)), blank)
 
 
-def tsm_run(tsm: TwoStackMachine, fuel: int) -> TsmResult:
+def tsm_run(tm: TuringMachine, fuel: int) -> TsmResult:
+    """Run ``tm`` with its tape as two stacks: the left one holds the cells
+    left of the head (top = the nearest), the right one the head cell and
+    the cells right of it, starting as the input with its first symbol on top."""
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
     left: list[str] = []
-    right: list[str] = list(reversed(tsm.initial_right))
-    state = tsm.initial
+    right: list[str] = list(reversed(tm.input))
+    state = tm.initial
     steps = 0
-    while steps < fuel and state not in tsm.halting:
-        state, written, move = tsm.transitions[(state, right.pop() if right else tsm.blank)]
+    while steps < fuel and state not in tm.halting:
+        state, written, move = tm.transitions[(state, right.pop() if right else tm.blank)]
         if move == "R":
             left.append(written)
         else:
             right.append(written)
-            right.append(left.pop() if left else tsm.blank)
+            right.append(left.pop() if left else tm.blank)
         steps += 1
     return TsmResult(
-        state in tsm.halting,
+        state in tm.halting,
         steps,
         tuple(left),
         tuple(right),
-        _stacks_to_tape(left, right, tsm.blank),
+        _stacks_to_tape(left, right, tm.blank),
     )
 
 
-def tm_to_two_stack(tm: TuringMachine) -> TwoStackMachine:
-    """Left stack = tape left of head (top = nearest cell); right stack =
-    head cell plus rightward tape. The machine keeps the TM's transitions:
-    a step pops the head cell, then writes and moves (one machine step per
-    tape step)."""
-    return TwoStackMachine(
-        states=tm.states,
-        alphabet=tm.alphabet,
-        blank=tm.blank,
-        transitions=tm.transitions,
-        initial=tm.initial,
-        halting=tm.halting,
-        initial_right=tm.input,
-    )
+def tm_to_two_stack(tm: TuringMachine) -> TuringMachine:
+    """Returns ``tm``: the two-stack stage runs on the TuringMachine itself.
+    Kept only because the benchmark's reduce-tm and compile-reduced
+    workloads call it by name; the next change to the benchmark drops it."""
+    return tm
 
 
 # --- multi-counter machines ------------------------------------------------
@@ -322,15 +305,17 @@ def mcm_run(mcm: Program, fuel: int) -> McmResult:
 class _Asm:
     """Counter-machine assembler with forward integer labels.
 
-    ``label()`` allocates a label, ``mark`` binds it to the index of the
-    next emitted instruction, and ``build`` resolves each target with one
-    list lookup; every label must be marked exactly once. Emission order
-    defines state numbering, so each emitter keeps a fixed order.
+    ``label()`` allocates a label, and ``mark`` binds it to the index of
+    the next emitted row; every label must be bound exactly once. Each INC
+    or JZDEC is a row (counter, target, positive target or None), and each
+    HALT is None. ``resolved()`` replaces every label by its index, and
+    ``build`` makes the ``Program``. Emission order defines state
+    numbering, so each emitter keeps a fixed order.
     """
 
     def __init__(self):
-        self._instrs: list[tuple] = []
-        self.at: list[int | None] = []  # label -> bound instruction index
+        self.rows: list[tuple[int, int, int | None] | None] = []
+        self.at: list[int | None] = []  # label -> bound row index
 
     def label(self) -> int:
         self.at.append(None)
@@ -339,30 +324,31 @@ class _Asm:
     def mark(self, label: int):
         if self.at[label] is not None:
             raise AssertionError(f"label {label} defined twice")
-        self.at[label] = len(self._instrs)
+        self.at[label] = len(self.rows)
 
     def inc(self, counter: int, goto: int):
-        self._instrs.append((Inc, counter, goto))
+        self.rows.append((counter, goto, None))
 
     def jzdec(self, counter: int, goto_zero: int, goto_pos: int):
-        self._instrs.append((JzDec, counter, goto_zero, goto_pos))
+        self.rows.append((counter, goto_zero, goto_pos))
 
     def halt(self):
-        self._instrs.append((Halt,))
+        self.rows.append(None)
 
-    def build(self, num_counters: int) -> Program:
+    def resolved(self) -> tuple[tuple[int, int, int | None] | None, ...]:
         at = self.at
         if None in at:
             raise AssertionError(f"undefined label {at.index(None)}")
-        out = []
-        for instr in self._instrs:
-            if instr[0] is Inc:
-                out.append(Inc(instr[1], at[instr[2]]))
-            elif instr[0] is JzDec:
-                out.append(JzDec(instr[1], at[instr[2]], at[instr[3]]))
-            else:
-                out.append(Halt())
-        return Program(tuple(out), num_counters)
+        return tuple(
+            None if row is None else (row[0], at[row[1]], None if row[2] is None else at[row[2]])
+            for row in self.rows
+        )
+
+    def build(self, num_counters: int) -> Program:
+        return Program(tuple(
+            Halt() if row is None else Inc(row[0], row[1]) if row[2] is None else JzDec(*row)
+            for row in self.resolved()
+        ), num_counters)
 
 
 def _emit_inc_chain(asm: _Asm, entry: int, counter: int, n: int, done: int):
@@ -451,33 +437,33 @@ _L, _R, _S = 0, 1, 2  # the 3-counter stage's counters
 _A, _B = 0, 1  # the 2-counter stage's
 
 
-def two_stack_to_counters(tsm: TwoStackMachine) -> Program:
+def two_stack_to_counters(tm: TuringMachine) -> Program:
     """Encode each stack as a base-(s+1) numeral in a counter. Each state
     pops the head cell with a divmod dispatch on the right stack; arm d
     pushes the written digit onto the left stack (move R), or back onto the
     right stack and then moves the left stack's top there (move L)."""
-    base = len(tsm.alphabet) + 1
-    digit = {sym: i + 1 for i, sym in enumerate(tsm.alphabet)}
+    base = len(tm.alphabet) + 1
+    digit = {sym: i + 1 for i, sym in enumerate(tm.alphabet)}
     asm = _Asm()
-    entry_of = {q: asm.label() for q in tsm.states}
+    entry_of = {q: asm.label() for q in tm.states}
 
-    # Load the initial right stack so initial_right[0] ends up on top, then
+    # Load the input onto the right stack so input[0] ends up on top, then
     # enter the initial state, which is emitted next: the entry is index 0.
-    chain = [asm.label() for _ in tsm.initial_right] + [entry_of[tsm.initial]]
-    for cur, nxt, sym in zip(chain, chain[1:], reversed(tsm.initial_right)):
+    chain = [asm.label() for _ in tm.input] + [entry_of[tm.initial]]
+    for cur, nxt, sym in zip(chain, chain[1:], reversed(tm.input)):
         _emit_push(asm, cur, _R, _S, base, digit[sym], nxt)
 
-    order = [tsm.initial] + [q for q in tsm.states if q != tsm.initial]
+    order = [tm.initial] + [q for q in tm.states if q != tm.initial]
     for q in order:
-        if q in tsm.halting:
+        if q in tm.halting:
             asm.mark(entry_of[q])
             asm.halt()
             continue
         arms = [asm.label() for _ in range(base)]
         _emit_divmod_dispatch(asm, entry_of[q], _R, _S, base, arms)
         for d in range(base):
-            top = tsm.blank if d == 0 else tsm.alphabet[d - 1]
-            target, written, move = tsm.transitions[(q, top)]
+            top = tm.blank if d == 0 else tm.alphabet[d - 1]
+            target, written, move = tm.transitions[(q, top)]
             done = entry_of[target]
             if move == "R":
                 _emit_push(asm, arms[d], _L, _S, base, digit[written], done)
@@ -487,7 +473,7 @@ def two_stack_to_counters(tsm: TwoStackMachine) -> Program:
                 _emit_push(asm, arms[d], _R, _S, base, digit[written], pushed)
                 _emit_divmod_dispatch(asm, pushed, _L, _S, base, handlers)
                 for e in range(base):  # an empty left stack (e = 0) yields a blank
-                    moved = digit[tsm.blank] if e == 0 else e
+                    moved = digit[tm.blank] if e == 0 else e
                     _emit_push(asm, handlers[e], _R, _S, base, moved, done)
 
     if asm.at[chain[0]] != 0:
@@ -499,31 +485,23 @@ def two_stack_to_counters(tsm: TwoStackMachine) -> Program:
 def _gadget(kind: type, p: int) -> tuple[tuple[int, int, int | None], ...]:
     """The 2-counter gadget of a 3-counter ``kind`` (``Inc`` or ``JzDec``)
     instruction on the counter of prime p, assembled on first use and kept
-    (at most eight: two kinds by four primes).
+    (at most eight: two kinds by four primes), as ``_Asm`` rows.
 
-    Each row is (counter, next, None) for an INC and (counter, q_zero,
-    q_pos) for a JZDEC. A target t < n, the gadget's length, is the offset t
-    from the entry; t = n is the first exit (the INC's successor, the
-    JZDEC's branch taken when p divides A) and t = n + 1 the second (the
-    JZDEC's branch taken when it does not)."""
+    A target t < n, the gadget's length, is the offset t from the entry;
+    t = n is the first exit (the INC's successor, the JZDEC's branch taken
+    when p divides A) and t = n + 1 the second (the JZDEC's branch taken
+    when it does not)."""
     asm = _Asm()
     entry, first, second = asm.label(), asm.label(), asm.label()
     if kind is Inc:
         _emit_mul_const(asm, entry, _A, _B, p, first)
     else:
         _emit_divide_or_restore(asm, entry, _A, _B, p, on_divisible=first, on_indivisible=second)
-    # the exits become placeholder halts past the end, so build resolves them
-    asm.mark(first)
-    asm.halt()
-    asm.mark(second)
-    asm.halt()
+    n = len(asm.rows)
+    asm.at[first], asm.at[second] = n, n + 1
     if asm.at[entry] != 0:
         raise AssertionError(f"{kind.__name__} gadget for prime {p} is not entered at 0")
-    n = asm.at[first]
-    return tuple(
-        (i.counter, i.next, None) if isinstance(i, Inc) else (i.counter, i.q_zero, i.q_pos)
-        for i in asm.build(2).instructions[:n]
-    )
+    return asm.resolved()
 
 
 def k_counters_to_two(mcm: Program) -> Program:
@@ -598,8 +576,12 @@ def decode_stack(value: int, alphabet: tuple[str, ...]) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class PipelineReport:
+    """``tsm`` holds ``tm`` itself, the two-stack stage's machine. It is kept
+    only because the benchmark reads it; the next change to the benchmark
+    drops it."""
+
     tm: TuringMachine
-    tsm: TwoStackMachine
+    tsm: TuringMachine
     mcm: Program
     program: Program
     tm_result: TmResult
@@ -616,12 +598,11 @@ class PipelineReport:
 
 
 def run_pipeline(tm: TuringMachine, fuel_per_stage: int = 1_000_000) -> PipelineReport:
-    tsm = tm_to_two_stack(tm)
-    mcm = two_stack_to_counters(tsm)
+    mcm = two_stack_to_counters(tm)
     program = k_counters_to_two(mcm)
 
     tm_res = tm_run(tm, fuel_per_stage)
-    tsm_res = tsm_run(tsm, fuel_per_stage)
+    tsm_res = tsm_run(tm, fuel_per_stage)
     mcm_res = mcm_run(mcm, fuel_per_stage)
     cm_res = run(program, fuel=fuel_per_stage)
 
@@ -633,9 +614,9 @@ def run_pipeline(tm: TuringMachine, fuel_per_stage: int = 1_000_000) -> Pipeline
 
     mcm_tape = None
     if mcm_res.halted:
-        left = decode_stack(mcm_res.counters[_L], tsm.alphabet)
-        right = decode_stack(mcm_res.counters[_R], tsm.alphabet)
-        mcm_tape = _stacks_to_tape(left, right, tsm.blank)
+        left = decode_stack(mcm_res.counters[_L], tm.alphabet)
+        right = decode_stack(mcm_res.counters[_R], tm.alphabet)
+        mcm_tape = _stacks_to_tape(left, right, tm.blank)
         agreements["tsm/mcm"] = tsm_res.halted and mcm_tape == tsm_res.tape
     else:
         agreements["tsm/mcm"] = None
@@ -649,7 +630,7 @@ def run_pipeline(tm: TuringMachine, fuel_per_stage: int = 1_000_000) -> Pipeline
 
     return PipelineReport(
         tm=tm,
-        tsm=tsm,
+        tsm=tm,
         mcm=mcm,
         program=program,
         tm_result=tm_res,

@@ -147,6 +147,19 @@ def test_compile_rejected_argument_creates_no_out_dir(bad_arg, tmp_path, capsys)
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("flag, value, bound", [
+    ("--max-steps", 0, ">= 1"), ("--max-steps", -1, ">= 1"),
+    ("--max-steps", INT64_MAX + 1, f"<= {INT64_MAX}"),
+    ("--max-path", -1, ">= 0"), ("--max-path", INT64_MAX + 1, f"<= {INT64_MAX}"),
+])
+@pytest.mark.parametrize("approach", ["reduce", "qpp"])
+def test_compile_names_the_flag_it_rejects(flag, value, bound, approach, tmp_path, capsys):
+    # the message names the flag, not the parameter it feeds (max_steps, max_path)
+    argv = ["compile", DEMO_PATH, "--approach", approach, flag, str(value)]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: {flag} must be {bound}\n")
+
+
 # --------------------------------------------------------------------- eval
 
 
@@ -199,7 +212,7 @@ def test_eval_params_reject_floats_at_any_depth(document, shown, tmp_path, capsy
     assert main(["eval", str(query), "--params", str(params)]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.err == (
-        f"error: --params: parameter 'x' holds the float {shown}; "
+        f"error: TypeMismatch: parameter 'x' holds the float {shown}; "
         "only integers, strings, booleans, null, lists and maps are supported\n"
     )
     assert captured.out == ""
@@ -217,7 +230,7 @@ def test_eval_params_reject_integers_outside_64_bits(document, shown, tmp_path, 
     assert main(["eval", str(query), "--params", str(params)]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.err == (
-        f"error: --params: parameter 'x' holds the integer {shown}, outside the 64-bit range\n"
+        f"error: Overflow: parameter 'x' holds the integer {shown}, outside the 64-bit range\n"
     )
     assert captured.out == ""
 

@@ -208,6 +208,13 @@ def test_lint_reports_text_outside_the_subset():
     ]
 
 
+@pytest.mark.parametrize("query, column", [("RETURN 1 AS x, 2 AS x", 21), ("RETURN x, x", 11)])
+def test_lint_flags_a_repeated_return_alias(query, column):
+    assert lint_primitives(query) == [
+        f"SyntaxError at line 1, column {column}: duplicate return alias 'x'"
+    ]
+
+
 # every word the parser treats specially, plus names of library procedures
 # and of functions inside and outside the whitelist, in three letter cases
 _LINT_VOCABULARY = sorted(KEYWORDS | UNSUPPORTED | {"APOC", "GDS", "SIZE", "HEAD", "RANGE", "REDUCE"})

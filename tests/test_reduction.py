@@ -16,7 +16,6 @@ from cm2cypher.reduction import (
     FixtureError,
     ReductionError,
     TuringMachine,
-    TwoStackMachine,
     _Asm,
     _emit_divide_or_restore,
     _emit_inc_chain,
@@ -30,7 +29,6 @@ from cm2cypher.reduction import (
     mcm_run,
     run_pipeline,
     tm_run,
-    tm_to_two_stack,
     tsm_run,
     two_stack_to_counters,
 )
@@ -187,7 +185,7 @@ def test_tsm_agrees_with_tm_on_fixtures():
     for name in ("immediate_halt", "unary_successor", "right_move"):
         machine = tm(name)
         tm_res = tm_run(machine, fuel=10_000)
-        tsm_res = tsm_run(tm_to_two_stack(machine), fuel=10_000)
+        tsm_res = tsm_run(machine, fuel=10_000)
         assert tsm_res.halted == tm_res.halted
         assert tsm_res.tape == tm_res.tape
         # one stack step per tape step
@@ -212,7 +210,7 @@ def test_tsm_left_move_extends_tape():
         }
     )
     tm_res = tm_run(lefty, fuel=1000)
-    tsm_res = tsm_run(tm_to_two_stack(lefty), fuel=1000)
+    tsm_res = tsm_run(lefty, fuel=1000)
     assert tm_res.halted and tsm_res.halted
     assert tsm_res.tape == tm_res.tape
 
@@ -225,7 +223,7 @@ def test_a_left_writer_keeps_its_tape_across_growth(fuel):
                       "initial": "q0", "halting": ["qh"], "input": ["a", "_", "a"]})
     expected = ("a",) * max(fuel, 1) + ("_", "a")
     assert tm_run(writer, fuel).tape == expected
-    assert tsm_run(tm_to_two_stack(writer), fuel).tape == expected
+    assert tsm_run(writer, fuel).tape == expected
 
 
 # ------------------------------------------------------------ mcm stage
@@ -260,15 +258,15 @@ def test_mcm_validates_targets():
 
 def test_two_stack_to_counters_preserves_results():
     for name in ("immediate_halt", "unary_successor", "right_move"):
-        tsm = tm_to_two_stack(tm(name))
-        mcm = two_stack_to_counters(tsm)
-        tsm_res = tsm_run(tsm, fuel=10_000)
+        machine = tm(name)
+        mcm = two_stack_to_counters(machine)
+        tsm_res = tsm_run(machine, fuel=10_000)
         mcm_res = mcm_run(mcm, fuel=1_000_000)
         assert mcm_res.halted
         # scratch ends at zero; stacks decode to the same contents
         assert mcm_res.counters[2] == 0
-        assert decode_stack(mcm_res.counters[0], tsm.alphabet) == tsm_res.left
-        assert decode_stack(mcm_res.counters[1], tsm.alphabet) == tsm_res.right
+        assert decode_stack(mcm_res.counters[0], machine.alphabet) == tsm_res.left
+        assert decode_stack(mcm_res.counters[1], machine.alphabet) == tsm_res.right
 
 
 @st.composite
@@ -294,18 +292,17 @@ def small_tms(draw):
 @given(machine=small_tms())
 @settings(max_examples=1000, deadline=None)
 def test_two_stack_to_counters_agrees_with_tsm_run_on_small_tms(machine):
-    tsm = tm_to_two_stack(machine)
-    tsm_res = tsm_run(tsm, fuel=6)
+    tsm_res = tsm_run(machine, fuel=6)
     tm_res = tm_run(machine, fuel=6)
     assert (tsm_res.halted, tsm_res.steps) == (tm_res.halted, tm_res.steps)
     assert tsm_res.tape == tm_res.tape
     if not tsm_res.halted:
         return
-    mcm_res = mcm_run(two_stack_to_counters(tsm), fuel=10_000_000)
+    mcm_res = mcm_run(two_stack_to_counters(machine), fuel=10_000_000)
     assert mcm_res.halted
     assert mcm_res.counters[2] == 0
-    assert decode_stack(mcm_res.counters[0], tsm.alphabet) == tsm_res.left
-    assert decode_stack(mcm_res.counters[1], tsm.alphabet) == tsm_res.right
+    assert decode_stack(mcm_res.counters[0], machine.alphabet) == tsm_res.left
+    assert decode_stack(mcm_res.counters[1], machine.alphabet) == tsm_res.right
 
 
 # --------------------------------------------------------- 2-counter stage
@@ -432,7 +429,7 @@ def test_two_counter_steps_follow_the_gadget_cost_formula(name, steps):
     assert two_counter_steps(report.mcm) == report.cm_result.machine_steps == steps
 
 
-def three_counter_steps(tsm: TwoStackMachine) -> int:
+def three_counter_steps(tsm: TuringMachine) -> int:
     """The 3-counter steps ``two_stack_to_counters(tsm)`` takes to its halt,
     summed gadget by gadget while single-stepping ``tsm`` with its stacks
     as base-b numerals, b = |alphabet| + 1: v(3b + 1) + d + 2 for a push of
@@ -453,7 +450,7 @@ def three_counter_steps(tsm: TwoStackMachine) -> int:
         steps += stacks[stack] * (b + 3) + r + 2
         return r
 
-    for sym in reversed(tsm.initial_right):
+    for sym in reversed(tsm.input):
         push("R", digit[sym])
     state = tsm.initial
     while state not in tsm.halting:
@@ -471,19 +468,19 @@ def three_counter_steps(tsm: TwoStackMachine) -> int:
 @pytest.mark.parametrize("name, steps", [
     ("immediate_halt", 1), ("right_move", 10), ("unary_successor", 25)])
 def test_three_counter_steps_follow_the_gadget_cost_formula(name, steps):
-    tsm = tm_to_two_stack(tm(name))
-    assert three_counter_steps(tsm) == mcm_run(two_stack_to_counters(tsm), 10**6).steps == steps
+    machine = tm(name)
+    result = mcm_run(two_stack_to_counters(machine), 10**6)
+    assert three_counter_steps(machine) == result.steps == steps
 
 
 @given(machine=small_tms())
 @settings(max_examples=300, deadline=None)
 def test_three_counter_steps_follow_the_gadget_cost_formula_on_random_tms(machine):
-    tsm = tm_to_two_stack(machine)
-    if not tsm_run(tsm, 40).halted:
+    if not tsm_run(machine, 40).halted:
         return
-    result = mcm_run(two_stack_to_counters(tsm), 10**7)
+    result = mcm_run(two_stack_to_counters(machine), 10**7)
     assert result.halted
-    assert three_counter_steps(tsm) == result.steps
+    assert three_counter_steps(machine) == result.steps
 
 
 @given(
@@ -632,7 +629,7 @@ def test_pipeline_skips_unfinished_stages():
 
 @pytest.mark.parametrize("name", ["right_move", "unary_successor"])
 def test_fold_query_agrees_with_interpreter_on_reduced_programs(name):
-    program = k_counters_to_two(two_stack_to_counters(tm_to_two_stack(tm(name))))
+    program = k_counters_to_two(two_stack_to_counters(tm(name)))
     assert len(program) > 500
     query = parse_query(gen_reduce_query(program, 2000).text)
     name, literal = query.bindings[0]
