@@ -724,9 +724,9 @@ def _single_bind(node: Expr, consts: dict) -> Optional[Compiled]:
     comprehension's lists. Each index of c that e takes gets its own m,
     compiled on first use with v known to be that entry, so it reads nothing
     from env for v and needs no bind. Any other value of e, and any index
-    past MAX_SPECIALISED bodies, binds v to c[e] around the general m, with
-    the errors of c[e]. None for any other argument of head, which then
-    takes the general path."""
+    past MAX_SPECIALISED bodies, binds v to c[e] around the general m, also
+    compiled on first use, with the errors of c[e]. None for any other
+    argument of head, which then takes the general path."""
     if not (
         type(node) is Comprehension
         and node.where is None
@@ -739,10 +739,11 @@ def _single_bind(node: Expr, consts: dict) -> Optional[Compiled]:
     table = _known(source.obj, consts) if type(source) is Index else _MISSING
     if type(table) is not list:
         return None
-    mapper = node.mapper._compile(_without(consts, var_name))
     index, n, bodies = source.index._compile(consts), len(table), {}
+    mapper = None
 
     def bind_entry(env, params):
+        nonlocal mapper
         i = index(env, params)
         if type(i) is int and 0 <= i < n:
             body = bodies.get(i)
@@ -751,6 +752,8 @@ def _single_bind(node: Expr, consts: dict) -> Optional[Compiled]:
             if len(bodies) < MAX_SPECIALISED:
                 body = bodies[i] = node.mapper._compile({**consts, var_name: table[i]})
                 return body(env, params)
+        if mapper is None:
+            mapper = node.mapper._compile(_without(consts, var_name))
         saved = env.get(var_name, _MISSING)
         env[var_name] = source._general(table, i)
         try:

@@ -1,17 +1,32 @@
-"""Tokenizer for the Cypher expression subset.
+"""Lexer for the Cypher expression subset.
 
 Covers identifiers, ASCII integer literals, single-quoted strings (the
 escapes \\n \\t \\r \\b \\f decode to their control characters, and a
 backslash before any other character is dropped: \\\\ \\' \\"),
 punctuation and operators (including <=, >=, <>), parameters ($name), and
-both // line comments and /* */ block comments. One compiled pattern
-splits the text; any other character raises CypherSyntaxError, as does an
-unterminated string or block comment.
+both // line comments and /* */ block comments.
+
+One compiled pattern splits the text into its pieces, with the blanks
+(spaces, tabs, carriage returns, line breaks) between them. A string piece
+keeps its quotes and escapes, so a piece's first character gives its kind:
+a letter or '_' starts a name, a digit an integer, a quote a string, and
+anything else is punctuation; the string ',' is never the piece ','. _scan
+drops the comments and raises CypherSyntaxError on an unterminated string or
+block comment, an illegal character, or a word whose first character is not
+a letter. Positions are not tracked while scanning: a line and column are
+found from a piece's offset, by bisection over the line starts, only where
+one is needed.
+
+The parser reads _scan's pieces. tokenize is a Token view of the same
+pieces, for the token comparison of queries and for tests.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from itertools import accumulate, compress, count
+from operator import add
 from typing import NamedTuple
 
 from .errors import CypherSyntaxError
@@ -31,24 +46,27 @@ class Token(NamedTuple):
     offset: int  # absolute character offset, for source-span recovery
 
 
-# Alternatives are tried in order: blanks and // comments (never a line
-# break), the common tokens, line breaks and block comments, strings, words
-# that start with a non-ASCII character (tokenize rejects those that are not
-# letters), and any one character no token starts with: '/*' or a quote left
-# unterminated, or an illegal character.
-_MASTER = re.compile(
-    r"""
-      (?P<space>[ \t\r]+|//[^\n]*)
-    | (?P<ident>[A-Za-z_]\w*)
-    | (?P<punct><=|>=|<>|/(?![/*])|[()\[\]{},:.|+\-*%=<>$;])
-    | (?P<int>[0-9]+)
-    | (?P<lines>(?:\n|/\*.*?\*/)[ \t\r\n]*)
-    | (?P<string>'[^'\\]*(?:\\.[^'\\]*)*')
-    | (?P<word>[^\W\d]\w*)
-    | (?P<error>/\*|.)
-    """,
+# One capturing group, so the split puts the blanks and the pieces in turn.
+# Alternatives are tried in order: names, punctuation, integers, strings,
+# comments, words that start with a non-ASCII character (_scan rejects those
+# that are not letters), and any one non-blank character no piece starts
+# with: '/*' or a quote left unterminated, or an illegal character.
+_SPLIT = re.compile(
+    r"""(
+      [A-Za-z_]\w*
+    | <=|>=|<>|/(?![/*])|[()\[\]{},:.|+\-*%=<>$;]
+    | [0-9]+
+    | '[^'\\]*(?:\\.[^'\\]*)*'
+    | //[^\n]*|/\*.*?\*/
+    | [^\W\d]\w*
+    | /\*|[^ \t\r\n]
+    )""",
     re.VERBOSE | re.DOTALL,
-)
+).split
+# kinds by first character; any other first character is a letter's, once
+# _fault has passed the piece
+_KINDS = {"": EOF, "'": STRING, **dict.fromkeys("0123456789", INT),
+          **dict.fromkeys("<>/()[]{},:.|+-*%=$;", PUNCT)}
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 # any other escaped character stands for itself
 _ESCAPED = {"n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f"}
@@ -56,34 +74,71 @@ _UNTERMINATED = {"/*": "unterminated block comment", "'": "unterminated string l
 _new_token = tuple.__new__  # skips NamedTuple's __new__, a Python-level call
 
 
+def _fault(piece: str) -> str | None:
+    """None for a piece the parser reads, "" for a comment, else the message
+    of the error it is."""
+    if piece in _UNTERMINATED:
+        return _UNTERMINATED[piece]
+    first = piece[0]
+    if first == "/" and len(piece) > 1:
+        return ""
+    if _kind(piece) == IDENT and not (first.isalpha() or first == "_"):
+        return f"illegal character {first!r}"
+    return None
+
+
+def _scan(text: str) -> tuple[list[str], list[int]]:
+    """The pieces of text without its comments, ending in "", and the offset
+    of each; an unterminated string or block comment is reported at its
+    start."""
+    parts = _SPLIT(text)
+    pieces = parts[1::2]
+    offsets = list(accumulate(map(len, parts)))[::2]  # the last is len(text)
+    faults = {p: fault for p in set(pieces) if (fault := _fault(p)) is not None}
+    errors = [pieces.index(p) for p, fault in faults.items() if fault]
+    if errors:
+        i = min(errors)
+        raise CypherSyntaxError(faults[pieces[i]], *_position(_line_starts(text), offsets[i]))
+    pieces.append("")
+    if faults:  # comments only
+        kept = [p not in faults for p in pieces]
+        pieces, offsets = list(compress(pieces, kept)), list(compress(offsets, kept))
+    return pieces, offsets
+
+
+def _line_starts(text: str) -> list[int]:
+    """The offset of each line's first character, then one past the end."""
+    # line k + 1 starts after the first k lines and their k line breaks
+    return [0, *map(add, accumulate(map(len, text.split("\n"))), count(1))]
+
+
+def _position(line_starts: list[int], offset: int) -> tuple[int, int]:
+    """The 1-based line and column of an offset."""
+    line = bisect_right(line_starts, offset)
+    return line, offset - line_starts[line - 1] + 1
+
+
+def _kind(piece: str) -> str:
+    """The kind of a piece _scan returned."""
+    return _KINDS.get(piece[:1], IDENT)
+
+
+def _lexeme(piece: str) -> str:
+    """The piece, or for a string piece its value."""
+    if piece[:1] != "'":
+        return piece
+    value = piece[1:-1]
+    if "\\" in value:
+        value = _ESCAPE.sub(lambda m: _ESCAPED.get(m[1], m[1]), value)
+    return value
+
+
 def tokenize(text: str) -> list[Token]:
     """Token list ending in one EOF token; lines and columns are 1-based.
-    An unterminated string or block comment is reported at its start."""
-    tokens: list[Token] = []
-    append = tokens.append
-    line = 1
-    line_start = 0  # offset of the first character of the current line
-    for m in _MASTER.finditer(text):
-        kind = m.lastgroup
-        if kind == "space":
-            continue
-        start = m.start()
-        lexeme = m.group()
-        if kind == "ident" or kind == "punct" or kind == "int":  # named like the kinds
-            append(_new_token(Token, (kind, lexeme, line, start - line_start + 1, start)))
-            continue
-        if kind == "string":
-            value = lexeme[1:-1]
-            if "\\" in value:
-                value = _ESCAPE.sub(lambda m: _ESCAPED.get(m[1], m[1]), value)
-            append(_new_token(Token, (STRING, value, line, start - line_start + 1, start)))
-        elif kind == "word" and lexeme[0].isalpha():
-            append(_new_token(Token, (IDENT, lexeme, line, start - line_start + 1, start)))
-        elif kind == "error" or kind == "word":
-            message = _UNTERMINATED.get(lexeme) or f"illegal character {lexeme[0]!r}"
-            raise CypherSyntaxError(message, line, start - line_start + 1)
-        if "\n" in lexeme:  # lines, or a string that spans lines
-            line += lexeme.count("\n")
-            line_start = start + lexeme.rindex("\n") + 1
-    append(Token(EOF, "", line, len(text) - line_start + 1, len(text)))
-    return tokens
+    An unterminated string or block comment is reported at its start. The
+    tokens are a view of _scan's pieces: a string token's lexeme is its
+    value, and the EOF token is the end marker."""
+    pieces, offsets = _scan(text)
+    line_starts = _line_starts(text)
+    return [_new_token(Token, (_kind(piece), _lexeme(piece), *_position(line_starts, offset), offset))
+            for piece, offset in zip(pieces, offsets)]

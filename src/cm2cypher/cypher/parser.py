@@ -7,13 +7,20 @@ subset (MATCH, CALL, WITH, unknown functions, ...) is rejected at parse
 time with UnsupportedFeature naming the construct, and nesting too deep
 for Python's recursion limit with CypherSyntaxError.
 
+The parser reads the lexer's pieces of the text (lexer._scan), not Token
+objects: each test of the input compares one piece string, and a string
+piece keeps its quotes, so only a name can equal a keyword and only
+punctuation an operator. A node's or an error's line and column are found
+from its piece's offset when it is built, and a string is unescaped only
+when its Literal is built.
+
 Binary operators are read by one precedence-climbing loop (Pratt, "Top Down
 Operator Precedence", 1973) over the _BINDING_POWER table, loosest first:
 OR, AND, prefix NOT, = <> < <= > >=, + -, * / %. An operator is a
-punctuation token or the keyword AND/OR, never a string or another name.
+punctuation piece or the keyword AND/OR, never a string or another name.
 
 Literal fast path: parse_map reads each entry 'key: <int or string>'
-followed by ',' or '}' in one loop over the tokens, and parse_list hands an
+followed by ',' or '}' in one loop over the pieces, and parse_list hands an
 item that starts with '{' to parse_map directly, then reads whatever
 follows its '}' as parse_expr would; the first entry or item of any other
 shape falls back to the general descent, so trees and errors are the same.
@@ -23,7 +30,7 @@ from __future__ import annotations
 
 from . import ast
 from .errors import CypherSyntaxError, UnsupportedFeature
-from .lexer import EOF, IDENT, INT, PUNCT, STRING, Token, tokenize
+from .lexer import IDENT, INT, STRING, _kind, _lexeme, _line_starts, _position, _scan
 
 KEYWORDS = {
     "LET", "RETURN", "CASE", "WHEN", "THEN", "ELSE", "END",
@@ -49,147 +56,152 @@ _BINDING_POWER = {"OR": 1, "AND": 2, "=": 4, "<>": 4, "<": 4, "<=": 4, ">": 4, "
 _NOT_POWER = 3
 
 
-def _literal(tok: Token, minus: Token | None = None) -> ast.Literal:
-    """The Literal of an INT or STRING token; an INT after the '-' token
-    ``minus`` is negative and sits at the '-'."""
-    if tok.kind == STRING:
-        return ast.Literal(tok.lexeme, tok.line, tok.column)
-    try:
-        value = int(tok.lexeme)
-    except ValueError:  # past Python's limit on int() of a digit string
-        raise CypherSyntaxError(
-            f"integer literal of {len(tok.lexeme)} digits is too long", tok.line, tok.column
-        ) from None
-    if minus is not None:
-        value, tok = -value, minus
-    return _int_literal(value, tok)
-
-
-def _int_literal(value: int, tok: Token) -> ast.Literal:
-    """An integer Literal at tok; the subset's integers are 64-bit."""
-    if not ast.INT64_MIN <= value <= ast.INT64_MAX:
-        raise CypherSyntaxError(
-            f"integer literal {value} is outside the 64-bit range", tok.line, tok.column
-        )
-    return ast.Literal(value, tok.line, tok.column)
-
-
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = tokenize(text)
+        # pieces end in the end marker "", and no test reads past a piece
+        # that is "", so no read runs off the end
+        self.pieces, self.offsets = _scan(text)
+        self.line_starts = _line_starts(text)
         self.pos = 0
 
-    # --- token helpers -------------------------------------------------
+    # --- piece helpers -------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def at(self, i: int) -> tuple[int, int]:
+        """The line and column of piece i."""
+        return _position(self.line_starts, self.offsets[i])
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != EOF:
-            self.pos += 1
-        return tok
+    def peek(self, ahead: int = 0) -> str:
+        return self.pieces[self.pos + ahead]
+
+    def next(self) -> int:
+        """The index of the current piece, which is not the end; moves past it."""
+        i = self.pos
+        self.pos = i + 1
+        return i
 
     def at_keyword(self, word: str, ahead: int = 0) -> bool:
-        tok = self.peek(ahead)
-        return tok.kind == IDENT and tok.lexeme.upper() == word
+        return self.pieces[self.pos + ahead].upper() == word
 
     def _expected(self, what: str) -> CypherSyntaxError:
-        tok = self.peek()
-        found = "end of input" if tok.kind == EOF else tok.lexeme
-        return CypherSyntaxError(f"expected {what}, found {found!r}", tok.line, tok.column)
+        piece = self.peek()
+        found = _lexeme(piece) if piece else "end of input"
+        return CypherSyntaxError(f"expected {what}, found {found!r}", *self.at(self.pos))
 
-    def expect_keyword(self, word: str) -> Token:
+    def expect_keyword(self, word: str):
         if not self.at_keyword(word):
             raise self._expected(word)
-        return self.next()
+        self.pos += 1
 
-    def at_punct(self, lexeme: str, ahead: int = 0) -> bool:
-        tok = self.peek(ahead)
-        return tok.kind == PUNCT and tok.lexeme == lexeme
-
-    def expect_punct(self, lexeme: str) -> Token:
-        if not self.at_punct(lexeme):
+    def expect_punct(self, lexeme: str) -> int:
+        if self.pieces[self.pos] != lexeme:
             raise self._expected(repr(lexeme))
         return self.next()
 
-    def expect_name(self) -> Token:
-        tok = self.peek()
-        if tok.kind != IDENT or tok.lexeme.upper() in KEYWORDS:
+    def expect_name(self) -> int:
+        piece = self.peek()
+        if _kind(piece) != IDENT or piece.upper() in KEYWORDS:
             raise self._expected("a name")
-        self._reject_unsupported(tok)
+        self._reject_unsupported(self.pos)
         return self.next()
 
-    def expect_ident(self, message: str) -> Token:
-        tok = self.peek()
-        if tok.kind != IDENT:
-            raise CypherSyntaxError(message, tok.line, tok.column)
-        return self.next()
+    def expect_ident(self, message: str) -> str:
+        piece = self.peek()
+        if _kind(piece) != IDENT:
+            raise CypherSyntaxError(message, *self.at(self.pos))
+        self.pos += 1
+        return piece
 
     def parse_comma_list(self, parse_item) -> list:
         items = [parse_item()]
-        while self.at_punct(","):
-            self.next()
+        while self.pieces[self.pos] == ",":
+            self.pos += 1
             items.append(parse_item())
         return items
 
-    def _reject_unsupported(self, tok: Token):
-        if tok.kind == IDENT and tok.lexeme.upper() in UNSUPPORTED:
-            raise UnsupportedFeature(tok.lexeme.upper(), tok.line, tok.column)
+    def _reject_unsupported(self, i: int):
+        upper = self.pieces[i].upper()
+        if upper in UNSUPPORTED:
+            raise UnsupportedFeature(upper, *self.at(i))
+
+    def _literal(self, i: int, minus: int | None = None) -> ast.Literal:
+        """The Literal of the int or string piece i; an int after the '-'
+        piece ``minus`` is negative and sits at the '-'."""
+        piece = self.pieces[i]
+        if _kind(piece) == STRING:
+            return ast.Literal(_lexeme(piece), *self.at(i))
+        try:
+            value = int(piece)
+        except ValueError:  # past Python's limit on int() of a digit string
+            raise CypherSyntaxError(
+                f"integer literal of {len(piece)} digits is too long", *self.at(i)
+            ) from None
+        if minus is not None:
+            value, i = -value, minus
+        return self._int_literal(value, i)
+
+    def _int_literal(self, value: int, i: int) -> ast.Literal:
+        """An integer Literal at piece i; the subset's integers are 64-bit."""
+        if not ast.INT64_MIN <= value <= ast.INT64_MAX:
+            raise CypherSyntaxError(
+                f"integer literal {value} is outside the 64-bit range", *self.at(i)
+            )
+        return ast.Literal(value, *self.at(i))
 
     # --- query ----------------------------------------------------------
 
     def parse_query(self) -> ast.QueryAst:
-        if self.at_keyword("CYPHER") and self.peek(1).kind == INT:
-            self.next()
-            self.next()
+        if self.at_keyword("CYPHER") and _kind(self.peek(1)) == INT:
+            self.pos += 2
         bindings: list[tuple[str, ast.Expr]] = []
         seen = set()
         while self.at_keyword("LET"):
-            self.next()
-            name_tok = self.expect_name()
-            if name_tok.lexeme in seen:
-                raise CypherSyntaxError(
-                    f"duplicate binding {name_tok.lexeme!r}", name_tok.line, name_tok.column
-                )
-            seen.add(name_tok.lexeme)
+            self.pos += 1
+            i = self.expect_name()
+            name = self.pieces[i]
+            if name in seen:
+                raise CypherSyntaxError(f"duplicate binding {name!r}", *self.at(i))
+            seen.add(name)
             self.expect_punct("=")
-            bindings.append((name_tok.lexeme, self.parse_expr()))
-        self._reject_unsupported(self.peek())
+            bindings.append((name, self.parse_expr()))
+        self._reject_unsupported(self.pos)
         self.expect_keyword("RETURN")
         aliases: set[str] = set()
         returns = self.parse_comma_list(lambda: self.parse_return_item(aliases))
-        if self.at_punct(";"):
-            self.next()
-        tok = self.peek()
-        if tok.kind != EOF:
-            self._reject_unsupported(tok)
+        if self.peek() == ";":
+            self.pos += 1
+        piece = self.peek()
+        if piece:
+            self._reject_unsupported(self.pos)
             raise CypherSyntaxError(
-                f"unexpected input after RETURN clause: {tok.lexeme!r}", tok.line, tok.column
+                f"unexpected input after RETURN clause: {_lexeme(piece)!r}", *self.at(self.pos)
             )
         return ast.QueryAst(tuple(bindings), tuple(returns))
 
     def parse_expression(self) -> ast.Expr:
         expr = self.parse_expr()
-        tok = self.peek()
-        if tok.kind != EOF:
-            raise CypherSyntaxError(f"unexpected trailing input {tok.lexeme!r}", tok.line, tok.column)
+        piece = self.peek()
+        if piece:
+            raise CypherSyntaxError(
+                f"unexpected trailing input {_lexeme(piece)!r}", *self.at(self.pos)
+            )
         return expr
 
     def parse_return_item(self, aliases: set[str]) -> ast.ReturnItem:
         # a repeated alias is reported at the name after AS, or at the item's
-        # first token when the alias is the item's own text
-        tok = self.peek()
+        # first piece when the alias is the item's own text: from the start
+        # of its first piece to the end of its last, so no comment after it
+        first = self.pos
         expr = self.parse_expr()
         if self.at_keyword("AS"):
-            self.next()
-            tok = self.expect_name()
-            alias = tok.lexeme
+            self.pos += 1
+            at = self.expect_name()
+            alias = self.pieces[at]
         else:
-            alias = self.text[tok.offset:self.peek().offset].strip()
+            at, last = first, self.pos - 1
+            alias = self.text[self.offsets[first]:self.offsets[last] + len(self.pieces[last])]
         if alias in aliases:
-            raise CypherSyntaxError(f"duplicate return alias {alias!r}", tok.line, tok.column)
+            raise CypherSyntaxError(f"duplicate return alias {alias!r}", *self.at(at))
         aliases.add(alias)
         return ast.ReturnItem(expr, alias)
 
@@ -197,44 +209,41 @@ class _Parser:
 
     def parse_expr(self, min_power: int = 0) -> ast.Expr:
         # an operand, then the binary operators that bind tighter than min_power
-        tok = self.peek()
+        i = self.pos
         # NOT may start an operand of OR, AND or NOT, not of a tighter operator
-        if min_power <= _NOT_POWER and tok.kind == IDENT and tok.lexeme.upper() == "NOT":
-            self.next()
-            left = ast.Not(self.parse_expr(_NOT_POWER), tok.line, tok.column)
+        if min_power <= _NOT_POWER and self.pieces[i].upper() == "NOT":
+            self.pos = i + 1
+            left = ast.Not(self.parse_expr(_NOT_POWER), *self.at(i))
         else:
             left = self.parse_unary()
         return self.parse_operators(left, min_power)
 
     def parse_operators(self, left: ast.Expr, min_power: int) -> ast.Expr:
+        pieces = self.pieces
         while True:
-            tok = self.peek()
-            if tok.kind == PUNCT:
-                op = tok.lexeme
-            elif tok.kind == IDENT:
-                op = tok.lexeme.upper()
-            else:
-                return left
+            i = self.pos
+            op = pieces[i].upper()
             power = _BINDING_POWER.get(op, 0)
             if power <= min_power:
                 return left
-            self.next()
-            left = ast.Binary(op, left, self.parse_expr(power), tok.line, tok.column)
+            self.pos = i + 1
+            left = ast.Binary(op, left, self.parse_expr(power), *self.at(i))
 
     def parse_unary(self) -> ast.Expr:
-        if self.at_punct("-"):
-            tok = self.next()
+        piece = self.peek()
+        if piece == "-":
+            i = self.next()
             # -<digits> is one literal, so -9223372036854775808 is in range;
             # a '.' or '[' after the digits binds tighter than the '-'
-            if self.peek().kind == INT and not (self.at_punct(".", 1) or self.at_punct("[", 1)):
-                return _literal(self.next(), tok)
+            if _kind(self.peek()) == INT and self.peek(1) != "." and self.peek(1) != "[":
+                return self._literal(self.next(), i)
             operand = self.parse_unary()
             # fold -<int> into a literal; -true, -null and -'a' keep Neg's checks
             if type(operand) is ast.Literal and type(operand.value) is int:
-                return _int_literal(-operand.value, tok)
-            return ast.Neg(operand, tok.line, tok.column)
-        if self.at_punct("+"):
-            self.next()
+                return self._int_literal(-operand.value, i)
+            return ast.Neg(operand, *self.at(i))
+        if piece == "+":
+            self.pos += 1
             return self.parse_unary()
         return self.parse_postfix()
 
@@ -243,180 +252,178 @@ class _Parser:
 
     def parse_suffixes(self, expr: ast.Expr) -> ast.Expr:
         while True:
-            if self.at_punct("."):
-                tok = self.next()
+            piece = self.peek()
+            if piece == ".":
+                i = self.next()
                 key = self.expect_ident("expected property name after '.'")
-                expr = ast.Prop(expr, key.lexeme, tok.line, tok.column)
-            elif self.at_punct("["):
-                tok = self.next()
+                expr = ast.Prop(expr, key, *self.at(i))
+            elif piece == "[":
+                i = self.next()
                 index = self.parse_expr()
                 self.expect_punct("]")
-                expr = ast.Index(expr, index, tok.line, tok.column)
+                expr = ast.Index(expr, index, *self.at(i))
             else:
                 return expr
 
     def parse_primary(self) -> ast.Expr:
-        tok = self.peek()
-        if tok.kind == INT or tok.kind == STRING:
-            self.next()
-            return _literal(tok)
-        if tok.kind == PUNCT:
-            if tok.lexeme == "(":
-                self.next()
-                expr = self.parse_expr()
-                self.expect_punct(")")
-                return expr
-            if tok.lexeme == "[":
-                return self.parse_list()
-            if tok.lexeme == "{":
-                return self.parse_map()
-            if tok.lexeme == "$":
-                self.next()
-                name = self.expect_ident("expected parameter name after '$'")
-                return ast.Param(name.lexeme, tok.line, tok.column)
-            raise CypherSyntaxError(f"unexpected {tok.lexeme!r}", tok.line, tok.column)
-        if tok.kind == IDENT:
-            upper = tok.lexeme.upper()
-            self._reject_unsupported(tok)
+        i = self.pos
+        piece = self.pieces[i]
+        kind = _kind(piece)
+        if kind == INT or kind == STRING:
+            self.pos = i + 1
+            return self._literal(i)
+        if kind == IDENT:
+            upper = piece.upper()
+            self._reject_unsupported(i)
             if upper == "CASE":
                 return self.parse_case()
             if upper in _CONSTANTS:
-                self.next()
-                return ast.Literal(_CONSTANTS[upper], tok.line, tok.column)
+                self.pos = i + 1
+                return ast.Literal(_CONSTANTS[upper], *self.at(i))
             if upper in KEYWORDS:
-                raise CypherSyntaxError(f"unexpected keyword {tok.lexeme!r}", tok.line, tok.column)
-            if self.at_punct("(", ahead=1):
+                raise CypherSyntaxError(f"unexpected keyword {piece!r}", *self.at(i))
+            if self.peek(1) == "(":
                 return self.parse_call()
-            self.next()
-            return ast.Var(tok.lexeme, tok.line, tok.column)
-        raise CypherSyntaxError("unexpected end of input", tok.line, tok.column)
+            self.pos = i + 1
+            return ast.Var(piece, *self.at(i))
+        if piece == "(":
+            self.pos = i + 1
+            expr = self.parse_expr()
+            self.expect_punct(")")
+            return expr
+        if piece == "[":
+            return self.parse_list()
+        if piece == "{":
+            return self.parse_map()
+        if piece == "$":
+            self.pos = i + 1
+            name = self.expect_ident("expected parameter name after '$'")
+            return ast.Param(name, *self.at(i))
+        if piece:
+            raise CypherSyntaxError(f"unexpected {piece!r}", *self.at(i))
+        raise CypherSyntaxError("unexpected end of input", *self.at(i))
 
     def parse_call(self) -> ast.Expr:
-        name_tok = self.next()
-        name = name_tok.lexeme
+        i = self.next()
+        name = self.pieces[i]
         if name == "reduce":
-            return self.parse_reduce(name_tok)
+            return self.parse_reduce(i)
         if name not in FUNCTION_ARITY:
-            raise UnsupportedFeature(f"function {name}()", name_tok.line, name_tok.column)
+            raise UnsupportedFeature(f"function {name}()", *self.at(i))
         self.expect_punct("(")
         args = self.parse_comma_list(self.parse_expr)
         self.expect_punct(")")
         arity = FUNCTION_ARITY[name]
         if len(args) != arity:
             raise CypherSyntaxError(
-                f"{name}() takes {arity} argument(s), got {len(args)}",
-                name_tok.line,
-                name_tok.column,
+                f"{name}() takes {arity} argument(s), got {len(args)}", *self.at(i)
             )
-        return ast.Call(name, args, name_tok.line, name_tok.column)
+        return ast.Call(name, args, *self.at(i))
 
-    def parse_reduce(self, name_tok) -> ast.Expr:
+    def parse_reduce(self, i: int) -> ast.Expr:
         self.expect_punct("(")
-        acc = self.expect_name()
+        acc = self.pieces[self.expect_name()]
         self.expect_punct("=")
         init = self.parse_expr()
         self.expect_punct(",")
-        var = self.expect_name()
+        var = self.pieces[self.expect_name()]
         self.expect_keyword("IN")
         list_expr = self.parse_expr()
         self.expect_punct("|")
         body = self.parse_expr()
         self.expect_punct(")")
-        return ast.Reduce(
-            acc.lexeme, init, var.lexeme, list_expr, body, name_tok.line, name_tok.column
-        )
+        return ast.Reduce(acc, init, var, list_expr, body, *self.at(i))
 
     def parse_list(self) -> ast.Expr:
-        open_tok = self.expect_punct("[")
-        # two-token lookahead: "[ name IN" starts a comprehension
-        if (
-            self.peek().kind == IDENT
-            and self.peek().lexeme.upper() not in KEYWORDS
-            and self.at_keyword("IN", ahead=1)
-        ):
-            var = self.expect_name()
+        open_i = self.expect_punct("[")
+        # two-piece lookahead: "[ name IN" starts a comprehension
+        piece = self.peek()
+        if _kind(piece) == IDENT and piece.upper() not in KEYWORDS and self.at_keyword("IN", 1):
+            var = self.pieces[self.expect_name()]
             self.expect_keyword("IN")
             list_expr = self.parse_expr()
             where = None
             mapper = None
             if self.at_keyword("WHERE"):
-                self.next()
+                self.pos += 1
                 where = self.parse_expr()
-            if self.at_punct("|"):
-                self.next()
+            if self.peek() == "|":
+                self.pos += 1
                 mapper = self.parse_expr()
             self.expect_punct("]")
-            return ast.Comprehension(
-                var.lexeme, list_expr, where, mapper, open_tok.line, open_tok.column
-            )
-        items = [] if self.at_punct("]") else self.parse_comma_list(self.parse_list_item)
+            return ast.Comprehension(var, list_expr, where, mapper, *self.at(open_i))
+        items = [] if piece == "]" else self.parse_comma_list(self.parse_list_item)
         self.expect_punct("]")
-        return ast.ListLit(items, open_tok.line, open_tok.column)
+        return ast.ListLit(items, *self.at(open_i))
 
     def parse_list_item(self) -> ast.Expr:
         # an item that starts with '{' is read by parse_map directly; whatever
         # else follows its '}' ('.k', '+ 1', ...) is read as parse_expr reads it
-        if not self.at_punct("{"):
+        if self.peek() != "{":
             return self.parse_expr()
         item = self.parse_map()
-        tok = self.tokens[self.pos]
-        if tok.kind == PUNCT and (tok.lexeme == "," or tok.lexeme == "]"):
+        piece = self.peek()
+        if piece == "," or piece == "]":
             return item
         return self.parse_operators(self.parse_suffixes(item), 0)
 
     def parse_map(self) -> ast.Expr:
-        open_tok = self.expect_punct("{")
-        tokens, pos, items = self.tokens, self.pos, []
+        open_i = self.expect_punct("{")
+        pieces = self.pieces
+        pos, items = self.pos, []
         # fast path: each entry 'key: <int or string>' followed by ',' or '}'
-        # becomes its Literal here. Each test reads one token past the one
-        # before it, and EOF fails every test, so none reads past the end.
-        while tokens[pos].kind == IDENT:
-            colon = tokens[pos + 1]
-            if colon.kind != PUNCT or colon.lexeme != ":":
+        # becomes its Literal here. Each test reads one piece past the one
+        # before it, and the end marker fails every test, so none reads past
+        # the end. An entry it leaves to the general path gets the same tree
+        # or error there.
+        while _kind(pieces[pos]) == IDENT and pieces[pos + 1] == ":":
+            value = pieces[pos + 2]
+            kind = _kind(value)
+            if kind != INT and kind != STRING:
                 break
-            value = tokens[pos + 2]
-            if value.kind != INT and value.kind != STRING:
+            end = pieces[pos + 3]
+            if end != "," and end != "}":
                 break
-            literal = _literal(value)
-            end = tokens[pos + 3]
-            if end.kind != PUNCT or (end.lexeme != "," and end.lexeme != "}"):
-                break
-            items.append((tokens[pos].lexeme, literal))
+            if kind == INT and len(value) > 18:  # perhaps outside 64 bits
+                literal = self._literal(pos + 2)
+            else:  # in range
+                literal = ast.Literal(int(value) if kind == INT else _lexeme(value),
+                                      *self.at(pos + 2))
+            items.append((pieces[pos], literal))
             pos += 4
-            if end.lexeme == "}":
+            if end == "}":
                 self.pos = pos
-                return ast.MapLit(items, open_tok.line, open_tok.column)
+                return ast.MapLit(items, *self.at(open_i))
         # the general path, from the first entry the fast path did not read
         self.pos = pos
-        if items or not self.at_punct("}"):
+        if items or pieces[pos] != "}":
             items += self.parse_comma_list(self.parse_map_entry)
         self.expect_punct("}")
-        return ast.MapLit(items, open_tok.line, open_tok.column)
+        return ast.MapLit(items, *self.at(open_i))
 
     def parse_map_entry(self) -> tuple[str, ast.Expr]:
         key = self.expect_ident("expected map key")
         self.expect_punct(":")
-        return key.lexeme, self.parse_expr()
+        return key, self.parse_expr()
 
     def parse_case(self) -> ast.Expr:
         # the simple form is the searched form with a subject
-        case_tok = self.next()
+        case_i = self.next()
         subject = None if self.at_keyword("WHEN") else self.parse_expr()
         whens = []
         while self.at_keyword("WHEN"):
-            self.next()
+            self.pos += 1
             cond = self.parse_expr()
             self.expect_keyword("THEN")
             whens.append((cond, self.parse_expr()))
         if not whens:
-            tok = self.peek()
-            raise CypherSyntaxError("CASE requires at least one WHEN arm", tok.line, tok.column)
+            raise CypherSyntaxError("CASE requires at least one WHEN arm", *self.at(self.pos))
         default = None
         if self.at_keyword("ELSE"):
-            self.next()
+            self.pos += 1
             default = self.parse_expr()
         self.expect_keyword("END")
-        return ast.Case(subject, whens, default, case_tok.line, case_tok.column)
+        return ast.Case(subject, whens, default, *self.at(case_i))
 
 
 def _parse(text: str, rule):

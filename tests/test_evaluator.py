@@ -1,16 +1,21 @@
+import dataclasses
+import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cm2cypher.codegen import gen_reduce_query
+from cm2cypher import codegen
+from cm2cypher.codegen import gen_reduce_query, lint_primitives
 from cm2cypher.cypher import (
     CypherError,
     CypherSyntaxError,
     DivisionByZero,
     EvalError,
     IntegerOverflow,
+    Token,
     TypeMismatch,
     UnknownParameter,
     UnknownVariable,
@@ -25,10 +30,12 @@ from cm2cypher.cypher import (
     run_query_text,
     tokenize,
 )
+from cm2cypher.cypher import lexer, parser
 from cm2cypher.cypher.parser import FUNCTION_ARITY, KEYWORDS, UNSUPPORTED
 from cm2cypher.frontend import random_program
 from cm2cypher.machine import run
-from conftest import GOLDEN
+from cm2cypher.reduction import k_counters_to_two, load_tm_file, two_stack_to_counters
+from conftest import FIXTURES, GOLDEN
 
 INT64_MAX = 2**63 - 1
 
@@ -132,7 +139,7 @@ def test_integer_literals_are_ascii_digits(text):
         run_query_text(text)
 
 
-_CYPHERISH = st.sampled_from(list("aZx_é09² \t\r\n'\"\\/*()[]{},:.|+-%=<>$;!") + ["//", "/*", "*/"])
+_CYPHERISH = st.sampled_from(list("aZx_é09²٣ \t\r\n'\"\\/*()[]{},:.|+-%=<>$;!") + ["//", "/*", "*/"])
 
 
 @given(st.lists(_CYPHERISH, max_size=30).map("".join))
@@ -150,6 +157,77 @@ def test_tokenize_positions_property(text):
         assert t.column == t.offset - (text.rfind("\n", 0, t.offset) + 1) + 1
         if t.kind != "string":
             assert text[t.offset:t.offset + len(t.lexeme)] == t.lexeme
+
+
+# The lexer as it was before tokenize became a view of the pieces the parser
+# reads: one master pattern, matched token by token, with the line and column
+# carried along. It is the oracle that tokenize must agree with.
+_REFERENCE_MASTER = re.compile(
+    r"""
+      (?P<space>[ \t\r]+|//[^\n]*)
+    | (?P<ident>[A-Za-z_]\w*)
+    | (?P<punct><=|>=|<>|/(?![/*])|[()\[\]{},:.|+\-*%=<>$;])
+    | (?P<int>[0-9]+)
+    | (?P<lines>(?:\n|/\*.*?\*/)[ \t\r\n]*)
+    | (?P<string>'[^'\\]*(?:\\.[^'\\]*)*')
+    | (?P<word>[^\W\d]\w*)
+    | (?P<error>/\*|.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_REFERENCE_ESCAPED = {"n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f"}
+_REFERENCE_UNTERMINATED = {"/*": "unterminated block comment",
+                           "'": "unterminated string literal"}
+
+
+def _reference_tokenize(text):
+    tokens = []
+    line = 1
+    line_start = 0  # offset of the first character of the current line
+    for m in _REFERENCE_MASTER.finditer(text):
+        kind = m.lastgroup
+        if kind == "space":
+            continue
+        start = m.start()
+        lexeme = m.group()
+        if kind in ("ident", "punct", "int"):
+            tokens.append(Token(kind, lexeme, line, start - line_start + 1, start))
+            continue
+        if kind == "string":
+            value = re.sub(r"\\(.)", lambda e: _REFERENCE_ESCAPED.get(e[1], e[1]),
+                           lexeme[1:-1], flags=re.DOTALL)
+            tokens.append(Token("string", value, line, start - line_start + 1, start))
+        elif kind == "word" and lexeme[0].isalpha():
+            tokens.append(Token("ident", lexeme, line, start - line_start + 1, start))
+        elif kind == "error" or kind == "word":
+            message = _REFERENCE_UNTERMINATED.get(lexeme) or f"illegal character {lexeme[0]!r}"
+            raise CypherSyntaxError(message, line, start - line_start + 1)
+        if "\n" in lexeme:  # lines, or a string that spans lines
+            line += lexeme.count("\n")
+            line_start = start + lexeme.rindex("\n") + 1
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1, len(text)))
+    return tokens
+
+
+def _tokens_or_error(tokenizer, text):
+    try:
+        return tokenizer(text)
+    except CypherSyntaxError as exc:
+        return ("error", exc.message, exc.line, exc.column)
+
+
+# whole strings and comments that span lines, beside the single characters,
+# so that a piece on the line where one of them ends is common
+_SPANNING = st.sampled_from(["'a\nb'", "'\\'\r\n'", "/*\n*/", "// x\n", " x1 "])
+
+
+@given(st.lists(_CYPHERISH | _SPANNING, max_size=40).map("".join))
+@settings(max_examples=1000, deadline=None)
+@example("'a\nb' /* c\r\n\nd */ x // '\ny '\\'\n' z")
+@example("RETURN 1 /* open")
+@example("RETURN 'open\n")
+def test_tokenize_equals_the_reference_lexer(text):
+    assert _tokens_or_error(tokenize, text) == _tokens_or_error(_reference_tokenize, text)
 
 
 # ---------------------------------------------------------------- parser
@@ -175,6 +253,15 @@ def test_parse_query_duplicate_binding():
 def test_return_alias_defaults_to_source_text():
     q = parse_query("RETURN 1 + 2")
     assert q.returns[0].alias == "1 + 2"
+
+
+def test_return_alias_ends_at_the_item_s_last_piece():
+    assert run_query_text("LET x = 1 RETURN x // c") == {"x": 1}
+    q = parse_query("RETURN 1 /* a */ + 2 /* b */, 3 /* c\n */")
+    assert [item.alias for item in q.returns] == ["1 /* a */ + 2", "3"]
+    assert lint_primitives("LET x = 1 RETURN x // a\n, x") == [
+        "SyntaxError at line 2, column 3: duplicate return alias 'x'"
+    ]
 
 
 def test_unsupported_clauses():
@@ -265,6 +352,9 @@ def test_deep_nesting_is_a_syntax_error(text):
     ("RETURN x, x", CypherSyntaxError, "duplicate return alias 'x'", 1, 11),
     ("RETURN 1 + 1, 2 AS y, 1 + 1", CypherSyntaxError, "duplicate return alias '1 + 1'", 1, 23),
     ("RETURN 1 AS a, a", CypherSyntaxError, "duplicate return alias 'a'", 1, 16),
+    # a comment after an implicit alias is not part of it
+    ("LET x = 1 RETURN x // a\n, x", CypherSyntaxError, "duplicate return alias 'x'", 2, 3),
+    ("RETURN x /* a */, x", CypherSyntaxError, "duplicate return alias 'x'", 1, 19),
     ("MATCH (n) RETURN n", UnsupportedFeature, "MATCH", 1, 1),
     ("LET match = 1 RETURN 1", UnsupportedFeature, "MATCH", 1, 5),
     ("RETURN exists", UnsupportedFeature, "EXISTS", 1, 8),
@@ -481,6 +571,70 @@ def test_map_item_with_a_suffix_is_read_once(monkeypatch):
         text, value = "[{a: " + text + "}.a]", [value]
     assert parse_expression(text).eval({}, {}) == value
     assert len(built) == 12
+
+
+def _dump(tree) -> str:
+    """Class, every slot, and the line and column of every node of a parse
+    tree, as one string."""
+    if isinstance(tree, ast.Expr):
+        slots = ", ".join(f"{s}={_dump(getattr(tree, s))}" for s in type(tree).__slots__)
+        return f"{type(tree).__name__}@{tree.line}:{tree.column}({slots})"
+    if dataclasses.is_dataclass(tree):
+        fields = ", ".join(f"{f.name}={_dump(getattr(tree, f.name))}"
+                           for f in dataclasses.fields(tree))
+        return f"{type(tree).__name__}({fields})"
+    if isinstance(tree, list):
+        return "[" + ", ".join(map(_dump, tree)) + "]"
+    if isinstance(tree, tuple):
+        return "(" + ", ".join(map(_dump, tree)) + ")"
+    return repr(tree)
+
+
+# comments, strings that span lines, and \r\n line ends
+_HAND_WRITTEN = (
+    "CYPHER 25 // a header comment\r\n"
+    "LET s = 'one\r\ntwo\\'s' /* a block\r\n  comment */ + 'x'\r\n"
+    "LET m = {a: 1, b: 'x\\ny', c: -3, d: [1, 2][0]}\r\n"
+    "LET l = [x IN range(1, 3) WHERE x <> 2 | x * 2 % 5] // trailing\r\n"
+    "RETURN CASE WHEN s = 'a' THEN 1 ELSE reduce(t = 0, y IN l | t + y) END AS r,\r\n"
+    "  m.a, head([v IN [l[0]] | v]) AS h, $p AS p, NOT true OR false AND null AS b,\r\n"
+    "  CASE m.c WHEN -3 THEN [{k: 'v'}.k, -(1)] END AS c;\r\n"
+)
+
+
+def _pinned_text(name: str) -> str:
+    if name == "demo.reduce.cypher":
+        return (GOLDEN / name).read_text()
+    if name == "hand-written":
+        return _HAND_WRITTEN
+    tm = load_tm_file(FIXTURES / "tm" / f"{name}.json")
+    return gen_reduce_query(k_counters_to_two(two_stack_to_counters(tm))).text
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("demo.reduce.cypher", "4aad65d388287d046ecfeb65d8c3321764273571294018fb76efcf0853cbb786"),
+    ("immediate_halt", "3a533e9fdae10d2a06be218f7b0d15610e052f1dabd5ad836ea79b544d2d5800"),
+    ("right_move", "f64d5662fc825b1e336e40dcf6cfd9618e169d999b7d16eb55ff0669ece06bfa"),
+    ("unary_successor", "89900b527bc7004a841fc98fdd6766bd9f2329bed320635c60cc0b66ec3d215c"),
+    ("hand-written", "6763b7cc3864c740f8b2b9e29ed8224163871fa76c35d7a07011eab9ea319c7d"),
+])
+def test_parse_trees_and_node_positions_are_pinned(name, digest):
+    # digests of the trees as a parser over Token lists built them
+    dump = _dump(parse_query(_pinned_text(name)))
+    assert hashlib.sha256(dump.encode()).hexdigest() == digest
+
+
+def test_parsing_builds_no_tokens(monkeypatch):
+    def refused(text):
+        raise AssertionError("tokenize called")
+
+    # wherever a module of the front end may have bound it
+    for module in (lexer, parser, codegen):
+        monkeypatch.setattr(module, "tokenize", refused, raising=False)
+    text = _pinned_text("hand-written")
+    assert _dump(parse_query(text))
+    assert lint_primitives(text) == []
+    assert parse_expression("[{a: 'b'}][0].a") is not None
 
 
 # ---------------------------------------------------------------- evaluation
@@ -871,13 +1025,37 @@ def test_each_table_entry_compiles_once_per_query():
     (head,) = (n for n in _nodes(tree.bindings) if type(n) is ast.Comprehension)
     head.mapper = counted = CountedCompiles(head.mapper, head.var_name)
     first = run_query(tree)
-    assert counted.known.count("unknown") == 1  # the general path, compiled eagerly
-    entries = [e for e in counted.known if e != "unknown"]
+    assert "unknown" not in counted.known  # every index is in the table
+    entries = counted.known[:]
     assert sorted(e["state"] for e in entries) == sorted(visited)
     assert len(visited) > 1
     # a second run compiles afresh: no memo outlives its query's evaluation
     assert run_query(tree) == first
-    assert len(counted.known) == 2 * (1 + len(entries))
+    assert len(counted.known) == 2 * len(entries)
+
+
+def test_an_index_outside_the_table_compiles_the_general_body_once_per_query():
+    text = ("LET c = [{a: 1}, {a: 2}] "
+            "RETURN [i IN range(0, LAST) | head([v IN [c[i]] | [v.a, 10 / (i - 4)]])] AS r")
+
+    def counted_tree(last):
+        tree = parse_query(text.replace("LAST", str(last)))
+        (comprehension, head) = (n for n in _nodes(tree.returns[0].expr)
+                                 if type(n) is ast.Comprehension)
+        head.mapper = counted = CountedCompiles(head.mapper, head.var_name)
+        return tree, counted.known
+
+    tree, known = counted_tree(3)
+    result = {"r": [[1, -2], [2, -3], [None, -5], [None, -10]]}
+    assert run_query(tree) == result
+    assert run_query(tree) == result
+    assert known == [{"a": 1}, {"a": 2}, "unknown"] * 2
+    tree, known = counted_tree(4)
+    with pytest.raises(DivisionByZero) as exc_info:
+        run_query(tree)
+    at = text.replace("LAST", "4").index("/") + 1
+    assert (exc_info.value.line, exc_info.value.column) == (1, at)
+    assert known == [{"a": 1}, {"a": 2}, "unknown"]
 
 
 def test_a_table_read_once_per_entry_compiles_a_bounded_number_of_bodies(monkeypatch):
