@@ -3,8 +3,9 @@
 Commands: run, compile, eval, verify, reduce-tm, live.
 Exit codes: 0 ok, 1 input error, 2 fuel exhausted, 3 connection failure or
 server error reply, 4 semantic mismatch. Input errors (unreadable or
-malformed files, invalid argument values, programs the library rejects) are
-reported by ``main`` as ``error: <message>``.
+malformed files, a malformed command line, invalid argument values,
+programs the library rejects) are reported as one ``error: <message>``
+line; a numeric flag out of its bounds is named in the message.
 """
 
 from __future__ import annotations
@@ -54,7 +55,19 @@ def _load_program(path: str) -> Program:
     return parse_dsl(text)
 
 
+def _check_flags(*flags: tuple[str, int, int, int | None]) -> None:
+    """ValueError naming the first (flag, value, least, greatest), in the
+    order given, whose value is below least or above greatest (None: no
+    upper bound)."""
+    for flag, value, least, greatest in flags:
+        if value < least:
+            raise ValueError(f"{flag} must be >= {least}")
+        if greatest is not None and value > greatest:
+            raise ValueError(f"{flag} must be <= {greatest}")
+
+
 def cmd_run(args) -> int:
+    _check_flags(("--fuel", args.fuel, 0, None))
     program = _load_program(args.program)
     result = run(program, fuel=args.fuel, capture_trace=args.trace)
     if args.trace:
@@ -66,19 +79,17 @@ def cmd_run(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    for flag, value, least in (("--max-steps", args.max_steps, 1), ("--max-path", args.max_path, 0)):
-        if value < least:
-            raise ValueError(f"{flag} must be >= {least}")
-        if value > INT64_MAX:  # a 64-bit literal in the query
-            raise ValueError(f"{flag} must be <= {INT64_MAX}")
+    # each is a 64-bit literal in the query
+    _check_flags(("--max-steps", args.max_steps, 1, INT64_MAX),
+                 ("--max-path", args.max_path, 0, INT64_MAX))
     program = _load_program(args.program)
     # generate everything first: a rejected argument must leave no --out-dir
     if args.approach == "reduce":
         outputs = {"reduce.cypher": gen_reduce_query(program, args.max_steps).text}
     elif args.approach == "tx":
         bundle = gen_transactions_script(program, parameter_mode=args.parameter_mode)
-        outputs = {"tx.setup.cypher": bundle["setup"].text, "tx.main.cypher": bundle["main"].text,
-                   "tx.read.cypher": bundle["readback"].text}
+        outputs = {"tx.setup.cypher": bundle.setup.text, "tx.main.cypher": bundle.main.text,
+                   "tx.read.cypher": bundle.readback.text}
         if bundle.parameters is not None:
             outputs["tx.params.json"] = json.dumps(bundle.parameters, indent=2) + "\n"
     else:
@@ -106,12 +117,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    for flag, value in (("--count", args.count), ("--max-states", args.max_states),
-                        ("--fuel", args.fuel)):
-        if value < 1:
-            raise ValueError(f"{flag} must be >= 1")
-    if args.fuel > INT64_MAX:  # the fold's max_steps, a 64-bit literal
-        raise ValueError(f"--fuel must be <= {INT64_MAX}")
+    # --fuel is the fold's max_steps, a 64-bit literal
+    _check_flags(("--count", args.count, 1, None), ("--max-states", args.max_states, 1, None),
+                 ("--fuel", args.fuel, 1, INT64_MAX))
     passed = failed = 0
     for i in range(args.count):
         seed = args.seed + i
@@ -131,6 +139,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reduce_tm(args) -> int:
+    _check_flags(("--fuel-per-stage", args.fuel_per_stage, 0, None))
     tm = reduction.load_tm_file(args.machine)
     report = reduction.run_pipeline(tm, fuel_per_stage=args.fuel_per_stage)
     rows = [
@@ -190,10 +199,11 @@ _HALT_GUARD_CODE = "Neo.ClientError.Statement.ArithmeticError"
 
 
 class _HttpQueryClient:
-    """Minimal client for the HTTP query API (POST /db/<db>/query/v2)."""
+    """Minimal client for the HTTP query API of the default database (POST
+    /db/neo4j/query/v2)."""
 
-    def __init__(self, uri: str, user: str, password: str, database: str = "neo4j"):
-        self.url = f"{uri.rstrip('/')}/db/{database}/query/v2"
+    def __init__(self, uri: str, user: str, password: str):
+        self.url = f"{uri.rstrip('/')}/db/neo4j/query/v2"
         self.credentials = f"{user}:{password}".encode()
 
     def query(self, statement: str, parameters: dict | None = None) -> list[dict]:
@@ -234,6 +244,7 @@ def _list_of(value, kind) -> bool:
 
 
 def cmd_live(args) -> int:
+    _check_flags(("--fuel", args.fuel, 0, None), ("--max-path", args.max_path, 0, INT64_MAX))
     settings = _live_settings()
     if settings is None:
         raise ValueError("live execution needs CYPHER_URI, CYPHER_USER and CYPHER_PASSWORD")
@@ -250,9 +261,9 @@ def cmd_live(args) -> int:
     try:
         if args.approach == "tx":
             client.query("MATCH (m:Machine) DETACH DELETE m")
-            client.query(bundle["setup"].text)
+            client.query(bundle.setup.text)
             try:
-                client.query(bundle["main"].text)
+                client.query(bundle.main.text)
             except ServerError as exc:
                 # the 1/0 halt guard surfaces as a statement error on some
                 # configurations, and then the readback below decides
@@ -285,8 +296,16 @@ def cmd_live(args) -> int:
 # --- argument parsing --------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A malformed command line is an input error: one ``error: <message>``
+    line and exit 1, as for any other invalid argument value."""
+
+    def error(self, message: str):
+        self.exit(EXIT_INPUT, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="cm2cypher",
         description="2-counter machine toolkit with Cypher query generation",
     )

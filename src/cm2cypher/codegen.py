@@ -34,21 +34,19 @@ class CypherQuery:
 
 @dataclass(frozen=True)
 class ScriptBundle:
-    """Ordered, uniquely-labelled queries; execution order is list order."""
+    """The tx script's three queries, run in the order setup, main,
+    readback, and the parameter document of main's ``$program``, if any."""
 
-    queries: tuple[tuple[str, CypherQuery], ...]
+    setup: CypherQuery
+    main: CypherQuery
+    readback: CypherQuery
     parameters: dict | None = None
 
-    def __post_init__(self):
-        labels = [label for label, _ in self.queries]
-        if len(labels) != len(set(labels)):
-            raise ValueError(f"duplicate script labels: {labels}")
-
-    def __getitem__(self, label: str) -> CypherQuery:
-        for name, query in self.queries:
-            if name == label:
-                return query
-        raise KeyError(label)
+    @property
+    def queries(self) -> tuple[tuple[str, CypherQuery], ...]:
+        """(label, query) in execution order, as bench/workloads.py reads
+        them."""
+        return (("setup", self.setup), ("main", self.main), ("readback", self.readback))
 
 
 def _map_entry_literal(entry: dict) -> str:
@@ -177,11 +175,8 @@ def gen_transactions_script(program: Program, parameter_mode: bool = False) -> S
             + _TX_STEPPER_HEAD + "program" + _TX_STEPPER_TAIL
         )
         parameters = None
-    main = CypherQuery(main_text)
     readback = CypherQuery("MATCH (m:Machine) RETURN m;\n")
-    return ScriptBundle(
-        (("setup", setup), ("main", main), ("readback", readback)), parameters
-    )
+    return ScriptBundle(setup, CypherQuery(main_text), readback, parameters)
 
 
 def gen_qpp_setup(program: Program) -> CypherQuery:

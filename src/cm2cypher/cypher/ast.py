@@ -35,26 +35,27 @@ them throughout the evaluation; ``run_query`` hands each LET binding and
 RETURN item a snapshot of the earlier LET values. A ``Var`` named in
 ``consts`` compiles to a constant that returns the very object an ``env``
 lookup would. Every binder (``reduce``'s accumulator and element, a
-comprehension's variable, the ``head`` direct bind) drops the names it binds
-from ``consts`` before compiling the code in its scope, so a shadowed name
-is read from ``env`` as before. A property of a known map or null folds to a
-constant; a known non-map keeps its closure and so its ``TypeMismatch`` at
-run time. A simple CASE whose subject is known and whose match values are
-all literals compiles only the arm ``eq3`` picks. In ``head([v IN [c[e]] |
-m])`` with ``c`` a known list, an integer ``0 <= e < len(c)`` runs an ``m``
+comprehension's variable) drops the names it binds from ``consts`` before
+compiling the code in its scope, so a shadowed name is read from ``env`` as
+before. A property of a known map or null folds to a constant; a known
+non-map keeps its closure and so its ``TypeMismatch`` at run time. A simple
+CASE whose subject is known and whose match values are all literals
+compiles only the arm ``eq3`` picks. In ``head([v IN [c[e]] | m])`` with
+``c`` a known list, an integer ``0 <= e < len(c)`` runs an ``m``
 compiled with ``v`` known to be ``c[e]``, on first use of that index and
 memoised in the compiled closure: a fold over a program table compiles one
 step body per state it visits, with every field of the entry folded, and
-builds neither list of the comprehension. Any other ``e`` takes the general
-path, with the errors of ``c[e]``; any other argument of ``head`` builds its
-lists. No value is copied or built at compile time, so results, their
-identity, errors and their positions stay as they are.
+builds neither list of the comprehension. Any other ``e``, and any index
+past ``MAX_SPECIALISED`` bodies, takes the general ``head`` path, with the
+errors of ``c[e]``; any other argument of ``head`` builds its lists. No
+value is copied or built at compile time, so results, their identity,
+errors and their positions stay as they are.
 
-``Expr.eval`` (compile, then call) is the one evaluation path, except that a
-tree made only of literals (the fold's program table) is built as its value
-without compiling.
-Compiling recurses once per nesting level, as evaluating does;
-``evaluator.evaluate`` maps the resulting ``RecursionError`` to EvalError.
+``evaluator.evaluate`` is the one evaluation path: it compiles a tree, then
+calls it, except that a tree made only of literals (the fold's program
+table) is built as its value without compiling. Compiling recurses once per
+nesting level, as evaluating does; ``evaluate`` maps the resulting
+``RecursionError`` to EvalError.
 """
 
 from __future__ import annotations
@@ -241,15 +242,6 @@ class Expr:
         self.line = line
         self.column = column
 
-    def eval(self, env: dict, params: dict, consts: dict | None = None) -> Value:
-        """Compile this tree, then evaluate it once. consts maps names to the
-        very values env holds for them throughout the evaluation (module
-        docstring); the caller does not change it while the tree runs."""
-        value = _literal_value(self)  # a literal tree's fold is already a fresh value
-        if value is not _MISSING:
-            return value
-        return self._compile({} if consts is None else consts)(env, params)
-
     def _compile(self, consts: dict) -> Compiled:
         raise NotImplementedError
 
@@ -406,27 +398,29 @@ class Index(Expr):
 
     def _compile(self, consts):
         obj, index = self.obj._compile(consts), self.index._compile(consts)
-        return lambda env, params: self._general(obj(env, params), index(env, params))
 
-    def _general(self, container, idx):
-        if container is None or idx is None:
-            return None
-        if _is_list(container):
-            if not _is_int(idx):
-                raise TypeMismatch("list index must be an integer", self.line, self.column)
-            n = _length(container)
-            if idx < 0:
-                idx += n
-            if 0 <= idx < n:
-                return container[idx]
-            return None
-        if isinstance(container, dict):
-            if not isinstance(idx, str):
-                raise TypeMismatch("map index must be a string", self.line, self.column)
-            return container.get(idx)
-        raise TypeMismatch(
-            f"cannot index value of type {type(container).__name__}", self.line, self.column
-        )
+        def index_(env, params):
+            container, idx = obj(env, params), index(env, params)
+            if container is None or idx is None:
+                return None
+            if _is_list(container):
+                if not _is_int(idx):
+                    raise TypeMismatch("list index must be an integer", self.line, self.column)
+                n = _length(container)
+                if idx < 0:
+                    idx += n
+                if 0 <= idx < n:
+                    return container[idx]
+                return None
+            if isinstance(container, dict):
+                if not isinstance(idx, str):
+                    raise TypeMismatch("map index must be a string", self.line, self.column)
+                return container.get(idx)
+            raise TypeMismatch(
+                f"cannot index value of type {type(container).__name__}", self.line, self.column
+            )
+
+        return index_
 
 
 class Not(Expr):
@@ -718,15 +712,17 @@ class Comprehension(Expr):
         return comprehension
 
 
-def _single_bind(node: Expr, consts: dict) -> Optional[Compiled]:
+def _single_bind(node: Expr, consts: dict, general: Callable[[], Compiled]) -> Optional[Compiled]:
     """head([v IN [c[e]] | m]) with c a known list, the fold's read of its
     program table, as a direct bind that builds neither of the
     comprehension's lists. Each index of c that e takes gets its own m,
     compiled on first use with v known to be that entry, so it reads nothing
     from env for v and needs no bind. Any other value of e, and any index
-    past MAX_SPECIALISED bodies, binds v to c[e] around the general m, also
-    compiled on first use, with the errors of c[e]. None for any other
-    argument of head, which then takes the general path."""
+    past MAX_SPECIALISED bodies, takes the general head path, which general
+    compiles on first use. That path evaluates e a second time; the subset
+    is pure, so the value, the error and its position are those of one
+    evaluation. None for any other argument of head, which then takes the
+    general path."""
     if not (
         type(node) is Comprehension
         and node.where is None
@@ -740,10 +736,10 @@ def _single_bind(node: Expr, consts: dict) -> Optional[Compiled]:
     if type(table) is not list:
         return None
     index, n, bodies = source.index._compile(consts), len(table), {}
-    mapper = None
+    fallback = None
 
     def bind_entry(env, params):
-        nonlocal mapper
+        nonlocal fallback
         i = index(env, params)
         if type(i) is int and 0 <= i < n:
             body = bodies.get(i)
@@ -752,14 +748,9 @@ def _single_bind(node: Expr, consts: dict) -> Optional[Compiled]:
             if len(bodies) < MAX_SPECIALISED:
                 body = bodies[i] = node.mapper._compile({**consts, var_name: table[i]})
                 return body(env, params)
-        if mapper is None:
-            mapper = node.mapper._compile(_without(consts, var_name))
-        saved = env.get(var_name, _MISSING)
-        env[var_name] = source._general(table, i)
-        try:
-            return mapper(env, params)
-        finally:
-            _restore(env, var_name, saved)
+        if fallback is None:
+            fallback = general()
+        return fallback(env, params)
 
     return bind_entry
 
@@ -774,20 +765,21 @@ class Call(Expr):
 
     def _compile(self, consts):
         if self.name == "head":
-            bind = _single_bind(self.args[0], consts)
-            if bind is not None:
-                return bind
-            arg = self.args[0]._compile(consts)
 
-            def head(env, params):
-                v = arg(env, params)
-                if v is None:
-                    return None
-                if not _is_list(v):
-                    raise TypeMismatch("head requires a list", self.line, self.column)
-                return v[0] if v else None
+            def general() -> Compiled:
+                arg = self.args[0]._compile(consts)
 
-            return head
+                def head(env, params):
+                    v = arg(env, params)
+                    if v is None:
+                        return None
+                    if not _is_list(v):
+                        raise TypeMismatch("head requires a list", self.line, self.column)
+                    return v[0] if v else None
+
+                return head
+
+            return _single_bind(self.args[0], consts, general) or general()
         if self.name == "range":
             low, high = (a._compile(consts) for a in self.args)
 

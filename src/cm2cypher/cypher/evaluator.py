@@ -1,10 +1,11 @@
 """Query evaluation and canonical result formatting.
 
-``evaluate`` compiles an expression into closures once (see ``ast``) and
-calls them; ``run_query`` evaluates each LET binding and RETURN item that
-way, handing in a snapshot of the earlier LET values as constants. It
-refuses a parameter value outside the subset's domain before it evaluates
-anything.
+``evaluate`` is the one way to evaluate an expression: it compiles the tree
+into closures once (see ``ast``) and calls the root, or builds a tree made
+only of literals (the fold's program table) as its value without compiling.
+``run_query`` evaluates each LET binding and RETURN item that way, handing
+in a snapshot of the earlier LET values as constants. It refuses a
+parameter value outside the subset's domain before it evaluates anything.
 Compiling, evaluating and formatting recurse once per nesting level, and
 ``evaluate`` and ``format_results`` turn the ``RecursionError`` raised past
 Python's recursion limit into EvalError. ``format_value`` renders no
@@ -14,7 +15,7 @@ EvalError instead.
 
 from __future__ import annotations
 
-from .ast import INT64_MAX, INT64_MIN, Expr, QueryAst, check_length
+from .ast import _MISSING, INT64_MAX, INT64_MIN, Expr, QueryAst, _literal_value, check_length
 from .errors import EvalError, IntegerOverflow, TypeMismatch
 from .parser import parse_query
 
@@ -33,10 +34,14 @@ def evaluate(
     parameters: dict | None = None,
     constants: dict | None = None,
 ):
-    """The value of expr. constants, if given, maps names to the values the
-    environment holds for them, which the compiler may then fold (see ast)."""
+    """The value of expr. constants, if given, maps names to the very values
+    the environment holds for them throughout the evaluation, which the
+    compiler may then fold (see ast)."""
     try:
-        return expr.eval(environment or {}, parameters or {}, constants)
+        value = _literal_value(expr)  # a literal tree's fold is already a fresh value
+        if value is not _MISSING:
+            return value
+        return expr._compile(constants or {})(environment or {}, parameters or {})
     except RecursionError:
         raise EvalError(_TOO_DEEP) from None
 

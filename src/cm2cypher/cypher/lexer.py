@@ -71,7 +71,6 @@ _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 # any other escaped character stands for itself
 _ESCAPED = {"n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f"}
 _UNTERMINATED = {"/*": "unterminated block comment", "'": "unterminated string literal"}
-_new_token = tuple.__new__  # skips NamedTuple's __new__, a Python-level call
 
 
 def _fault(piece: str) -> str | None:
@@ -140,5 +139,5 @@ def tokenize(text: str) -> list[Token]:
     value, and the EOF token is the end marker."""
     pieces, offsets = _scan(text)
     line_starts = _line_starts(text)
-    return [_new_token(Token, (_kind(piece), _lexeme(piece), *_position(line_starts, offset), offset))
+    return [Token(_kind(piece), _lexeme(piece), *_position(line_starts, offset), offset)
             for piece, offset in zip(pieces, offsets)]

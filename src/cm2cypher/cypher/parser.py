@@ -245,9 +245,6 @@ class _Parser:
         if piece == "+":
             self.pos += 1
             return self.parse_unary()
-        return self.parse_postfix()
-
-    def parse_postfix(self) -> ast.Expr:
         return self.parse_suffixes(self.parse_primary())
 
     def parse_suffixes(self, expr: ast.Expr) -> ast.Expr:

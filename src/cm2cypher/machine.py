@@ -371,10 +371,6 @@ def run(
     )
 
 
-def _is_halt_state(program: Program, state: int) -> bool:
-    return isinstance(program.instructions[state], Halt)
-
-
 def qpp_walk(program: Program, fuel: int = DEFAULT_FUEL) -> PathResult:
     """Walk the implied state graph from state 0 to a halt-labelled node.
 
@@ -389,10 +385,9 @@ def qpp_walk(program: Program, fuel: int = DEFAULT_FUEL) -> PathResult:
     require_two_counters(program)
     state, a, b = 0, 0, 0
     tags: list[str] = []
-    while not _is_halt_state(program, state):
+    while not isinstance(instr := program.instructions[state], Halt):
         if len(tags) >= fuel:
             raise NoPath(f"no path to a halt state within {fuel} edges")
-        instr = program.instructions[state]
         name = COUNTER_NAMES[instr.counter]
         if isinstance(instr, Inc):
             if instr.counter == 0:

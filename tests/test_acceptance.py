@@ -99,9 +99,9 @@ def test_criterion_5_codegen_goldens(demo):
         "demo.qpp.query.cypher": gen_qpp_query().text,
     }
     bundle = gen_transactions_script(demo)
-    outputs["demo.tx.setup.cypher"] = bundle["setup"].text
-    outputs["demo.tx.main.cypher"] = bundle["main"].text
-    outputs["demo.tx.read.cypher"] = bundle["readback"].text
+    outputs["demo.tx.setup.cypher"] = bundle.setup.text
+    outputs["demo.tx.main.cypher"] = bundle.main.text
+    outputs["demo.tx.read.cypher"] = bundle.readback.text
     for name, text in outputs.items():
         assert text == (GOLDEN / name).read_text(), f"golden drift in {name}"
     pairings = [
@@ -145,10 +145,10 @@ def test_criterion_7_reduction_pipeline():
 
 
 def test_criterion_8_evaluator_semantics():
-    from cm2cypher.cypher import DivisionByZero, parse_expression
+    from cm2cypher.cypher import DivisionByZero, evaluate, parse_expression
 
     def ev(text):
-        return parse_expression(text).eval({}, {})
+        return evaluate(parse_expression(text), {}, {})
 
     assert ev("null + 1") is None
     assert ev("[10, 20, 30][-1]") == 30

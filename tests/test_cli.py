@@ -160,6 +160,40 @@ def test_compile_names_the_flag_it_rejects(flag, value, bound, approach, tmp_pat
     assert capsys.readouterr() == ("", f"error: {flag} must be {bound}\n")
 
 
+@pytest.mark.parametrize("argv, flag, bound", [
+    (["run", DEMO_PATH, "--fuel", "-1"], "--fuel", ">= 0"),
+    (["reduce-tm", UNARY_TM, "--fuel-per-stage", "-1"], "--fuel-per-stage", ">= 0"),
+    (["live", DEMO_PATH, "--approach", "tx", "--fuel", "-1"], "--fuel", ">= 0"),
+    (["live", DEMO_PATH, "--approach", "qpp", "--max-path", "-1"], "--max-path", ">= 0"),
+    (["live", DEMO_PATH, "--approach", "qpp", "--max-path", str(INT64_MAX + 1)], "--max-path",
+     f"<= {INT64_MAX}"),
+])
+def test_run_reduce_tm_and_live_name_the_flag_they_reject(argv, flag, bound, monkeypatch,
+                                                          capsys):
+    # the message names the flag, not the parameter it feeds (fuel, max_path)
+    for var in ("CYPHER_URI", "CYPHER_USER", "CYPHER_PASSWORD"):
+        monkeypatch.delenv(var, raising=False)
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: {flag} must be {bound}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", DEMO_PATH, "--fuel", "abc"],
+    ["compile", DEMO_PATH],
+    ["compile", DEMO_PATH, "--approach", "bogus"],
+    ["run", DEMO_PATH, "--bogus"],
+    ["bogus"],
+    [],
+])
+def test_a_malformed_command_line_is_an_input_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
 # --------------------------------------------------------------------- eval
 
 

@@ -31,9 +31,9 @@ def ref(name: str) -> str:
     "golden_name, produce",
     [
         ("demo.reduce.cypher", lambda p: gen_reduce_query(p).text),
-        ("demo.tx.setup.cypher", lambda p: gen_transactions_script(p)["setup"].text),
-        ("demo.tx.main.cypher", lambda p: gen_transactions_script(p)["main"].text),
-        ("demo.tx.read.cypher", lambda p: gen_transactions_script(p)["readback"].text),
+        ("demo.tx.setup.cypher", lambda p: gen_transactions_script(p).setup.text),
+        ("demo.tx.main.cypher", lambda p: gen_transactions_script(p).main.text),
+        ("demo.tx.read.cypher", lambda p: gen_transactions_script(p).readback.text),
         ("demo.qpp.setup.cypher", lambda p: gen_qpp_setup(p).text),
         ("demo.qpp.query.cypher", lambda p: gen_qpp_query().text),
     ],
@@ -51,15 +51,18 @@ def test_reduce_matches_reference(demo):
 
 def test_transactions_match_reference(demo):
     bundle = gen_transactions_script(demo)
-    assert queries_token_equal(bundle["setup"].text, ref("tx_setup.cypher"))
-    assert queries_token_equal(bundle["main"].text, ref("tx_main.cypher"))
-    assert queries_token_equal(bundle["readback"].text, ref("tx_read.cypher"))
+    assert queries_token_equal(bundle.setup.text, ref("tx_setup.cypher"))
+    assert queries_token_equal(bundle.main.text, ref("tx_main.cypher"))
+    assert queries_token_equal(bundle.readback.text, ref("tx_read.cypher"))
+    # the labelled pairs the bench reads
+    assert bundle.queries == (("setup", bundle.setup), ("main", bundle.main),
+                              ("readback", bundle.readback))
 
 
 def test_parameterized_transactions_match_reference(demo):
     bundle = gen_transactions_script(demo, parameter_mode=True)
-    setup_toks = normalize_tokens(bundle["setup"].text)
-    main_toks = normalize_tokens(bundle["main"].text)
+    setup_toks = normalize_tokens(bundle.setup.text)
+    main_toks = normalize_tokens(bundle.main.text)
     # the reference is a single block, so only the first statement carries
     # the dialect header
     assert main_toks[:2] == ["CYPHER", "25"]
@@ -101,20 +104,20 @@ def test_step_and_path_bounds_are_64_bit_literals(demo):
 
 
 def test_stepper_checks_halt_before_program_index(demo):
-    main = gen_transactions_script(demo)["main"].text
+    main = gen_transactions_script(demo).main.text
     halt_guard = main.index("m.state = -1 THEN 1/0")
     program_index = main.index("program[m.state]")
     assert halt_guard < program_index
 
 
 def test_stepper_uses_full_int64_range(demo):
-    main = gen_transactions_script(demo)["main"].text
+    main = gen_transactions_script(demo).main.text
     assert "range(1, 9223372036854775807)" in main
     assert "ON ERROR BREAK" in main
 
 
 def test_readback_has_no_header(demo):
-    readback = gen_transactions_script(demo)["readback"]
+    readback = gen_transactions_script(demo).readback
     assert readback.text == "MATCH (m:Machine) RETURN m;\n"
 
 
