@@ -42,7 +42,6 @@ from .machine import (
     TraceRow,
     qpp_walk,
     run,
-    step,
 )
 
 __version__ = "0.1.0"

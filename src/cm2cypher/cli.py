@@ -11,6 +11,7 @@ line; a numeric flag out of its bounds is named in the message.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -140,6 +141,9 @@ def cmd_verify(args) -> int:
 
 def cmd_reduce_tm(args) -> int:
     _check_flags(("--fuel-per-stage", args.fuel_per_stage, 0, None))
+    out = Path(args.out) if args.out else Path(args.machine).with_suffix(".2cm")
+    if out.exists() and out.samefile(args.machine):  # also through a link
+        raise ValueError(f"--out {out} is the input file; name another output file")
     tm = reduction.load_tm_file(args.machine)
     report = reduction.run_pipeline(tm, fuel_per_stage=args.fuel_per_stage)
     rows = [
@@ -164,7 +168,6 @@ def cmd_reduce_tm(args) -> int:
     for pair, outcome in report.agreements.items():
         note = "skipped (fuel exhausted)" if outcome is None else ("agree" if outcome else "DISAGREE")
         print(f"{pair}: {note}")
-    out = Path(args.out) if args.out else Path(args.machine).with_suffix(".2cm")
     out.write_text(render_dsl(report.program), encoding="utf-8")
     print(f"wrote {out} ({len(report.program)} states)")
     if not report.ok:
@@ -174,15 +177,6 @@ def cmd_reduce_tm(args) -> int:
 
 
 # --- live execution against a Cypher server --------------------------------
-
-
-def _live_settings() -> tuple[str, str, str] | None:
-    uri = os.environ.get("CYPHER_URI")
-    user = os.environ.get("CYPHER_USER")
-    password = os.environ.get("CYPHER_PASSWORD")
-    if not uri or user is None or password is None:
-        return None
-    return uri, user, password
 
 
 class ServerError(Exception):
@@ -245,40 +239,52 @@ def _list_of(value, kind) -> bool:
 
 def cmd_live(args) -> int:
     _check_flags(("--fuel", args.fuel, 0, None), ("--max-path", args.max_path, 0, INT64_MAX))
-    settings = _live_settings()
-    if settings is None:
+    uri, user, password = map(os.environ.get, ("CYPHER_URI", "CYPHER_USER", "CYPHER_PASSWORD"))
+    if not uri or user is None or password is None:
         raise ValueError("live execution needs CYPHER_URI, CYPHER_USER and CYPHER_PASSWORD")
     program = _load_program(args.program)
-    reference = run(program, fuel=args.fuel)
+    # per approach: the label of the nodes its setup creates, the setup, the
+    # stepper (tx only), the readback and the row it must return
     if args.approach == "tx":
+        final = run(program, fuel=args.fuel).final
         bundle = gen_transactions_script(program)
-        expected = {"state": reference.final.state, "A": reference.final.a, "B": reference.final.b}
+        label, setup, stepper = "Machine", bundle.setup.text, bundle.main.text
+        readback = "MATCH (m:Machine) RETURN m.state AS state, m.A AS A, m.B AS B"
+        expected = {"state": final.state, "A": final.a, "B": final.b}
     else:
-        setup, query = gen_qpp_setup(program), gen_qpp_query(args.max_path)
         walk = qpp_walk(program, fuel=args.fuel)
+        label, setup, stepper = "State", gen_qpp_setup(program).text, None
+        readback = gen_qpp_query(args.max_path).text
         expected = {"steps": walk.steps, "ctrA": walk.final_a, "ctrB": walk.final_b}
-    client = _HttpQueryClient(*settings)
+    cleanup = f"MATCH (n:{label}) DETACH DELETE n"
+    client = _HttpQueryClient(uri, user, password)
     try:
-        if args.approach == "tx":
-            client.query("MATCH (m:Machine) DETACH DELETE m")
-            client.query(bundle.setup.text)
-            try:
-                client.query(bundle.main.text)
-            except ServerError as exc:
-                # the 1/0 halt guard surfaces as a statement error on some
-                # configurations, and then the readback below decides
-                # correctness; any other error fails the run
-                if not _list_of(exc.errors, dict) or any(
-                    e.get("code") != _HALT_GUARD_CODE for e in exc.errors
-                ):
-                    raise
-            rows = client.query("MATCH (m:Machine) RETURN m.state AS state, m.A AS A, m.B AS B")
-            client.query("MATCH (m:Machine) DETACH DELETE m")
-        else:
-            client.query("MATCH (n:State) DETACH DELETE n")
-            client.query(setup.text)
-            rows = client.query(query.text)
-            client.query("MATCH (n:State) DETACH DELETE n")
+        # the cleanup deletes every node of the label: run only where there
+        # is none, so that no other user's data is read, stepped or deleted
+        if any(row.get("n") for row in client.query(f"MATCH (n:{label}) RETURN count(n) AS n")):
+            print(f"error: the database already holds :{label} nodes; live runs only "
+                  f"where there are none", file=sys.stderr)
+            return EXIT_INPUT
+        try:
+            client.query(setup)
+            if stepper is not None:
+                try:
+                    client.query(stepper)
+                except ServerError as exc:
+                    # the 1/0 halt guard surfaces as a statement error on some
+                    # configurations, and then the readback decides
+                    # correctness; any other error fails the run
+                    if not _list_of(exc.errors, dict) or any(
+                        e.get("code") != _HALT_GUARD_CODE for e in exc.errors
+                    ):
+                        raise
+            rows = client.query(readback)
+        except BaseException:
+            # clean up after a failure too; the first error is the one reported
+            with contextlib.suppress(OSError, ValueError, ServerError):
+                client.query(cleanup)
+            raise
+        client.query(cleanup)
     except (OSError, ValueError) as exc:  # URLError and HTTPError are OSErrors
         print(f"error: connection failure: {exc}", file=sys.stderr)
         return EXIT_CONNECTION

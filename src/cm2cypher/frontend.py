@@ -75,7 +75,7 @@ def parse_dsl(text: str) -> Program:
             raise DslError("expected 'state <n>: <instruction>'", line_no, col)
         state = _parse_state(m.group(1), line_no, m.start(1) + 1)
         body = m.group(2)
-        body_col = line.index(body, m.start(2)) + 1 if body else len(line) + 1
+        body_col = m.start(2) + 1
         if state in by_state:
             raise DslError(
                 f"duplicate state {state} (first declared on line {by_state[state][1]})",

@@ -8,14 +8,13 @@ and state -1 denotes "halted". The reduction pipeline builds a 3-counter
 (``COUNTER_NAMES``, the one table of them) exist only at the boundaries:
 trace tags, the DSL and JSON formats and code generation, which like the
 execution views below reject more than 2 counters with ``InvalidProgram``
-(``require_two_counters``). Counters are 64-bit non-negative integers. Three
+(``require_two_counters``). Counters are 64-bit non-negative integers. Two
 execution views are provided for 2-counter programs:
 
-* ``step`` / ``run``  -- the ground-truth fold interpreter,
-* ``qpp_walk``        -- a deterministic guarded walk over the implied
-  state graph, mirroring the pruned quantified-path-pattern traversal
-  (edges INC / JZDEC_ZERO / JZDEC_POS, predicate on the post-update
-  accumulator).
+* ``run``       -- the ground-truth fold interpreter,
+* ``qpp_walk``  -- a deterministic guarded walk over the implied state
+  graph, mirroring the pruned quantified-path-pattern traversal (edges
+  INC / JZDEC_ZERO / JZDEC_POS, predicate on the post-update accumulator).
 
 ``run`` executes a table decoded once per program and fast-forwards the
 program's counter-transfer cycles exactly: when the run reaches the head of
@@ -23,9 +22,10 @@ a cycle it applies as many whole trips as the counters, the 64-bit bound and
 the remaining fuel allow in one step, then single-steps on. Final
 configuration, ``machine_steps`` and the point where ``CounterOverflow`` is
 raised are those of single-stepping. With ``capture_trace`` it single-steps
-the same way ``step`` does, one trace row per instruction holding the
-configurations before and after it, until the trace holds ``trace_cap``
-rows; the rest of the run is untraced.
+instead, one trace row per instruction holding the configurations before and
+after it, until the trace holds ``trace_cap`` rows; the rest of the run is
+untraced. ``run(program, fuel=1, capture_trace=True, start=config).final``
+is one step from ``config``; a halted configuration is its own successor.
 """
 
 from __future__ import annotations
@@ -100,12 +100,13 @@ class Program:
                 continue
             else:
                 raise InvalidProgram(f"state {i}: not an instruction: {instr!r}")
-            if not (isinstance(instr.counter, int) and 0 <= instr.counter < k):
+            # type() is int: a bool or a float is no counter or state number
+            if not (type(instr.counter) is int and 0 <= instr.counter < k):
                 raise InvalidProgram(f"state {i}: bad counter {instr.counter!r} for {k} counters")
             for t in targets:
-                if not (0 <= t < n):
+                if not (type(t) is int and 0 <= t < n):
                     raise InvalidProgram(
-                        f"state {i}: dangling reference to state {t} "
+                        f"state {i}: dangling reference to state {t!r} "
                         f"(valid range 0..{n - 1})"
                     )
 
@@ -311,17 +312,6 @@ def _step_raw(program: Program, state: int, a: int, b: int) -> tuple[int, int, i
             return instr.q_pos, a - 1, b, f"JZDEC({name}), {name}>0"
         return instr.q_pos, a, b - 1, f"JZDEC({name}), {name}>0"
     return HALTED, a, b, "HALT"
-
-
-def step(program: Program, config: Config) -> Config:
-    """Apply one machine step; the halted configuration is a fixed point."""
-    require_two_counters(program)
-    if config.state == HALTED:
-        return config
-    if not (0 <= config.state < len(program)):
-        raise InvalidProgram(f"state {config.state} out of range for program")
-    state, a, b, _ = _step_raw(program, config.state, config.a, config.b)
-    return Config(state, a, b)
 
 
 def run(

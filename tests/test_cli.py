@@ -19,7 +19,13 @@ from cm2cypher.cli import (
     main,
 )
 from cm2cypher import reduction
-from cm2cypher.codegen import DEFAULT_MAX_PATH, gen_qpp_query, gen_qpp_setup, gen_reduce_query
+from cm2cypher.codegen import (
+    DEFAULT_MAX_PATH,
+    gen_qpp_query,
+    gen_qpp_setup,
+    gen_reduce_query,
+    gen_transactions_script,
+)
 from cm2cypher.cypher import IntegerOverflow, run_query_text
 from cm2cypher.frontend import parse_dsl, random_program
 from cm2cypher.machine import (
@@ -551,6 +557,24 @@ def test_reduce_tm_rejects_a_repeated_state(tmp_path, capsys):
     assert capsys.readouterr().err == "error: state 'q0' repeated in states\n"
 
 
+@pytest.mark.parametrize("out", [None, "{dir}/./m.2cm", "{dir}/link.2cm"],
+                         ids=["default", "out-flag", "hard-link"])
+def test_reduce_tm_refuses_to_write_over_its_input(out, tmp_path, capsys):
+    # a TM description saved as m.2cm used to be replaced by its reduction
+    machine = tmp_path / "m.2cm"
+    data = (FIXTURES / "tm" / "immediate_halt.json").read_bytes()
+    machine.write_bytes(data)
+    (tmp_path / "link.2cm").hardlink_to(machine)
+    argv = ["reduce-tm", str(machine)]
+    if out is not None:
+        argv += ["--out", out.replace("{dir}", str(tmp_path))]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --out ") and captured.err.count("\n") == 1
+    assert machine.read_bytes() == data
+
+
 def _unary_successor_with(field, extra):
     doc = json.loads((FIXTURES / "tm" / "unary_successor.json").read_text())
     return dict(doc, **{field: doc[field] + [extra]})
@@ -944,9 +968,9 @@ def test_live_qpp_compares_the_traversal_row(row, exit_code, monkeypatch, capsys
     monkeypatch.setenv("CYPHER_USER", "neo4j")
     monkeypatch.setenv("CYPHER_PASSWORD", "x")
     assert main(["live", DEMO_PATH, "--approach", "qpp"]) == exit_code
-    cleanup = "MATCH (n:State) DETACH DELETE n"
+    count, cleanup = "MATCH (n:State) RETURN count(n) AS n", "MATCH (n:State) DETACH DELETE n"
     setup = gen_qpp_setup(parse_dsl((FIXTURES / "demo.2cm").read_text())).text
-    assert statements == [cleanup, setup, gen_qpp_query(DEFAULT_MAX_PATH).text, cleanup]
+    assert statements == [count, setup, gen_qpp_query(DEFAULT_MAX_PATH).text, cleanup]
     captured = capsys.readouterr()
     if exit_code == EXIT_OK:
         assert captured.out == "match: {'steps': 5, 'ctrA': 2, 'ctrB': 0}\n"
@@ -970,6 +994,93 @@ def test_live_qpp_without_a_halting_path_exits_before_connecting(tmp_path, monke
     argv = ["live", str(loop), "--approach", "qpp", "--fuel", "1000"]
     assert main(argv) == EXIT_FUEL
     assert capsys.readouterr().err == "error: no path to a halt state within 1000 edges\n"
+
+
+def _fake_server(monkeypatch, reply):
+    """Answer each live statement with ``reply(statement)``, a reply document
+    or an exception to raise; return the list of statements sent."""
+    import urllib.request
+
+    statements = []
+
+    def fake_urlopen(request, timeout):
+        statements.append(json.loads(request.data)["statement"])
+        answer = reply(statements[-1])
+        if isinstance(answer, Exception):
+            raise answer
+        return io.BytesIO(json.dumps(answer).encode())
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    monkeypatch.setenv("CYPHER_URI", "http://db.example:7474")
+    monkeypatch.setenv("CYPHER_USER", "neo4j")
+    monkeypatch.setenv("CYPHER_PASSWORD", "x")
+    return statements
+
+
+def _table(fields, *rows):
+    return {"data": {"fields": fields, "values": list(rows)}}
+
+
+_TX_READBACK = "MATCH (m:Machine) RETURN m.state AS state, m.A AS A, m.B AS B"
+
+
+def test_live_tx_sends_count_setup_stepper_readback_and_cleanup(monkeypatch, capsys):
+    statements = _fake_server(monkeypatch, lambda statement: _table(["state", "A", "B"], [-1, 2, 0])
+                              if statement == _TX_READBACK else _table([]))
+    assert main(["live", DEMO_PATH, "--approach", "tx"]) == EXIT_OK
+    bundle = gen_transactions_script(parse_dsl((FIXTURES / "demo.2cm").read_text()))
+    assert statements == ["MATCH (n:Machine) RETURN count(n) AS n", bundle.setup.text,
+                          bundle.main.text, _TX_READBACK, "MATCH (n:Machine) DETACH DELETE n"]
+    assert capsys.readouterr().out == "match: {'state': -1, 'A': 2, 'B': 0}\n"
+
+
+@pytest.mark.parametrize("approach, label", [("tx", "Machine"), ("qpp", "State")])
+def test_live_refuses_a_database_that_holds_nodes_of_its_label(approach, label, monkeypatch,
+                                                               capsys):
+    # its cleanup deletes every node of the label, so it would delete these
+    statements = _fake_server(monkeypatch, lambda statement: _table(["n"], [1]))
+    assert main(["live", DEMO_PATH, "--approach", approach]) == EXIT_INPUT
+    assert statements == [f"MATCH (n:{label}) RETURN count(n) AS n"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f":{label}" in captured.err
+
+
+@pytest.mark.parametrize("approach, failing", [
+    ("tx", "IN TRANSACTIONS"),  # the stepper, with an error other than the halt guard's
+    ("tx", _TX_READBACK),
+    ("qpp", "CREATE (q0"),
+    ("qpp", "allReduce"),
+], ids=["tx-stepper", "tx-readback", "qpp-setup", "qpp-query"])
+@pytest.mark.parametrize("error", ["server", "connection"])
+@pytest.mark.parametrize("cleanup_fails", [False, True], ids=["cleanup-ok", "cleanup-fails"])
+def test_live_cleans_up_its_nodes_after_a_failure(approach, failing, error, cleanup_fails,
+                                                   monkeypatch, capsys):
+    import urllib.error
+
+    def fail(message):
+        if error == "connection":
+            return urllib.error.URLError(message)
+        return {"errors": [{"code": "Neo.ClientError.Statement.SyntaxError", "message": message}]}
+
+    def reply(statement):
+        if failing in statement:
+            return fail("first")
+        if "DETACH DELETE" in statement and cleanup_fails:
+            return fail("second")
+        return _table([])
+
+    statements = _fake_server(monkeypatch, reply)
+    assert main(["live", DEMO_PATH, "--approach", approach]) == EXIT_CONNECTION
+    label = "Machine" if approach == "tx" else "State"
+    assert statements[-1] == f"MATCH (n:{label}) DETACH DELETE n"
+    assert statements.count(statements[-1]) == 1
+    err = capsys.readouterr().err
+    # the first error is the one reported
+    prefix = "error: server error" if error == "server" else "error: connection failure"
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert "first" in err and "second" not in err
 
 
 @pytest.mark.skipif(

@@ -14,10 +14,14 @@ from cm2cypher.machine import (
     Program,
     qpp_walk,
     run,
-    step,
 )
 from cm2cypher.frontend import from_map_document, parse_dsl, random_program
 from cm2cypher.reduction import mcm_run
+
+
+def step(program, config):
+    # one step through the traced run, which single-steps with _step_raw
+    return run(program, fuel=1, capture_trace=True, start=config).final
 
 
 def test_step_demo_first(demo):
@@ -121,6 +125,21 @@ def test_program_rejects_out_of_range_counter_index():
     with pytest.raises(InvalidProgram, match="counter"):
         Program((Inc(3, 0), Halt()), num_counters=3)
     assert Program((Inc(2, 1), Halt()), num_counters=3).num_counters == 3
+
+
+@pytest.mark.parametrize("value", [1.0, True])
+@pytest.mark.parametrize("make", [
+    lambda v: Inc(0, v),
+    lambda v: JzDec(0, v, 0),
+    lambda v: JzDec(0, 0, v),
+    lambda v: Inc(v, 0),
+    lambda v: JzDec(v, 0, 0),
+], ids=["inc-next", "jzdec-zero", "jzdec-pos", "inc-counter", "jzdec-counter"])
+def test_program_rejects_a_counter_or_target_that_is_not_an_int(make, value):
+    # 1.0 and True equal a valid index, but run, render_dsl and the
+    # generators need an int; the error names the state
+    with pytest.raises(InvalidProgram, match="^state 1: "):
+        Program((Halt(), make(value)))
 
 
 def test_counter_ids_are_indices():
