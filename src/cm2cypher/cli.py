@@ -144,6 +144,10 @@ def cmd_reduce_tm(args) -> int:
     out = Path(args.out) if args.out else Path(args.machine).with_suffix(".2cm")
     if out.exists() and out.samefile(args.machine):  # also through a link
         raise ValueError(f"--out {out} is the input file; name another output file")
+    # checked before the pipeline runs and prints; the default output sits
+    # beside the input, whose own absence load_tm_file reports
+    if args.out and not out.parent.is_dir():
+        raise ValueError(f"--out {out}: no directory {out.parent}")
     tm = reduction.load_tm_file(args.machine)
     report = reduction.run_pipeline(tm, fuel_per_stage=args.fuel_per_stage)
     rows = [

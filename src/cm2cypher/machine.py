@@ -58,25 +58,58 @@ class NoPath(MachineError):
 COUNTER_NAMES = ("A", "B")  # by counter index, for 2-counter programs
 
 
-@dataclass(frozen=True)
+# The instructions are slotted frozen dataclasses with a hand-written
+# ``__init__`` that stores each field through its slot's descriptor (bound
+# below the classes). The generated frozen ``__init__`` goes through
+# ``object.__setattr__`` once per field, which nearly doubles the cost of
+# building the tens of thousands of instructions a reduction makes.
+# Equality, hashing, ``repr``, ``replace``, copying and pickling are the
+# dataclass's own. Assigning a field raises ``FrozenInstanceError``, but
+# assigning any other name raises ``TypeError`` from the generated
+# ``__setattr__`` (CPython 3.10 to 3.13), and the instance is unchanged.
+
+
+@dataclass(frozen=True, slots=True)
 class Inc:
     counter: int
     next: int
 
+    def __init__(self, counter: int, next: int):
+        _set_inc_counter(self, counter)
+        _set_inc_next(self, next)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class JzDec:
     counter: int
     q_zero: int
     q_pos: int
 
+    def __init__(self, counter: int, q_zero: int, q_pos: int):
+        _set_jzdec_counter(self, counter)
+        _set_jzdec_q_zero(self, q_zero)
+        _set_jzdec_q_pos(self, q_pos)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Halt:
     pass
 
 
+_set_inc_counter = Inc.counter.__set__
+_set_inc_next = Inc.next.__set__
+_set_jzdec_counter = JzDec.counter.__set__
+_set_jzdec_q_zero = JzDec.q_zero.__set__
+_set_jzdec_q_pos = JzDec.q_pos.__set__
+
+
 Instruction = Inc | JzDec | Halt
+
+
+def _dangling(state: int, target, n: int) -> InvalidProgram:
+    return InvalidProgram(
+        f"state {state}: dangling reference to state {target!r} (valid range 0..{n - 1})"
+    )
 
 
 @dataclass(frozen=True)
@@ -92,23 +125,23 @@ class Program:
             raise InvalidProgram("program must have at least one state")
         n, k = len(self.instructions), self.num_counters
         for i, instr in enumerate(self.instructions):
+            # an INC's positive successor is its next state, as in _decode
             if isinstance(instr, Inc):
-                targets = (instr.next,)
+                counter = instr.counter
+                t = pos = instr.next
             elif isinstance(instr, JzDec):
-                targets = (instr.q_zero, instr.q_pos)
+                counter, t, pos = instr.counter, instr.q_zero, instr.q_pos
             elif isinstance(instr, Halt):
                 continue
             else:
                 raise InvalidProgram(f"state {i}: not an instruction: {instr!r}")
             # type() is int: a bool or a float is no counter or state number
-            if not (type(instr.counter) is int and 0 <= instr.counter < k):
-                raise InvalidProgram(f"state {i}: bad counter {instr.counter!r} for {k} counters")
-            for t in targets:
-                if not (type(t) is int and 0 <= t < n):
-                    raise InvalidProgram(
-                        f"state {i}: dangling reference to state {t!r} "
-                        f"(valid range 0..{n - 1})"
-                    )
+            if not (type(counter) is int and 0 <= counter < k):
+                raise InvalidProgram(f"state {i}: bad counter {counter!r} for {k} counters")
+            if not (type(t) is int and 0 <= t < n):
+                raise _dangling(i, t, n)
+            if not (type(pos) is int and 0 <= pos < n):
+                raise _dangling(i, pos, n)
 
     def __len__(self) -> int:
         return len(self.instructions)

@@ -575,6 +575,17 @@ def test_reduce_tm_refuses_to_write_over_its_input(out, tmp_path, capsys):
     assert machine.read_bytes() == data
 
 
+@pytest.mark.parametrize("parent", ["missing", "file.txt"])
+def test_reduce_tm_checks_the_output_directory_before_it_runs(parent, tmp_path, capsys):
+    (tmp_path / "file.txt").write_text("")
+    out = tmp_path / parent / "x.2cm"
+    assert main(["reduce-tm", UNARY_TM, "--out", str(out)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out {out}: no directory {out.parent}\n"
+    assert not out.exists()
+
+
 def _unary_successor_with(field, extra):
     doc = json.loads((FIXTURES / "tm" / "unary_successor.json").read_text())
     return dict(doc, **{field: doc[field] + [extra]})
@@ -786,6 +797,35 @@ def test_eval_of_a_mutated_query_keeps_the_exit_contract(text, params, fuzz_dir)
 # --------------------------------------------------------------------- live
 
 
+def _live_env(monkeypatch, uri="http://db.example:7474"):
+    monkeypatch.setenv("CYPHER_URI", uri)
+    monkeypatch.setenv("CYPHER_USER", "neo4j")
+    monkeypatch.setenv("CYPHER_PASSWORD", "x")
+
+
+def _fake_server(monkeypatch, reply):
+    """Answer each live statement with ``reply(statement)``, a reply document
+    or an exception to raise; return the list of statements sent."""
+    import urllib.request
+
+    statements = []
+
+    def fake_urlopen(request, timeout):
+        statements.append(json.loads(request.data)["statement"])
+        answer = reply(statements[-1])
+        if isinstance(answer, Exception):
+            raise answer
+        return io.BytesIO(json.dumps(answer).encode())
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+    _live_env(monkeypatch)
+    return statements
+
+
+def _table(fields, *rows):
+    return {"data": {"fields": fields, "values": list(rows)}}
+
+
 def test_live_requires_environment(monkeypatch, capsys):
     for var in ("CYPHER_URI", "CYPHER_USER", "CYPHER_PASSWORD"):
         monkeypatch.delenv(var, raising=False)
@@ -795,9 +835,7 @@ def test_live_requires_environment(monkeypatch, capsys):
 
 def test_live_unreachable_server(monkeypatch, capsys):
     monkeypatch.setitem(sys.modules, "requests", None)  # the client needs no third-party module
-    monkeypatch.setenv("CYPHER_URI", "http://127.0.0.1:9")
-    monkeypatch.setenv("CYPHER_USER", "neo4j")
-    monkeypatch.setenv("CYPHER_PASSWORD", "x")
+    _live_env(monkeypatch, "http://127.0.0.1:9")
     assert main(["live", DEMO_PATH, "--approach", "tx"]) == EXIT_CONNECTION
     assert "connection failure" in capsys.readouterr().err
 
@@ -809,6 +847,7 @@ def test_cli_import_leaves_http_client_unloaded():
 
 
 def test_live_client_posts_json_with_basic_auth(monkeypatch):
+    # the one test of the request itself, so it keeps its own fake urlopen
     import urllib.request
 
     import cm2cypher.cli as cli_mod
@@ -856,9 +895,7 @@ def test_live_bad_server_reply_is_a_connection_failure(status, body, monkeypatch
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        monkeypatch.setenv("CYPHER_URI", f"http://127.0.0.1:{server.server_port}")
-        monkeypatch.setenv("CYPHER_USER", "neo4j")
-        monkeypatch.setenv("CYPHER_PASSWORD", "x")
+        _live_env(monkeypatch, f"http://127.0.0.1:{server.server_port}")
         assert main(["live", DEMO_PATH, "--approach", "qpp"]) == EXIT_CONNECTION
     finally:
         server.shutdown()
@@ -870,15 +907,7 @@ def test_live_bad_server_reply_is_a_connection_failure(status, body, monkeypatch
 
 @pytest.mark.parametrize("approach", ["tx", "qpp"])
 def test_live_server_error_reply_exits_with_connection_code(approach, monkeypatch, capsys):
-    import urllib.request
-
-    def fake_urlopen(request, timeout):
-        return io.BytesIO(json.dumps({"errors": [{"message": "boom"}]}).encode())
-
-    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
-    monkeypatch.setenv("CYPHER_URI", "http://db.example:7474")
-    monkeypatch.setenv("CYPHER_USER", "neo4j")
-    monkeypatch.setenv("CYPHER_PASSWORD", "x")
+    _fake_server(monkeypatch, lambda statement: {"errors": [{"message": "boom"}]})
     assert main(["live", DEMO_PATH, "--approach", approach]) == EXIT_CONNECTION
     err = capsys.readouterr().err
     assert err.startswith("error: server error") and "boom" in err
@@ -894,29 +923,14 @@ def test_live_server_error_reply_exits_with_connection_code(approach, monkeypatc
 ])
 def test_live_reply_of_another_shape_is_a_connection_failure(reply, approach, monkeypatch,
                                                              capsys):
-    import urllib.request
-
-    monkeypatch.setattr(urllib.request, "urlopen",
-                        lambda request, timeout: io.BytesIO(json.dumps(reply).encode()))
-    monkeypatch.setenv("CYPHER_URI", "http://db.example:7474")
-    monkeypatch.setenv("CYPHER_USER", "neo4j")
-    monkeypatch.setenv("CYPHER_PASSWORD", "x")
+    _fake_server(monkeypatch, lambda statement: reply)
     assert main(["live", DEMO_PATH, "--approach", approach]) == EXIT_CONNECTION
     assert capsys.readouterr().err.startswith("error: connection failure: server reply")
 
 
 def test_live_tx_stepper_error_reply_without_an_error_list_fails(monkeypatch, capsys):
-    import urllib.request
-
-    def fake_urlopen(request, timeout):
-        failing = "IN TRANSACTIONS" in json.loads(request.data)["statement"]
-        reply = {"errors": 5} if failing else {"data": {"fields": [], "values": []}}
-        return io.BytesIO(json.dumps(reply).encode())
-
-    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
-    monkeypatch.setenv("CYPHER_URI", "http://db.example:7474")
-    monkeypatch.setenv("CYPHER_USER", "neo4j")
-    monkeypatch.setenv("CYPHER_PASSWORD", "x")
+    _fake_server(monkeypatch, lambda statement: {"errors": 5}
+                 if "IN TRANSACTIONS" in statement else _table([]))
     assert main(["live", DEMO_PATH, "--approach", "tx"]) == EXIT_CONNECTION
     assert capsys.readouterr().err == "error: server error: 5\n"
 
@@ -926,22 +940,14 @@ def test_live_tx_stepper_error_reply_without_an_error_list_fails(monkeypatch, ca
     ("Neo.ClientError.Statement.SyntaxError", EXIT_CONNECTION),
 ])
 def test_live_tx_stepper_ends_only_on_division_by_zero(code, exit_code, monkeypatch, capsys):
-    import urllib.request
-
-    def fake_urlopen(request, timeout):
-        statement = json.loads(request.data)["statement"]
+    def reply(statement):
         if "IN TRANSACTIONS" in statement:
-            reply = {"errors": [{"code": code, "message": "/ by zero"}]}
-        elif statement.startswith("MATCH (m:Machine) RETURN"):
-            reply = {"data": {"fields": ["state", "A", "B"], "values": [[-1, 2, 0]]}}
-        else:
-            reply = {"data": {"fields": [], "values": []}}
-        return io.BytesIO(json.dumps(reply).encode())
+            return {"errors": [{"code": code, "message": "/ by zero"}]}
+        if statement.startswith("MATCH (m:Machine) RETURN"):
+            return _table(["state", "A", "B"], [-1, 2, 0])
+        return _table([])
 
-    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
-    monkeypatch.setenv("CYPHER_URI", "http://db.example:7474")
-    monkeypatch.setenv("CYPHER_USER", "neo4j")
-    monkeypatch.setenv("CYPHER_PASSWORD", "x")
+    _fake_server(monkeypatch, reply)
     assert main(["live", DEMO_PATH, "--approach", "tx"]) == exit_code
     captured = capsys.readouterr()
     if exit_code == EXIT_OK:
@@ -952,21 +958,8 @@ def test_live_tx_stepper_ends_only_on_division_by_zero(code, exit_code, monkeypa
 
 @pytest.mark.parametrize("row, exit_code", [([5, 2, 0], EXIT_OK), ([5, 1, 0], EXIT_MISMATCH)])
 def test_live_qpp_compares_the_traversal_row(row, exit_code, monkeypatch, capsys):
-    import urllib.request
-
-    statements = []
-
-    def fake_urlopen(request, timeout):
-        statements.append(json.loads(request.data)["statement"])
-        traversal = "allReduce" in statements[-1]
-        values = [row] if traversal else []
-        fields = ["steps", "ctrA", "ctrB"] if traversal else []
-        return io.BytesIO(json.dumps({"data": {"fields": fields, "values": values}}).encode())
-
-    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
-    monkeypatch.setenv("CYPHER_URI", "http://db.example:7474")
-    monkeypatch.setenv("CYPHER_USER", "neo4j")
-    monkeypatch.setenv("CYPHER_PASSWORD", "x")
+    statements = _fake_server(monkeypatch, lambda statement: _table(["steps", "ctrA", "ctrB"], row)
+                              if "allReduce" in statement else _table([]))
     assert main(["live", DEMO_PATH, "--approach", "qpp"]) == exit_code
     count, cleanup = "MATCH (n:State) RETURN count(n) AS n", "MATCH (n:State) DETACH DELETE n"
     setup = gen_qpp_setup(parse_dsl((FIXTURES / "demo.2cm").read_text())).text
@@ -980,45 +973,14 @@ def test_live_qpp_compares_the_traversal_row(row, exit_code, monkeypatch, capsys
 
 def test_live_qpp_without_a_halting_path_exits_before_connecting(tmp_path, monkeypatch,
                                                                   capsys):
-    import urllib.request
-
-    def fake_urlopen(request, timeout):
-        raise AssertionError("the walk fails before any statement is sent")
-
-    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
-    monkeypatch.setenv("CYPHER_URI", "http://db.example:7474")
-    monkeypatch.setenv("CYPHER_USER", "neo4j")
-    monkeypatch.setenv("CYPHER_PASSWORD", "x")
+    statements = _fake_server(monkeypatch, lambda statement: AssertionError(
+        "the walk fails before any statement is sent"))
     loop = tmp_path / "loop.2cm"
     loop.write_text("state 0: INC A -> 0\n")
     argv = ["live", str(loop), "--approach", "qpp", "--fuel", "1000"]
     assert main(argv) == EXIT_FUEL
     assert capsys.readouterr().err == "error: no path to a halt state within 1000 edges\n"
-
-
-def _fake_server(monkeypatch, reply):
-    """Answer each live statement with ``reply(statement)``, a reply document
-    or an exception to raise; return the list of statements sent."""
-    import urllib.request
-
-    statements = []
-
-    def fake_urlopen(request, timeout):
-        statements.append(json.loads(request.data)["statement"])
-        answer = reply(statements[-1])
-        if isinstance(answer, Exception):
-            raise answer
-        return io.BytesIO(json.dumps(answer).encode())
-
-    monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
-    monkeypatch.setenv("CYPHER_URI", "http://db.example:7474")
-    monkeypatch.setenv("CYPHER_USER", "neo4j")
-    monkeypatch.setenv("CYPHER_PASSWORD", "x")
-    return statements
-
-
-def _table(fields, *rows):
-    return {"data": {"fields": fields, "values": list(rows)}}
+    assert statements == []
 
 
 _TX_READBACK = "MATCH (m:Machine) RETURN m.state AS state, m.A AS A, m.B AS B"

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,6 +146,100 @@ def test_program_rejects_a_counter_or_target_that_is_not_an_int(make, value):
         Program((Halt(), make(value)))
 
 
+def test_program_reports_its_first_fault():
+    # the lowest faulty state, then its counter, then next/q_zero, then q_pos
+    def fault(*instructions, num_counters=2):
+        with pytest.raises(InvalidProgram) as info:
+            Program(instructions, num_counters)
+        return str(info.value)
+
+    assert fault(Halt(), Inc(2, 7)) == "state 1: bad counter 2 for 2 counters"
+    assert fault(JzDec(-1, 9, 9)) == "state 0: bad counter -1 for 2 counters"
+    assert fault(Inc(2, 7), num_counters=3) == (
+        "state 0: dangling reference to state 7 (valid range 0..0)"
+    )
+    assert fault(Halt(), JzDec(0, 5, 6)) == (
+        "state 1: dangling reference to state 5 (valid range 0..1)"
+    )
+    assert fault(Halt(), JzDec(0, 0, -1)) == (
+        "state 1: dangling reference to state -1 (valid range 0..1)"
+    )
+    assert fault(Halt(), JzDec(1, 1, True)) == (
+        "state 1: dangling reference to state True (valid range 0..1)"
+    )
+    assert fault(Halt(), Inc(0, 4), Inc(3, 0)) == (
+        "state 1: dangling reference to state 4 (valid range 0..2)"
+    )
+    assert fault(Halt(), JzDec(5, 0, 0), "INC A", Inc(0, 9)) == (
+        "state 1: bad counter 5 for 2 counters"
+    )
+    assert fault(Inc(0, 0), (0, 0), Inc(0, 9)) == "state 1: not an instruction: (0, 0)"
+    assert fault(None) == "state 0: not an instruction: None"
+    assert fault() == "program must have at least one state"
+
+
+def test_program_equality_and_hash():
+    p = Program((Inc(0, 1), JzDec(1, 0, 2), Halt()))
+    q = Program((Inc(0, 1), JzDec(1, 0, 2), Halt()))
+    assert p == q and not p != q and hash(p) == hash(q)
+    assert hash(p) == hash((p.instructions, 2))
+    assert p != Program((Inc(0, 1), JzDec(1, 0, 2), Halt()), num_counters=3)
+    assert p != Program((Inc(0, 1), JzDec(1, 2, 0), Halt()))
+    assert p != (p.instructions, 2)
+    assert repr(Program((Halt(),))) == "Program(instructions=(Halt(),), num_counters=2)"
+
+
+_INSTRUCTIONS = [
+    (Inc(1, 4), ("counter", "next"), (1, 4), "Inc(counter=1, next=4)"),
+    (JzDec(0, 3, 2), ("counter", "q_zero", "q_pos"), (0, 3, 2),
+     "JzDec(counter=0, q_zero=3, q_pos=2)"),
+    (Halt(), (), (), "Halt()"),
+]
+
+
+@pytest.mark.parametrize("instr, names, values, text", _INSTRUCTIONS,
+                         ids=["inc", "jzdec", "halt"])
+def test_instruction_value_contract(instr, names, values, text):
+    kind = type(instr)
+    same = kind(*values)
+    assert instr == same and not instr != same and instr is not same
+    assert hash(instr) == hash(same) == hash(values)
+    assert instr != values and not instr == values
+    for other, *_ in _INSTRUCTIONS:
+        if type(other) is not kind:
+            assert instr != other and not instr == other
+    if values:
+        changed = kind(*values[:-1], values[-1] + 1)
+        assert instr != changed and not instr == changed
+    assert repr(instr) == text
+    assert dataclasses.is_dataclass(instr) and dataclasses.is_dataclass(kind)
+    assert tuple(f.name for f in dataclasses.fields(instr)) == names
+    assert tuple(getattr(instr, name) for name in names) == values
+    assert kind(**dict(zip(names, values))) == instr
+    assert dataclasses.replace(instr) == instr
+    for name in names:
+        moved = dataclasses.replace(instr, **{name: 9})
+        assert type(moved) is kind and getattr(moved, name) == 9
+    for twin in (copy.copy(instr), copy.deepcopy(instr),
+                 pickle.loads(pickle.dumps(instr))):
+        assert type(twin) is kind and twin == instr and repr(twin) == text
+
+
+@pytest.mark.parametrize("instr", [i for i, *_ in _INSTRUCTIONS], ids=["inc", "jzdec", "halt"])
+def test_instructions_are_immutable(instr):
+    before = repr(instr)
+    for name in (f.name for f in dataclasses.fields(instr)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(instr, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(instr, name)
+    # any other name is refused too: a frozen dataclass raises
+    # FrozenInstanceError, a slotted one (CPython 3.10 to 3.13) TypeError
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        instr.label = "x"
+    assert not hasattr(instr, "label") and repr(instr) == before
+
+
 def test_counter_ids_are_indices():
     # a frontend program holds the same plain ints as a reduced one
     doc = [{"state": 0, "op": "INC", "counter": "B", "next": 0}]
@@ -182,6 +280,14 @@ def test_qpp_walk_single_halt():
     result = qpp_walk(Program((Halt(),)), fuel=10)
     assert result.steps == 0
     assert (result.final_a, result.final_b) == (0, 0)
+
+
+def test_fuel_zero_executes_nothing():
+    walk = qpp_walk(Program((Halt(),)), fuel=0)
+    assert (walk.edge_tags, walk.steps, walk.final_a, walk.final_b) == ((), 0, 0, 0)
+    for capture_trace in (False, True):
+        result = run(Program((Inc(0, 0),)), fuel=0, capture_trace=capture_trace)
+        assert (result.final, result.machine_steps, result.halted) == (Config(0, 0, 0), 0, False)
 
 
 def test_qpp_walk_fuel_exhaustion():
