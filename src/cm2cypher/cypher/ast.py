@@ -9,7 +9,9 @@ CASE whose null subject never matches an arm.
 
 One node class per construct: ``Literal`` holds every constant (null, a
 boolean, an integer or a string) and ``Case`` both CASE forms, the searched
-one having no subject.
+one having no subject. A node keeps its parse's ``lexer.Source`` and the
+index of its piece; its ``line`` and ``column`` are worked out from them
+only when read, for an error or on request.
 
 A tree is evaluated by compiling it once into nested closures
 ``f(env, params)`` and calling the root (Feeley & Lapalme, "Using Closures
@@ -72,6 +74,7 @@ from .errors import (
     UnknownParameter,
     UnknownVariable,
 )
+from .lexer import Source
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -236,11 +239,21 @@ def _without(consts: dict, *names: str) -> dict:
 
 
 class Expr:
-    __slots__ = ("line", "column")
+    """A node of a parse tree, at piece ``at`` of its parse's ``source``."""
 
-    def __init__(self, line: int, column: int):
-        self.line = line
-        self.column = column
+    __slots__ = ("source", "at")
+
+    def __init__(self, source: Source, at: int):
+        self.source = source
+        self.at = at
+
+    @property
+    def line(self) -> int:
+        return self.source.position(self.at)[0]
+
+    @property
+    def column(self) -> int:
+        return self.source.position(self.at)[1]
 
     def _compile(self, consts: dict) -> Compiled:
         raise NotImplementedError
@@ -249,11 +262,11 @@ class Expr:
 class Literal(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value, line: int, column: int):
-        # not through super(): the parser builds one per INT and STRING token
+    def __init__(self, value, source: Source, at: int):
+        # not through super(): the parser builds one per INT and STRING piece
         self.value = value  # None, a bool, an int or a str
-        self.line = line
-        self.column = column
+        self.source = source
+        self.at = at
 
     def _compile(self, consts):
         return _constant(self.value)
@@ -262,8 +275,8 @@ class Literal(Expr):
 class Var(Expr):
     __slots__ = ("name",)
 
-    def __init__(self, name: str, line: int, column: int):
-        super().__init__(line, column)
+    def __init__(self, name: str, source: Source, at: int):
+        super().__init__(source, at)
         self.name = name
 
     def _compile(self, consts):
@@ -283,8 +296,8 @@ class Var(Expr):
 class Param(Expr):
     __slots__ = ("name",)
 
-    def __init__(self, name: str, line: int, column: int):
-        super().__init__(line, column)
+    def __init__(self, name: str, source: Source, at: int):
+        super().__init__(source, at)
         self.name = name
 
     def _compile(self, consts):
@@ -301,8 +314,8 @@ class Param(Expr):
 class MapLit(Expr):
     __slots__ = ("items",)
 
-    def __init__(self, items: list[tuple[str, Expr]], line: int, column: int):
-        super().__init__(line, column)
+    def __init__(self, items: list[tuple[str, Expr]], source: Source, at: int):
+        super().__init__(source, at)
         self.items = items
 
     def _compile(self, consts):
@@ -320,8 +333,8 @@ class MapLit(Expr):
 class ListLit(Expr):
     __slots__ = ("items",)
 
-    def __init__(self, items: list[Expr], line: int, column: int):
-        super().__init__(line, column)
+    def __init__(self, items: list[Expr], source: Source, at: int):
+        super().__init__(source, at)
         self.items = items
 
     def _compile(self, consts):
@@ -339,8 +352,8 @@ class ListLit(Expr):
 class Prop(Expr):
     __slots__ = ("obj", "key")
 
-    def __init__(self, obj: Expr, key: str, line: int, column: int):
-        super().__init__(line, column)
+    def __init__(self, obj: Expr, key: str, source: Source, at: int):
+        super().__init__(source, at)
         self.obj = obj
         self.key = key
 
@@ -391,8 +404,8 @@ class Prop(Expr):
 class Index(Expr):
     __slots__ = ("obj", "index")
 
-    def __init__(self, obj: Expr, index: Expr, line: int, column: int):
-        super().__init__(line, column)
+    def __init__(self, obj: Expr, index: Expr, source: Source, at: int):
+        super().__init__(source, at)
         self.obj = obj
         self.index = index
 
@@ -426,8 +439,8 @@ class Index(Expr):
 class Not(Expr):
     __slots__ = ("operand",)
 
-    def __init__(self, operand: Expr, line: int, column: int):
-        super().__init__(line, column)
+    def __init__(self, operand: Expr, source: Source, at: int):
+        super().__init__(source, at)
         self.operand = operand
 
     def _compile(self, consts):
@@ -447,8 +460,8 @@ class Not(Expr):
 class Neg(Expr):
     __slots__ = ("operand",)
 
-    def __init__(self, operand: Expr, line: int, column: int):
-        super().__init__(line, column)
+    def __init__(self, operand: Expr, source: Source, at: int):
+        super().__init__(source, at)
         self.operand = operand
 
     def _compile(self, consts):
@@ -483,8 +496,8 @@ _BY_ZERO = {"/": "division by zero", "%": "modulo by zero"}
 class Binary(Expr):
     __slots__ = ("op", "left", "right")
 
-    def __init__(self, op: str, left: Expr, right: Expr, line: int, column: int):
-        super().__init__(line, column)
+    def __init__(self, op: str, left: Expr, right: Expr, source: Source, at: int):
+        super().__init__(source, at)
         self.op = op
         self.left = left
         self.right = right
@@ -578,8 +591,8 @@ class Case(Expr):
 
     __slots__ = ("subject", "whens", "default")
 
-    def __init__(self, subject, whens, default, line, column):
-        super().__init__(line, column)
+    def __init__(self, subject, whens, default, source, at):
+        super().__init__(source, at)
         self.subject = subject
         self.whens = whens  # list of (match or condition expr, result expr)
         self.default = default
@@ -635,8 +648,8 @@ class Case(Expr):
 class Reduce(Expr):
     __slots__ = ("acc_name", "init", "var_name", "list_expr", "body")
 
-    def __init__(self, acc_name, init, var_name, list_expr, body, line, column):
-        super().__init__(line, column)
+    def __init__(self, acc_name, init, var_name, list_expr, body, source, at):
+        super().__init__(source, at)
         self.acc_name = acc_name
         self.init = init
         self.var_name = var_name
@@ -677,8 +690,8 @@ class Reduce(Expr):
 class Comprehension(Expr):
     __slots__ = ("var_name", "list_expr", "where", "mapper")
 
-    def __init__(self, var_name, list_expr, where, mapper, line, column):
-        super().__init__(line, column)
+    def __init__(self, var_name, list_expr, where, mapper, source, at):
+        super().__init__(source, at)
         self.var_name = var_name
         self.list_expr = list_expr
         self.where = where
@@ -758,8 +771,8 @@ def _single_bind(node: Expr, consts: dict, general: Callable[[], Compiled]) -> O
 class Call(Expr):
     __slots__ = ("name", "args")
 
-    def __init__(self, name: str, args: list[Expr], line: int, column: int):
-        super().__init__(line, column)
+    def __init__(self, name: str, args: list[Expr], source: Source, at: int):
+        super().__init__(source, at)
         self.name = name
         self.args = args
 

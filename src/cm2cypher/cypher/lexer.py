@@ -6,19 +6,23 @@ backslash before any other character is dropped: \\\\ \\' \\"),
 punctuation and operators (including <=, >=, <>), parameters ($name), and
 both // line comments and /* */ block comments.
 
-One compiled pattern splits the text into its pieces, with the blanks
-(spaces, tabs, carriage returns, line breaks) between them. A string piece
-keeps its quotes and escapes, so a piece's first character gives its kind:
-a letter or '_' starts a name, a digit an integer, a quote a string, and
-anything else is punctuation; the string ',' is never the piece ','. _scan
-drops the comments and raises CypherSyntaxError on an unterminated string or
-block comment, an illegal character, or a word whose first character is not
-a letter. Positions are not tracked while scanning: a line and column are
-found from a piece's offset, by bisection over the line starts, only where
-one is needed.
+One compiled pattern cuts the text into its pieces. A string piece keeps
+its quotes and escapes, so a piece's first character gives its kind: a
+letter or '_' starts a name, a digit an integer, a quote a string, and
+anything else is punctuation; the string ',' is never the piece ','. Only
+blanks (spaces, tabs, carriage returns, line breaks) fall between two
+matches, since the pattern's last alternative matches any other character.
+Comments are dropped, and an unterminated string or block comment, an
+illegal character, or a word whose first character is not a letter is a
+CypherSyntaxError.
 
-The parser reads _scan's pieces. tokenize is a Token view of the same
-pieces, for the token comparison of queries and for tests.
+The parser reads _pieces, the pattern's findall pieces, which carry no
+offsets. Only when the text has an error does _scan, the split that keeps
+the blanks, run to report it at its position. A Source is the text of one
+parse: it works out the pieces' offsets through _scan, and the line starts
+a line and column are found from by bisection, the first time a position
+is read. tokenize is a Token view of _scan's pieces, for the token
+comparison of queries and for tests.
 """
 
 from __future__ import annotations
@@ -46,12 +50,13 @@ class Token(NamedTuple):
     offset: int  # absolute character offset, for source-span recovery
 
 
-# One capturing group, so the split puts the blanks and the pieces in turn.
-# Alternatives are tried in order: names, punctuation, integers, strings,
-# comments, words that start with a non-ASCII character (_scan rejects those
-# that are not letters), and any one non-blank character no piece starts
-# with: '/*' or a quote left unterminated, or an illegal character.
-_SPLIT = re.compile(
+# One capturing group, so the split puts the blanks and the pieces in turn,
+# and findall returns the pieces alone. Alternatives are tried in order:
+# names, punctuation, integers, strings, comments, words that start with a
+# non-ASCII character (_fault rejects those that are not letters), and any
+# one non-blank character no piece starts with: '/*' or a quote left
+# unterminated, or an illegal character.
+_PATTERN = re.compile(
     r"""(
       [A-Za-z_]\w*
     | <=|>=|<>|/(?![/*])|[()\[\]{},:.|+\-*%=<>$;]
@@ -62,7 +67,8 @@ _SPLIT = re.compile(
     | /\*|[^ \t\r\n]
     )""",
     re.VERBOSE | re.DOTALL,
-).split
+)
+_SPLIT, _FINDALL = _PATTERN.split, _PATTERN.findall
 # kinds by first character; any other first character is a letter's, once
 # _fault has passed the piece
 _KINDS = {"": EOF, "'": STRING, **dict.fromkeys("0123456789", INT),
@@ -86,6 +92,11 @@ def _fault(piece: str) -> str | None:
     return None
 
 
+def _faults(pieces: list[str]) -> dict[str, str]:
+    """The fault of each distinct piece that has one."""
+    return {p: fault for p in set(pieces) if (fault := _fault(p)) is not None}
+
+
 def _scan(text: str) -> tuple[list[str], list[int]]:
     """The pieces of text without its comments, ending in "", and the offset
     of each; an unterminated string or block comment is reported at its
@@ -93,7 +104,7 @@ def _scan(text: str) -> tuple[list[str], list[int]]:
     parts = _SPLIT(text)
     pieces = parts[1::2]
     offsets = list(accumulate(map(len, parts)))[::2]  # the last is len(text)
-    faults = {p: fault for p in set(pieces) if (fault := _fault(p)) is not None}
+    faults = _faults(pieces)
     errors = [pieces.index(p) for p, fault in faults.items() if fault]
     if errors:
         i = min(errors)
@@ -103,6 +114,45 @@ def _scan(text: str) -> tuple[list[str], list[int]]:
         kept = [p not in faults for p in pieces]
         pieces, offsets = list(compress(pieces, kept)), list(compress(offsets, kept))
     return pieces, offsets
+
+
+def _pieces(text: str) -> list[str]:
+    """_scan's pieces, from findall: no blanks and no offsets. Text with an
+    error is left to _scan, which reports it at its position."""
+    pieces = _FINDALL(text)
+    faults = _faults(pieces)
+    if any(faults.values()):
+        _scan(text)  # raises
+    pieces.append("")
+    if faults:  # comments only
+        pieces = [p for p in pieces if p not in faults]
+    return pieces
+
+
+class Source:
+    """The text of one parse, and where its pieces are: the offset of each
+    piece and the start of each line, each worked out the first time it is
+    read."""
+
+    __slots__ = ("text", "_offsets", "_line_starts")
+
+    def __init__(self, text: str):
+        self.text = text
+        self._offsets: list[int] | None = None
+        self._line_starts: list[int] | None = None
+
+    def offset(self, i: int) -> int:
+        """The offset of piece i."""
+        if self._offsets is None:
+            self._offsets = _scan(self.text)[1]
+        return self._offsets[i]
+
+    def position(self, i: int) -> tuple[int, int]:
+        """The 1-based line and column of piece i."""
+        offset = self.offset(i)
+        if self._line_starts is None:
+            self._line_starts = _line_starts(self.text)
+        return _position(self._line_starts, offset)
 
 
 def _line_starts(text: str) -> list[int]:

@@ -7,12 +7,14 @@ subset (MATCH, CALL, WITH, unknown functions, ...) is rejected at parse
 time with UnsupportedFeature naming the construct, and nesting too deep
 for Python's recursion limit with CypherSyntaxError.
 
-The parser reads the lexer's pieces of the text (lexer._scan), not Token
+The parser reads the lexer's pieces of the text (lexer._pieces), not Token
 objects: each test of the input compares one piece string, and a string
 piece keeps its quotes, so only a name can equal a keyword and only
-punctuation an operator. A node's or an error's line and column are found
-from its piece's offset when it is built, and a string is unescaped only
-when its Literal is built.
+punctuation an operator. A node keeps the parse's lexer.Source and the
+index of its piece, so no offset, line or column is worked out while
+parsing: the Source finds them the first time a node's or an error's
+position, or the alias of a return item of more than one piece, is read. A
+string is unescaped only when its Literal is built.
 
 Binary operators are read by one precedence-climbing loop (Pratt, "Top Down
 Operator Precedence", 1973) over the _BINDING_POWER table, loosest first:
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from . import ast
 from .errors import CypherSyntaxError, UnsupportedFeature
-from .lexer import IDENT, INT, STRING, _kind, _lexeme, _line_starts, _position, _scan
+from .lexer import IDENT, INT, STRING, Source, _kind, _lexeme, _pieces
 
 KEYWORDS = {
     "LET", "RETURN", "CASE", "WHEN", "THEN", "ELSE", "END",
@@ -58,18 +60,17 @@ _NOT_POWER = 3
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         # pieces end in the end marker "", and no test reads past a piece
         # that is "", so no read runs off the end
-        self.pieces, self.offsets = _scan(text)
-        self.line_starts = _line_starts(text)
+        self.pieces = _pieces(text)
+        self.source = Source(text)
         self.pos = 0
 
     # --- piece helpers -------------------------------------------------
 
-    def at(self, i: int) -> tuple[int, int]:
-        """The line and column of piece i."""
-        return _position(self.line_starts, self.offsets[i])
+    def position(self, i: int) -> tuple[int, int]:
+        """The line and column of piece i, for an error."""
+        return self.source.position(i)
 
     def peek(self, ahead: int = 0) -> str:
         return self.pieces[self.pos + ahead]
@@ -86,7 +87,7 @@ class _Parser:
     def _expected(self, what: str) -> CypherSyntaxError:
         piece = self.peek()
         found = _lexeme(piece) if piece else "end of input"
-        return CypherSyntaxError(f"expected {what}, found {found!r}", *self.at(self.pos))
+        return CypherSyntaxError(f"expected {what}, found {found!r}", *self.position(self.pos))
 
     def expect_keyword(self, word: str):
         if not self.at_keyword(word):
@@ -108,7 +109,7 @@ class _Parser:
     def expect_ident(self, message: str) -> str:
         piece = self.peek()
         if _kind(piece) != IDENT:
-            raise CypherSyntaxError(message, *self.at(self.pos))
+            raise CypherSyntaxError(message, *self.position(self.pos))
         self.pos += 1
         return piece
 
@@ -122,19 +123,19 @@ class _Parser:
     def _reject_unsupported(self, i: int):
         upper = self.pieces[i].upper()
         if upper in UNSUPPORTED:
-            raise UnsupportedFeature(upper, *self.at(i))
+            raise UnsupportedFeature(upper, *self.position(i))
 
     def _literal(self, i: int, minus: int | None = None) -> ast.Literal:
         """The Literal of the int or string piece i; an int after the '-'
         piece ``minus`` is negative and sits at the '-'."""
         piece = self.pieces[i]
         if _kind(piece) == STRING:
-            return ast.Literal(_lexeme(piece), *self.at(i))
+            return ast.Literal(_lexeme(piece), self.source, i)
         try:
             value = int(piece)
         except ValueError:  # past Python's limit on int() of a digit string
             raise CypherSyntaxError(
-                f"integer literal of {len(piece)} digits is too long", *self.at(i)
+                f"integer literal of {len(piece)} digits is too long", *self.position(i)
             ) from None
         if minus is not None:
             value, i = -value, minus
@@ -144,9 +145,9 @@ class _Parser:
         """An integer Literal at piece i; the subset's integers are 64-bit."""
         if not ast.INT64_MIN <= value <= ast.INT64_MAX:
             raise CypherSyntaxError(
-                f"integer literal {value} is outside the 64-bit range", *self.at(i)
+                f"integer literal {value} is outside the 64-bit range", *self.position(i)
             )
-        return ast.Literal(value, *self.at(i))
+        return ast.Literal(value, self.source, i)
 
     # --- query ----------------------------------------------------------
 
@@ -160,7 +161,7 @@ class _Parser:
             i = self.expect_name()
             name = self.pieces[i]
             if name in seen:
-                raise CypherSyntaxError(f"duplicate binding {name!r}", *self.at(i))
+                raise CypherSyntaxError(f"duplicate binding {name!r}", *self.position(i))
             seen.add(name)
             self.expect_punct("=")
             bindings.append((name, self.parse_expr()))
@@ -174,7 +175,8 @@ class _Parser:
         if piece:
             self._reject_unsupported(self.pos)
             raise CypherSyntaxError(
-                f"unexpected input after RETURN clause: {_lexeme(piece)!r}", *self.at(self.pos)
+                f"unexpected input after RETURN clause: {_lexeme(piece)!r}",
+                *self.position(self.pos),
             )
         return ast.QueryAst(tuple(bindings), tuple(returns))
 
@@ -183,14 +185,15 @@ class _Parser:
         piece = self.peek()
         if piece:
             raise CypherSyntaxError(
-                f"unexpected trailing input {_lexeme(piece)!r}", *self.at(self.pos)
+                f"unexpected trailing input {_lexeme(piece)!r}", *self.position(self.pos)
             )
         return expr
 
     def parse_return_item(self, aliases: set[str]) -> ast.ReturnItem:
         # a repeated alias is reported at the name after AS, or at the item's
         # first piece when the alias is the item's own text: from the start
-        # of its first piece to the end of its last, so no comment after it
+        # of its first piece to the end of its last, so no comment after it;
+        # only an item of more than one piece reads offsets for that
         first = self.pos
         expr = self.parse_expr()
         if self.at_keyword("AS"):
@@ -199,9 +202,12 @@ class _Parser:
             alias = self.pieces[at]
         else:
             at, last = first, self.pos - 1
-            alias = self.text[self.offsets[first]:self.offsets[last] + len(self.pieces[last])]
+            alias = self.pieces[last]
+            if last != first:
+                offset = self.source.offset
+                alias = self.source.text[offset(first):offset(last) + len(alias)]
         if alias in aliases:
-            raise CypherSyntaxError(f"duplicate return alias {alias!r}", *self.at(at))
+            raise CypherSyntaxError(f"duplicate return alias {alias!r}", *self.position(at))
         aliases.add(alias)
         return ast.ReturnItem(expr, alias)
 
@@ -213,7 +219,7 @@ class _Parser:
         # NOT may start an operand of OR, AND or NOT, not of a tighter operator
         if min_power <= _NOT_POWER and self.pieces[i].upper() == "NOT":
             self.pos = i + 1
-            left = ast.Not(self.parse_expr(_NOT_POWER), *self.at(i))
+            left = ast.Not(self.parse_expr(_NOT_POWER), self.source, i)
         else:
             left = self.parse_unary()
         return self.parse_operators(left, min_power)
@@ -227,7 +233,7 @@ class _Parser:
             if power <= min_power:
                 return left
             self.pos = i + 1
-            left = ast.Binary(op, left, self.parse_expr(power), *self.at(i))
+            left = ast.Binary(op, left, self.parse_expr(power), self.source, i)
 
     def parse_unary(self) -> ast.Expr:
         piece = self.peek()
@@ -241,7 +247,7 @@ class _Parser:
             # fold -<int> into a literal; -true, -null and -'a' keep Neg's checks
             if type(operand) is ast.Literal and type(operand.value) is int:
                 return self._int_literal(-operand.value, i)
-            return ast.Neg(operand, *self.at(i))
+            return ast.Neg(operand, self.source, i)
         if piece == "+":
             self.pos += 1
             return self.parse_unary()
@@ -253,12 +259,12 @@ class _Parser:
             if piece == ".":
                 i = self.next()
                 key = self.expect_ident("expected property name after '.'")
-                expr = ast.Prop(expr, key, *self.at(i))
+                expr = ast.Prop(expr, key, self.source, i)
             elif piece == "[":
                 i = self.next()
                 index = self.parse_expr()
                 self.expect_punct("]")
-                expr = ast.Index(expr, index, *self.at(i))
+                expr = ast.Index(expr, index, self.source, i)
             else:
                 return expr
 
@@ -276,13 +282,13 @@ class _Parser:
                 return self.parse_case()
             if upper in _CONSTANTS:
                 self.pos = i + 1
-                return ast.Literal(_CONSTANTS[upper], *self.at(i))
+                return ast.Literal(_CONSTANTS[upper], self.source, i)
             if upper in KEYWORDS:
-                raise CypherSyntaxError(f"unexpected keyword {piece!r}", *self.at(i))
+                raise CypherSyntaxError(f"unexpected keyword {piece!r}", *self.position(i))
             if self.peek(1) == "(":
                 return self.parse_call()
             self.pos = i + 1
-            return ast.Var(piece, *self.at(i))
+            return ast.Var(piece, self.source, i)
         if piece == "(":
             self.pos = i + 1
             expr = self.parse_expr()
@@ -295,10 +301,10 @@ class _Parser:
         if piece == "$":
             self.pos = i + 1
             name = self.expect_ident("expected parameter name after '$'")
-            return ast.Param(name, *self.at(i))
+            return ast.Param(name, self.source, i)
         if piece:
-            raise CypherSyntaxError(f"unexpected {piece!r}", *self.at(i))
-        raise CypherSyntaxError("unexpected end of input", *self.at(i))
+            raise CypherSyntaxError(f"unexpected {piece!r}", *self.position(i))
+        raise CypherSyntaxError("unexpected end of input", *self.position(i))
 
     def parse_call(self) -> ast.Expr:
         i = self.next()
@@ -306,16 +312,16 @@ class _Parser:
         if name == "reduce":
             return self.parse_reduce(i)
         if name not in FUNCTION_ARITY:
-            raise UnsupportedFeature(f"function {name}()", *self.at(i))
+            raise UnsupportedFeature(f"function {name}()", *self.position(i))
         self.expect_punct("(")
         args = self.parse_comma_list(self.parse_expr)
         self.expect_punct(")")
         arity = FUNCTION_ARITY[name]
         if len(args) != arity:
             raise CypherSyntaxError(
-                f"{name}() takes {arity} argument(s), got {len(args)}", *self.at(i)
+                f"{name}() takes {arity} argument(s), got {len(args)}", *self.position(i)
             )
-        return ast.Call(name, args, *self.at(i))
+        return ast.Call(name, args, self.source, i)
 
     def parse_reduce(self, i: int) -> ast.Expr:
         self.expect_punct("(")
@@ -329,7 +335,7 @@ class _Parser:
         self.expect_punct("|")
         body = self.parse_expr()
         self.expect_punct(")")
-        return ast.Reduce(acc, init, var, list_expr, body, *self.at(i))
+        return ast.Reduce(acc, init, var, list_expr, body, self.source, i)
 
     def parse_list(self) -> ast.Expr:
         open_i = self.expect_punct("[")
@@ -348,10 +354,10 @@ class _Parser:
                 self.pos += 1
                 mapper = self.parse_expr()
             self.expect_punct("]")
-            return ast.Comprehension(var, list_expr, where, mapper, *self.at(open_i))
+            return ast.Comprehension(var, list_expr, where, mapper, self.source, open_i)
         items = [] if piece == "]" else self.parse_comma_list(self.parse_list_item)
         self.expect_punct("]")
-        return ast.ListLit(items, *self.at(open_i))
+        return ast.ListLit(items, self.source, open_i)
 
     def parse_list_item(self) -> ast.Expr:
         # an item that starts with '{' is read by parse_map directly; whatever
@@ -366,7 +372,7 @@ class _Parser:
 
     def parse_map(self) -> ast.Expr:
         open_i = self.expect_punct("{")
-        pieces = self.pieces
+        pieces, source = self.pieces, self.source
         pos, items = self.pos, []
         # fast path: each entry 'key: <int or string>' followed by ',' or '}'
         # becomes its Literal here. Each test reads one piece past the one
@@ -385,18 +391,18 @@ class _Parser:
                 literal = self._literal(pos + 2)
             else:  # in range
                 literal = ast.Literal(int(value) if kind == INT else _lexeme(value),
-                                      *self.at(pos + 2))
+                                      source, pos + 2)
             items.append((pieces[pos], literal))
             pos += 4
             if end == "}":
                 self.pos = pos
-                return ast.MapLit(items, *self.at(open_i))
+                return ast.MapLit(items, self.source, open_i)
         # the general path, from the first entry the fast path did not read
         self.pos = pos
         if items or pieces[pos] != "}":
             items += self.parse_comma_list(self.parse_map_entry)
         self.expect_punct("}")
-        return ast.MapLit(items, *self.at(open_i))
+        return ast.MapLit(items, self.source, open_i)
 
     def parse_map_entry(self) -> tuple[str, ast.Expr]:
         key = self.expect_ident("expected map key")
@@ -414,13 +420,15 @@ class _Parser:
             self.expect_keyword("THEN")
             whens.append((cond, self.parse_expr()))
         if not whens:
-            raise CypherSyntaxError("CASE requires at least one WHEN arm", *self.at(self.pos))
+            raise CypherSyntaxError(
+                "CASE requires at least one WHEN arm", *self.position(self.pos)
+            )
         default = None
         if self.at_keyword("ELSE"):
             self.pos += 1
             default = self.parse_expr()
         self.expect_keyword("END")
-        return ast.Case(subject, whens, default, *self.at(case_i))
+        return ast.Case(subject, whens, default, self.source, case_i)
 
 
 def _parse(text: str, rule):

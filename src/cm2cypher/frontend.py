@@ -65,7 +65,10 @@ def _parse_state(digits: str, line_no: int, col: int) -> int:
 
 def parse_dsl(text: str) -> Program:
     by_state: dict[int, tuple] = {}  # state -> (instruction, line_no)
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # only \n, \r\n and \r end a line; str.splitlines would also end one at
+    # \x0b, \x0c, \x1c-\x1e, \x85, U+2028 or U+2029, say inside a comment
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue

@@ -75,6 +75,13 @@ def test_run_fuel_exhausted(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("fuel-exhausted")
 
 
+def test_run_without_fuel_spends_the_default_fuel(tmp_path, capsys):
+    looper = tmp_path / "loop.2cm"
+    looper.write_text("state 0: INC A -> 0\n")
+    assert main(["run", str(looper)]) == EXIT_FUEL == 2
+    assert capsys.readouterr().out == "fuel-exhausted state=0 A=1000000 B=0 steps=1000000\n"
+
+
 def test_run_counter_overflow_exits_with_input_error(tmp_path):
     # the self-loop reaches 2^63 - 1 within the fuel, so INC overflows
     looper = tmp_path / "loop.2cm"

@@ -160,6 +160,21 @@ def test_tokenize_positions_property(text):
             assert text[t.offset:t.offset + len(t.lexeme)] == t.lexeme
 
 
+@given(st.lists(_CYPHERISH, max_size=30).map("".join))
+@settings(max_examples=500, deadline=None)
+def test_findall_pieces_are_the_scan_pieces(text):
+    # only blanks fall between two matches, so findall gives the split's pieces
+    assert lexer._FINDALL(text) == lexer._SPLIT(text)[1::2]
+
+    def outcome(scan):
+        try:
+            return scan(text)
+        except CypherSyntaxError as exc:
+            return type(exc), exc.message, exc.line, exc.column
+
+    assert outcome(lexer._pieces) == outcome(lambda text: lexer._scan(text)[0])
+
+
 # The lexer as it was before tokenize became a view of the pieces the parser
 # reads: one master pattern, matched token by token, with the line and column
 # carried along. It is the oracle that tokenize must agree with.
@@ -638,6 +653,37 @@ def test_parsing_builds_no_tokens(monkeypatch):
     assert parse_expression("[{a: 'b'}][0].a") is not None
 
 
+@pytest.mark.parametrize("name, scans", [
+    ("unary_successor", 0),
+    # its unaliased 'm.a' is named by its own text, so one scan finds that
+    ("hand-written", 1),
+])
+def test_parsing_works_out_no_position_until_one_is_read(name, scans, monkeypatch):
+    text = _pinned_text(name)
+    expected = _dump(parse_query(text))
+    # the offset scan and the line split count their calls, and raise
+    # while refuse is set
+    calls = {"_scan": 0, "_line_starts": 0}
+    refuse = scans == 0
+    for f in calls:
+        def counted(text, f=f, real=getattr(lexer, f)):
+            if refuse:
+                raise AssertionError(f"{f} called")
+            calls[f] += 1
+            return real(text)
+
+        monkeypatch.setattr(lexer, f, counted)
+    assert lint_primitives(text) == []
+    assert calls == {"_scan": scans, "_line_starts": 0}
+    calls["_scan"] = 0
+    tree = parse_query(text)
+    assert calls == {"_scan": scans, "_line_starts": 0}
+    refuse = False
+    assert _dump(tree) == expected  # reads every node's line and column
+    # one offset scan and one line split for the parse of tree, in all
+    assert calls == {"_scan": 1, "_line_starts": 1}
+
+
 # ---------------------------------------------------------------- evaluation
 
 
@@ -703,7 +749,7 @@ class Counted(ast.Expr):
     __slots__ = ("inner", "calls")
 
     def __init__(self, inner):
-        super().__init__(inner.line, inner.column)
+        super().__init__(inner.source, inner.at)
         self.inner = inner
         self.calls = 0
 
@@ -1019,7 +1065,7 @@ class CountedCompiles(ast.Expr):
     __slots__ = ("inner", "var_name", "known")
 
     def __init__(self, inner, var_name):
-        super().__init__(inner.line, inner.column)
+        super().__init__(inner.source, inner.at)
         self.inner, self.var_name, self.known = inner, var_name, []
 
     def _compile(self, consts):
@@ -1243,9 +1289,9 @@ def test_eval_does_not_mutate_env():
 
 
 def test_deep_expression_is_an_eval_error():
-    expr = ast.Literal(True, 1, 1)
+    expr = parse_expression("true")
     for _ in range(DEPTH):
-        expr = ast.Not(expr, 1, 1)
+        expr = ast.Not(expr, expr.source, expr.at)
     with pytest.raises(EvalError, match="nested too deeply"):
         evaluate(expr)
     query = ast.QueryAst((), (ast.ReturnItem(expr, "x"),))

@@ -95,6 +95,26 @@ def test_parse_dsl_empty_instruction_body(text, column):
     )
 
 
+# every character but \n and \r that str.splitlines ends a line at
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                  "\u2028", "\u2029"])
+def test_parse_dsl_ends_lines_only_at_line_breaks(char):
+    assert parse_dsl(f"state 0: HALT # page{char}break\n") == Program((Halt(),))
+    # the lines after the comment keep their numbers
+    text = f"# a{char}b\nstate 0: HALT\nbogus line\n"
+    with pytest.raises(DslError) as exc_info:
+        parse_dsl(text)
+    assert (exc_info.value.line, exc_info.value.column) == (3, 1)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_parse_dsl_line_numbers_after_each_line_break(newline):
+    text = newline.join(["# x", "state 0: HALT", "", "  bogus"]) + newline
+    with pytest.raises(DslError) as exc_info:
+        parse_dsl(text)
+    assert (exc_info.value.line, exc_info.value.column) == (4, 3)
+
+
 def test_to_map_document_demo():
     assert to_map_document(DEMO) == DEMO_MAPS
 
