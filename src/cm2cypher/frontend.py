@@ -106,6 +106,10 @@ def parse_dsl(text: str) -> Program:
             )
         elif not body:
             raise DslError("expected an instruction (INC, JZDEC or HALT)", line_no, body_col)
+        elif body.split()[0] == "HALT":
+            rest = body[4:].lstrip()
+            col = body_col + len(body) - len(rest)
+            raise DslError(f"unexpected text after HALT: {rest!r}", line_no, col)
         else:
             raise DslError(f"unknown instruction {body.split()[0]!r}", line_no, body_col)
         by_state[state] = (instr, line_no)

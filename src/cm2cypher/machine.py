@@ -16,14 +16,17 @@ execution views are provided for 2-counter programs:
   graph, mirroring the pruned quantified-path-pattern traversal (edges
   INC / JZDEC_ZERO / JZDEC_POS, predicate on the post-update accumulator).
 
-``run`` executes a table decoded once per program and fast-forwards the
-program's counter-transfer cycles exactly: when the run reaches the head of
-a cycle it applies as many whole trips as the counters, the 64-bit bound and
-the remaining fuel allow in one step, then single-steps on. Final
-configuration, ``machine_steps`` and the point where ``CounterOverflow`` is
-raised are those of single-stepping. With ``capture_trace`` it single-steps
-instead, one trace row per instruction holding the configurations before and
-after it, until the trace holds ``trace_cap`` rows; the rest of the run is
+``run`` executes a table that it decodes on demand and keeps per program:
+the first time a run enters a state, it decodes that state and the chain of
+positive successors after it, and summarises the cycle that the chain
+closes, if any. It fast-forwards those counter-transfer cycles exactly: when
+the run reaches the head of a cycle it applies as many whole trips as the
+counters, the 64-bit bound and the remaining fuel allow in one step, then
+single-steps on. Final configuration, ``machine_steps`` and the point where
+``CounterOverflow`` is raised are those of single-stepping, whatever order
+the states were decoded in. With ``capture_trace`` it single-steps instead,
+one trace row per instruction holding the configurations before and after
+it, until the trace holds ``trace_cap`` rows; the rest of the run is
 untraced. ``run(program, fuel=1, capture_trace=True, start=config).final``
 is one step from ``config``; a halted configuration is its own successor.
 """
@@ -150,11 +153,12 @@ class Program:
         return self.instructions[state]
 
     @cached_property
-    def _decoded(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], dict]:
-        """``run``'s tables, built on first use and kept on the instance
-        (outside the dataclass fields, so equality, hashing and ``repr``
-        ignore them)."""
-        return _decode(self.instructions)
+    def _decoded(self) -> tuple[list[int], list[int], list[int], dict]:
+        """``run``'s tables, empty until ``run`` enters a state
+        (``_decode``), and kept on the instance (outside the dataclass
+        fields, so equality, hashing and ``repr`` ignore them)."""
+        n = len(self.instructions)
+        return [_NEW] * n, [HALTED] * n, [HALTED] * n, {}
 
 
 @dataclass(frozen=True)
@@ -200,65 +204,67 @@ class PathResult:
 
 
 # Opcodes of the decoded table: the low bit is the counter (0 = A, 1 = B).
-# A cycle head's opcode has _HEAD added.
-_INC_A, _INC_B, _DEC_A, _DEC_B, _HALT = range(5)
+# A cycle head's opcode has _HEAD added. _NEW marks a state not decoded
+# yet; ``_run_decoded`` tests for it last, after HALT, so that no step
+# through a decoded state pays for the test.
+_INC_A, _INC_B, _DEC_A, _DEC_B, _HALT, _NEW = range(6)
 _HEAD = 8
 
 
-def _decode(instructions: tuple[Instruction, ...]):
-    """Per state an opcode, a next/zero target and a positive target, and a
-    summary of every cycle of the positive successor map, keyed by head.
+def _decode(program: Program, s: int) -> None:
+    """Decode state ``s`` and the states after it on the positive successor
+    map, into an opcode, a next/zero target and a positive target each;
+    summarise the cycle this walk closes, if it closes one, keyed by head.
 
     The positive successor map sends INC to its next state, JZDEC to its
-    positive branch and HALT nowhere. Every state lies on at most one of its
-    cycles. A summary is ``(L, dA, rA, mA, dB, rB, mB)``: the cycle length,
-    and per counter the net change ``d`` of one trip from the head, the
-    least start value ``r`` that keeps every JZDEC on the trip positive, and
-    the highest prefix change ``m`` (at least 0) reached by an INC, so that a
-    trip from X overflows nowhere iff X + m <= INT64_MAX (exact for X up to
-    INT64_MAX).
+    positive branch and HALT nowhere. The walk stops at the halt, at a state
+    decoded before, or at a repeat. Only a repeat closes a cycle, and an
+    earlier walk followed a decoded state's chain to its end, so every cycle
+    gets one head. A summary is ``(L, dA, rA, mA, dB, rB, mB)``: the cycle
+    length, and per counter the net change ``d`` of one trip from the head,
+    the least start value ``r`` that keeps every JZDEC on the trip positive,
+    and the highest prefix change ``m`` (at least 0) reached by an INC, so
+    that a trip from X overflows nowhere iff X + m <= INT64_MAX (exact for X
+    up to INT64_MAX).
+
+    Each flag is written last: a state's targets before its opcode, and a
+    cycle's summary before its head's opcode. So a decode cut short (say by
+    ``KeyboardInterrupt``) leaves a correct table, at worst short of a head.
     """
-    n = len(instructions)
-    ops = [_HALT] * n
-    nxt = [HALTED] * n
-    pos = [HALTED] * n
-    for i, instr in enumerate(instructions):
+    instructions = program.instructions
+    ops, nxt, pos, cycles = program._decoded
+    path = []
+    while s != HALTED and ops[s] == _NEW:
+        instr = instructions[s]
         if isinstance(instr, Inc):
-            ops[i] = _INC_A + instr.counter
-            nxt[i] = pos[i] = instr.next
+            nxt[s] = pos[s] = instr.next
+            ops[s] = _INC_A + instr.counter
         elif isinstance(instr, JzDec):
-            ops[i] = _DEC_A + instr.counter
-            nxt[i] = instr.q_zero
-            pos[i] = instr.q_pos
-    cycles: dict[int, tuple[int, ...]] = {}
-    walk = [0] * n  # 1 + the start of the walk that first reached a state
-    for start in range(n):
-        if walk[start]:
-            continue
-        mark, path, s = start + 1, [], start
-        while s != HALTED and not walk[s]:
-            walk[s] = mark
-            path.append(s)
-            s = pos[s]
-        if s == HALTED or walk[s] != mark:
-            continue
-        change, least, peak = [0, 0], [0, 0], [0, 0]
-        cycle = path[path.index(s):]
-        for t in cycle:
-            op = ops[t]
-            c = op & 1
-            x = change[c]
-            if op >= _DEC_A:
-                if x + least[c] < 1:
-                    least[c] = 1 - x
-                change[c] = x - 1
-            else:
-                change[c] = x = x + 1
-                if x > peak[c]:
-                    peak[c] = x
-        cycles[s] = (len(cycle), change[0], least[0], peak[0], change[1], least[1], peak[1])
-        ops[s] += _HEAD
-    return tuple(ops), tuple(nxt), tuple(pos), cycles
+            nxt[s] = instr.q_zero
+            pos[s] = instr.q_pos
+            ops[s] = _DEC_A + instr.counter
+        else:
+            ops[s] = _HALT
+        path.append(s)
+        s = pos[s]
+    if s not in path:  # the halt, or a state an earlier walk decoded
+        return
+    change, least, peak = [0, 0], [0, 0], [0, 0]
+    cycle = path[path.index(s):]
+    for t in cycle:
+        op = ops[t]
+        c = op & 1
+        x = change[c]
+        if op >= _DEC_A:
+            if x + least[c] < 1:
+                least[c] = 1 - x
+            change[c] = x - 1
+        else:
+            change[c] = x = x + 1
+            if x > peak[c]:
+                peak[c] = x
+    cycles[s] = (len(cycle), change[0], least[0], peak[0], change[1], least[1], peak[1])
+    ops[s] += _HEAD
 
 
 def _run_decoded(
@@ -311,8 +317,11 @@ def _run_decoded(
                 raise CounterOverflow(f"counter exceeds {INT64_MAX}")
             b += 1
             state = nxt[state]
-        else:
+        elif op == _HALT:
             state = HALTED
+        else:  # _NEW: decode, then dispatch again
+            _decode(program, state)
+            continue
         steps += 1
     return state, a, b, steps
 

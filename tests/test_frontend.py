@@ -95,6 +95,19 @@ def test_parse_dsl_empty_instruction_body(text, column):
     )
 
 
+@pytest.mark.parametrize("text, rest, column", [
+    ("state 0: HALT extra", "extra", 15),
+    ("state 0: HALT\x0cstate 1: HALT", "state 1: HALT", 15),
+    ("state 0:  HALT \t x y  # comment", "x y", 18),
+])
+def test_parse_dsl_names_the_text_after_halt(text, rest, column):
+    with pytest.raises(DslError) as exc_info:
+        parse_dsl(text)
+    got = exc_info.value
+    assert (got.message, got.line, got.column) == (
+        f"unexpected text after HALT: {rest!r}", 1, column)
+
+
 # every character but \n and \r that str.splitlines ends a line at
 @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
                                   "\u2028", "\u2029"])

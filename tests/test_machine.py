@@ -390,6 +390,20 @@ def test_a_capped_trace_runs_on_untraced_to_the_uncapped_result(data, program, f
 
 
 @given(data=st.data(), program=_programs())
+@settings(max_examples=150, deadline=None)
+def test_run_does_not_depend_on_the_order_it_decodes_states_in(data, program):
+    # runs of one Program share the table it decodes on demand, so each run
+    # here reads states, and cycle heads, that runs from other starts decoded
+    counter = st.integers(0, 100) | st.integers(INT64_MAX - 50, INT64_MAX)
+    for _ in range(data.draw(st.integers(2, 6))):
+        start = Config(data.draw(st.integers(0, len(program) - 1)), data.draw(counter),
+                       data.draw(counter))
+        fuel = data.draw(st.integers(0, 2000))
+        fresh = Program(program.instructions)
+        assert _outcome(program, fuel, start, False) == _outcome(fresh, fuel, start, True)
+
+
+@given(data=st.data(), program=_programs())
 @settings(max_examples=200, deadline=None)
 def test_trace_rows_recover_the_counters_before_them(data, program):
     start = Config(
