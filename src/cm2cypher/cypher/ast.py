@@ -17,10 +17,17 @@ A tree is evaluated by compiling it once into nested closures
 ``f(env, params)`` and calling the root (Feeley & Lapalme, "Using Closures
 for Code Generation", 1987). Each node's ``_compile`` picks its operator's
 code, captures its children's closures, and may only specialise without
-changing results or errors. It keeps the specialisations the fold runs: a
-property of a variable read straight from ``env``, ``=`` and ``+ - *``
-against an integer literal tried before the general checks, a searched
-CASE of one arm without its loop, and a fixpoint exit in ``reduce``. The
+changing results or errors. It keeps the specialisations the fold runs,
+most of them reads fused into the node that uses them, as superoperators
+are (Proebsting, "Optimizing an ANSI C interpreter with superoperators",
+1995): a property of a variable read straight from ``env``, and read
+inline, with no call, by ``=`` and ``+ - *`` against an integer literal,
+by a searched CASE of one such ``=`` arm, and by the index of the head
+bind below; those operators try the integer case before the general
+checks. A map literal copies a template of its known entries, which holds
+every key in order, and sets the others (with a repeated key it sets every
+entry in order, so the last value wins in the first key's position). And
+``reduce`` has a fixpoint exit, and then does not bind its element. The
 exit applies when no ``Var`` in the body is named like the element variable
 (shadowed mentions count too). Such a body sees only the accumulator and an
 environment that does not change from one iteration to the next: the subset
@@ -50,8 +57,9 @@ step body per state it visits, with every field of the entry folded, and
 builds neither list of the comprehension. Any other ``e``, and any index
 past ``MAX_SPECIALISED`` bodies, takes the general ``head`` path, with the
 errors of ``c[e]``; any other argument of ``head`` builds its lists. No
-value is copied or built at compile time, so results, their identity,
-errors and their positions stay as they are.
+value a result holds is built at compile time (a map template is copied at
+each evaluation), so results, their identity, errors and their positions
+stay as they are.
 
 ``evaluator.evaluate`` is the one evaluation path: it compiles a tree, then
 calls it, except that a tree made only of literals (the fold's program
@@ -201,15 +209,20 @@ def _mentions(tree: "Expr", name: str) -> bool:
     """Whether any Var in the tree is called name, shadowed by an inner binder
     or not: the safe side for the reduce fixpoint exit."""
     stack = [tree]
+    pop, push, extend = stack.pop, stack.append, stack.extend
     while stack:
-        node = stack.pop()
-        if type(node) is Var:
+        node = pop()
+        kind = type(node)
+        if kind is Var:
             if node.name == name:
                 return True
+        elif kind is list or kind is tuple:
+            extend(node)  # a ListLit's items, MapLit entries, CASE arms, Call args
         elif isinstance(node, Expr):
-            stack.extend(getattr(node, slot) for slot in type(node).__slots__)
-        elif type(node) is list or type(node) is tuple:
-            stack.extend(node)  # a ListLit's items, MapLit entries, CASE arms, Call args
+            for slot in kind.__slots__:
+                child = getattr(node, slot)
+                if type(child) is not str:  # a name, a key or an operator
+                    push(child)
     return False
 
 
@@ -236,6 +249,17 @@ def _without(consts: dict, *names: str) -> dict:
     if any(name in consts for name in names):
         return {k: v for k, v in consts.items() if k not in names}
     return consts
+
+
+def _reader(node: "Expr", consts: dict) -> tuple:
+    """node compiled for a caller to read inline, as (name, key, read): the
+    value is env[name].get(key) whenever env[name] is a map, and
+    read(env, params) whenever it is not, with read's errors. A property of
+    a variable read from env names that variable, so the common case calls
+    nothing; any other node names _MISSING, which env never holds."""
+    if type(node) is Prop and type(node.obj) is Var and node.obj.name not in consts:
+        return node.obj.name, node.key, node._compile(consts)
+    return _MISSING, None, node._compile(consts)
 
 
 class Expr:
@@ -319,11 +343,24 @@ class MapLit(Expr):
         self.items = items
 
     def _compile(self, consts):
-        items = [(k, e._compile(consts)) for k, e in self.items]
+        # the known entries are set once in a template with every key in
+        # order, and each evaluation copies it and sets the others; with a
+        # repeated key every entry is set in order, so the last value wins
+        # in the first key's position
+        keys = [k for k, _ in self.items]
+        template, computed = dict.fromkeys(keys), []
+        if len(template) < len(keys):
+            template = {}
+        for k, e in self.items:
+            v = _known(e, consts) if template else _MISSING
+            if v is _MISSING:
+                computed.append((k, e._compile(consts)))
+            else:
+                template[k] = v
 
         def map_lit(env, params):
-            out = {}  # a loop: a comprehension costs a function call in Python 3.11
-            for k, f in items:
+            out = template.copy()
+            for k, f in computed:  # a loop: a comprehension costs a function call in Python 3.11
                 out[k] = f(env, params)
             return out
 
@@ -503,8 +540,33 @@ class Binary(Expr):
         self.right = right
 
     def _compile(self, consts):
-        op, left, right = self.op, self.left._compile(consts), self.right._compile(consts)
-        c = _int_literal(self.right)
+        op, c = self.op, _int_literal(self.right)
+        compute = _ARITHMETIC.get(op)
+        if c is not None and (op == "=" or compute is not None and op not in _BY_ZERO):
+            # = and + - * by an integer literal, as the generated folds use
+            # them, read their left inline and skip the general path while
+            # the result fits; / and % never do
+            name, key, read = _reader(self.left, consts)
+            if op == "=":
+
+                def equals_literal(env, params):
+                    m = env.get(name)
+                    l = m.get(key) if type(m) is dict else read(env, params)
+                    return l == c if type(l) is int else eq3(l, c)
+
+                return equals_literal
+
+            def arithmetic_literal(env, params):
+                m = env.get(name)
+                l = m.get(key) if type(m) is dict else read(env, params)
+                if type(l) is int:
+                    v = compute(l, c)
+                    if INT64_MIN <= v <= INT64_MAX:
+                        return v
+                return self._arithmetic(compute, l, c)
+
+            return arithmetic_literal
+        left, right = self.left._compile(consts), self.right._compile(consts)
         if op == "AND" or op == "OR":
             decisive = op == "OR"  # the left value that decides without the right
             other = not decisive
@@ -521,13 +583,6 @@ class Binary(Expr):
                 return None if l is None or r is None else other
 
             return logic
-        if op == "=" and c is not None:
-
-            def equals_literal(env, params):
-                l = left(env, params)
-                return l == c if type(l) is int else eq3(l, c)
-
-            return equals_literal
         if op == "=" or op == "<>":
             equal = op == "="
 
@@ -548,20 +603,6 @@ class Binary(Expr):
                 return None  # incomparable types order as null
 
             return ordering
-        compute = _ARITHMETIC.get(op)
-        # + - * by an integer literal, as the generated folds use them, skip
-        # the general path while the result fits; / and % never do
-        if c is not None and compute is not None and op not in _BY_ZERO:
-
-            def arithmetic_literal(env, params):
-                l = left(env, params)
-                if type(l) is int:
-                    v = compute(l, c)
-                    if INT64_MIN <= v <= INT64_MAX:
-                        return v
-                return self._arithmetic(compute, l, c)
-
-            return arithmetic_literal
 
         def checked(env, params):
             return self._arithmetic(compute, left(env, params), right(env, params))
@@ -600,19 +641,22 @@ class Case(Expr):
     def _compile(self, consts):
         default = self.default._compile(consts) if self.default is not None else _constant(None)
         if self.subject is None:
-            arms = [(c._compile(consts), result._compile(consts)) for c, result in self.whens]
-            if len(arms) == 1:  # the fold's two-way CASE: no loop
-                ((cond, result),) = arms
+            (cond, result), *more = self.whens
+            c = _int_literal(cond.right) if type(cond) is Binary and cond.op == "=" else None
+            if c is not None and not more:  # the fold's tests of its state and counters
+                name, key, read = _reader(cond.left, consts)
+                result = result._compile(consts)
 
-                def case_one(env, params):
-                    c = cond(env, params)
-                    if c is True:
+                def case_equals(env, params):
+                    m = env.get(name)
+                    l = m.get(key) if type(m) is dict else read(env, params)
+                    # true, false or null: = never gives a non-boolean
+                    if (l == c) if type(l) is int else eq3(l, c):
                         return result(env, params)
-                    if c is False or c is None:
-                        return default(env, params)
-                    raise TypeMismatch("CASE condition must be boolean", self.line, self.column)
+                    return default(env, params)
 
-                return case_one
+                return case_equals
+            arms = [(c._compile(consts), result._compile(consts)) for c, result in self.whens]
 
             def searched_case(env, params):
                 for cond, result in arms:
@@ -672,13 +716,18 @@ class Reduce(Expr):
             saved_acc = env.get(acc_name, _MISSING)
             saved_var = env.get(var_name, _MISSING)
             try:
-                for x in items:
-                    env[acc_name] = acc
-                    env[var_name] = x
-                    value = body(env, params)
-                    if value is acc and fixpoint:
-                        break
-                    acc = value
+                if fixpoint:  # no Var reads the element: it is not bound
+                    for _ in items:
+                        env[acc_name] = acc
+                        value = body(env, params)
+                        if value is acc:
+                            break
+                        acc = value
+                else:
+                    for x in items:
+                        env[acc_name] = acc
+                        env[var_name] = x
+                        acc = body(env, params)
             finally:
                 _restore(env, acc_name, saved_acc)
                 _restore(env, var_name, saved_var)
@@ -748,12 +797,13 @@ def _single_bind(node: Expr, consts: dict, general: Callable[[], Compiled]) -> O
     table = _known(source.obj, consts) if type(source) is Index else _MISSING
     if type(table) is not list:
         return None
-    index, n, bodies = source.index._compile(consts), len(table), {}
+    (name, key, index), n, bodies = _reader(source.index, consts), len(table), {}
     fallback = None
 
     def bind_entry(env, params):
         nonlocal fallback
-        i = index(env, params)
+        m = env.get(name)
+        i = m.get(key) if type(m) is dict else index(env, params)
         if type(i) is int and 0 <= i < n:
             body = bodies.get(i)
             if body is not None:

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import random
 import re
+import sys
 import unittest.mock
 
 import pytest
@@ -33,7 +34,7 @@ from cm2cypher.cypher import (
 )
 from cm2cypher.cypher import lexer, parser
 from cm2cypher.cypher.parser import FUNCTION_ARITY, KEYWORDS, UNSUPPORTED
-from cm2cypher.frontend import random_program
+from cm2cypher.frontend import parse_dsl, random_program
 from cm2cypher.machine import run
 from cm2cypher.reduction import k_counters_to_two, load_tm_file, two_stack_to_counters
 from conftest import FIXTURES, GOLDEN
@@ -820,6 +821,34 @@ def test_reduce_fixpoint_exit_restores_shadowed_variables():
     assert env == {"x": 1}
 
 
+def test_a_reduce_that_can_stop_at_its_fixpoint_does_not_bind_its_element():
+    seen = []
+
+    class Peek(ast.Expr):
+        """A body that records env's s and adds one; inner only gives _mentions a tree."""
+
+        __slots__ = ("inner",)
+
+        def __init__(self, inner):
+            super().__init__(inner.source, inner.at)
+            self.inner = inner
+
+        def _compile(self, consts):
+            def peek(env, params):
+                seen.append(env.get("s"))
+                return env["a"] + 1
+
+            return peek
+
+    expr = parse_expression("reduce(a = 0, s IN [1, 2] | a)")
+    for inner, bound in (("a", [7, 7]), ("s", [1, 2])):
+        seen.clear()
+        expr.body = Peek(parse_expression(inner))
+        env = {"s": 7}
+        assert evaluate(expr, env, {}) == 2
+        assert (seen, env) == (bound, {"s": 7})
+
+
 def test_fold_of_2_to_the_63_steps_returns_after_the_halt(demo):
     query = gen_reduce_query(demo, INT64_MAX)
     assert run_query_text(query.text)["result"] == {"state": -1, "A": 2, "B": 0}
@@ -867,6 +896,193 @@ def test_head_bind_restores_an_outer_variable():
 ])
 def test_head_of_other_comprehensions_takes_the_general_path(text, value):
     assert ev(text) == value
+
+
+# ---------------------------------------------------------------- fused reads, map templates
+
+# each node that reads a property of a variable inline, and a map built from
+# a template, with the column of the variable and the value when the
+# property reads null; c is a known list
+_FUSED = [
+    ("m.k = 0", 1, None),
+    ("m.k = -1", 1, None),
+    ("m.k + 1", 1, None),
+    ("m.k - 1", 1, None),
+    ("m.k * 2", 1, None),
+    ("CASE WHEN m.k = 0 THEN 1 ELSE 2 END", 11, 2),
+    ("head([v IN [c[m.k]] | v])", 15, None),
+    ("{s: 1, A: m.k, B: c}", 11, {"s": 1, "A": None, "B": [10, 20]}),
+]
+_TABLE = [10, 20]
+
+
+def _fused_outcome(text, env):
+    env = {**env, "c": _TABLE}
+    return _outcome_of(lambda: evaluate(parse_expression(text), env, {}, {"c": _TABLE}))
+
+
+@pytest.mark.parametrize("text, column, null_value", _FUSED)
+def test_fused_reads_keep_their_values_and_errors(text, column, null_value):
+    non_map = "property access on non-map value of type "
+    cases = [
+        ({}, ("error", UnknownVariable, "variable 'm' not defined", 1, column)),
+        ({"m": None}, ("value", repr(null_value))),
+        ({"m": {"j": 1}}, ("value", repr(null_value))),  # a map without the key
+        ({"m": 5}, ("error", TypeMismatch, non_map + "int", 1, column + 1)),
+        ({"m": "x"}, ("error", TypeMismatch, non_map + "str", 1, column + 1)),
+        ({"m": [1]}, ("error", TypeMismatch, non_map + "list", 1, column + 1)),
+    ]
+    for env, want in cases:
+        assert _fused_outcome(text, env) == want, env
+
+
+@pytest.mark.parametrize("text, k, want", [
+    ("m.k = 0", 0, ("value", "True")),
+    ("m.k = 0", True, ("value", "False")),
+    ("m.k = 0", [0], ("value", "False")),
+    ("m.k + 1", INT64_MAX, ("error", IntegerOverflow, "integer out of 64-bit range", 1, 5)),
+    ("m.k * 2", INT64_MAX, ("error", IntegerOverflow, "integer out of 64-bit range", 1, 5)),
+    ("m.k - 1", INT64_MAX, ("value", str(INT64_MAX - 1))),
+    ("m.k + 1", True, ("error", TypeMismatch, "operator + requires integers, got bool and int",
+                       1, 5)),
+    ("m.k - 1", [0], ("error", TypeMismatch, "operator - requires integers, got list and int",
+                      1, 5)),
+    ("CASE WHEN m.k = 0 THEN 1 ELSE 2 END", 0, ("value", "1")),
+    ("CASE WHEN m.k = 0 THEN 1 ELSE 2 END", True, ("value", "2")),
+    ("head([v IN [c[m.k]] | v])", 1, ("value", "20")),
+    ("head([v IN [c[m.k]] | v])", INT64_MAX, ("value", "None")),
+    ("head([v IN [c[m.k]] | v])", True, ("error", TypeMismatch, "list index must be an integer",
+                                         1, 14)),
+    ("{s: 1, A: m.k, B: c}", True, ("value", "{'s': 1, 'A': True, 'B': [10, 20]}")),
+])
+def test_fused_reads_of_a_present_key(text, k, want):
+    assert _fused_outcome(text, {"m": {"k": k}}) == want
+
+
+@pytest.mark.parametrize("text, column", [
+    ("RETURN reduce(m = 1, x IN range(1, 2) | m.A + 1) AS r", 42),
+    ("RETURN reduce(m = {s: 0}, x IN range(1, 3) | {s: 1, A: m.s.k}) AS r", 59),
+])
+def test_a_fused_read_of_a_non_map_names_the_dot(text, column):
+    with pytest.raises(TypeMismatch) as exc_info:
+        run_query_text(text)
+    assert str(exc_info.value) == (
+        f"TypeMismatch at line 1, column {column}: property access on non-map value of type int")
+
+
+_SUBSET_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**63), INT64_MAX) | st.sampled_from([0, 1, -1])
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from("jk"), inner),
+    max_leaves=6,
+)
+
+
+@given(st.sampled_from([text for text, _, _ in _FUSED]),
+       st.one_of(st.just({}), _SUBSET_VALUES.map(lambda m: {"m": m})))
+@settings(max_examples=500, deadline=None)
+def test_fused_reads_equal_the_general_path(text, env):
+    # head([m]).k reads the same property through the general path
+    fused = _fused_outcome(text, env)
+    general = _fused_outcome(text.replace("m.k", "head([m]).k"), env)
+    assert fused[:3] == general[:3]  # the value, or the error's class and message
+
+
+def test_map_keys_keep_their_order_and_the_last_repeat_wins():
+    env = {"m": {"x": 5}}
+    got = evaluate(parse_expression("{b: m.x, a: 1}"), env, {})
+    assert list(got.items()) == [("b", 5), ("a", 1)]
+    got = evaluate(parse_expression("{a: 1, b: m.x, a: 2}"), env, {})
+    assert list(got.items()) == [("a", 2), ("b", 5)]
+    got = evaluate(parse_expression("{a: m.x, b: 1, a: 2, c: m.x}"), env, {})
+    assert list(got.items()) == [("a", 2), ("b", 1), ("c", 5)]
+
+
+def test_a_map_of_known_entries_is_a_fresh_dict_each_time():
+    table = [1]
+    fn = parse_expression("{s: 0, t: c, u: d.n, v: null}")._compile({"c": table, "d": {"n": 2}})
+    first, second = fn({}, {}), fn({}, {})
+    assert first == second == {"s": 0, "t": table, "u": 2, "v": None}
+    assert first is not second and first["t"] is table
+    first["s"] = 9
+    assert fn({}, {})["s"] == 0
+    # so a fold whose body builds an equal map never takes the fixpoint exit
+    assert counted_reduce("reduce(m = {s: 0}, x IN range(1, 5) | {s: 0})") == ({"s": 0}, 5)
+
+
+def _ast_calls_per_live_step(fuel):
+    program = parse_dsl("state 0: INC A -> 1\nstate 1: JZDEC A ? 0 : 0\nstate 2: HALT\n")
+    tree = parse_query(gen_reduce_query(program, fuel).text)
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename == ast.__file__:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        assert run_query(tree)["result"] == {"state": 1, "A": 1, "B": 0}
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def test_a_live_fold_step_makes_at_most_6_calls():
+    # the program never halts: every iteration between the two fuels is live,
+    # and both runs compile the same two step bodies
+    per_step = (_ast_calls_per_live_step(2001) - _ast_calls_per_live_step(1001)) / 1000
+    assert per_step <= 6, per_step
+
+
+def _var_names(node):
+    """Every Var name in a tree, shadowed or not, by a recursive walk that
+    names each class's children."""
+    kind = type(node)
+    if kind is ast.Var:
+        return {node.name}
+    children = {
+        ast.Literal: lambda: [],
+        ast.Param: lambda: [],
+        ast.Prop: lambda: [node.obj],
+        ast.Index: lambda: [node.obj, node.index],
+        ast.Not: lambda: [node.operand],
+        ast.Neg: lambda: [node.operand],
+        ast.Binary: lambda: [node.left, node.right],
+        ast.ListLit: lambda: node.items,
+        ast.MapLit: lambda: [e for _, e in node.items],
+        ast.Call: lambda: node.args,
+        ast.Case: lambda: [node.subject, node.default, *(e for arm in node.whens for e in arm)],
+        ast.Reduce: lambda: [node.init, node.list_expr, node.body],
+        ast.Comprehension: lambda: [node.list_expr, node.where, node.mapper],
+    }[kind]()
+    return set().union(*(_var_names(c) for c in children if c is not None))
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=500, deadline=None)
+@example(0)
+def test_mentions_equals_a_recursive_walk(seed):
+    # the generator's binders v, acc, c and d shadow the names around them
+    rng = random.Random(seed)
+    tree = parse_expression(_expr_text(rng, 4))
+    names = _var_names(tree)
+    for name in ("c", "d", "v", "acc", "p", "zz"):
+        assert ast._mentions(tree, name) == (name in names)
+
+
+@pytest.mark.parametrize("text, mentioned", [
+    ("head([s IN [a] | s])", {"a", "s"}),
+    ("reduce(b = a, s IN [] | s)", {"a", "s"}),
+    ("[s IN range(1, 2) WHERE s > $p | {k: s}]", {"s"}),
+    ("CASE x WHEN 1 THEN -y ELSE NOT z[0] END", {"x", "y", "z"}),
+])
+def test_mentions_counts_shadowed_binders(text, mentioned):
+    tree = parse_expression(text)
+    assert _var_names(tree) == mentioned
+    for name in ("a", "s", "x", "y", "z", "b", "k"):
+        assert ast._mentions(tree, name) == (name in mentioned)
 
 
 # ---------------------------------------------------------------- LET constants
