@@ -339,8 +339,10 @@ class MapLit(Expr):
     __slots__ = ("items",)
 
     def __init__(self, items: list[tuple[str, Expr]], source: Source, at: int):
-        super().__init__(source, at)
+        # not through super(), as Literal: a reduced program has one per state
         self.items = items
+        self.source = source
+        self.at = at
 
     def _compile(self, consts):
         # the known entries are set once in a template with every key in

@@ -6,7 +6,7 @@ backslash before any other character is dropped: \\\\ \\' \\"),
 punctuation and operators (including <=, >=, <>), parameters ($name), and
 both // line comments and /* */ block comments.
 
-One compiled pattern cuts the text into its pieces. A string piece keeps
+One pattern cuts the text into its pieces. A string piece keeps
 its quotes and escapes, so a piece's first character gives its kind: a
 letter or '_' starts a name, a digit an integer, a quote a string, and
 anything else is punctuation; the string ',' is never the piece ','. Only
@@ -16,12 +16,14 @@ Comments are dropped, and an unterminated string or block comment, an
 illegal character, or a word whose first character is not a letter is a
 CypherSyntaxError.
 
-The parser reads _pieces, the pattern's findall pieces, which carry no
-offsets. Only when the text has an error does _scan, the split that keeps
-the blanks, run to report it at its position. A Source is the text of one
-parse: it works out the pieces' offsets through _scan, and the line starts
-a line and column are found from by bisection, the first time a position
-is read. tokenize is a Token view of _scan's pieces, for the token
+The pattern has two compiled forms: the split keeps the blanks, and the
+findall takes the blanks before each piece in the piece's match, so it
+makes no failed match at a blank. The parser reads _pieces, the findall
+pieces, which carry no offsets. Only when the text has an error does
+_scan, the split, run to report it at its position. A Source is the text
+of one parse: it works out the pieces' offsets through _scan, and the line
+starts a line and column are found from by bisection, the first time a
+position is read. tokenize is a Token view of _scan's pieces, for the token
 comparison of queries and for tests.
 """
 
@@ -68,7 +70,10 @@ _PATTERN = re.compile(
     )""",
     re.VERBOSE | re.DOTALL,
 )
-_SPLIT, _FINDALL = _PATTERN.split, _PATTERN.findall
+# No piece starts at a blank, so taking the blanks before a piece gives the
+# pieces that failing at each blank gives
+_SPLIT = _PATTERN.split
+_FINDALL = re.compile(r"[ \t\r\n]*" + _PATTERN.pattern, _PATTERN.flags).findall
 # kinds by first character; any other first character is a letter's, once
 # _fault has passed the piece
 _KINDS = {"": EOF, "'": STRING, **dict.fromkeys("0123456789", INT),
@@ -119,7 +124,9 @@ def _scan(text: str) -> tuple[list[str], list[int]]:
 def _pieces(text: str) -> list[str]:
     """_scan's pieces, from findall: no blanks and no offsets. Text with an
     error is left to _scan, which reports it at its position."""
-    pieces = _FINDALL(text)
+    # without its final blanks: findall would start a match at each one that
+    # takes all the rest and then fails, a time quadratic in their number
+    pieces = _FINDALL(text.rstrip(" \t\r\n"))
     faults = _faults(pieces)
     if any(faults.values()):
         _scan(text)  # raises

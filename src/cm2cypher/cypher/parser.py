@@ -22,17 +22,20 @@ OR, AND, prefix NOT, = <> < <= > >=, + -, * / %. An operator is a
 punctuation piece or the keyword AND/OR, never a string or another name.
 
 Literal fast path: parse_map reads each entry 'key: <int or string>'
-followed by ',' or '}' in one loop over the pieces, and parse_list hands an
-item that starts with '{' to parse_map directly, then reads whatever
-follows its '}' as parse_expr would; the first entry or item of any other
-shape falls back to the general descent, so trees and errors are the same.
+followed by ',' or '}' in one loop over the pieces, testing each piece's
+first character inline and building the Literal itself; an int of more
+than 18 digits, which may be outside 64 bits, is not read there. parse_list
+hands an item that starts with '{' to parse_map directly, then reads
+whatever follows its '}' as parse_expr would. The first entry or item of
+any other shape falls back to the general descent, so trees and errors are
+the same.
 """
 
 from __future__ import annotations
 
 from . import ast
 from .errors import CypherSyntaxError, UnsupportedFeature
-from .lexer import IDENT, INT, STRING, Source, _kind, _lexeme, _pieces
+from .lexer import _KINDS, IDENT, INT, STRING, Source, _kind, _lexeme, _pieces
 
 KEYWORDS = {
     "LET", "RETURN", "CASE", "WHEN", "THEN", "ELSE", "END",
@@ -374,29 +377,28 @@ class _Parser:
         open_i = self.expect_punct("{")
         pieces, source = self.pieces, self.source
         pos, items = self.pos, []
-        # fast path: each entry 'key: <int or string>' followed by ',' or '}'
-        # becomes its Literal here. Each test reads one piece past the one
-        # before it, and the end marker fails every test, so none reads past
-        # the end. An entry it leaves to the general path gets the same tree
-        # or error there.
-        while _kind(pieces[pos]) == IDENT and pieces[pos + 1] == ":":
+        # fast path: each entry 'name: <string or int of at most 18 digits,
+        # so inside 64 bits>' followed by ',' or '}' becomes its Literal
+        # here. Each test reads one piece past the one before it, and the end
+        # marker fails every test, so none reads past the end. An entry it
+        # leaves to the general path gets the same tree or error there.
+        while pieces[pos][:1] not in _KINDS and pieces[pos + 1] == ":":
             value = pieces[pos + 2]
-            kind = _kind(value)
-            if kind != INT and kind != STRING:
+            first = value[:1]
+            if first == "'":
+                value = value[1:-1] if "\\" not in value else _lexeme(value)
+            elif "0" <= first <= "9" and len(value) < 19:
+                value = int(value)
+            else:
                 break
             end = pieces[pos + 3]
             if end != "," and end != "}":
                 break
-            if kind == INT and len(value) > 18:  # perhaps outside 64 bits
-                literal = self._literal(pos + 2)
-            else:  # in range
-                literal = ast.Literal(int(value) if kind == INT else _lexeme(value),
-                                      source, pos + 2)
-            items.append((pieces[pos], literal))
+            items.append((pieces[pos], ast.Literal(value, source, pos + 2)))
             pos += 4
             if end == "}":
                 self.pos = pos
-                return ast.MapLit(items, self.source, open_i)
+                return ast.MapLit(items, source, open_i)
         # the general path, from the first entry the fast path did not read
         self.pos = pos
         if items or pieces[pos] != "}":

@@ -9,7 +9,12 @@ DSL grammar, one instruction per line (`#` starts a comment):
 
 States may appear in any order but must form a dense 0..n-1 range; sparse
 numbering is rejected rather than compacted so that generated query list
-indices stay aligned with state ids.
+indices stay aligned with state ids. A dangling reference is reported at
+the line of the state that holds it.
+
+parse_dsl reads a well-formed line (counter A or B, no comment) with one
+match of one pattern. Any other line (a comment, a blank line, another
+counter, an error) is read piece by piece, which finds each error's column.
 """
 
 from __future__ import annotations
@@ -47,6 +52,14 @@ class DocumentError(Exception):
 _LINE_RE = re.compile(r"^\s*state\s+([0-9]+)\s*:\s*(.*?)\s*$")
 _INC_RE = re.compile(r"^INC\s+(\w+)\s*->\s*([0-9]+)$")
 _JZDEC_RE = re.compile(r"^JZDEC\s+(\w+)\s*\?\s*([0-9]+)\s*:\s*([0-9]+)$")
+# a well-formed line of counter A or B and no comment, in one match: its
+# state, then HALT, INC's counter and target, or JZDEC's counter and targets;
+# the patterns above read every other line, and find its error
+_WELL_FORMED = re.compile(
+    r"\s*state\s+([0-9]+)\s*:\s*(?:HALT"
+    r"|INC\s+([AB])\s*->\s*([0-9]+)"
+    r"|JZDEC\s+([AB])\s*\?\s*([0-9]+)\s*:\s*([0-9]+))\s*"
+).fullmatch
 
 
 def _parse_counter(name: str, line_no: int, col: int) -> int:
@@ -63,55 +76,67 @@ def _parse_state(digits: str, line_no: int, col: int) -> int:
         raise DslError(f"state number of {len(digits)} digits is too long", line_no, col) from None
 
 
+def _parse_body(body: str, body_col: int, line_no: int) -> Inc | JzDec | Halt:
+    """The instruction of a line whose body the one-line match refused."""
+    if body == "HALT":
+        return Halt()
+    if body.startswith("INC"):
+        im = _INC_RE.match(body)
+        if not im:
+            raise DslError("expected 'INC <A|B> -> <n>'", line_no, body_col)
+        return Inc(
+            _parse_counter(im.group(1), line_no, body_col),
+            _parse_state(im.group(2), line_no, body_col + im.start(2)),
+        )
+    if body.startswith("JZDEC"):
+        jm = _JZDEC_RE.match(body)
+        if not jm:
+            raise DslError("expected 'JZDEC <A|B> ? <n_zero> : <n_pos>'", line_no, body_col)
+        return JzDec(
+            _parse_counter(jm.group(1), line_no, body_col),
+            _parse_state(jm.group(2), line_no, body_col + jm.start(2)),
+            _parse_state(jm.group(3), line_no, body_col + jm.start(3)),
+        )
+    if not body:
+        raise DslError("expected an instruction (INC, JZDEC or HALT)", line_no, body_col)
+    if body.split()[0] == "HALT":
+        rest = body[4:].lstrip()
+        col = body_col + len(body) - len(rest)
+        raise DslError(f"unexpected text after HALT: {rest!r}", line_no, col)
+    raise DslError(f"unknown instruction {body.split()[0]!r}", line_no, body_col)
+
+
 def parse_dsl(text: str) -> Program:
     by_state: dict[int, tuple] = {}  # state -> (instruction, line_no)
     # only \n, \r\n and \r end a line; str.splitlines would also end one at
     # \x0b, \x0c, \x1c-\x1e, \x85, U+2028 or U+2029, say inside a comment
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for line_no, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
-        m = _LINE_RE.match(line)
-        if not m:
-            col = len(line) - len(line.lstrip()) + 1
-            raise DslError("expected 'state <n>: <instruction>'", line_no, col)
-        state = _parse_state(m.group(1), line_no, m.start(1) + 1)
-        body = m.group(2)
-        body_col = m.start(2) + 1
+        m = well_formed = _WELL_FORMED(raw)
+        if not well_formed:
+            line = raw.split("#", 1)[0]
+            if not line.strip():
+                continue
+            m = _LINE_RE.match(line)
+            if not m:
+                col = len(line) - len(line.lstrip()) + 1
+                raise DslError("expected 'state <n>: <instruction>'", line_no, col)
+        state = _parse_state(m[1], line_no, m.start(1) + 1)
         if state in by_state:
             raise DslError(
                 f"duplicate state {state} (first declared on line {by_state[state][1]})",
                 line_no,
                 m.start(1) + 1,
             )
-        if body == "HALT":
-            instr: Inc | JzDec | Halt = Halt()
-        elif body.startswith("INC"):
-            im = _INC_RE.match(body)
-            if not im:
-                raise DslError("expected 'INC <A|B> -> <n>'", line_no, body_col)
-            instr = Inc(
-                _parse_counter(im.group(1), line_no, body_col),
-                _parse_state(im.group(2), line_no, body_col + im.start(2)),
-            )
-        elif body.startswith("JZDEC"):
-            jm = _JZDEC_RE.match(body)
-            if not jm:
-                raise DslError("expected 'JZDEC <A|B> ? <n_zero> : <n_pos>'", line_no, body_col)
-            instr = JzDec(
-                _parse_counter(jm.group(1), line_no, body_col),
-                _parse_state(jm.group(2), line_no, body_col + jm.start(2)),
-                _parse_state(jm.group(3), line_no, body_col + jm.start(3)),
-            )
-        elif not body:
-            raise DslError("expected an instruction (INC, JZDEC or HALT)", line_no, body_col)
-        elif body.split()[0] == "HALT":
-            rest = body[4:].lstrip()
-            col = body_col + len(body) - len(rest)
-            raise DslError(f"unexpected text after HALT: {rest!r}", line_no, col)
+        if not well_formed:
+            instr = _parse_body(m[2], m.start(2) + 1, line_no)
+        elif m[2]:
+            instr = Inc(COUNTER_NAMES.index(m[2]), _parse_state(m[3], line_no, m.start(3) + 1))
+        elif m[4]:
+            instr = JzDec(COUNTER_NAMES.index(m[4]), _parse_state(m[5], line_no, m.start(5) + 1),
+                          _parse_state(m[6], line_no, m.start(6) + 1))
         else:
-            raise DslError(f"unknown instruction {body.split()[0]!r}", line_no, body_col)
+            instr = Halt()
         by_state[state] = (instr, line_no)
 
     if not by_state:
@@ -123,8 +148,8 @@ def parse_dsl(text: str) -> Program:
             raise DslError(f"missing state {s} (states must be dense 0..{top})", 1)
     try:
         return Program(tuple(by_state[s][0] for s in range(n)))
-    except InvalidProgram as exc:
-        raise DslError(str(exc), 1) from exc
+    except InvalidProgram as exc:  # a dangling reference: at its state's line
+        raise DslError(str(exc), by_state[exc.state][1]) from exc
 
 
 def render_dsl(program: Program) -> str:

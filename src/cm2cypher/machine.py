@@ -110,9 +110,11 @@ Instruction = Inc | JzDec | Halt
 
 
 def _dangling(state: int, target, n: int) -> InvalidProgram:
-    return InvalidProgram(
+    exc = InvalidProgram(
         f"state {state}: dangling reference to state {target!r} (valid range 0..{n - 1})"
     )
+    exc.state = state  # parse_dsl reports the error at the state's line
+    return exc
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import hashlib
 import random
 import re
 import sys
+import time
 import unittest.mock
 
 import pytest
@@ -141,7 +142,9 @@ def test_integer_literals_are_ascii_digits(text):
         run_query_text(text)
 
 
-_CYPHERISH = st.sampled_from(list("aZx_é09²٣ \t\r\n'\"\\/*()[]{},:.|+-%=<>$;!") + ["//", "/*", "*/"])
+# \x0b, \x0c and \xa0 are illegal pieces, not blanks, beside runs of blanks
+_CYPHERISH = st.sampled_from(list("aZx_é09²٣ \t\r\n'\"\\/*()[]{},:.|+-%=<>$;!")
+                             + ["//", "/*", "*/", "\x0b", "\x0c", "\xa0", " ", "  ", "\r\n"])
 
 
 @given(st.lists(_CYPHERISH, max_size=30).map("".join))
@@ -174,6 +177,15 @@ def test_findall_pieces_are_the_scan_pieces(text):
             return type(exc), exc.message, exc.line, exc.column
 
     assert outcome(lexer._pieces) == outcome(lambda text: lexer._scan(text)[0])
+
+
+def test_final_blanks_take_linear_time():
+    # findall, which takes each piece's blanks in its match, would take all
+    # the final blanks from each of them and fail: tens of seconds for these
+    text = "RETURN 1" + " \n" * 15_000
+    start = time.perf_counter()
+    assert lexer._pieces(text) == ["RETURN", "1", ""]
+    assert time.perf_counter() - start < 1
 
 
 # The lexer as it was before tokenize became a view of the pieces the parser
@@ -412,6 +424,26 @@ def test_deep_nesting_is_a_syntax_error(text):
      "integer literal 9223372036854775808 is outside the 64-bit range", 1, 10),
     ("RETURN -9223372036854775808.x", CypherSyntaxError,
      "integer literal 9223372036854775808 is outside the 64-bit range", 1, 9),
+    # map entries the fast path reads or leaves to the general path, each
+    # recorded before the fast path tested its pieces inline
+    ("RETURN {a: 1, b: 1234567890123456789012345}", CypherSyntaxError,
+     "integer literal 1234567890123456789012345 is outside the 64-bit range", 1, 18),
+    ("RETURN {a: 9223372036854775807, b: 9223372036854775808}", CypherSyntaxError,
+     "integer literal 9223372036854775808 is outside the 64-bit range", 1, 36),
+    ("RETURN {a: -9223372036854775809}", CypherSyntaxError,
+     "integer literal -9223372036854775809 is outside the 64-bit range", 1, 12),
+    ("RETURN {a: 'x',\n  end: 99999999999999999999}", CypherSyntaxError,
+     "integer literal 99999999999999999999 is outside the 64-bit range", 2, 8),
+    ("RETURN {a: 1, case: 2} AS m, {a: 1, case: 9223372036854775808} AS n", CypherSyntaxError,
+     "integer literal 9223372036854775808 is outside the 64-bit range", 1, 43),
+    ("RETURN {end: 1, a: 'it\\'s', b:", CypherSyntaxError, "unexpected end of input", 1, 31),
+    ("RETURN {a: 1, b: true,", CypherSyntaxError, "expected map key", 1, 23),
+    ("RETURN {", CypherSyntaxError, "expected map key", 1, 9),
+    ("RETURN {a: 1 + 2, b: {c:", CypherSyntaxError, "unexpected end of input", 1, 25),
+    ("RETURN {a: 'x\\n' b: 1}", CypherSyntaxError, "expected '}', found 'b'", 1, 18),
+    ("RETURN {1: 2}", CypherSyntaxError, "expected map key", 1, 9),
+    ("RETURN {a: [1],\n b: 0999999999999999999 c}", CypherSyntaxError,
+     "expected '}', found 'c'", 2, 25),
 ])
 def test_parse_error_class_message_and_position(text, error, message, line, column):
     with pytest.raises(CypherError) as exc_info:
@@ -588,6 +620,48 @@ def test_map_item_with_a_suffix_is_read_once(monkeypatch):
         text, value = "[{a: " + text + "}.a]", [value]
     assert evaluate(parse_expression(text), {}, {}) == value
     assert len(built) == 12
+
+
+# map entries for the fast path's parity: ints of 1-25 digits, 19 of them
+# just inside and just outside 64 bits; strings with and without escapes; and
+# values the fast path leaves to the general descent
+_MAP_INTS = (st.integers(1, 25).flatmap(lambda n: st.text("0123456789", min_size=n, max_size=n))
+             | st.sampled_from(["9223372036854775807", "9223372036854775808",
+                                "9999999999999999999", "0999999999999999999"]))
+_MAP_VALUES = (st.tuples(st.sampled_from(["", "-"]), _MAP_INTS).map("".join)
+               | st.sampled_from(["'a'", "''", "'a\\nb'", "'it\\'s'", "'\\n\\''"])
+               | st.sampled_from(["true", "null", "[1]", "{a: 1}", "1 + 2"]))
+_MAP_KEYS = st.sampled_from(["a", "b", "x_1", "end", "CASE", "null"])
+
+
+@given(st.lists(st.tuples(_MAP_KEYS, _MAP_VALUES), max_size=4), st.data())
+@settings(max_examples=500, deadline=None)
+def test_map_fast_path_equals_the_general_path(entries, data):
+    # the same map with every value in parentheses, which the fast path never
+    # reads; either may be cut after one of its '{', ':' and ','
+    texts = ["{" + ", ".join(f"{k}: {v}" for k, v in entries) + "}",
+             "{" + ", ".join(f"{k}: ({v})" for k, v in entries) + "}"]
+    cuts = [[i + 1 for i, c in enumerate(text) if c in "{:,"] for text in texts]
+    k = data.draw(st.sampled_from([None, *range(len(cuts[0]))]))
+    if k is not None:
+        texts = [text[:cut[k]] for text, cut in zip(texts, cuts)]
+    fast, general = texts
+    try:
+        tree = parse_expression(fast)
+    except CypherSyntaxError as exc:
+        with pytest.raises(CypherSyntaxError) as general_exc:
+            parse_expression(general)
+        assert exc.message == general_exc.value.message
+        return
+    general_tree = parse_expression(general)
+    fast_pieces, general_pieces = lexer._pieces(fast), lexer._pieces(general)
+    assert len(tree.items) == len(general_tree.items)
+    for (key, node), (general_key, general_node) in zip(tree.items, general_tree.items):
+        assert key == general_key
+        # class and slots, but no position; each node sits at the same piece
+        assert (re.sub(r"@\d+:\d+", "", _dump(node))
+                == re.sub(r"@\d+:\d+", "", _dump(general_node)))
+        assert fast_pieces[node.at] == general_pieces[general_node.at]
 
 
 def _dump(tree) -> str:

@@ -1,8 +1,9 @@
 import hashlib
 import json
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cm2cypher.frontend import (
@@ -19,6 +20,7 @@ from cm2cypher.machine import (
     Config,
     Halt,
     Inc,
+    InvalidProgram,
     JzDec,
     Program,
     run,
@@ -74,6 +76,13 @@ def test_parse_dsl_sparse_states_rejected():
 def test_parse_dsl_dangling_reference():
     with pytest.raises(DslError, match="dangling"):
         parse_dsl("state 0: INC A -> 7")
+    # at the line that declares the state holding the reference
+    text = "state 0: JZDEC A ? 0 : 1\nstate 1: HALT # done\n\nstate 2: INC B -> 9\n"
+    with pytest.raises(DslError) as exc_info:
+        parse_dsl(text)
+    got = exc_info.value
+    assert (got.message, got.line, got.column) == (
+        "state 2: dangling reference to state 9 (valid range 0..2)", 4, 1)
 
 
 def test_parse_dsl_syntax_error_position():
@@ -205,6 +214,151 @@ def test_parse_dsl_raises_only_dsl_error(text):
         parse_dsl(text)
     except DslError:
         pass
+
+
+_REFERENCE_LINE_RE = re.compile(r"^\s*state\s+([0-9]+)\s*:\s*(.*?)\s*$")
+_REFERENCE_INC_RE = re.compile(r"^INC\s+(\w+)\s*->\s*([0-9]+)$")
+_REFERENCE_JZDEC_RE = re.compile(r"^JZDEC\s+(\w+)\s*\?\s*([0-9]+)\s*:\s*([0-9]+)$")
+
+
+def _reference_parse_dsl(text):
+    """parse_dsl as it was before it read a well-formed line in one match;
+    it reports a dangling reference at line 1."""
+    def counter(name, line_no, col):
+        if name not in ("A", "B"):
+            raise DslError(f"unknown counter {name!r} (expected A or B)", line_no, col)
+        return "AB".index(name)
+
+    def state_number(digits, line_no, col):
+        try:
+            return int(digits)
+        except ValueError:
+            raise DslError(f"state number of {len(digits)} digits is too long",
+                           line_no, col) from None
+
+    by_state = {}
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0]
+        if not line.strip():
+            continue
+        m = _REFERENCE_LINE_RE.match(line)
+        if not m:
+            col = len(line) - len(line.lstrip()) + 1
+            raise DslError("expected 'state <n>: <instruction>'", line_no, col)
+        state = state_number(m.group(1), line_no, m.start(1) + 1)
+        body = m.group(2)
+        body_col = m.start(2) + 1
+        if state in by_state:
+            raise DslError(
+                f"duplicate state {state} (first declared on line {by_state[state][1]})",
+                line_no, m.start(1) + 1)
+        if body == "HALT":
+            instr = Halt()
+        elif body.startswith("INC"):
+            im = _REFERENCE_INC_RE.match(body)
+            if not im:
+                raise DslError("expected 'INC <A|B> -> <n>'", line_no, body_col)
+            instr = Inc(counter(im.group(1), line_no, body_col),
+                        state_number(im.group(2), line_no, body_col + im.start(2)))
+        elif body.startswith("JZDEC"):
+            jm = _REFERENCE_JZDEC_RE.match(body)
+            if not jm:
+                raise DslError("expected 'JZDEC <A|B> ? <n_zero> : <n_pos>'", line_no, body_col)
+            instr = JzDec(counter(jm.group(1), line_no, body_col),
+                          state_number(jm.group(2), line_no, body_col + jm.start(2)),
+                          state_number(jm.group(3), line_no, body_col + jm.start(3)))
+        elif not body:
+            raise DslError("expected an instruction (INC, JZDEC or HALT)", line_no, body_col)
+        elif body.split()[0] == "HALT":
+            rest = body[4:].lstrip()
+            col = body_col + len(body) - len(rest)
+            raise DslError(f"unexpected text after HALT: {rest!r}", line_no, col)
+        else:
+            raise DslError(f"unknown instruction {body.split()[0]!r}", line_no, body_col)
+        by_state[state] = (instr, line_no)
+    if not by_state:
+        raise DslError("empty program", 1)
+    n = len(by_state)
+    for s in range(n):
+        if s not in by_state:
+            raise DslError(f"missing state {s} (states must be dense 0..{max(by_state)})", 1)
+    try:
+        return Program(tuple(by_state[s][0] for s in range(n)))
+    except InvalidProgram as exc:
+        raise DslError(str(exc), 1) from exc
+
+
+def _dsl_outcome(parse, text):
+    try:
+        return parse(text)
+    except DslError as exc:
+        return exc.message, exc.line, exc.column
+
+
+# blanks that \s matches and that end no line
+_BLANKS = " \t\x0b\x0c\xa0\u2028"
+_LONG_STATE_NUMBERS = ["007", "9" * 19, "1" + "0" * 4299, "1" + "0" * 4300]
+
+
+@st.composite
+def _dsl_lines(draw):
+    """The lines of a .2cm text and the end of each. A line is an
+    instruction with a run of blanks at every gap, perhaps with a trailing
+    comment, a blank line, or a comment. The instructions mostly declare the
+    states 0..n-1 in some order, a gap that needs a blank mostly has one,
+    and most counters are A or B, so many texts are programs."""
+    def gap(needed=False):
+        min_size = 1 if needed and draw(st.integers(0, 7)) < 7 else 0
+        return draw(st.text(_BLANKS, min_size=min_size, max_size=3))
+
+    def number():
+        k = draw(st.integers(0, 15))
+        if k < 11:
+            return str(k % 4)
+        if k < 13:
+            return draw(st.sampled_from(_LONG_STATE_NUMBERS))
+        # past int()'s limit of 4300 digits one time in two
+        return "9" * draw(st.integers(1, 5000) if k < 14 else st.integers(4250, 5000))
+
+    lines = []
+    for state in draw(st.permutations(range(draw(st.integers(0, 4))))):
+        kind = draw(st.sampled_from(["HALT", "INC", "JZDEC", "blank", "comment"]))
+        if kind == "blank":
+            lines.append(gap())
+            continue
+        if kind == "comment":
+            lines.append(gap() + "# a comment")
+            continue
+        declared = number() if draw(st.integers(0, 3)) == 0 else str(state)
+        line = gap() + "state" + gap(True) + declared + gap() + ":" + gap() + kind
+        if kind != "HALT":
+            line += gap(True) + draw(st.sampled_from("AAABBBCa")) + gap()
+        if kind == "INC":
+            line += "->" + gap() + number()
+        elif kind == "JZDEC":
+            line += "?" + gap() + number() + gap() + ":" + gap() + number()
+        lines.append(line + gap() + draw(st.sampled_from(["", "# done", "# state 0: HALT"])))
+    return [(line, draw(st.sampled_from(["\n", "\r\n", "\r"]))) for line in lines]
+
+
+@given(_dsl_lines())
+@settings(max_examples=500, deadline=None)
+@example([("state 0: JZDEC A ? 0 : 1", "\n"), ("state 1: HALT # done", "\n"), ("", "\n"),
+          ("state 2: INC B -> 9", "\n")])
+def test_parse_dsl_equals_the_reference_parser(lines):
+    text = "".join(line + end for line, end in lines)
+    got = _dsl_outcome(parse_dsl, text)
+    expected = _dsl_outcome(_reference_parse_dsl, text)
+    if isinstance(expected, tuple) and "dangling reference" in expected[0]:
+        # reported at the line that declares the state, not at line 1
+        message, line, column = got
+        assert (message, column) == (expected[0], 1)
+        holder = int(message.split(":", 1)[0].split()[1])
+        declared = _REFERENCE_LINE_RE.match(lines[line - 1][0].split("#", 1)[0])
+        assert int(declared[1]) == holder
+    else:
+        assert got == expected
 
 
 @pytest.mark.parametrize("text, column", [
