@@ -26,7 +26,10 @@ by a searched CASE of one such ``=`` arm, and by the index of the head
 bind below; those operators try the integer case before the general
 checks. A map literal copies a template of its known entries, which holds
 every key in order, and sets the others (with a repeated key it sets every
-entry in order, so the last value wins in the first key's position). And
+entry in order, so the last value wins in the first key's position); it
+reads an entry that is such a property, or one ``+ - *`` an integer
+literal, inline, and calls the entry's closure only when the variable is not
+a map or the result is not a 64-bit integer. And
 ``reduce`` has a fixpoint exit, and then does not bind its element. The
 exit applies when no ``Var`` in the body is named like the element variable
 (shadowed mentions count too). Such a body sees only the accumulator and an
@@ -56,7 +59,15 @@ memoised in the compiled closure: a fold over a program table compiles one
 step body per state it visits, with every field of the entry folded, and
 builds neither list of the comprehension. Any other ``e``, and any index
 past ``MAX_SPECIALISED`` bodies, takes the general ``head`` path, with the
-errors of ``c[e]``; any other argument of ``head`` builds its lists. No
+errors of ``c[e]``; any other argument of ``head`` builds its lists. A
+``reduce`` with the fixpoint exit whose body is the fold's step, ``CASE WHEN
+acc.k = <literal> THEN acc ELSE head([v IN [c[acc.k]] | m]) END``, shares
+that memo of step bodies with its loop, which reads ``acc.k`` once per
+iteration and calls the step body compiled for it directly, as direct
+threading does (Ertl & Gregg, "The structure and performance of efficient
+interpreters", 2003): for such an index the test is false without error, so
+the body would give that step body's value. Any other accumulator or index,
+and a first visit, calls the whole body. No
 value a result holds is built at compile time (a map template is copied at
 each evaluation), so results, their identity, errors and their positions
 stay as they are.
@@ -262,6 +273,22 @@ def _reader(node: "Expr", consts: dict) -> tuple:
     return _MISSING, None, node._compile(consts)
 
 
+def _entry(k: str, node: "Expr", consts: dict) -> tuple:
+    """Map entry k compiled for map_lit to read inline, as (k, name, key,
+    compute, c, f). When env[name] is a map, v = env[name].get(key) is the
+    value if compute is None, and so is compute(v, c) if v is an int and it
+    fits 64 bits; otherwise f(env, params) is, with f's errors. As in
+    _reader, a property of a variable read from env names that variable, and
+    so does one + - * an integer literal, with compute set; any other node
+    names _MISSING."""
+    read, compute, c = node, None, None
+    if type(node) is Binary and node.op in ("+", "-", "*") and _int_literal(node.right) is not None:
+        read, compute, c = node.left, _ARITHMETIC[node.op], node.right.value
+    if type(read) is Prop and type(read.obj) is Var and read.obj.name not in consts:
+        return k, read.obj.name, read.key, compute, c, node._compile(consts)
+    return k, _MISSING, None, compute, c, node._compile(consts)
+
+
 class Expr:
     """A node of a parse tree, at piece ``at`` of its parse's ``source``."""
 
@@ -356,13 +383,25 @@ class MapLit(Expr):
         for k, e in self.items:
             v = _known(e, consts) if template else _MISSING
             if v is _MISSING:
-                computed.append((k, e._compile(consts)))
+                computed.append(_entry(k, e, consts))
             else:
                 template[k] = v
 
         def map_lit(env, params):
             out = template.copy()
-            for k, f in computed:  # a loop: a comprehension costs a function call in Python 3.11
+            # a loop: a comprehension costs a function call in Python 3.11
+            for k, name, key, compute, c, f in computed:
+                m = env.get(name)
+                if type(m) is dict:
+                    v = m.get(key)
+                    if compute is None:
+                        out[k] = v
+                        continue
+                    if type(v) is int:
+                        v = compute(v, c)
+                        if INT64_MIN <= v <= INT64_MAX:
+                            out[k] = v
+                            continue
                 out[k] = f(env, params)
             return out
 
@@ -640,8 +679,10 @@ class Case(Expr):
         self.whens = whens  # list of (match or condition expr, result expr)
         self.default = default
 
-    def _compile(self, consts):
-        default = self.default._compile(consts) if self.default is not None else _constant(None)
+    def _compile(self, consts, default=None):
+        """default, if given, is the ELSE branch already compiled."""
+        if default is None:
+            default = self.default._compile(consts) if self.default is not None else _constant(None)
         if self.subject is None:
             (cond, result), *more = self.whens
             c = _int_literal(cond.right) if type(cond) is Binary and cond.op == "=" else None
@@ -691,6 +732,31 @@ class Case(Expr):
         return simple_case
 
 
+def _step_key(body: Expr, acc_name: str):
+    """k when body is a fold's step, CASE WHEN acc.k = <literal> THEN acc ELSE
+    head([v IN [t[acc.k]] | m]) END with both reads of the same k, else
+    _MISSING. For an int acc.k that its head bind has compiled a step body
+    for, the test is false without error, so the body's value is that step
+    body's."""
+    if not (type(body) is Case and body.subject is None and len(body.whens) == 1):
+        return _MISSING
+    (cond, result), head = body.whens[0], body.default
+    if not (type(cond) is Binary and cond.op == "=" and type(cond.right) is Literal):
+        return _MISSING
+    if not (type(result) is Var and result.name == acc_name):
+        return _MISSING
+    if not (type(head) is Call and head.name == "head" and type(head.args[0]) is Comprehension):
+        return _MISSING
+    items = head.args[0].list_expr.items if type(head.args[0].list_expr) is ListLit else ()
+    if len(items) != 1 or type(items[0]) is not Index:
+        return _MISSING
+    test, index = cond.left, items[0].index
+    if type(test) is type(index) is Prop and type(test.obj) is type(index.obj) is Var:
+        if test.obj.name == index.obj.name == acc_name and test.key == index.key:
+            return test.key
+    return _MISSING
+
+
 class Reduce(Expr):
     __slots__ = ("acc_name", "init", "var_name", "list_expr", "body")
 
@@ -705,10 +771,19 @@ class Reduce(Expr):
     def _compile(self, consts):
         acc_name, var_name = self.acc_name, self.var_name
         list_expr, init = self.list_expr._compile(consts), self.init._compile(consts)
-        body = self.body._compile(_without(consts, acc_name, var_name))
+        inner = _without(consts, acc_name, var_name)
         # once a body blind to the element returns its accumulator itself,
         # every later iteration would give an equal value (module docstring)
         fixpoint = not _mentions(self.body, var_name)
+        # a fold's step (_step_key): the loop calls the step body that the
+        # body's head bind has compiled for acc.k, from the memo they share;
+        # any other body has the key _MISSING, which no map holds
+        key = _step_key(self.body, acc_name) if fixpoint else _MISSING
+        bodies = {}
+        if key is _MISSING:
+            body = self.body._compile(inner)
+        else:
+            body = self.body._compile(inner, self.body.default._compile(inner, bodies))
 
         def reduce_(env, params):
             items = list_expr(env, params)
@@ -721,7 +796,8 @@ class Reduce(Expr):
                 if fixpoint:  # no Var reads the element: it is not bound
                     for _ in items:
                         env[acc_name] = acc
-                        value = body(env, params)
+                        i = acc.get(key) if type(acc) is dict else None
+                        value = (bodies.get(i, body) if type(i) is int else body)(env, params)
                         if value is acc:
                             break
                         acc = value
@@ -776,12 +852,15 @@ class Comprehension(Expr):
         return comprehension
 
 
-def _single_bind(node: Expr, consts: dict, general: Callable[[], Compiled]) -> Optional[Compiled]:
+def _single_bind(
+    node: Expr, consts: dict, general: Callable[[], Compiled], bodies: dict
+) -> Optional[Compiled]:
     """head([v IN [c[e]] | m]) with c a known list, the fold's read of its
     program table, as a direct bind that builds neither of the
     comprehension's lists. Each index of c that e takes gets its own m,
     compiled on first use with v known to be that entry, so it reads nothing
-    from env for v and needs no bind. Any other value of e, and any index
+    from env for v and needs no bind; bodies memoises them by index, and a
+    fold's loop reads it too (Reduce). Any other value of e, and any index
     past MAX_SPECIALISED bodies, takes the general head path, which general
     compiles on first use. That path evaluates e a second time; the subset
     is pure, so the value, the error and its position are those of one
@@ -799,7 +878,7 @@ def _single_bind(node: Expr, consts: dict, general: Callable[[], Compiled]) -> O
     table = _known(source.obj, consts) if type(source) is Index else _MISSING
     if type(table) is not list:
         return None
-    (name, key, index), n, bodies = _reader(source.index, consts), len(table), {}
+    (name, key, index), n = _reader(source.index, consts), len(table)
     fallback = None
 
     def bind_entry(env, params):
@@ -828,7 +907,8 @@ class Call(Expr):
         self.name = name
         self.args = args
 
-    def _compile(self, consts):
+    def _compile(self, consts, bodies=None):
+        """bodies, if given, is the memo of a head bind's step bodies."""
         if self.name == "head":
 
             def general() -> Compiled:
@@ -844,7 +924,8 @@ class Call(Expr):
 
                 return head
 
-            return _single_bind(self.args[0], consts, general) or general()
+            bind = _single_bind(self.args[0], consts, general, {} if bodies is None else bodies)
+            return bind or general()
         if self.name == "range":
             low, high = (a._compile(consts) for a in self.args)
 

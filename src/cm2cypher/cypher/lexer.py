@@ -55,9 +55,11 @@ class Token(NamedTuple):
 # One capturing group, so the split puts the blanks and the pieces in turn,
 # and findall returns the pieces alone. Alternatives are tried in order:
 # names, punctuation, integers, strings, comments, words that start with a
-# non-ASCII character (_fault rejects those that are not letters), and any
-# one non-blank character no piece starts with: '/*' or a quote left
-# unterminated, or an illegal character.
+# non-ASCII character (_fault rejects those that are not letters), a '/*'
+# left unterminated, which takes the rest of the text, so that the scan for
+# its '*/' runs once and not again from each '/*' after it, and any one
+# non-blank character no piece starts with: a quote left unterminated, or an
+# illegal character.
 _PATTERN = re.compile(
     r"""(
       [A-Za-z_]\w*
@@ -66,7 +68,7 @@ _PATTERN = re.compile(
     | '[^'\\]*(?:\\.[^'\\]*)*'
     | //[^\n]*|/\*.*?\*/
     | [^\W\d]\w*
-    | /\*|[^ \t\r\n]
+    | /\*.*|[^ \t\r\n]
     )""",
     re.VERBOSE | re.DOTALL,
 )
@@ -81,17 +83,19 @@ _KINDS = {"": EOF, "'": STRING, **dict.fromkeys("0123456789", INT),
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 # any other escaped character stands for itself
 _ESCAPED = {"n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f"}
-_UNTERMINATED = {"/*": "unterminated block comment", "'": "unterminated string literal"}
 
 
 def _fault(piece: str) -> str | None:
     """None for a piece the parser reads, "" for a comment, else the message
     of the error it is."""
-    if piece in _UNTERMINATED:
-        return _UNTERMINATED[piece]
+    if piece == "'":
+        return "unterminated string literal"
     first = piece[0]
     if first == "/" and len(piece) > 1:
-        return ""
+        # a block comment ends in a '*/' after its '/*': '/*/' does not
+        if piece[1] == "/" or piece.endswith("*/", 2):
+            return ""
+        return "unterminated block comment"
     if _kind(piece) == IDENT and not (first.isalpha() or first == "_"):
         return f"illegal character {first!r}"
     return None

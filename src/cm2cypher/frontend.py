@@ -143,9 +143,9 @@ def parse_dsl(text: str) -> Program:
         raise DslError("empty program", 1)
     n = len(by_state)
     for s in range(n):
-        if s not in by_state:
+        if s not in by_state:  # at the line of the highest state, which makes the range sparse
             top = max(by_state)
-            raise DslError(f"missing state {s} (states must be dense 0..{top})", 1)
+            raise DslError(f"missing state {s} (states must be dense 0..{top})", by_state[top][1])
     try:
         return Program(tuple(by_state[s][0] for s in range(n)))
     except InvalidProgram as exc:  # a dangling reference: at its state's line

@@ -71,6 +71,15 @@ def test_parse_dsl_duplicate_state():
 def test_parse_dsl_sparse_states_rejected():
     with pytest.raises(DslError, match="missing state 1"):
         parse_dsl("state 0: HALT\nstate 2: HALT")
+    # at the line that declares the highest state, which makes the range sparse
+    for text, line in [("# x\nstate 0: HALT\nstate 2: HALT", 3),
+                       ("state 3: HALT\n\nstate 0: HALT # the first", 1),
+                       ("state 1: INC A -> 0\n# no state 0\n", 1)]:
+        with pytest.raises(DslError) as exc_info:
+            parse_dsl(text)
+        got = exc_info.value
+        assert (got.line, got.column) == (line, 1), text
+    assert got.message == "missing state 0 (states must be dense 0..1)"
 
 
 def test_parse_dsl_dangling_reference():
@@ -346,6 +355,7 @@ def _dsl_lines(draw):
 @settings(max_examples=500, deadline=None)
 @example([("state 0: JZDEC A ? 0 : 1", "\n"), ("state 1: HALT # done", "\n"), ("", "\n"),
           ("state 2: INC B -> 9", "\n")])
+@example([("# x", "\n"), ("state 0: HALT", "\n"), ("state 2: HALT", "\n")])
 def test_parse_dsl_equals_the_reference_parser(lines):
     text = "".join(line + end for line, end in lines)
     got = _dsl_outcome(parse_dsl, text)
@@ -357,6 +367,13 @@ def test_parse_dsl_equals_the_reference_parser(lines):
         holder = int(message.split(":", 1)[0].split()[1])
         declared = _REFERENCE_LINE_RE.match(lines[line - 1][0].split("#", 1)[0])
         assert int(declared[1]) == holder
+    elif isinstance(expected, tuple) and "missing state" in expected[0]:
+        # reported at the line that declares the highest state, not at line 1
+        message, line, column = got
+        assert (message, column) == (expected[0], 1)
+        highest = int(message.rsplit("..", 1)[1].rstrip(")"))
+        declared = _REFERENCE_LINE_RE.match(lines[line - 1][0].split("#", 1)[0])
+        assert int(declared[1]) == highest
     else:
         assert got == expected
 
