@@ -32,7 +32,13 @@ literal, inline, and calls the entry's closure only when the variable is not
 a map or the result is not a 64-bit integer. And
 ``reduce`` has a fixpoint exit, and then does not bind its element. The
 exit applies when no ``Var`` in the body is named like the element variable
-(shadowed mentions count too). Such a body sees only the accumulator and an
+(shadowed mentions count too). The parser records that verdict as it builds
+the body, in the parse's ``Source``; ``Reduce._compile`` reads it when its
+body is the node it was recorded for (the same parse, address and piece),
+and walks any other body, one built by hand or swapped in, with
+``_mentions``. The record keeps the body's address, not the body: a body
+refers to its ``Source``, so holding it there would make a cycle that only
+the garbage collector frees. Such a body sees only the accumulator and an
 environment that does not change from one iteration to the next: the subset
 is pure and deterministic, and every binder restores what it binds. So once
 an iteration returns the accumulator object itself (``is``, not equality),
@@ -290,7 +296,9 @@ def _entry(k: str, node: "Expr", consts: dict) -> tuple:
 
 
 class Expr:
-    """A node of a parse tree, at piece ``at`` of its parse's ``source``."""
+    """A node of a parse tree, at piece ``at`` of its parse's ``source``. The
+    node classes set these slots directly, not through super(): the parser
+    builds one node per operand and operator."""
 
     __slots__ = ("source", "at")
 
@@ -314,7 +322,6 @@ class Literal(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value, source: Source, at: int):
-        # not through super(): the parser builds one per INT and STRING piece
         self.value = value  # None, a bool, an int or a str
         self.source = source
         self.at = at
@@ -327,8 +334,9 @@ class Var(Expr):
     __slots__ = ("name",)
 
     def __init__(self, name: str, source: Source, at: int):
-        super().__init__(source, at)
         self.name = name
+        self.source = source
+        self.at = at
 
     def _compile(self, consts):
         name = self.name
@@ -348,8 +356,9 @@ class Param(Expr):
     __slots__ = ("name",)
 
     def __init__(self, name: str, source: Source, at: int):
-        super().__init__(source, at)
         self.name = name
+        self.source = source
+        self.at = at
 
     def _compile(self, consts):
         name = self.name
@@ -366,7 +375,6 @@ class MapLit(Expr):
     __slots__ = ("items",)
 
     def __init__(self, items: list[tuple[str, Expr]], source: Source, at: int):
-        # not through super(), as Literal: a reduced program has one per state
         self.items = items
         self.source = source
         self.at = at
@@ -412,8 +420,9 @@ class ListLit(Expr):
     __slots__ = ("items",)
 
     def __init__(self, items: list[Expr], source: Source, at: int):
-        super().__init__(source, at)
         self.items = items
+        self.source = source
+        self.at = at
 
     def _compile(self, consts):
         items = [e._compile(consts) for e in self.items]
@@ -431,9 +440,10 @@ class Prop(Expr):
     __slots__ = ("obj", "key")
 
     def __init__(self, obj: Expr, key: str, source: Source, at: int):
-        super().__init__(source, at)
         self.obj = obj
         self.key = key
+        self.source = source
+        self.at = at
 
     def _compile(self, consts):
         return self._fold(consts)[0]
@@ -483,9 +493,10 @@ class Index(Expr):
     __slots__ = ("obj", "index")
 
     def __init__(self, obj: Expr, index: Expr, source: Source, at: int):
-        super().__init__(source, at)
         self.obj = obj
         self.index = index
+        self.source = source
+        self.at = at
 
     def _compile(self, consts):
         obj, index = self.obj._compile(consts), self.index._compile(consts)
@@ -518,8 +529,9 @@ class Not(Expr):
     __slots__ = ("operand",)
 
     def __init__(self, operand: Expr, source: Source, at: int):
-        super().__init__(source, at)
         self.operand = operand
+        self.source = source
+        self.at = at
 
     def _compile(self, consts):
         operand = self.operand._compile(consts)
@@ -539,8 +551,9 @@ class Neg(Expr):
     __slots__ = ("operand",)
 
     def __init__(self, operand: Expr, source: Source, at: int):
-        super().__init__(source, at)
         self.operand = operand
+        self.source = source
+        self.at = at
 
     def _compile(self, consts):
         operand = self.operand._compile(consts)
@@ -575,10 +588,11 @@ class Binary(Expr):
     __slots__ = ("op", "left", "right")
 
     def __init__(self, op: str, left: Expr, right: Expr, source: Source, at: int):
-        super().__init__(source, at)
         self.op = op
         self.left = left
         self.right = right
+        self.source = source
+        self.at = at
 
     def _compile(self, consts):
         op, c = self.op, _int_literal(self.right)
@@ -674,10 +688,11 @@ class Case(Expr):
     __slots__ = ("subject", "whens", "default")
 
     def __init__(self, subject, whens, default, source, at):
-        super().__init__(source, at)
         self.subject = subject
         self.whens = whens  # list of (match or condition expr, result expr)
         self.default = default
+        self.source = source
+        self.at = at
 
     def _compile(self, consts, default=None):
         """default, if given, is the ELSE branch already compiled."""
@@ -761,20 +776,26 @@ class Reduce(Expr):
     __slots__ = ("acc_name", "init", "var_name", "list_expr", "body")
 
     def __init__(self, acc_name, init, var_name, list_expr, body, source, at):
-        super().__init__(source, at)
         self.acc_name = acc_name
         self.init = init
         self.var_name = var_name
         self.list_expr = list_expr
         self.body = body
+        self.source = source
+        self.at = at
 
     def _compile(self, consts):
         acc_name, var_name = self.acc_name, self.var_name
         list_expr, init = self.list_expr._compile(consts), self.init._compile(consts)
         inner = _without(consts, acc_name, var_name)
         # once a body blind to the element returns its accumulator itself,
-        # every later iteration would give an equal value (module docstring)
-        fixpoint = not _mentions(self.body, var_name)
+        # every later iteration would give an equal value (module docstring);
+        # the parse recorded whether the body it built names the element
+        body = self.body
+        mentioned = None
+        if body.source is self.source:
+            mentioned = self.source.fixpoints.get((self.at, id(body), body.at))
+        fixpoint = not (_mentions(body, var_name) if mentioned is None else mentioned)
         # a fold's step (_step_key): the loop calls the step body that the
         # body's head bind has compiled for acc.k, from the memo they share;
         # any other body has the key _MISSING, which no map holds
@@ -818,11 +839,12 @@ class Comprehension(Expr):
     __slots__ = ("var_name", "list_expr", "where", "mapper")
 
     def __init__(self, var_name, list_expr, where, mapper, source, at):
-        super().__init__(source, at)
         self.var_name = var_name
         self.list_expr = list_expr
         self.where = where
         self.mapper = mapper
+        self.source = source
+        self.at = at
 
     def _compile(self, consts):
         var_name, list_expr = self.var_name, self.list_expr._compile(consts)
@@ -903,9 +925,10 @@ class Call(Expr):
     __slots__ = ("name", "args")
 
     def __init__(self, name: str, args: list[Expr], source: Source, at: int):
-        super().__init__(source, at)
         self.name = name
         self.args = args
+        self.source = source
+        self.at = at
 
     def _compile(self, consts, bodies=None):
         """bodies, if given, is the memo of a head bind's step bodies."""

@@ -14,7 +14,8 @@ blanks (spaces, tabs, carriage returns, line breaks) fall between two
 matches, since the pattern's last alternative matches any other character.
 Comments are dropped, and an unterminated string or block comment, an
 illegal character, or a word whose first character is not a letter is a
-CypherSyntaxError.
+CypherSyntaxError. Text that one match shows can hold none of those, nor a
+comment (_PLAIN), is not looked through piece by piece for them.
 
 The pattern has two compiled forms: the split keeps the blanks, and the
 findall takes the blanks before each piece in the piece's match, so it
@@ -80,6 +81,12 @@ _FINDALL = re.compile(r"[ \t\r\n]*" + _PATTERN.pattern, _PATTERN.flags).findall
 # _fault has passed the piece
 _KINDS = {"": EOF, "'": STRING, **dict.fromkeys("0123456789", INT),
           **dict.fromkeys("<>/()[]{},:.|+-*%=$;", PUNCT)}
+# text made only of these has no piece with a fault: blanks, ASCII letters,
+# digits and '_', punctuation but '/', so no comment, and quotes, with no
+# backslash, so each quote opens or closes a string in turn, and one is left
+# unterminated only if their number is odd. A match is one pass, with no
+# backtracking; any other text is looked through by _faults
+_PLAIN = re.compile(r"[ \t\r\n\w<>()\[\]{},:.|+\-*%=$;']*", re.ASCII).fullmatch
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 # any other escaped character stands for itself
 _ESCAPED = {"n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f"}
@@ -131,7 +138,7 @@ def _pieces(text: str) -> list[str]:
     # without its final blanks: findall would start a match at each one that
     # takes all the rest and then fails, a time quadratic in their number
     pieces = _FINDALL(text.rstrip(" \t\r\n"))
-    faults = _faults(pieces)
+    faults = {} if _PLAIN(text) and text.count("'") % 2 == 0 else _faults(pieces)
     if any(faults.values()):
         _scan(text)  # raises
     pieces.append("")
@@ -143,14 +150,17 @@ def _pieces(text: str) -> list[str]:
 class Source:
     """The text of one parse, and where its pieces are: the offset of each
     piece and the start of each line, each worked out the first time it is
-    read."""
+    read. fixpoints maps the piece of each reduce the parse built, with the
+    address and piece of its body, to whether a Var in that body is named
+    like its element."""
 
-    __slots__ = ("text", "_offsets", "_line_starts")
+    __slots__ = ("text", "_offsets", "_line_starts", "fixpoints")
 
     def __init__(self, text: str):
         self.text = text
         self._offsets: list[int] | None = None
         self._line_starts: list[int] | None = None
+        self.fixpoints: dict[int, tuple] = {}
 
     def offset(self, i: int) -> int:
         """The offset of piece i."""

@@ -21,14 +21,28 @@ Operator Precedence", 1973) over the _BINDING_POWER table, loosest first:
 OR, AND, prefix NOT, = <> < <= > >=, + -, * / %. An operator is a
 punctuation piece or the keyword AND/OR, never a string or another name.
 
-Literal fast path: parse_map reads each entry 'key: <int or string>'
-followed by ',' or '}' in one loop over the pieces, testing each piece's
-first character inline and building the Literal itself; an int of more
-than 18 digits, which may be outside 64 bits, is not read there. parse_list
+Literal fast path: parse_map reads every entry in one loop over the
+pieces, testing the key and its ':' inline. It builds the Literal of a
+value 'int or string' followed by ',' or '}' itself, testing each piece's
+first character; an int of more than 18 digits, which may be outside 64
+bits, is not read there. Any other value is read by parse_expr. parse_list
 hands an item that starts with '{' to parse_map directly, then reads
-whatever follows its '}' as parse_expr would. The first entry or item of
-any other shape falls back to the general descent, so trees and errors are
-the same.
+whatever follows its '}' as parse_expr would. An item of any other shape
+takes the general descent, so trees and errors are the same.
+
+Operand fast path: parse_expr reads the common operand itself. A name that
+is neither a keyword nor a refused word, and is not followed by '(', becomes
+a Var, and each '.' and name after it a Prop; an int of at most 18 digits or
+a string becomes a Literal. A sign is read by parse_unary, NOT by
+parse_expr, and any other operand ('(', '[', '{', '$', CASE, a call, a
+keyword, the end) by parse_primary; a '.' or '[' after an operand is read
+by parse_suffixes, so trees and errors are those of the descent. When the
+next piece binds no tighter than min_power the operand is returned at once,
+and otherwise parse_operators goes on. The parser keeps the name of each
+Var it builds, and parse_reduce records in the Source whether its body
+built one named like its element, under the body's address and piece: the
+verdict of ast._mentions on that body, which the reduce's fixpoint exit
+needs (ast).
 """
 
 from __future__ import annotations
@@ -47,6 +61,9 @@ UNSUPPORTED = {
     "CALL", "UNWIND", "WITH", "FOREACH", "ORDER", "SKIP", "LIMIT", "UNION",
     "USE", "USING", "SHOW", "NEXT", "LOAD", "EXISTS", "COUNT", "COLLECT",
 }
+
+# the words that are never a variable's name
+_WORDS = KEYWORDS | UNSUPPORTED
 
 # the keywords that are constants, each read as a Literal
 _CONSTANTS = {"TRUE": True, "FALSE": False, "NULL": None}
@@ -68,6 +85,7 @@ class _Parser:
         self.pieces = _pieces(text)
         self.source = Source(text)
         self.pos = 0
+        self.names: list[str] = []  # the name of each Var built, in order
 
     # --- piece helpers -------------------------------------------------
 
@@ -218,13 +236,41 @@ class _Parser:
 
     def parse_expr(self, min_power: int = 0) -> ast.Expr:
         # an operand, then the binary operators that bind tighter than min_power
+        pieces, source = self.pieces, self.source
         i = self.pos
-        # NOT may start an operand of OR, AND or NOT, not of a tighter operator
-        if min_power <= _NOT_POWER and self.pieces[i].upper() == "NOT":
+        piece = pieces[i]
+        first = piece[:1]
+        # the operand fast path (module docstring): a name and its property
+        # reads, or an int or string literal, built here; the node classes
+        # are read from ast at each call, so a test may replace one
+        if first not in _KINDS and piece.upper() not in _WORDS and pieces[i + 1] != "(":
+            self.names.append(piece)
+            left = ast.Var(piece, source, i)
+            i += 1
+            while pieces[i] == "." and pieces[i + 1][:1] not in _KINDS:
+                left = ast.Prop(left, pieces[i + 1], source, i)
+                i += 2
+            self.pos = i
+        elif first == "'":
+            left = ast.Literal(piece[1:-1] if "\\" not in piece else _lexeme(piece), source, i)
             self.pos = i + 1
-            left = ast.Not(self.parse_expr(_NOT_POWER), self.source, i)
-        else:
+        elif "0" <= first <= "9" and len(piece) < 19:  # so inside 64 bits
+            left = ast.Literal(int(piece), source, i)
+            self.pos = i + 1
+        # NOT may start an operand of OR, AND or NOT, not of a tighter operator
+        elif min_power <= _NOT_POWER and piece.upper() == "NOT":
+            self.pos = i + 1
+            left = ast.Not(self.parse_expr(_NOT_POWER), source, i)
+        elif piece == "-" or piece == "+":
             left = self.parse_unary()
+        else:
+            left = self.parse_primary()
+        # parse_unary and NOT leave no '.' or '[' after their operand
+        piece = pieces[self.pos]
+        if piece == "." or piece == "[":
+            left = self.parse_suffixes(left)
+        elif _BINDING_POWER.get(piece.upper(), 0) <= min_power:
+            return left
         return self.parse_operators(left, min_power)
 
     def parse_operators(self, left: ast.Expr, min_power: int) -> ast.Expr:
@@ -291,6 +337,7 @@ class _Parser:
             if self.peek(1) == "(":
                 return self.parse_call()
             self.pos = i + 1
+            self.names.append(piece)
             return ast.Var(piece, self.source, i)
         if piece == "(":
             self.pos = i + 1
@@ -336,8 +383,11 @@ class _Parser:
         self.expect_keyword("IN")
         list_expr = self.parse_expr()
         self.expect_punct("|")
+        mark = len(self.names)
         body = self.parse_expr()
         self.expect_punct(")")
+        # the fixpoint verdict Reduce._compile would find with ast._mentions
+        self.source.fixpoints[i, id(body), body.at] = var in self.names[mark:]
         return ast.Reduce(acc, init, var, list_expr, body, self.source, i)
 
     def parse_list(self) -> ast.Expr:
@@ -377,39 +427,49 @@ class _Parser:
         open_i = self.expect_punct("{")
         pieces, source = self.pieces, self.source
         pos, items = self.pos, []
-        # fast path: each entry 'name: <string or int of at most 18 digits,
-        # so inside 64 bits>' followed by ',' or '}' becomes its Literal
-        # here. Each test reads one piece past the one before it, and the end
-        # marker fails every test, so none reads past the end. An entry it
-        # leaves to the general path gets the same tree or error there.
-        while pieces[pos][:1] not in _KINDS and pieces[pos + 1] == ":":
-            value = pieces[pos + 2]
-            first = value[:1]
-            if first == "'":
-                value = value[1:-1] if "\\" not in value else _lexeme(value)
-            elif "0" <= first <= "9" and len(value) < 19:
-                value = int(value)
-            else:
-                break
-            end = pieces[pos + 3]
-            if end != "," and end != "}":
-                break
-            items.append((pieces[pos], ast.Literal(value, source, pos + 2)))
-            pos += 4
+        if pieces[pos] == "}":
+            self.pos = pos + 1
+            return ast.MapLit(items, source, open_i)
+        while True:
+            # the literal fast path: each entry 'name: <string or int of at
+            # most 18 digits, so inside 64 bits>' followed by ',' or '}'
+            # becomes its Literal here. Each test reads one piece past the one
+            # before it, and the end marker fails every test, so none reads
+            # past the end.
+            while pieces[pos][:1] not in _KINDS and pieces[pos + 1] == ":":
+                value = pieces[pos + 2]
+                first = value[:1]
+                if first == "'":
+                    value = value[1:-1] if "\\" not in value else _lexeme(value)
+                elif "0" <= first <= "9" and len(value) < 19:
+                    value = int(value)
+                else:
+                    break
+                end = pieces[pos + 3]
+                if end != "," and end != "}":
+                    break
+                items.append((pieces[pos], ast.Literal(value, source, pos + 2)))
+                pos += 4
+                if end == "}":
+                    self.pos = pos
+                    return ast.MapLit(items, source, open_i)
+            # any other entry: its value is read by parse_expr
+            key = pieces[pos]
+            if key[:1] in _KINDS:
+                raise CypherSyntaxError("expected map key", *self.position(pos))
+            if pieces[pos + 1] != ":":
+                self.pos = pos + 1
+                raise self._expected("':'")
+            self.pos = pos + 2
+            items.append((key, self.parse_expr()))
+            pos = self.pos
+            end = pieces[pos]
             if end == "}":
-                self.pos = pos
+                self.pos = pos + 1
                 return ast.MapLit(items, source, open_i)
-        # the general path, from the first entry the fast path did not read
-        self.pos = pos
-        if items or pieces[pos] != "}":
-            items += self.parse_comma_list(self.parse_map_entry)
-        self.expect_punct("}")
-        return ast.MapLit(items, self.source, open_i)
-
-    def parse_map_entry(self) -> tuple[str, ast.Expr]:
-        key = self.expect_ident("expected map key")
-        self.expect_punct(":")
-        return key, self.parse_expr()
+            if end != ",":
+                raise self._expected("'}'")
+            pos += 1
 
     def parse_case(self) -> ast.Expr:
         # the simple form is the searched form with a subject

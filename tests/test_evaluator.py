@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import random
 import re
@@ -177,6 +178,58 @@ def test_findall_pieces_are_the_scan_pieces(text):
             return type(exc), exc.message, exc.line, exc.column
 
     assert outcome(lexer._pieces) == outcome(lambda text: lexer._scan(text)[0])
+    # text the lexer passes without looking for faults has none
+    if lexer._PLAIN(text) and text.count("'") % 2 == 0:
+        assert lexer._faults(lexer._FINDALL(text)) == {}
+
+
+@given(st.text("a1_ \t\r\n'(),.:+-*{}[]$;", max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_plain_text_has_a_fault_only_if_a_string_is_left_open(text):
+    # with no '/' and no backslash the quotes open and close strings in turn
+    assert lexer._PLAIN(text)
+    faults = lexer._faults(lexer._FINDALL(text))
+    assert any(faults.values()) == (text.count("'") % 2 == 1)
+
+
+# pieces, or the error, as _pieces gave them before it skipped looking for
+# faults in text that can have none: a fault's text goes the old way
+@pytest.mark.parametrize("text, outcome", [
+    ("a \x0b b", ("CypherSyntaxError", "illegal character '\\x0b'", 1, 3)),
+    ("1 +\xa0 2", ("CypherSyntaxError", "illegal character '\\xa0'", 1, 4)),
+    ("x # y", ("CypherSyntaxError", "illegal character '#'", 1, 3)),
+    ('"a"', ("CypherSyntaxError", "illegal character '\"'", 1, 1)),
+    ("!x", ("CypherSyntaxError", "illegal character '!'", 1, 1)),
+    ("x² + ²", ("CypherSyntaxError", "illegal character '²'", 1, 6)),
+    ("1 + ٣", ("CypherSyntaxError", "illegal character '٣'", 1, 5)),
+    ("é + 1", ["é", "+", "1", ""]),
+    ("'é' + x", ["'é'", "+", "x", ""]),
+    ("RETURN 'open", ("CypherSyntaxError", "unterminated string literal", 1, 8)),
+    ("1 // c\n+ 2", ["1", "+", "2", ""]),
+    ("1 /* c */ + 2", ["1", "+", "2", ""]),
+    ("1 /* open", ("CypherSyntaxError", "unterminated block comment", 1, 3)),
+    ("1 /*/ 2", ("CypherSyntaxError", "unterminated block comment", 1, 3)),
+    ("'a//b' + '/*'", ["'a//b'", "+", "'/*'", ""]),
+    ("'it\\'s", ("CypherSyntaxError", "unterminated string literal", 1, 1)),
+    ("x\n  'a\\'", ("CypherSyntaxError", "unterminated string literal", 2, 3)),
+    ("a\r\n\xa0", ("CypherSyntaxError", "illegal character '\\xa0'", 2, 1)),
+    ("a / b", ["a", "/", "b", ""]),
+    ("x\\y", ("CypherSyntaxError", "illegal character '\\\\'", 1, 2)),
+    ("`x`", ("CypherSyntaxError", "illegal character '`'", 1, 1)),
+    ("x/", ["x", "/", ""]),
+    ("'a' 'b", ("CypherSyntaxError", "unterminated string literal", 1, 5)),
+    ("'\n'\néx /*", ("CypherSyntaxError", "unterminated block comment", 3, 4)),
+    # plain text, whose quotes are counted
+    ("{k: 'x'} ['y']", ["{", "k", ":", "'x'", "}", "[", "'y'", "]", ""]),
+    ("'a''b' 'c", ("CypherSyntaxError", "unterminated string literal", 1, 8)),
+    ("'' + '''", ("CypherSyntaxError", "unterminated string literal", 1, 8)),
+])
+def test_pieces_of_texts_with_and_without_faults(text, outcome):
+    try:
+        got = lexer._pieces(text)
+    except CypherSyntaxError as exc:
+        got = (type(exc).__name__, exc.message, exc.line, exc.column)
+    assert got == outcome
 
 
 @pytest.mark.parametrize("text, column", [
@@ -775,6 +828,214 @@ def test_parsing_works_out_no_position_until_one_is_read(name, scans, monkeypatc
     assert calls == {"_scan": 1, "_line_starts": 1}
 
 
+class _ReferenceParser(parser._Parser):
+    """The expression descent as it was before parse_expr read an operand
+    inline: every operand through parse_unary, parse_primary and
+    parse_suffixes, and every map entry that is not a literal through
+    parse_map_entry. It is the oracle for the trees and errors of the operand
+    fast path and of parse_map's one loop; it records no Var names, so its
+    reduces are not evaluated."""
+
+    def parse_expr(self, min_power=0):
+        i = self.pos
+        if min_power <= parser._NOT_POWER and self.pieces[i].upper() == "NOT":
+            self.pos = i + 1
+            left = ast.Not(self.parse_expr(parser._NOT_POWER), self.source, i)
+        else:
+            left = self.parse_unary()
+        return self.parse_operators(left, min_power)
+
+    def parse_unary(self):
+        piece = self.peek()
+        if piece == "-":
+            i = self.next()
+            if (lexer._kind(self.peek()) == lexer.INT and self.peek(1) != "."
+                    and self.peek(1) != "["):
+                return self._literal(self.next(), i)
+            operand = self.parse_unary()
+            if type(operand) is ast.Literal and type(operand.value) is int:
+                return self._int_literal(-operand.value, i)
+            return ast.Neg(operand, self.source, i)
+        if piece == "+":
+            self.pos += 1
+            return self.parse_unary()
+        return self.parse_suffixes(self.parse_primary())
+
+    def parse_suffixes(self, expr):
+        while True:
+            piece = self.peek()
+            if piece == ".":
+                i = self.next()
+                key = self.expect_ident("expected property name after '.'")
+                expr = ast.Prop(expr, key, self.source, i)
+            elif piece == "[":
+                i = self.next()
+                index = self.parse_expr()
+                self.expect_punct("]")
+                expr = ast.Index(expr, index, self.source, i)
+            else:
+                return expr
+
+    def parse_primary(self):
+        i = self.pos
+        piece = self.pieces[i]
+        kind = lexer._kind(piece)
+        if kind == lexer.INT or kind == lexer.STRING:
+            self.pos = i + 1
+            return self._literal(i)
+        if kind == lexer.IDENT:
+            upper = piece.upper()
+            self._reject_unsupported(i)
+            if upper == "CASE":
+                return self.parse_case()
+            if upper in parser._CONSTANTS:
+                self.pos = i + 1
+                return ast.Literal(parser._CONSTANTS[upper], self.source, i)
+            if upper in KEYWORDS:
+                raise CypherSyntaxError(f"unexpected keyword {piece!r}", *self.position(i))
+            if self.peek(1) == "(":
+                return self.parse_call()
+            self.pos = i + 1
+            return ast.Var(piece, self.source, i)
+        if piece == "(":
+            self.pos = i + 1
+            expr = self.parse_expr()
+            self.expect_punct(")")
+            return expr
+        if piece == "[":
+            return self.parse_list()
+        if piece == "{":
+            return self.parse_map()
+        if piece == "$":
+            self.pos = i + 1
+            name = self.expect_ident("expected parameter name after '$'")
+            return ast.Param(name, self.source, i)
+        if piece:
+            raise CypherSyntaxError(f"unexpected {piece!r}", *self.position(i))
+        raise CypherSyntaxError("unexpected end of input", *self.position(i))
+
+    def parse_map(self):
+        open_i = self.expect_punct("{")
+        pieces, source = self.pieces, self.source
+        pos, items = self.pos, []
+        while pieces[pos][:1] not in lexer._KINDS and pieces[pos + 1] == ":":
+            value = pieces[pos + 2]
+            first = value[:1]
+            if first == "'":
+                value = value[1:-1] if "\\" not in value else lexer._lexeme(value)
+            elif "0" <= first <= "9" and len(value) < 19:
+                value = int(value)
+            else:
+                break
+            end = pieces[pos + 3]
+            if end != "," and end != "}":
+                break
+            items.append((pieces[pos], ast.Literal(value, source, pos + 2)))
+            pos += 4
+            if end == "}":
+                self.pos = pos
+                return ast.MapLit(items, source, open_i)
+        self.pos = pos
+        if items or pieces[pos] != "}":
+            items += self.parse_comma_list(self.parse_map_entry)
+        self.expect_punct("}")
+        return ast.MapLit(items, self.source, open_i)
+
+    def parse_map_entry(self):
+        key = self.expect_ident("expected map key")
+        self.expect_punct(":")
+        return key, self.parse_expr()
+
+
+def _parse_outcome(parser_class, text):
+    """The dump of the expression's tree, or the error's class, message and
+    position."""
+    try:
+        return _dump(parser_class(text).parse_expression())
+    except CypherError as exc:
+        return type(exc).__name__, exc.message, exc.line, exc.column
+
+
+# names, keywords in any case and the words the subset refuses; ints of 18
+# digits, just inside and outside 64 bits, and longer; strings with escapes
+_OPERAND_NAMES = ["a", "m", "x_1", "é", "end", "In", "as", "not", "NOT", "Case", "TRUE",
+                  "null", "false", "WHEN", "MATCH", "count", "head", "reduce"]
+_OPERAND_INTS = ["0", "7", "007", "1" * 18, "9" * 18, "9" * 19, "9223372036854775807",
+                 "9223372036854775808", "1" * 25]
+_OPERAND_STRINGS = ["''", "'a'", "'a\\nb'", "'it\\'s'", "'\\\\'", "'//'"]
+_OPERATORS = ["OR", "or", "AND", "And", "=", "<>", "<", "<=", ">", ">=", "+", "-", "*", "/", "%"]
+
+
+def _operand_text(rng, depth):
+    """A random expression of the subset or near it: operands, '.' and '['
+    suffixes, calls, every binary operator, NOT and the signs, and the other
+    primaries, joined by random blanks or none."""
+    def gap():
+        return rng.choice(["", " ", " ", "  ", "\n ", "\r\n"])
+
+    def sub():
+        return _operand_text(rng, depth - 1)
+
+    kind = rng.choice(["name", "name", "int", "string", "param"] if depth == 0 else [
+        "name", "int", "string", "suffix", "suffix", "binary", "binary", "binary",
+        "prefix", "call", "paren", "list", "map", "map", "case"])
+    if kind == "name":
+        return rng.choice(_OPERAND_NAMES)
+    if kind == "int":
+        return rng.choice(_OPERAND_INTS)
+    if kind == "string":
+        return rng.choice(_OPERAND_STRINGS)
+    if kind == "param":
+        return "$" + rng.choice(["p", "p", "p", "1", ""])
+    if kind == "suffix":
+        suffix = rng.choice([".k", ".END", ".k.b", "[" + sub() + "]", ".", ". 1", ".'k'"])
+        return sub() + gap() + suffix
+    if kind == "binary":
+        return sub() + gap() + rng.choice(_OPERATORS) + gap() + sub()
+    if kind == "prefix":
+        return rng.choice(["NOT ", "not ", "-", "- ", "+"]) + sub()
+    if kind == "call":
+        name = rng.choice(["head", "range", "Head", "nope", "count", "m"])
+        if rng.random() < 0.3:
+            return f"reduce({gap()}acc = {sub()}, x IN {sub()} |{gap()}{sub()})"
+        return name + "(" + ", ".join(sub() for _ in range(rng.randint(0, 2))) + ")"
+    if kind == "paren":
+        return "(" + gap() + sub() + gap() + ")"
+    if kind == "list":
+        return "[" + ", ".join(sub() for _ in range(rng.randint(0, 2))) + "]"
+    if kind == "map":
+        # now and then without a key, a ':', a ',' or the '}'
+        entries = [rng.choice(["k", "k", "END", "1", "'k'", ""]) + rng.choice([": ", ":", " "])
+                   + rng.choice([sub, lambda: rng.choice(_OPERAND_INTS + _OPERAND_STRINGS)])()
+                   for _ in range(rng.randint(0, 3))]
+        return "{" + rng.choice([", ", ", ", " "]).join(entries) + rng.choice(["}", "}", ",}", ""])
+    return f"CASE WHEN {sub()} THEN {sub()} ELSE {sub()} END"
+
+
+@given(st.integers(0, 2**32), st.integers(0, 1000))
+@settings(max_examples=1000, deadline=None)
+@example(0, 0)
+def test_the_operand_fast_path_equals_the_reference_descent(seed, cut):
+    # the text whole, or cut at the start of one of its pieces
+    rng = random.Random(seed)
+    text = _operand_text(rng, rng.randint(0, 4))
+    try:
+        offsets = lexer._scan(text)[1]
+    except CypherSyntaxError:
+        offsets = [len(text)]
+    text = text[:offsets[cut % len(offsets)]] if cut % 2 else text
+    assert _parse_outcome(parser._Parser, text) == _parse_outcome(_ReferenceParser, text)
+
+
+@pytest.mark.parametrize("text", [
+    "m.", "m.k[1", "12345678901234567890", "m.k.END + 'a\\'b'.x * -x[0] % $p",
+    "a.b.c OR NOT d AND e = 1", "x MATCH", "count.k", "x\n.\n1", "1.k", "'s'[0]",
+    "f(1).k", "head([x IN [1] | x.y])", "a < b < c", "007 + 999999999999999999",
+])
+def test_the_operand_fast_path_keeps_trees_and_errors(text):
+    assert _parse_outcome(parser._Parser, text) == _parse_outcome(_ReferenceParser, text)
+
+
 # ---------------------------------------------------------------- evaluation
 
 
@@ -1323,6 +1584,125 @@ def test_mentions_counts_shadowed_binders(text, mentioned):
     assert _var_names(tree) == mentioned
     for name in ("a", "s", "x", "y", "z", "b", "k"):
         assert ast._mentions(tree, name) == (name in mentioned)
+
+
+# ---------------------------------------------------------------- fixpoint verdict of the parse
+
+
+def _verdicts(tree):
+    """The parse's fixpoint verdict of each reduce in tree, in source order,
+    each checked against the body it was recorded for and the walk's."""
+    verdicts = []
+    for node in _nodes(tree):
+        if type(node) is ast.Reduce:
+            mentioned = node.source.fixpoints[node.at, id(node.body), node.body.at]
+            assert mentioned == ast._mentions(node.body, node.var_name)
+            verdicts.append(mentioned)
+    assert len(verdicts) == len(tree.source.fixpoints)
+    return verdicts
+
+
+def _verdict_text(rng, depth):
+    """A reduce whose body, perhaps with reduces nested in it, names the
+    element or another name as a variable, a binder that shadows it, a map
+    key, a property or a parameter."""
+    names = ["x", "y", "acc"]
+
+    def sub():
+        if depth == 0:
+            n = rng.choice(names)
+            return rng.choice([n, f"{{{n}: 1}}", f"m.{n}", f"${n}", "1", f"[{n} IN [] | 0]"])
+        return _verdict_text(rng, depth - 1)
+
+    kind = rng.choice(["reduce", "reduce", "comprehension", "head", "case", "map", "prop",
+                       "binary", "list"]) if depth < 3 else "reduce"
+    if kind == "reduce":
+        acc, var = rng.sample(names, 2)
+        return f"reduce({acc} = {sub()}, {var} IN {sub()} | {sub()})"
+    if kind == "comprehension":
+        return f"[{rng.choice(names)} IN {sub()} WHERE {sub()} | {sub()}]"
+    if kind == "head":
+        return f"head([{rng.choice(names)} IN [{sub()}] | {sub()}])"
+    if kind == "case":
+        return f"CASE {sub()} WHEN 1 THEN {sub()} ELSE {sub()} END"
+    if kind == "map":
+        return f"{{{rng.choice(names)}: {sub()}}}"
+    if kind == "prop":
+        return f"({sub()}).{rng.choice(names)}"
+    if kind == "binary":
+        return f"{sub()} + {sub()}"
+    return f"[{sub()}, {sub()}]"
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=500, deadline=None)
+def test_the_parse_s_fixpoint_verdict_is_the_walk_s(seed):
+    rng = random.Random(seed)
+    tree = parse_expression(_verdict_text(rng, 3))
+    assert len(_verdicts(tree)) >= 1
+
+
+@pytest.mark.parametrize("text, verdicts", [
+    # keys, properties, parameters and binders are not Vars
+    ("reduce(a = 0, x IN [1] | {x: a}.x + $x + reduce(x = 0, y IN [] | 0))", [False, False]),
+    # a mention shadowed by an inner binder counts
+    ("reduce(a = 0, x IN [1] | [x IN [a] | x])", [True]),
+    ("reduce(a = 0, x IN [1] | reduce(x = a, y IN [] | x))", [True, False]),
+    ("reduce(a = 0, x IN [1] | reduce(b = a, y IN [x] | b))", [True, False]),
+    # the element of an outer reduce in an inner one's body
+    ("reduce(a = 0, x IN [1] | reduce(b = a, y IN [1] | x + y))", [True, True]),
+    # an element after a sign, read by the general descent
+    ("reduce(a = 0, x IN [1] | a - -x)", [True]),
+    ("reduce(a = 0, x IN [1] | +x.k)", [True]),
+    # mentions outside the body do not count
+    ("reduce(a = x, x IN [x] | a.x)", [False]),
+])
+def test_the_parse_records_each_reduce_s_fixpoint_verdict(text, verdicts):
+    assert _verdicts(parse_expression(text)) == verdicts
+
+
+def test_a_parsed_fold_compiles_without_walking_its_body(monkeypatch):
+    def refused(tree, name):
+        raise AssertionError("_mentions called")
+
+    monkeypatch.setattr(ast, "_mentions", refused)
+    program = random_program(3, 8)
+    final = run(program, fuel=5000).final
+    result = run_query_text(gen_reduce_query(program, 5000).text)["result"]
+    assert result == {"state": final.state, "A": final.a, "B": final.b}
+    assert ev("reduce(a = 0, s IN [1, 2, 3] | a + s)") == 6
+
+
+def test_a_parsed_fold_is_freed_without_the_garbage_collector():
+    # the parse's record of a verdict holds no node, so no node and its
+    # Source make a cycle that only the collector frees
+    text = gen_reduce_query(random_program(3, 8), 5000).text
+    gc.collect()
+    gc.disable()
+    try:
+        tree = parse_query(text)
+        run_query(tree)
+        del tree
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_swapped_body_is_walked(monkeypatch):
+    walked = []
+
+    def counted(tree, name, real=ast._mentions):
+        walked.append((tree, name))
+        return real(tree, name)
+
+    monkeypatch.setattr(ast, "_mentions", counted)
+    # the parse recorded that the body does not name s; the new body does
+    expr = parse_expression("reduce(a = 0, s IN [1, 2, 3] | a)")
+    assert evaluate(expr, {}, {}) == 0
+    assert walked == []
+    expr.body = parse_expression("a + s")
+    assert evaluate(expr, {}, {}) == 6
+    assert walked == [(expr.body, "s")]
 
 
 # ---------------------------------------------------------------- LET constants

@@ -356,23 +356,28 @@ def _dsl_lines(draw):
 @example([("state 0: JZDEC A ? 0 : 1", "\n"), ("state 1: HALT # done", "\n"), ("", "\n"),
           ("state 2: INC B -> 9", "\n")])
 @example([("# x", "\n"), ("state 0: HALT", "\n"), ("state 2: HALT", "\n")])
+# a '\r' end and the '\n' end after it are one line break
+@example([("", "\r"), ("", "\n"), ("state\xa0007:HALT", "\n"), ("", "\n")])
 def test_parse_dsl_equals_the_reference_parser(lines):
     text = "".join(line + end for line, end in lines)
     got = _dsl_outcome(parse_dsl, text)
     expected = _dsl_outcome(_reference_parse_dsl, text)
+    # the reported line of the text as parse_dsl splits it, not of the
+    # drawn items: a '\r' item and a '\n' item after it end one line
+    split = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if isinstance(expected, tuple) and "dangling reference" in expected[0]:
         # reported at the line that declares the state, not at line 1
         message, line, column = got
         assert (message, column) == (expected[0], 1)
         holder = int(message.split(":", 1)[0].split()[1])
-        declared = _REFERENCE_LINE_RE.match(lines[line - 1][0].split("#", 1)[0])
+        declared = _REFERENCE_LINE_RE.match(split[line - 1].split("#", 1)[0])
         assert int(declared[1]) == holder
     elif isinstance(expected, tuple) and "missing state" in expected[0]:
         # reported at the line that declares the highest state, not at line 1
         message, line, column = got
         assert (message, column) == (expected[0], 1)
         highest = int(message.rsplit("..", 1)[1].rstrip(")"))
-        declared = _REFERENCE_LINE_RE.match(lines[line - 1][0].split("#", 1)[0])
+        declared = _REFERENCE_LINE_RE.match(split[line - 1].split("#", 1)[0])
         assert int(declared[1]) == highest
     else:
         assert got == expected
