@@ -76,7 +76,8 @@ def test_criterion_3_fold_query_end_to_end(demo):
     report(
         3,
         "generated fold query evaluates to {state:-1, A:2, B:0} "
-        f"(10^6 iterations in {full_elapsed:.2f} s, 10^4 in {fast_elapsed:.2f} s)",
+        f"(max_steps 10^6 in {full_elapsed:.2f} s, 10^4 in {fast_elapsed:.2f} s; "
+        "both folds stop at the demo's halt, 6 steps in)",
     )
 
 

@@ -92,6 +92,16 @@ def test_run_counter_overflow_exits_with_input_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_run_zero_loop_of_2_to_the_63_steps_ends_at_the_fuel(tmp_path):
+    # each step takes the zero branch; the repeating trip is fast-forwarded,
+    # so the run ends well within run_python's timeout
+    looper = tmp_path / "zero.2cm"
+    looper.write_text("state 0: JZDEC A ? 0 : 0\n")
+    proc = run_python("-m", "cm2cypher.cli", "run", str(looper), "--fuel", str(INT64_MAX))
+    assert proc.returncode == EXIT_FUEL, proc.stderr
+    assert proc.stdout == f"fuel-exhausted state=0 A=0 B=0 steps={INT64_MAX}\n"
+
+
 def test_run_trace_of_a_self_loop_finishes_past_its_cap(tmp_path):
     # rows stop at the cap; the rest of the 10^12 steps runs untraced, so
     # the run ends well within run_python's timeout

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -265,6 +266,16 @@ def test_config_rejects_negative_counters():
         Config(0, -1, 0)
 
 
+def test_config_rejects_counters_above_int64_max():
+    assert Config(0, INT64_MAX, INT64_MAX).a == INT64_MAX
+    for a, b in ((INT64_MAX + 1, 0), (0, INT64_MAX + 1), (2**64, 0)):
+        with pytest.raises(ValueError, match="outside"):
+            Config(0, a, b)
+    # so no run starts outside the 64-bit domain its fast-forward assumes
+    with pytest.raises(ValueError):
+        run(Program((JzDec(0, 0, 0),)), fuel=5, start=Config(0, 2**64, 0))
+
+
 def test_qpp_walk_demo(demo):
     result = qpp_walk(demo, fuel=1_000_000)
     assert result.steps == 5
@@ -486,6 +497,91 @@ def test_run_transfer_loop_stops_at_its_zero_exit():
     for a in range(5):
         start = Config(0, a, 7)
         assert _fast_outcomes(p, start, 2 * a + 3) == _folded_outcomes(p, start, 2 * a + 3)
+
+
+# --- trips through a zero branch against the single-step reference ----------
+
+
+_NEAR_MAX = (INT64_MAX - 3, INT64_MAX)
+
+
+@pytest.mark.parametrize("c", [0, 1])
+def test_run_one_line_zero_loop_matches_single_step(c):
+    # JZDEC c ? 0 : 0 drains c on its positive cycle, then takes its zero
+    # branch for ever: a trip of one step that changes nothing
+    program = Program((JzDec(c, 0, 0),))
+    for a in (0, 3, *_NEAR_MAX):
+        for b in (0, 3, *_NEAR_MAX):
+            start = Config(0, a, b)
+            assert _fast_outcomes(program, start, 150) == _folded_outcomes(program, start, 150)
+
+
+def test_run_zero_loop_of_2_to_the_63_steps_finishes():
+    program = Program((JzDec(0, 0, 0),))
+    t0 = time.perf_counter()
+    result = run(program, fuel=INT64_MAX)
+    assert time.perf_counter() - t0 < 1
+    assert (result.final, result.machine_steps, result.halted) == (
+        Config(0, 0, 0), INT64_MAX, False)
+
+
+def test_run_zero_test_loop_overflows_at_the_single_step_step():
+    # state 0 tests A for zero, state 1 adds one to B: each trip leaves A at
+    # 0, so the trip repeats until B reaches INT64_MAX
+    program = Program((JzDec(0, 1, 1), Inc(1, 0)))
+    for below in range(6):
+        start = Config(0, 0, INT64_MAX - below)
+        assert _fast_outcomes(program, start, 20) == _folded_outcomes(program, start, 20)
+    for start in (Config(0, 0, 0), Config(1, 0, 7), Config(0, 2, 0)):
+        assert _fast_outcomes(program, start, 150) == _folded_outcomes(program, start, 150)
+    # the overflow lies 2^64 steps in; the trips stop short of it
+    with pytest.raises(CounterOverflow):
+        run(program, fuel=2**65)
+
+
+def test_run_trip_that_changes_its_zero_tested_counter_matches_single_step():
+    # state 0 moves B into A, state 2 moves A back into B, and state 4 adds
+    # one to B: each trip ends with A one higher, and state 2 tests A for
+    # zero, so no trip repeats
+    program = Program((JzDec(1, 2, 1), Inc(0, 0), JzDec(0, 4, 3), Inc(1, 2), Inc(1, 0)))
+    for start in (Config(0, 0, 0), Config(2, 3, 0), Config(0, 0, 9),
+                  Config(2, INT64_MAX - 40, 0), Config(0, 0, INT64_MAX)):
+        assert _fast_outcomes(program, start, 300) == _folded_outcomes(program, start, 300)
+
+
+def test_run_two_trips_that_undo_each_other_repeat_as_one():
+    # A stays 0; state 1 finds B at 0 on one return to state 0's zero branch
+    # and adds one, and finds it at 1 on the next and takes it away: neither
+    # trip repeats alone, the two together do
+    program = Program((JzDec(0, 1, 0), JzDec(1, 2, 0), Inc(1, 0)))
+    for start in (Config(0, 0, 0), Config(0, 0, 1), Config(1, 2, 0),
+                  Config(0, *_NEAR_MAX), Config(2, 0, INT64_MAX)):
+        assert _fast_outcomes(program, start, 200) == _folded_outcomes(program, start, 200)
+    t0 = time.perf_counter()
+    result = run(program, fuel=INT64_MAX)
+    assert time.perf_counter() - t0 < 1
+    assert result.machine_steps == INT64_MAX
+
+
+def test_run_nested_loop_with_growing_trips_matches_single_step():
+    # state 0 moves B into A twice over, state 2 moves A back into B, and
+    # state 4 adds one: B runs 0, 1, 3, 7, ..., so each trip through a zero
+    # branch is longer than the last, and it tests B, which it changes
+    program = Program((
+        JzDec(1, 2, 1), Inc(0, 5), JzDec(0, 4, 3), Inc(1, 2), Inc(1, 0), Inc(0, 0),
+    ))
+    for start in (Config(0, 0, 0), Config(2, 5, 0), Config(0, 0, 2),
+                  Config(0, 0, INT64_MAX // 2 - 1), Config(2, *_NEAR_MAX)):
+        assert _fast_outcomes(program, start, 400) == _folded_outcomes(program, start, 400)
+
+
+@given(data=st.data(), program=_programs(), fuel=st.integers(0, 5000))
+@settings(max_examples=300, deadline=None)
+def test_run_fast_forward_matches_single_step_from_any_64_bit_start(data, program, fuel):
+    counter = st.integers(0, 100) | st.integers(INT64_MAX - 50, INT64_MAX)
+    start = Config(data.draw(st.integers(0, len(program) - 1)), data.draw(counter),
+                   data.draw(counter))
+    assert _outcome(program, fuel, start, False) == _outcome(program, fuel, start, True)
 
 
 @given(program=_programs(), fuel=st.integers(0, 2000))
