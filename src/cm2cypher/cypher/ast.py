@@ -20,16 +20,15 @@ code, captures its children's closures, and may only specialise without
 changing results or errors. It keeps the specialisations the fold runs,
 most of them reads fused into the node that uses them, as superoperators
 are (Proebsting, "Optimizing an ANSI C interpreter with superoperators",
-1995): a property of a variable read straight from ``env``, and read
-inline, with no call, by ``=`` and ``+ - *`` against an integer literal,
-by a searched CASE of one such ``=`` arm, and by the index of the head
-bind below; those operators try the integer case before the general
-checks. A map literal copies a template of its known entries, which holds
-every key in order, and sets the others (with a repeated key it sets every
-entry in order, so the last value wins in the first key's position); it
-reads an entry that is such a property, or one ``+ - *`` an integer
-literal, inline, and calls the entry's closure only when the variable is not
-a map or the result is not a 64-bit integer. And
+1995): a property of a variable is read straight from ``env``, with no
+call, by a searched CASE of one ``=`` arm against an integer literal, which
+tries the integer case before the general checks, and by the index of the
+head bind below. A map literal copies a template of its known entries,
+which holds every key in order, and sets the others (with a repeated key it
+sets every entry in order, so the last value wins in the first key's
+position); it reads an entry that is such a property, or one ``+ - *`` an
+integer literal, inline, and calls the entry's closure only when the
+variable is not a map or the result is not a 64-bit integer. And
 ``reduce`` has a fixpoint exit, and then does not bind its element. The
 exit applies when no ``Var`` in the body is named like the element variable
 (shadowed mentions count too). The parser records that verdict as it builds
@@ -211,10 +210,6 @@ def _int_literal(node: "Expr") -> Optional[int]:
     return node.value if type(node) is Literal and type(node.value) is int else None
 
 
-def _unknown(var: "Var") -> UnknownVariable:
-    return UnknownVariable(f"variable {var.name!r} not defined", var.line, var.column)
-
-
 def _restore(env: dict, name: str, saved) -> None:
     if saved is _MISSING:
         env.pop(name, None)
@@ -347,7 +342,8 @@ class Var(Expr):
             try:
                 return env[name]
             except KeyError:
-                raise _unknown(self) from None
+                message = f"variable {name!r} not defined"
+                raise UnknownVariable(message, self.line, self.column) from None
 
         return var
 
@@ -469,17 +465,6 @@ class Prop(Expr):
                 self.column,
             )
 
-        if type(obj) is Var and obj.name not in consts:
-            name = obj.name
-
-            def var_prop(env, params):
-                try:
-                    v = env[name]
-                except KeyError:
-                    raise _unknown(obj) from None
-                return v.get(key) if type(v) is dict else general(v)
-
-            return var_prop, _MISSING
         f = obj._compile(consts) if f is None else f
 
         def prop(env, params):
@@ -595,32 +580,7 @@ class Binary(Expr):
         self.at = at
 
     def _compile(self, consts):
-        op, c = self.op, _int_literal(self.right)
-        compute = _ARITHMETIC.get(op)
-        if c is not None and (op == "=" or compute is not None and op not in _BY_ZERO):
-            # = and + - * by an integer literal, as the generated folds use
-            # them, read their left inline and skip the general path while
-            # the result fits; / and % never do
-            name, key, read = _reader(self.left, consts)
-            if op == "=":
-
-                def equals_literal(env, params):
-                    m = env.get(name)
-                    l = m.get(key) if type(m) is dict else read(env, params)
-                    return l == c if type(l) is int else eq3(l, c)
-
-                return equals_literal
-
-            def arithmetic_literal(env, params):
-                m = env.get(name)
-                l = m.get(key) if type(m) is dict else read(env, params)
-                if type(l) is int:
-                    v = compute(l, c)
-                    if INT64_MIN <= v <= INT64_MAX:
-                        return v
-                return self._arithmetic(compute, l, c)
-
-            return arithmetic_literal
+        op, compute = self.op, _ARITHMETIC.get(self.op)
         left, right = self.left._compile(consts), self.right._compile(consts)
         if op == "AND" or op == "OR":
             decisive = op == "OR"  # the left value that decides without the right

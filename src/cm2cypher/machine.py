@@ -17,27 +17,25 @@ execution views are provided for 2-counter programs:
   INC / JZDEC_ZERO / JZDEC_POS, predicate on the post-update accumulator).
 
 ``run`` executes a table that it decodes on demand and keeps per program:
-the first time a run enters a state, it decodes that state and the chain of
-positive successors after it, and summarises the cycle that the chain
-closes, if any. It fast-forwards those counter-transfer cycles exactly: when
-the run reaches the head of a cycle it applies as many whole trips as the
-counters, the 64-bit bound and the remaining fuel allow in one step, then
-single-steps on. Loops that pass a JZDEC on its zero branch are found as
-the run goes: when it takes a state's zero branch again within
-``_TRIP_GAP`` steps, it single-steps on, recording the trip, until it is
-back at that zero branch. A zero test holds on the next trip only if its
-counter starts that trip at the same value, so the trip repeats exactly
-iff every counter it tests for zero has net change 0. Then its summary is
-taken as for a cycle and it is applied in whole trips (exact acceleration
-of a guarded loop, as in Comon and Jurski 1998); otherwise the recording
-goes on to the next return, within ``_TRIP_GAP`` steps. Final
-configuration, ``machine_steps`` and the point where
-``CounterOverflow`` is raised are those of single-stepping, whatever order
-the states were decoded in. With ``capture_trace`` it single-steps instead,
-one trace row per instruction holding the configurations before and after
-it, until the trace holds ``trace_cap`` rows; the rest of the run is
-untraced. ``run(program, fuel=1, capture_trace=True, start=config).final``
-is one step from ``config``; a halted configuration is its own successor.
+the first time a run enters a state, it decodes that state alone. Loops are
+found as the run goes, by one rule: when the run executes a state again
+within ``_TRIP_GAP`` (64) steps, it single-steps on from there, recording
+the trip, until it is back at that state with every counter the trip tested
+for zero at its start value. A zero test holds on the next trip only if its
+counter starts that trip at the same value, so the trip then repeats
+exactly as long as its positive tests hold and its INCs stay in range, and
+it is applied in as many whole trips as those and the fuel allow (exact
+acceleration of a guarded loop, as in Comon and Jurski 1998); otherwise the
+recording goes on to the next return, within ``_TRIP_GAP`` steps. So a loop
+whose trip is at most 64 steps and repeats exactly is applied in whole
+trips; longer trips are single-stepped. Final configuration,
+``machine_steps`` and the point where ``CounterOverflow`` is raised are
+those of single-stepping, whatever order the states were decoded in. With
+``capture_trace`` it single-steps instead, one trace row per instruction
+holding the configurations before and after it, until the trace holds
+``trace_cap`` rows; the rest of the run is untraced.
+``run(program, fuel=1, capture_trace=True, start=config).final`` is one
+step from ``config``; a halted configuration is its own successor.
 """
 
 from __future__ import annotations
@@ -139,7 +137,7 @@ class Program:
             raise InvalidProgram("program must have at least one state")
         n, k = len(self.instructions), self.num_counters
         for i, instr in enumerate(self.instructions):
-            # an INC's positive successor is its next state, as in _decode
+            # an INC has one successor, checked as both of a JZDEC's are
             if isinstance(instr, Inc):
                 counter = instr.counter
                 t = pos = instr.next
@@ -164,12 +162,12 @@ class Program:
         return self.instructions[state]
 
     @cached_property
-    def _decoded(self) -> tuple[list[int], list[int], list[int], dict]:
+    def _decoded(self) -> tuple[list[int], list[int], list[int]]:
         """``run``'s tables, empty until ``run`` enters a state
         (``_decode``), and kept on the instance (outside the dataclass
         fields, so equality, hashing and ``repr`` ignore them)."""
         n = len(self.instructions)
-        return [_NEW] * n, [HALTED] * n, [HALTED] * n, {}
+        return [_NEW] * n, [HALTED] * n, [HALTED] * n
 
 
 @dataclass(frozen=True)
@@ -216,155 +214,97 @@ class PathResult:
 
 
 # Opcodes of the decoded table: the low bit is the counter (0 = A, 1 = B).
-# A cycle head's opcode has _HEAD added. _NEW marks a state not decoded
-# yet; ``_run_decoded`` tests for it last, after HALT, so that no step
-# through a decoded state pays for the test. _ZERO_A and _ZERO_B stand, in
-# a recorded trip only, for a JZDEC that took its zero branch.
-_INC_A, _INC_B, _DEC_A, _DEC_B, _HALT, _NEW, _ZERO_A, _ZERO_B = range(8)
-_HEAD = 8
-# A zero branch taken again within this many steps starts a recorded trip
-# of at most as many steps. Kept small: the reduction's programs come back to a gadget's zero exit
-# only after many fast-forwarded steps, and recording those trips is waste.
+# _NEW marks a state not decoded yet; ``_run_decoded`` tests for it last,
+# after HALT, so that no step through a decoded state pays for the test.
+_INC_A, _INC_B, _DEC_A, _DEC_B, _HALT, _NEW = range(6)
+# A state executed again within this many steps starts a recorded trip of at
+# most as many steps: a loop whose trip is at most this long and repeats
+# exactly is applied in whole trips, a longer trip is single-stepped. Kept
+# small, since a recording that finds no repeat is waste; the reduction's
+# gadget loops are at most 8 steps.
 _TRIP_GAP = 64
 
 
 def _decode(program: Program, s: int) -> None:
-    """Decode state ``s`` and the states after it on the positive successor
-    map, into an opcode, a next/zero target and a positive target each;
-    summarise the cycle this walk closes, if it closes one, keyed by head.
-
-    The positive successor map sends INC to its next state, JZDEC to its
-    positive branch and HALT nowhere. The walk stops at the halt, at a state
-    decoded before, or at a repeat. Only a repeat closes a cycle, and an
-    earlier walk followed a decoded state's chain to its end, so every cycle
-    gets one head, and its summary is ``_summarise``'s of one trip from the
-    head.
-
-    Each flag is written last: a state's targets before its opcode, and a
-    cycle's summary before its head's opcode. So a decode cut short (say by
-    ``KeyboardInterrupt``) leaves a correct table, at worst short of a head.
-    """
-    instructions = program.instructions
-    ops, nxt, pos, cycles = program._decoded
-    path, trip = [], []  # the states walked, and their opcodes
-    while s != HALTED and ops[s] == _NEW:
-        instr = instructions[s]
-        if isinstance(instr, Inc):
-            nxt[s] = pos[s] = instr.next
-            op = _INC_A + instr.counter
-        elif isinstance(instr, JzDec):
-            nxt[s] = instr.q_zero
-            pos[s] = instr.q_pos
-            op = _DEC_A + instr.counter
-        else:
-            op = _HALT
-        ops[s] = op
-        path.append(s)
-        trip.append(op)
-        s = pos[s]
-    if s not in path:  # the halt, or a state an earlier walk decoded
-        return
-    cycles[s] = _summarise(trip[path.index(s):])
-    ops[s] += _HEAD
-
-
-def _summarise(trip: list[int]) -> tuple[int, ...]:
-    """The summary ``(L, dA, rA, mA, dB, rB, mB)`` of a trip that executes
-    the opcodes ``trip`` in turn: its length, and per counter the net change
-    ``d``, the least start value ``r`` that keeps every positive JZDEC on it
-    positive, and the highest prefix change ``m`` (at least 0) reached by an
-    INC, so that a trip from X overflows nowhere iff X + m <= INT64_MAX
-    (exact for X up to INT64_MAX). A zero test (``_ZERO_A``, ``_ZERO_B``)
-    changes nothing; whether it holds again is the caller's to check.
-    """
-    change, least, peak = [0, 0], [0, 0], [0, 0]
-    for op in trip:
-        c = op & 1
-        x = change[c]
-        if op < _DEC_A:
-            change[c] = x = x + 1
-            if x > peak[c]:
-                peak[c] = x
-        elif op < _HALT:
-            if x + least[c] < 1:
-                least[c] = 1 - x
-            change[c] = x - 1
-    return len(trip), change[0], least[0], peak[0], change[1], least[1], peak[1]
-
-
-def _forward(
-    summary: tuple[int, ...], fuel: int, steps: int, a: int, b: int
-) -> tuple[int, int, int]:
-    """Apply k whole trips of ``summary`` from counters (a, b) after
-    ``steps`` steps: as many as keep each trip's JZDECs positive and its
-    INCs in range and fit in the remaining fuel, possibly none. Returns the
-    new (a, b, steps)."""
-    length, da, ra, ma, db, rb, mb = summary
-    if not (ra <= a and a + ma <= INT64_MAX and rb <= b and b + mb <= INT64_MAX):
-        return a, b, steps
-    k = (fuel - steps) // length
-    if da < 0:
-        k = min(k, (a - ra) // -da + 1)
-    elif da > 0:
-        k = min(k, (INT64_MAX - a - ma) // da + 1)
-    if db < 0:
-        k = min(k, (b - rb) // -db + 1)
-    elif db > 0:
-        k = min(k, (INT64_MAX - b - mb) // db + 1)
-    return a + k * da, b + k * db, steps + k * length
+    """Decode state ``s`` into an opcode, a next/zero target and a positive
+    target. The opcode is written last, so a decode cut short (say by
+    ``KeyboardInterrupt``) leaves the state undecoded."""
+    ops, nxt, pos = program._decoded
+    instr = program.instructions[s]
+    if isinstance(instr, Inc):
+        nxt[s] = instr.next
+        ops[s] = _INC_A + instr.counter
+    elif isinstance(instr, JzDec):
+        nxt[s] = instr.q_zero
+        pos[s] = instr.q_pos
+        ops[s] = _DEC_A + instr.counter
+    else:
+        ops[s] = _HALT
 
 
 def _repeat_trip(
     program: Program, fuel: int, steps: int, state: int, a: int, b: int
 ) -> tuple[int, int, int, int]:
-    """Single-step from the zero branch of the JZDEC at ``state``, recording
-    the trip, until the run is back at that zero branch with every counter
-    that the trip tested for zero at its start value. Then the trip repeats
-    exactly, and ``_forward`` applies as many more whole trips as it allows.
-    A return with a tested counter elsewhere cannot repeat; the trip goes on
-    (two returns may make one trip that repeats). Returns the new (state, a,
-    b, steps).
+    """Single-step from ``state``, recording the trip, until the run is back
+    at ``state`` with every counter that the trip tested for zero at its
+    start value. Then each zero test holds on the next trip, and as many
+    more whole trips are applied as keep the trip's positive JZDECs positive
+    and its INCs in range and fit in the fuel, possibly none. A return with
+    a tested counter elsewhere cannot repeat; the trip goes on (two returns
+    may make one trip that repeats). Returns the new (state, a, b, steps).
 
-    It leaves the next step to ``_run_decoded``, trip or no trip, at a HALT,
-    an undecoded state, an INC that would overflow, the fuel, or
-    ``_TRIP_GAP`` steps; so ``CounterOverflow`` is raised there, at the step
-    at which single-stepping raises it. Cycle heads are stepped through.
+    The recording keeps, per counter, the least value a positive JZDEC
+    found (``low``) and the most that an INC left (``high``). A trip that
+    changes the counter by d finds and leaves those values plus d on the
+    next trip (exact acceleration of a guarded loop, as in Comon and Jurski
+    1998). The recording stops, leaving the next step to ``_run_decoded``,
+    at a HALT, an undecoded state, the fuel or ``_TRIP_GAP`` steps; an INC
+    that overflows raises ``CounterOverflow`` there, as single-stepping
+    does.
     """
-    ops, nxt, pos, _ = program._decoded
-    head, a0, b0 = state, a, b
+    ops, nxt, pos = program._decoded
+    head, start, a0, b0 = state, steps, a, b
     tested = 0  # bit 1 set: the trip tested A for zero; bit 2: B
-    trip = []
+    low, high = [INT64_MAX, INT64_MAX], [0, 0]
     end = min(fuel, steps + _TRIP_GAP)
     while steps < end:
-        op = ops[state] & ~_HEAD
+        op = ops[state]
         if op >= _HALT:
             break
         c = op & 1
         x = b if c else a
         if op < _DEC_A:
             if x >= INT64_MAX:
-                break
+                raise CounterOverflow(f"counter exceeds {INT64_MAX}")
             x += 1
+            if x > high[c]:
+                high[c] = x
             state = nxt[state]
         elif x:
+            if x < low[c]:
+                low[c] = x
             x -= 1
             state = pos[state]
         else:
-            op += _ZERO_A - _DEC_A
             tested |= c + 1
             state = nxt[state]
         if c:
             b = x
         else:
             a = x
-        trip.append(op)
         steps += 1
-        # the head's counter is tested and started at 0: if every tested
-        # counter is back where it started, this is the head's zero branch
-        # again, and the trip repeats
         if state == head and not (tested & 1 and a != a0 or tested & 2 and b != b0):
-            a, b, steps = _forward(_summarise(trip), fuel, steps, a, b)
-            break
+            da, db, length = a - a0, b - b0, steps - start
+            k = (fuel - steps) // length
+            if da < 0:
+                k = min(k, (low[0] - 1) // -da)
+            elif da > 0:
+                k = min(k, (INT64_MAX - high[0]) // da)
+            if db < 0:
+                k = min(k, (low[1] - 1) // -db)
+            elif db > 0:
+                k = min(k, (INT64_MAX - high[1]) // db)
+            return state, a + k * da, b + k * db, steps + k * length
     return state, a, b, steps
 
 
@@ -372,16 +312,17 @@ def _run_decoded(
     program: Program, fuel: int, state: int, a: int, b: int
 ) -> tuple[int, int, int, int]:
     """``run`` without a trace: (state, a, b, machine_steps)."""
-    ops, nxt, pos, cycles = program._decoded
-    zeros = {}  # state -> the step at which the run last took its zero branch
+    ops, nxt, pos = program._decoded
+    seen = {}  # state -> the step at which the run last executed it
     steps = 0
     while steps < fuel and state != HALTED:
         op = ops[state]
-        if op >= _HEAD:
-            a, b, steps = _forward(cycles[state], fuel, steps, a, b)
-            if steps == fuel:
-                break
-            op -= _HEAD
+        if op < _HALT:
+            last = seen.get(state, -_TRIP_GAP - 1)
+            seen[state] = steps
+            if steps - last <= _TRIP_GAP:  # a trip back here may repeat
+                state, a, b, steps = _repeat_trip(program, fuel, steps, state, a, b)
+                continue
         if op == _DEC_A and a:
             a -= 1
             state = pos[state]
@@ -399,11 +340,6 @@ def _run_decoded(
             b += 1
             state = nxt[state]
         elif op < _HALT:  # a JZDEC's zero branch
-            last = zeros.get(state, -_TRIP_GAP - 1)
-            zeros[state] = steps
-            if steps - last <= _TRIP_GAP:  # a trip back here may repeat
-                state, a, b, steps = _repeat_trip(program, fuel, steps, state, a, b)
-                continue
             state = nxt[state]
         elif op == _HALT:
             state = HALTED
@@ -455,10 +391,11 @@ def run(
     (0, 0, 0)), stopping at halt.
 
     ``machine_steps`` counts executed instructions, including the HALT
-    instruction itself; post-halt absorption never executes. Cycles, and
-    trips that repeat through a zero branch, are fast-forwarded exactly,
-    except while ``capture_trace`` records one row per instruction, up to
-    ``trace_cap`` rows.
+    instruction itself; post-halt absorption never executes. A loop whose
+    trip is at most 64 steps and repeats exactly is applied in whole trips;
+    longer trips are single-stepped, as is every step while
+    ``capture_trace`` records one row per instruction, up to ``trace_cap``
+    rows.
     """
     if fuel < 0:
         raise ValueError("fuel must be non-negative")

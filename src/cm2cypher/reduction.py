@@ -51,9 +51,10 @@ Conventions (documented here because they are choices, not forced):
   with a = qp + r, q(p + 3) + 2 for a JZDEC when r = 0 and
   2q(p + 1) + 2r + 2 otherwise; the bootstrap and a HALT cost 1 each.
   The exponential cost of the prime encoding is intrinsic, but
-  every gadget loop is a cycle that ``run`` fast-forwards exactly, so the
-  2-counter stage finishes in time proportional to the gadgets entered
-  rather than the steps taken (``unary_successor`` on input 11 takes
+  every gadget loop is at most p + 1 <= 8 steps long, so ``run``
+  fast-forwards it exactly in whole trips, and the 2-counter stage
+  finishes in time proportional to the gadgets entered rather than the
+  steps taken (``unary_successor`` on input 11 takes
   2,947,573,665 steps); it is cut short only by the fuel or by 64-bit
   overflow.
 """

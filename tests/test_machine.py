@@ -1,6 +1,8 @@
+import contextlib
 import copy
 import dataclasses
 import pickle
+import signal
 import time
 
 import pytest
@@ -404,7 +406,7 @@ def test_a_capped_trace_runs_on_untraced_to_the_uncapped_result(data, program, f
 @settings(max_examples=150, deadline=None)
 def test_run_does_not_depend_on_the_order_it_decodes_states_in(data, program):
     # runs of one Program share the table it decodes on demand, so each run
-    # here reads states, and cycle heads, that runs from other starts decoded
+    # here reads states that runs from other starts decoded
     counter = st.integers(0, 100) | st.integers(INT64_MAX - 50, INT64_MAX)
     for _ in range(data.draw(st.integers(2, 6))):
         start = Config(data.draw(st.integers(0, len(program) - 1)), data.draw(counter),
@@ -473,8 +475,33 @@ def test_run_fast_forward_stops_where_single_step_overflows(loop, counter):
         assert _fast_outcomes(program, start, 20) == _folded_outcomes(program, start, 20)
 
 
+@contextlib.contextmanager
+def _deadline(seconds=10):
+    """Fail the test if the block takes more than ``seconds``. The runs at
+    huge fuels below single-step for years if the fast-forward breaks;
+    under a deadline that is a failure, not a hang. The TimeoutError is
+    swallowed: pytest cannot render the frame a signal handler raised in."""
+
+    def expire(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    timed_out = False
+    try:
+        yield
+    except TimeoutError:
+        timed_out = True
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    if timed_out:
+        raise pytest.fail.Exception(f"not done within {seconds} s", pytrace=False) from None
+
+
 def test_run_self_loop_fast_forwards_to_the_fuel():
-    result = run(Program((Inc(0, 0),)), fuel=10**12)
+    with _deadline():
+        result = run(Program((Inc(0, 0),)), fuel=10**12)
     assert result.final == Config(0, 10**12, 0)
     assert result.machine_steps == 10**12
     assert not result.halted
@@ -483,14 +510,15 @@ def test_run_self_loop_fast_forwards_to_the_fuel():
 def test_run_self_loop_overflows_beyond_int64_max():
     # the overflow lies 2^63 steps in: a fast-forward that stopped short of
     # it would single-step for ever
-    with pytest.raises(CounterOverflow):
+    with _deadline(), pytest.raises(CounterOverflow):
         run(Program((Inc(0, 0),)), fuel=2**63 + 1)
 
 
 def test_run_transfer_loop_stops_at_its_zero_exit():
     # state 0 drains A into B (two steps per unit), then exits on A = 0
     p = Program((JzDec(0, 2, 1), Inc(1, 0), Halt()))
-    result = run(p, fuel=10**13, start=Config(0, 10**12, 7))
+    with _deadline():
+        result = run(p, fuel=10**13, start=Config(0, 10**12, 7))
     assert result.final == Config(-1, 0, 10**12 + 7)
     assert result.machine_steps == 2 * 10**12 + 2  # trips, zero exit, HALT
     assert result.halted
@@ -519,7 +547,8 @@ def test_run_one_line_zero_loop_matches_single_step(c):
 def test_run_zero_loop_of_2_to_the_63_steps_finishes():
     program = Program((JzDec(0, 0, 0),))
     t0 = time.perf_counter()
-    result = run(program, fuel=INT64_MAX)
+    with _deadline():
+        result = run(program, fuel=INT64_MAX)
     assert time.perf_counter() - t0 < 1
     assert (result.final, result.machine_steps, result.halted) == (
         Config(0, 0, 0), INT64_MAX, False)
@@ -535,7 +564,7 @@ def test_run_zero_test_loop_overflows_at_the_single_step_step():
     for start in (Config(0, 0, 0), Config(1, 0, 7), Config(0, 2, 0)):
         assert _fast_outcomes(program, start, 150) == _folded_outcomes(program, start, 150)
     # the overflow lies 2^64 steps in; the trips stop short of it
-    with pytest.raises(CounterOverflow):
+    with _deadline(), pytest.raises(CounterOverflow):
         run(program, fuel=2**65)
 
 
@@ -558,7 +587,8 @@ def test_run_two_trips_that_undo_each_other_repeat_as_one():
                   Config(0, *_NEAR_MAX), Config(2, 0, INT64_MAX)):
         assert _fast_outcomes(program, start, 200) == _folded_outcomes(program, start, 200)
     t0 = time.perf_counter()
-    result = run(program, fuel=INT64_MAX)
+    with _deadline():
+        result = run(program, fuel=INT64_MAX)
     assert time.perf_counter() - t0 < 1
     assert result.machine_steps == INT64_MAX
 
@@ -573,6 +603,35 @@ def test_run_nested_loop_with_growing_trips_matches_single_step():
     for start in (Config(0, 0, 0), Config(2, 5, 0), Config(0, 0, 2),
                   Config(0, 0, INT64_MAX // 2 - 1), Config(2, *_NEAR_MAX)):
         assert _fast_outcomes(program, start, 400) == _folded_outcomes(program, start, 400)
+
+
+def _positive_loop(length):
+    """States 0 .. length - 2 add one to B each, and state length - 1 takes
+    one from A and goes back to state 0, or halts when A is 0: a loop whose
+    trip of ``length`` steps tests nothing for zero."""
+    incs = tuple(Inc(1, i + 1) for i in range(length - 1))
+    return Program(incs + (JzDec(0, length, 0), Halt()))
+
+
+@pytest.mark.parametrize("length", [64, 65])
+def test_run_loop_of_positive_branches_matches_single_step(length):
+    # a trip of 64 steps is applied whole, one of 65 is single-stepped, with
+    # the same outcome at every fuel, from the JZDEC or mid-trip, and where
+    # B overflows in the fourth trip
+    program = _positive_loop(length)
+    for start in (Config(0, 5, 0), Config(length - 1, 4, 0), Config(length // 2, 4, 7),
+                  Config(1, 5, INT64_MAX - 3 * (length - 1) - 5)):
+        fuel = 5 * length + 3
+        assert _fast_outcomes(program, start, fuel) == _folded_outcomes(program, start, fuel)
+
+
+def test_run_loop_of_64_step_trips_finishes():
+    with _deadline():
+        result = run(_positive_loop(64), fuel=INT64_MAX, start=Config(0, 10**15, 0))
+    # 63 INCs of B, then 10^15 trips that each take one from A and add 63
+    # to B, then the zero exit and the HALT
+    assert result.final == Config(-1, 0, 63 * (10**15 + 1))
+    assert result.machine_steps == 63 + 64 * 10**15 + 2
 
 
 @given(data=st.data(), program=_programs(), fuel=st.integers(0, 5000))
