@@ -22,8 +22,8 @@ most of them reads fused into the node that uses them, as superoperators
 are (Proebsting, "Optimizing an ANSI C interpreter with superoperators",
 1995): a property of a variable is read straight from ``env``, with no
 call, by a searched CASE of one ``=`` arm against an integer literal, which
-tries the integer case before the general checks, and by the index of the
-head bind below. A map literal copies a template of its known entries,
+tries the integer case before the general checks, and by the loop of the
+fold's step below. A map literal copies a template of its known entries,
 which holds every key in order, and sets the others (with a repeated key it
 sets every entry in order, so the last value wins in the first key's
 position); it reads an entry that is such a property, or one ``+ - *`` an
@@ -57,22 +57,23 @@ compiling the code in its scope, so a shadowed name is read from ``env`` as
 before. A property of a known map or null folds to a constant; a known
 non-map keeps its closure and so its ``TypeMismatch`` at run time. A simple
 CASE whose subject is known and whose match values are all literals
-compiles only the arm ``eq3`` picks. In ``head([v IN [c[e]] | m])`` with
-``c`` a known list, an integer ``0 <= e < len(c)`` runs an ``m``
-compiled with ``v`` known to be ``c[e]``, on first use of that index and
-memoised in the compiled closure: a fold over a program table compiles one
+compiles only the arm ``eq3`` picks. A ``reduce`` with the fixpoint exit
+whose body is the fold's step, ``CASE WHEN acc.k = <literal> THEN acc ELSE
+head([v IN [c[acc.k]] | m]) END`` with ``c`` a known list, owns its step
+table. Its loop reads ``acc.k`` once per iteration. For an integer ``0 <= i
+< len(c)`` other than the literal, the test is false and ``c[i]`` reads
+without error, so the body's value is that of an ``m`` compiled with ``v``
+known to be ``c[i]``; the loop compiles that step body on the first visit
+to ``i``, memoises it in the compiled closure, and calls it directly after,
+as direct threading does (Ertl & Gregg, "The structure and performance of
+efficient interpreters", 2003). So a fold over a program table compiles one
 step body per state it visits, with every field of the entry folded, and
-builds neither list of the comprehension. Any other ``e``, and any index
-past ``MAX_SPECIALISED`` bodies, takes the general ``head`` path, with the
-errors of ``c[e]``; any other argument of ``head`` builds its lists. A
-``reduce`` with the fixpoint exit whose body is the fold's step, ``CASE WHEN
-acc.k = <literal> THEN acc ELSE head([v IN [c[acc.k]] | m]) END``, shares
-that memo of step bodies with its loop, which reads ``acc.k`` once per
-iteration and calls the step body compiled for it directly, as direct
-threading does (Ertl & Gregg, "The structure and performance of efficient
-interpreters", 2003): for such an index the test is false without error, so
-the body would give that step body's value. Any other accumulator or index,
-and a first visit, calls the whole body. No
+builds neither list of the comprehension. An integer equal to an integer
+literal makes the test true, and the loop stops, as the body would give the
+accumulator itself. Any other accumulator or index, and any index past
+``MAX_SPECIALISED`` bodies, calls the whole body, compiled on first use, so
+a fold that halts within the table never compiles it. ``head([v IN [c[e]]
+| m])`` anywhere else takes the general path and builds its lists. No
 value a result holds is built at compile time (a map template is copied at
 each evaluation), so results, their identity, errors and their positions
 stay as they are.
@@ -105,9 +106,9 @@ INT64_MAX = 2**63 - 1
 # the most elements a comprehension reads or format_value renders from one
 # list or range; a range is lazy, but both would materialise every element
 MAX_LIST_LENGTH = 1_000_000
-# the most entries of a known table one head bind compiles a step body for;
-# later indexes take the general path, so a table read once per entry costs
-# neither a compile per entry nor the memory of its bodies
+# the most step bodies one fold's loop compiles, one per table index it
+# visits; later indexes call the whole body, so a table visited once per
+# entry costs neither a compile per entry nor the memory of its bodies
 MAX_SPECIALISED = 4096
 
 Value = Any  # None | bool | int | str | list | range | dict
@@ -654,10 +655,8 @@ class Case(Expr):
         self.source = source
         self.at = at
 
-    def _compile(self, consts, default=None):
-        """default, if given, is the ELSE branch already compiled."""
-        if default is None:
-            default = self.default._compile(consts) if self.default is not None else _constant(None)
+    def _compile(self, consts):
+        default = self.default._compile(consts) if self.default is not None else _constant(None)
         if self.subject is None:
             (cond, result), *more = self.whens
             c = _int_literal(cond.right) if type(cond) is Binary and cond.op == "=" else None
@@ -707,29 +706,37 @@ class Case(Expr):
         return simple_case
 
 
-def _step_key(body: Expr, acc_name: str):
-    """k when body is a fold's step, CASE WHEN acc.k = <literal> THEN acc ELSE
-    head([v IN [t[acc.k]] | m]) END with both reads of the same k, else
-    _MISSING. For an int acc.k that its head bind has compiled a step body
-    for, the test is false without error, so the body's value is that step
-    body's."""
+def _fold_step(body: Expr, acc_name: str, consts: dict) -> Optional[tuple]:
+    """(k, lit, c, v, m) when body is a fold's step, CASE WHEN acc.k = lit THEN
+    acc ELSE head([v IN [t[acc.k]] | m]) END with both reads of the same k and
+    t a known list, whose value is c; else None. For a map acc whose acc.k is
+    an int i other than lit with 0 <= i < len(c), the test is false and
+    [t[i]] is [c[i]], both without error, so the body's value is m's with v
+    bound to c[i]."""
     if not (type(body) is Case and body.subject is None and len(body.whens) == 1):
-        return _MISSING
+        return None
     (cond, result), head = body.whens[0], body.default
     if not (type(cond) is Binary and cond.op == "=" and type(cond.right) is Literal):
-        return _MISSING
+        return None
     if not (type(result) is Var and result.name == acc_name):
-        return _MISSING
+        return None
     if not (type(head) is Call and head.name == "head" and type(head.args[0]) is Comprehension):
-        return _MISSING
-    items = head.args[0].list_expr.items if type(head.args[0].list_expr) is ListLit else ()
-    if len(items) != 1 or type(items[0]) is not Index:
-        return _MISSING
+        return None
+    bind = head.args[0]
+    items = bind.list_expr.items if type(bind.list_expr) is ListLit else ()
+    if bind.where is not None or bind.mapper is None or len(items) != 1:
+        return None
+    if type(items[0]) is not Index:
+        return None
     test, index = cond.left, items[0].index
-    if type(test) is type(index) is Prop and type(test.obj) is type(index.obj) is Var:
-        if test.obj.name == index.obj.name == acc_name and test.key == index.key:
-            return test.key
-    return _MISSING
+    if not (type(test) is type(index) is Prop and type(test.obj) is type(index.obj) is Var):
+        return None
+    if not (test.obj.name == index.obj.name == acc_name and test.key == index.key):
+        return None
+    table = _known(items[0].obj, consts)
+    if type(table) is not list:
+        return None
+    return test.key, cond.right.value, table, bind.var_name, bind.mapper
 
 
 class Reduce(Expr):
@@ -756,15 +763,26 @@ class Reduce(Expr):
         if body.source is self.source:
             mentioned = self.source.fixpoints.get((self.at, id(body), body.at))
         fixpoint = not (_mentions(body, var_name) if mentioned is None else mentioned)
-        # a fold's step (_step_key): the loop calls the step body that the
-        # body's head bind has compiled for acc.k, from the memo they share;
-        # any other body has the key _MISSING, which no map holds
-        key = _step_key(self.body, acc_name) if fixpoint else _MISSING
+        # a fold's step (_fold_step): the loop memoises a step body per table
+        # index that acc.k takes; any other body has the key _MISSING, which
+        # no map holds, and no table
+        step = _fold_step(body, acc_name, inner) if fixpoint else None
+        key, halt, table, v, m = step or (_MISSING, None, (), None, None)
+        halt = halt if type(halt) is int else None  # the test holds for no other i
         bodies = {}
-        if key is _MISSING:
-            body = self.body._compile(inner)
-        else:
-            body = self.body._compile(inner, self.body.default._compile(inner, bodies))
+        whole = None if step else body._compile(inner)
+
+        def step_body(i) -> Compiled:
+            """The code of an iteration whose acc.k is i, with no step body
+            memoised for it: a new one for an index of the table while the
+            memo has room, else the whole body, compiled on first use."""
+            nonlocal whole
+            if type(i) is int and 0 <= i < len(table) and len(bodies) < MAX_SPECIALISED:
+                f = bodies[i] = m._compile({**inner, v: table[i]})
+                return f
+            if whole is None:
+                whole = body._compile(inner)
+            return whole
 
         def reduce_(env, params):
             items = list_expr(env, params)
@@ -778,7 +796,12 @@ class Reduce(Expr):
                     for _ in items:
                         env[acc_name] = acc
                         i = acc.get(key) if type(acc) is dict else None
-                        value = (bodies.get(i, body) if type(i) is int else body)(env, params)
+                        f = bodies.get(i) if type(i) is int else whole
+                        if f is None:
+                            if type(i) is int and i == halt:
+                                break  # the test holds: the body gives acc itself
+                            f = step_body(i)
+                        value = f(env, params)
                         if value is acc:
                             break
                         acc = value
@@ -786,7 +809,7 @@ class Reduce(Expr):
                     for x in items:
                         env[acc_name] = acc
                         env[var_name] = x
-                        acc = body(env, params)
+                        acc = whole(env, params)
             finally:
                 _restore(env, acc_name, saved_acc)
                 _restore(env, var_name, saved_var)
@@ -834,53 +857,6 @@ class Comprehension(Expr):
         return comprehension
 
 
-def _single_bind(
-    node: Expr, consts: dict, general: Callable[[], Compiled], bodies: dict
-) -> Optional[Compiled]:
-    """head([v IN [c[e]] | m]) with c a known list, the fold's read of its
-    program table, as a direct bind that builds neither of the
-    comprehension's lists. Each index of c that e takes gets its own m,
-    compiled on first use with v known to be that entry, so it reads nothing
-    from env for v and needs no bind; bodies memoises them by index, and a
-    fold's loop reads it too (Reduce). Any other value of e, and any index
-    past MAX_SPECIALISED bodies, takes the general head path, which general
-    compiles on first use. That path evaluates e a second time; the subset
-    is pure, so the value, the error and its position are those of one
-    evaluation. None for any other argument of head, which then takes the
-    general path."""
-    if not (
-        type(node) is Comprehension
-        and node.where is None
-        and node.mapper is not None
-        and type(node.list_expr) is ListLit
-        and len(node.list_expr.items) == 1
-    ):
-        return None
-    var_name, source = node.var_name, node.list_expr.items[0]
-    table = _known(source.obj, consts) if type(source) is Index else _MISSING
-    if type(table) is not list:
-        return None
-    (name, key, index), n = _reader(source.index, consts), len(table)
-    fallback = None
-
-    def bind_entry(env, params):
-        nonlocal fallback
-        m = env.get(name)
-        i = m.get(key) if type(m) is dict else index(env, params)
-        if type(i) is int and 0 <= i < n:
-            body = bodies.get(i)
-            if body is not None:
-                return body(env, params)
-            if len(bodies) < MAX_SPECIALISED:
-                body = bodies[i] = node.mapper._compile({**consts, var_name: table[i]})
-                return body(env, params)
-        if fallback is None:
-            fallback = general()
-        return fallback(env, params)
-
-    return bind_entry
-
-
 class Call(Expr):
     __slots__ = ("name", "args")
 
@@ -890,25 +866,19 @@ class Call(Expr):
         self.source = source
         self.at = at
 
-    def _compile(self, consts, bodies=None):
-        """bodies, if given, is the memo of a head bind's step bodies."""
+    def _compile(self, consts):
         if self.name == "head":
+            arg = self.args[0]._compile(consts)
 
-            def general() -> Compiled:
-                arg = self.args[0]._compile(consts)
+            def head(env, params):
+                v = arg(env, params)
+                if v is None:
+                    return None
+                if not _is_list(v):
+                    raise TypeMismatch("head requires a list", self.line, self.column)
+                return v[0] if v else None
 
-                def head(env, params):
-                    v = arg(env, params)
-                    if v is None:
-                        return None
-                    if not _is_list(v):
-                        raise TypeMismatch("head requires a list", self.line, self.column)
-                    return v[0] if v else None
-
-                return head
-
-            bind = _single_bind(self.args[0], consts, general, {} if bodies is None else bodies)
-            return bind or general()
+            return head
         if self.name == "range":
             low, high = (a._compile(consts) for a in self.args)
 

@@ -1402,16 +1402,21 @@ def _fold_outcome(text):
     return _outcome_of(lambda: run_query(parse_query(text))["result"])
 
 
-def _step_key_of(text):
-    (_, fold), = [(name, e) for name, e in parse_query(text).bindings if name == "result"]
-    return ast._step_key(fold.body, fold.acc_name)
+def _fold_step_of(text):
+    """ast._fold_step of the fold bound to result, with the earlier LET values
+    known, as run_query compiles it."""
+    consts = {}
+    for name, expr in parse_query(text).bindings:
+        if name == "result":
+            return ast._fold_step(expr.body, expr.acc_name, consts)
+        consts[name] = evaluate(expr, consts, {}, dict(consts))
 
 
 _NEAR_INT64 = st.one_of(st.integers(0, 3), st.integers(INT64_MAX - 3, INT64_MAX),
                         st.integers(-(2**63), -(2**63) + 2))
 
 
-# past its bound the loop's memo is full, and a visit takes the body's head bind
+# past its bound the loop's memo is full, and a visit calls the whole body
 @given(st.integers(0, 2**32), st.integers(1, 300), _NEAR_INT64, _NEAR_INT64,
        st.sampled_from([4096, 1, 0]))
 @settings(max_examples=300, deadline=None)
@@ -1420,9 +1425,56 @@ def test_the_fold_loop_dispatch_equals_the_general_step(seed, fuel, a, b, max_sp
     # an absorb arm that is not the accumulator itself: the same value, the
     # loop calls the whole body every step
     general = text.replace("THEN machine\n", "THEN head([machine])\n")
-    assert _step_key_of(text) == "state" and _step_key_of(general) is ast._MISSING
+    assert _fold_step_of(text)[0] == "state" and _fold_step_of(general) is None
     with unittest.mock.patch.object(ast, "MAX_SPECIALISED", max_specialised):
         assert _fold_outcome(text) == _fold_outcome(general)
+
+
+# the loop's own halt rule: it stops where the CASE test holds, at an int
+# acc.k equal to an int literal, an index of the table or not; a literal that
+# is not an int holds for no int, so the fold runs on past its HALT
+_HALT_LITERALS = ["1", "0", "true", "'1'", "null"]
+
+
+def _halt_texts(text, literal):
+    """The fold text with the halt test against literal, and the same with the
+    general absorb arm."""
+    text = text.replace("CASE WHEN machine.state = -1\n", f"CASE WHEN machine.state = {literal}\n")
+    return text, text.replace("THEN machine\n", "THEN head([machine])\n")
+
+
+@given(st.integers(0, 2**32), st.integers(1, 300), _NEAR_INT64, _NEAR_INT64,
+       st.sampled_from(_HALT_LITERALS), st.sampled_from([4096, 1, 0]))
+@settings(max_examples=300, deadline=None)
+def test_the_fold_loop_stops_where_its_test_holds(seed, fuel, a, b, literal, max_specialised):
+    text = _fold_text(random_program(seed, 8), fuel, f"{{state: 0, A: {a}, B: {b}}}")
+    text, general = _halt_texts(text, literal)
+    assert _fold_step_of(text)[0] == "state" and _fold_step_of(general) is None
+    with unittest.mock.patch.object(ast, "MAX_SPECIALISED", max_specialised):
+        assert _fold_outcome(text) == _fold_outcome(general)
+
+
+_HALT_CHAIN = "state 0: INC A -> 1\nstate 1: INC B -> 2\nstate 2: HALT\n"
+
+
+@pytest.mark.parametrize("max_specialised", [4096, 1, 0])
+@pytest.mark.parametrize("literal, outcome", [
+    ("1", ("value", "{'state': 1, 'A': 1, 'B': 0}")),
+    ("0", ("value", "{'state': 0, 'A': 0, 'B': 0}")),
+    ("true", ("value", "{'state': -1, 'A': 1, 'B': 1}")),
+    ("'1'", ("value", "{'state': -1, 'A': 1, 'B': 1}")),
+    ("null", ("value", "{'state': -1, 'A': 1, 'B': 1}")),
+])
+@pytest.mark.parametrize("init", ["{state: 0, A: 0, B: 0}", "{state: 1, A: 0, B: 0}",
+                                  "{state: 2, A: 0, B: 0}", "{state: true, A: 0, B: 0}",
+                                  "{state: '1', A: 0, B: 0}", "{A: 0, B: 0}", "5", "null"])
+def test_a_fold_with_an_odd_halt_test(init, literal, outcome, max_specialised):
+    text, general = _halt_texts(_fold_text(parse_dsl(_HALT_CHAIN), 20, init), literal)
+    with unittest.mock.patch.object(ast, "MAX_SPECIALISED", max_specialised):
+        got = _fold_outcome(text)
+        assert got == _fold_outcome(general)
+    if init == "{state: 0, A: 0, B: 0}":
+        assert got == outcome
 
 
 _SMALL_FOLD = "state 0: INC A -> 1\nstate 1: JZDEC A ? 2 : 0\nstate 2: HALT\n"
@@ -1484,7 +1536,7 @@ def test_a_fold_that_steps_to_an_odd_state(state, outcome):
 def test_a_fold_whose_index_reads_another_key_than_its_test(a, result):
     text = _fold_text(parse_dsl(_SMALL_FOLD), 20, f"{{state: 0, A: {a}, B: 0}}")
     text = text.replace("program[machine.state]", "program[machine.A]")
-    assert _step_key_of(text) is ast._MISSING
+    assert _fold_step_of(text) is None
     assert run_query(parse_query(text))["result"] == result
 
 
@@ -1801,8 +1853,8 @@ def _outcome_of(thunk):
         return "error", type(exc), exc.message, exc.line, exc.column
 
 
-# past its bound a head bind takes the general path: at 1 for every entry but
-# the first it reads, at 0 for every entry
+# past its bound a fold's loop calls the whole body: at 1 for every index but
+# the first it visits, at 0 for every index
 @pytest.mark.parametrize("max_specialised", [4096, 1, 0])
 @given(st.integers(0, 2**32))  # a seed: hypothesis draws are slow for a grammar this size
 @settings(max_examples=1000, deadline=None)
@@ -1895,8 +1947,8 @@ def test_a_constant_is_the_let_value_itself():
 
 
 class CountedCompiles(ast.Expr):
-    """A head bind's body that records the value of its variable, if known,
-    each time it is compiled."""
+    """A comprehension's mapper that records the value of its variable, if
+    known, each time it is compiled: a fold's step body knows its entry."""
 
     __slots__ = ("inner", "var_name", "known")
 
@@ -1927,39 +1979,53 @@ def test_each_table_entry_compiles_once_per_query():
     assert len(counted.known) == 2 * len(entries)
 
 
+def _counted_fold(text):
+    """The parsed fold text, and the CountedCompiles record of its step's
+    mapper."""
+    tree = parse_query(text)
+    (head,) = (n for n in _nodes(tree.bindings) if type(n) is ast.Comprehension)
+    head.mapper = counted = CountedCompiles(head.mapper, head.var_name)
+    return tree, counted.known
+
+
 def test_an_index_outside_the_table_compiles_the_general_body_once_per_query():
+    # outside a fold, head([v IN [c[i]] | m]) takes the general path
     text = ("LET c = [{a: 1}, {a: 2}] "
             "RETURN [i IN range(0, LAST) | head([v IN [c[i]] | [v.a, 10 / (i - 4)]])] AS r")
-
-    def counted_tree(last):
-        tree = parse_query(text.replace("LAST", str(last)))
-        (comprehension, head) = (n for n in _nodes(tree.returns[0].expr)
-                                 if type(n) is ast.Comprehension)
-        head.mapper = counted = CountedCompiles(head.mapper, head.var_name)
-        return tree, counted.known
-
-    tree, known = counted_tree(3)
     result = {"r": [[1, -2], [2, -3], [None, -5], [None, -10]]}
-    assert run_query(tree) == result
-    assert run_query(tree) == result
-    assert known == [{"a": 1}, {"a": 2}, "unknown"] * 2
-    tree, known = counted_tree(4)
+    assert run_query_text(text.replace("LAST", "3")) == result
     with pytest.raises(DivisionByZero) as exc_info:
-        run_query(tree)
+        run_query_text(text.replace("LAST", "4"))
     at = text.replace("LAST", "4").index("/") + 1
     assert (exc_info.value.line, exc_info.value.column) == (1, at)
-    assert known == [{"a": 1}, {"a": 2}, "unknown"]
+    # a fold that steps to -3, the first entry from the end, compiles the
+    # step bodies of states 0 and 1 and, at -3, the whole body, once each
+    program = parse_dsl("state 0: INC A -> 1\nstate 1: INC B -> 0\nstate 2: HALT\n")
+    entry = "{state: 1, op: 'INC', counter: 'B', next: 0}"
+    text = _fold_text(program, 20).replace(entry, entry.replace("next: 0", "next: -3"))
+    tree, known = _counted_fold(text)
+    result = {"state": -3, "A": 10, "B": 10}
+    assert run_query(tree)["result"] == result
+    assert run_query(tree)["result"] == result
+    states = [e if e == "unknown" else e["state"] for e in known]
+    assert states == [0, 1, "unknown"] * 2
 
 
 def test_a_table_read_once_per_entry_compiles_a_bounded_number_of_bodies(monkeypatch):
     monkeypatch.setattr(ast, "MAX_SPECIALISED", 3)
-    tree = parse_query("LET c = [x IN range(0, 9) | {a: x}] "
-                       "RETURN [i IN range(0, 11) | head([v IN [c[i]] | v.a])] AS r")
-    (comprehension, head) = (n for n in _nodes(tree.returns[0].expr)
-                             if type(n) is ast.Comprehension)
-    head.mapper = counted = CountedCompiles(head.mapper, head.var_name)
-    assert run_query(tree) == {"r": list(range(10)) + [None, None]}
-    assert [e for e in counted.known if e != "unknown"] == [{"a": 0}, {"a": 1}, {"a": 2}]
+    # outside a fold, head([v IN [c[i]] | m]) takes the general path
+    assert run_query_text("LET c = [x IN range(0, 9) | {a: x}] "
+                          "RETURN [i IN range(0, 11) | head([v IN [c[i]] | v.a])] AS r") \
+        == {"r": list(range(10)) + [None, None]}
+    # a fold that visits each state of a chain once compiles 3 step bodies,
+    # then the whole body
+    chain = "".join(f"state {i}: INC A -> {i + 1}\n" for i in range(9)) + "state 9: HALT\n"
+    program = parse_dsl(chain)
+    tree, known = _counted_fold(_fold_text(program, 20))
+    final = run(program, fuel=20).final
+    assert run_query(tree)["result"] == {"state": final.state, "A": final.a, "B": final.b}
+    assert final.state == -1
+    assert [e if e == "unknown" else e["state"] for e in known] == [0, 1, 2, "unknown"]
 
 
 def test_range_is_inclusive():

@@ -26,6 +26,58 @@ from cm2cypher.frontend import from_map_document, parse_dsl, random_program
 from cm2cypher.reduction import mcm_run
 
 
+class _Expired(BaseException):
+    """A deadline's end. Not an Exception, so that hypothesis does not take it
+    for a failing example and go on shrinking with no timer running."""
+
+
+def _expire(signum, frame):
+    raise _Expired
+
+
+@contextlib.contextmanager
+def _deadline(seconds=10):
+    """Fail the test if the block takes more than ``seconds``. A run at a huge
+    fuel single-steps for years if the fast-forward breaks; under a deadline
+    that is a failure, not a hang. An enclosing deadline stops for the block
+    and then goes on with the time it had left, less the block's. An expiry
+    inside the block is reported as a plain failure: pytest cannot render
+    every frame a signal handler raises in."""
+    previous = signal.signal(signal.SIGALRM, _expire)
+    outer = signal.setitimer(signal.ITIMER_REAL, seconds)[0]
+    start = time.monotonic()
+    timed_out = False
+    try:
+        yield
+    except _Expired:
+        timed_out = True
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        if outer:  # an outer timer already due fires at once: 0 would cancel it
+            signal.setitimer(signal.ITIMER_REAL, max(outer - (time.monotonic() - start), 1e-6))
+    if timed_out:
+        raise pytest.fail.Exception(f"not done within {seconds} s", pytrace=False) from None
+
+
+@pytest.fixture(autouse=True)
+def _test_deadline():
+    """Every test here under a deadline: a differential against a broken
+    fast-forward fails with _Expired instead of hanging the session."""
+    with _deadline(60):
+        yield
+
+
+def test_a_deadline_nests_in_the_per_test_deadline():
+    outer = signal.getitimer(signal.ITIMER_REAL)[0]
+    assert 0 < outer <= 60
+    with pytest.raises(pytest.fail.Exception, match="not done within 0.05 s"):
+        with _deadline(0.05):
+            time.sleep(5)
+    assert signal.getsignal(signal.SIGALRM) is _expire
+    assert 0 < signal.getitimer(signal.ITIMER_REAL)[0] <= outer
+
+
 def step(program, config):
     # one step through the traced run, which single-steps with _step_raw
     return run(program, fuel=1, capture_trace=True, start=config).final
@@ -473,30 +525,6 @@ def test_run_fast_forward_stops_where_single_step_overflows(loop, counter):
         x = INT64_MAX - below
         start = Config(0, x, 0) if counter == 0 else Config(0, 0, x)
         assert _fast_outcomes(program, start, 20) == _folded_outcomes(program, start, 20)
-
-
-@contextlib.contextmanager
-def _deadline(seconds=10):
-    """Fail the test if the block takes more than ``seconds``. The runs at
-    huge fuels below single-step for years if the fast-forward breaks;
-    under a deadline that is a failure, not a hang. The TimeoutError is
-    swallowed: pytest cannot render the frame a signal handler raised in."""
-
-    def expire(signum, frame):
-        raise TimeoutError
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    timed_out = False
-    try:
-        yield
-    except TimeoutError:
-        timed_out = True
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-    if timed_out:
-        raise pytest.fail.Exception(f"not done within {seconds} s", pytrace=False) from None
 
 
 def test_run_self_loop_fast_forwards_to_the_fuel():
