@@ -40,10 +40,20 @@ refers to its ``Source``, so holding it there would make a cycle that only
 the garbage collector frees. Such a body sees only the accumulator and an
 environment that does not change from one iteration to the next: the subset
 is pure and deterministic, and every binder restores what it binds. So once
-an iteration returns the accumulator object itself (``is``, not equality),
-every later iteration would return an equal value without error, and the
-loop stops there: a halted fold costs the steps to its halt, not its
-``max_steps``.
+an iteration returns the accumulator object itself, every later iteration
+would return an equal value without error, and the loop stops there: a
+halted fold costs the steps to its halt, not its ``max_steps``. The loop of
+the fold's step (below) also stops at an equal value: a flat map strictly
+equal to the accumulator it came from, with the same keys in the same order
+and each value an int, string, boolean or null of the same type and equal
+(``true`` is not ``1``). No operation of the subset tells two such maps
+apart, so the same argument holds. A map that holds a list or a map is
+never the same, so the check never recurses. The loop checks only at the
+end of each chunk of 1, 2, 4, ... iterations, the last value against the
+accumulator ``env`` still holds for it: a fixpoint from iteration t on is
+found by iteration 2t + 1, and a fold that never reaches one pays O(log n)
+checks and nothing per iteration. Any other body keeps the identity exit
+alone.
 
 Compiling also threads constants, a partial evaluation (Jones, Gomard &
 Sestoft, *Partial Evaluation and Automatic Program Generation*, 1993).
@@ -706,6 +716,29 @@ class Case(Expr):
         return simple_case
 
 
+def _same_flat_map(a, b) -> bool:
+    """Whether a and b are maps with the same keys in the same order and, for
+    each key, values of one type among int, str, bool and null that are
+    equal: no operation of the subset tells such maps apart. A list or map
+    value is never the same, so the check never recurses."""
+    if type(a) is not dict or type(b) is not dict or len(a) != len(b):
+        return False
+    for (ka, va), (kb, vb) in zip(a.items(), b.items()):
+        kind = type(va)
+        if ka != kb or kind is not type(vb) or kind not in (int, str, bool, type(None)) or va != vb:
+            return False
+    return True
+
+
+def _chunks(n: int):
+    """1, 2, 4, ... while they sum to at most n, then what is left of n."""
+    size = 1
+    while n > 0:
+        yield min(size, n)
+        n -= size
+        size *= 2
+
+
 def _fold_step(body: Expr, acc_name: str, consts: dict) -> Optional[tuple]:
     """(k, lit, c, v, m) when body is a fold's step, CASE WHEN acc.k = lit THEN
     acc ELSE head([v IN [t[acc.k]] | m]) END with both reads of the same k and
@@ -793,18 +826,25 @@ class Reduce(Expr):
             saved_var = env.get(var_name, _MISSING)
             try:
                 if fixpoint:  # no Var reads the element: it is not bound
-                    for _ in items:
-                        env[acc_name] = acc
-                        i = acc.get(key) if type(acc) is dict else None
-                        f = bodies.get(i) if type(i) is int else whole
-                        if f is None:
-                            if type(i) is int and i == halt:
-                                break  # the test holds: the body gives acc itself
-                            f = step_body(i)
-                        value = f(env, params)
-                        if value is acc:
-                            break
-                        acc = value
+                    # a fold's step also stops at a value equal to its
+                    # accumulator, checked at the end of each chunk
+                    for size in _chunks(_length(items)):
+                        for _ in range(size):
+                            env[acc_name] = acc
+                            i = acc.get(key) if type(acc) is dict else None
+                            f = bodies.get(i) if type(i) is int else whole
+                            if f is None:
+                                if type(i) is int and i == halt:
+                                    break  # the test holds: the body gives acc itself
+                                f = step_body(i)
+                            value = f(env, params)
+                            if value is acc:
+                                break
+                            acc = value
+                        else:  # env still holds the accumulator of the last value
+                            if not (step and _same_flat_map(acc, env[acc_name])):
+                                continue
+                        break
                 else:
                     for x in items:
                         env[acc_name] = acc

@@ -1357,12 +1357,15 @@ def test_a_map_of_known_entries_is_a_fresh_dict_each_time():
     assert first is not second and first["t"] is table
     first["s"] = 9
     assert fn({}, {})["s"] == 0
-    # so a fold whose body builds an equal map never takes the fixpoint exit
+    # so outside the fold's step loop, a fold whose body builds an equal map
+    # never takes the fixpoint exit
     assert counted_reduce("reduce(m = {s: 0}, x IN range(1, 5) | {s: 0})") == ({"s": 0}, 5)
 
 
-def _ast_calls_per_live_step(fuel):
-    program = parse_dsl("state 0: INC A -> 1\nstate 1: JZDEC A ? 0 : 0\nstate 2: HALT\n")
+def _ast_calls_per_live_step(fuel, source="state 0: INC A -> 1\nstate 1: JZDEC A ? 0 : 0\n"
+                             "state 2: HALT\n"):
+    program = parse_dsl(source)
+    final = run(program, fuel=fuel).final
     tree = parse_query(gen_reduce_query(program, fuel).text)
     calls = 0
 
@@ -1374,7 +1377,7 @@ def _ast_calls_per_live_step(fuel):
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        assert run_query(tree)["result"] == {"state": 1, "A": 1, "B": 0}
+        assert run_query(tree)["result"] == {"state": final.state, "A": final.a, "B": final.b}
     finally:
         sys.setprofile(previous)
     return calls
@@ -1636,6 +1639,157 @@ def test_mentions_counts_shadowed_binders(text, mentioned):
     assert _var_names(tree) == mentioned
     for name in ("a", "s", "x", "y", "z", "b", "k"):
         assert ast._mentions(tree, name) == (name in mentioned)
+
+
+# ---------------------------------------------------------------- value fixpoint of a fold's step
+
+_ZERO_LOOP = "state 0: JZDEC A ? 0 : 0\n"
+
+
+def _no_value_exit():
+    return unittest.mock.patch.object(ast, "_same_flat_map", lambda a, b: False)
+
+
+def _step_calls(text):
+    """The result of the fold bound to result, and the calls of its step
+    bodies, the mapper of its head bind."""
+    tree = parse_query(text)
+    bind = dict(tree.bindings)["result"].body.default.args[0]
+    bind.mapper = counted = Counted(bind.mapper)
+    return run_query(tree)["result"], counted.calls
+
+
+def _hand_fold(init, entry, fuel=100):
+    """A fold's step over the table [0] whose step body builds {s: v, <entry>}."""
+    return (f"LET c = [0]\nLET result = reduce(m = {init}, x IN range(1, {fuel}) |\n"
+            f"  CASE WHEN m.s = -1 THEN m ELSE head([v IN [c[m.s]] | {{s: v, {entry}}}]) END)\n"
+            "RETURN result")
+
+
+_VALUE_INITS = [
+    "{{state: 0, A: {a}, B: {b}}}",
+    "{{A: {a}, state: 0, B: {b}}}",
+    "{{B: {b}, A: {a}, state: 0}}",
+    "{{state: 0, A: true, B: {b}}}",
+    "{{state: 0, A: {a}, B: true}}",
+    "{{state: 0, A: {a}, B: {b}, x: 's'}}",
+    "{{state: 0, A: {a}, B: {b}, x: null}}",
+    "{{state: 0, A: {a}, B: {b}, x: [0]}}",
+]
+
+
+@given(st.integers(0, 2**32), st.integers(1, 300) | st.just(10_000), _NEAR_INT64, _NEAR_INT64,
+       st.sampled_from(_VALUE_INITS))
+@settings(max_examples=300, deadline=None)
+def test_the_value_exit_equals_the_fold_without_it(seed, fuel, a, b, init):
+    text = _fold_text(random_program(seed, 8), fuel, init.format(a=a, b=b))
+    assert _fold_step_of(text)[0] == "state"
+    got = _fold_outcome(text)  # a value by repr, so with its keys in order
+    with _no_value_exit():
+        assert got == _fold_outcome(text)
+
+
+@pytest.mark.parametrize("a, b, same", [
+    ({"s": 0, "A": 1}, {"s": 0, "A": 1}, True),
+    ({"s": 0, "t": "x", "u": None, "v": False}, {"s": 0, "t": "x", "u": None, "v": False}, True),
+    ({}, {}, True),
+    ({"s": 0, "A": True}, {"s": 0, "A": 1}, False),
+    ({"s": 0, "A": 0}, {"s": 0, "A": False}, False),
+    ({"A": 0, "s": 0}, {"s": 0, "A": 0}, False),
+    ({"s": 0}, {"s": 0, "A": 0}, False),
+    ({"s": 0, "A": 0}, {"s": 0, "B": 0}, False),
+    ({"s": 0, "l": []}, {"s": 0, "l": []}, False),
+    ({"s": 0, "m": {}}, {"s": 0, "m": {}}, False),
+    ({"s": 0, "r": range(1, 2)}, {"s": 0, "r": range(1, 2)}, False),
+    (0, 0, False),
+    (None, None, False),
+    ([0], [0], False),
+])
+def test_same_flat_map_is_strict(a, b, same):
+    assert ast._same_flat_map(a, b) is same
+    assert ast._same_flat_map(b, a) is same
+
+
+def test_a_reordered_init_stops_once_the_order_matches():
+    text = _fold_text(parse_dsl(_ZERO_LOOP), 100, "{A: 0, state: 0, B: 0}")
+    result, calls = _step_calls(text)
+    assert list(result.items()) == [("state", 0), ("A", 0), ("B", 0)]
+    # the check after the first iteration sees the order change, the next one does not
+    assert calls == 3
+    assert _step_calls(_fold_text(parse_dsl(_ZERO_LOOP), 100)) == (result, 1)
+
+
+def test_true_is_not_the_same_as_1():
+    assert _step_calls(_hand_fold("{s: 0, A: 1}", "A: 1")) == ({"s": 0, "A": 1}, 1)
+    result, calls = _step_calls(_hand_fold("{s: 0, A: true}", "A: 1"))
+    assert (repr(result), calls) == ("{'s': 0, 'A': 1}", 3)
+
+
+def test_a_list_valued_entry_never_stops_the_fold():
+    assert _step_calls(_hand_fold("{s: 0, l: []}", "l: []")) == ({"s": 0, "l": []}, 100)
+
+
+def test_a_zero_branch_self_loop_of_2_to_the_63_steps_ends_at_its_fixpoint():
+    text = gen_reduce_query(parse_dsl(_ZERO_LOOP), INT64_MAX).text
+    start = time.perf_counter()
+    assert run_query_text(text)["result"] == {"state": 0, "A": 0, "B": 0}
+    assert time.perf_counter() - start < 2
+
+
+def test_a_fixpoint_from_iteration_t_is_found_by_2t_plus_1():
+    # the 1,001st iteration is the first to give its accumulator's value
+    text = _fold_text(parse_dsl(_ZERO_LOOP), INT64_MAX, "{state: 0, A: 1000, B: 0}")
+    result, calls = _step_calls(text)
+    assert result == {"state": 0, "A": 0, "B": 0}
+    assert calls <= 2003, calls
+
+
+def _checks_of(text):
+    """The fold's result and how many times its loop compared two values."""
+    checks = 0
+    same = ast._same_flat_map
+
+    def counted(a, b):
+        nonlocal checks
+        checks += 1
+        return same(a, b)
+
+    with unittest.mock.patch.object(ast, "_same_flat_map", counted):
+        result = run_query_text(text)["result"]
+    return result, checks
+
+
+def test_a_fold_that_never_reaches_a_fixpoint_checks_log_n_times():
+    text = gen_reduce_query(parse_dsl("state 0: INC A -> 0\n"), 100_000).text
+    result, checks = _checks_of(text)
+    assert result == {"state": 0, "A": 100_000, "B": 0}
+    assert checks <= 18, checks
+
+
+def _nesting(m):
+    """m's s and how deep its l nests, read without recursion."""
+    depth, inner = 0, m["l"]
+    while inner:
+        (inner,) = inner
+        depth += 1
+    return m["s"], depth
+
+
+def test_a_nesting_step_body_runs_in_linear_time():
+    # an equality that recursed into the lists would pass Python's recursion limit
+    text = _hand_fold("{s: 0, l: []}", "l: [m.l]", 5000)
+    start = time.perf_counter()
+    result, checks = _checks_of(text)
+    assert time.perf_counter() - start < 2
+    assert _nesting(result) == (0, 5000) and checks <= 13
+    with _no_value_exit():
+        assert _nesting(run_query_text(text)["result"]) == (0, 5000)
+
+
+def test_a_live_self_loop_step_makes_at_most_2_calls():
+    source = "state 0: INC A -> 0\n"
+    per_step = (_ast_calls_per_live_step(2001, source) - _ast_calls_per_live_step(1001, source))
+    assert per_step / 1000 <= 2, per_step / 1000
 
 
 # ---------------------------------------------------------------- fixpoint verdict of the parse
