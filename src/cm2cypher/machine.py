@@ -158,9 +158,6 @@ class Program:
     def __len__(self) -> int:
         return len(self.instructions)
 
-    def __getitem__(self, state: int) -> Instruction:
-        return self.instructions[state]
-
     @cached_property
     def _decoded(self) -> tuple[list[int], list[int], list[int]]:
         """``run``'s tables, empty until ``run`` enters a state
@@ -214,8 +211,8 @@ class PathResult:
 
 
 # Opcodes of the decoded table: the low bit is the counter (0 = A, 1 = B).
-# _NEW marks a state not decoded yet; ``_run_decoded`` tests for it last,
-# after HALT, so that no step through a decoded state pays for the test.
+# _NEW marks a state not decoded yet. HALT and _NEW sort last, so that one
+# test takes ``_run_decoded`` off its step for both.
 _INC_A, _INC_B, _DEC_A, _DEC_B, _HALT, _NEW = range(6)
 # A state executed again within this many steps starts a recorded trip of at
 # most as many steps: a loop whose trip is at most this long and repeats
@@ -242,35 +239,46 @@ def _decode(program: Program, s: int) -> None:
         ops[s] = _HALT
 
 
-def _repeat_trip(
-    program: Program, fuel: int, steps: int, state: int, a: int, b: int
+def _run_decoded(
+    program: Program, fuel: int, state: int, a: int, b: int
 ) -> tuple[int, int, int, int]:
-    """Single-step from ``state``, recording the trip, until the run is back
-    at ``state`` with every counter that the trip tested for zero at its
-    start value. Then each zero test holds on the next trip, and as many
-    more whole trips are applied as keep the trip's positive JZDECs positive
-    and its INCs in range and fit in the fuel, possibly none. A return with
-    a tested counter elsewhere cannot repeat; the trip goes on (two returns
-    may make one trip that repeats). Returns the new (state, a, b, steps).
+    """``run`` without a trace: (state, a, b, machine_steps).
 
-    The recording keeps, per counter, the least value a positive JZDEC
-    found (``low``) and the most that an INC left (``high``). A trip that
-    changes the counter by d finds and leaves those values plus d on the
-    next trip (exact acceleration of a guarded loop, as in Comon and Jurski
-    1998). The recording stops, leaving the next step to ``_run_decoded``,
-    at a HALT, an undecoded state, the fuel or ``_TRIP_GAP`` steps; an INC
-    that overflows raises ``CounterOverflow`` there, as single-stepping
-    does.
+    A state executed again within ``_TRIP_GAP`` steps (``seen``, noted
+    outside recordings) opens a recording at it (``head``), which notes the
+    counters the trip tests for zero (``tested``) and per counter the least
+    value a positive JZDEC finds (``low``) and the most an INC leaves
+    (``high``). Back at ``head`` with every zero-tested counter at its start
+    value, a trip that changes a counter by d meets those values plus d on
+    the next trip, so as many more whole trips are applied as keep the
+    positive JZDECs positive and the INCs in range and fit in the fuel,
+    possibly none (Comon and Jurski 1998). Otherwise the recording goes on
+    (two returns may make one trip that repeats), and closes with no trip
+    applied after ``_TRIP_GAP`` steps or at a state it has to decode.
     """
     ops, nxt, pos = program._decoded
-    head, start, a0, b0 = state, steps, a, b
-    tested = 0  # bit 1 set: the trip tested A for zero; bit 2: B
-    low, high = [INT64_MAX, INT64_MAX], [0, 0]
-    end = min(fuel, steps + _TRIP_GAP)
-    while steps < end:
+    seen = {}  # state -> the step at which the run last executed it
+    steps = 0
+    head = HALTED  # the state the open recording started at; HALTED: none
+    # bit 1 of tested: the recording tested A for zero; bit 2: B. The three
+    # are reset when a recording opens; outside one they go unread.
+    tested, low, high = 0, [INT64_MAX, INT64_MAX], [0, 0]
+    while steps < fuel and state != HALTED:
         op = ops[state]
         if op >= _HALT:
-            break
+            if op == _HALT:
+                state = HALTED
+                steps += 1
+            else:  # _NEW: decode, then dispatch again
+                _decode(program, state)
+                head = HALTED
+            continue
+        if head == HALTED:
+            last = seen.get(state, -_TRIP_GAP - 1)
+            seen[state] = steps
+            if steps - last <= _TRIP_GAP:  # a trip back here may repeat
+                head, start, a0, b0 = state, steps, a, b
+                tested, low, high = 0, [INT64_MAX, INT64_MAX], [0, 0]
         c = op & 1
         x = b if c else a
         if op < _DEC_A:
@@ -293,6 +301,8 @@ def _repeat_trip(
         else:
             a = x
         steps += 1
+        if head == HALTED:
+            continue
         if state == head and not (tested & 1 and a != a0 or tested & 2 and b != b0):
             da, db, length = a - a0, b - b0, steps - start
             k = (fuel - steps) // length
@@ -304,49 +314,10 @@ def _repeat_trip(
                 k = min(k, (low[1] - 1) // -db)
             elif db > 0:
                 k = min(k, (INT64_MAX - high[1]) // db)
-            return state, a + k * da, b + k * db, steps + k * length
-    return state, a, b, steps
-
-
-def _run_decoded(
-    program: Program, fuel: int, state: int, a: int, b: int
-) -> tuple[int, int, int, int]:
-    """``run`` without a trace: (state, a, b, machine_steps)."""
-    ops, nxt, pos = program._decoded
-    seen = {}  # state -> the step at which the run last executed it
-    steps = 0
-    while steps < fuel and state != HALTED:
-        op = ops[state]
-        if op < _HALT:
-            last = seen.get(state, -_TRIP_GAP - 1)
-            seen[state] = steps
-            if steps - last <= _TRIP_GAP:  # a trip back here may repeat
-                state, a, b, steps = _repeat_trip(program, fuel, steps, state, a, b)
-                continue
-        if op == _DEC_A and a:
-            a -= 1
-            state = pos[state]
-        elif op == _DEC_B and b:
-            b -= 1
-            state = pos[state]
-        elif op == _INC_A:
-            if a >= INT64_MAX:
-                raise CounterOverflow(f"counter exceeds {INT64_MAX}")
-            a += 1
-            state = nxt[state]
-        elif op == _INC_B:
-            if b >= INT64_MAX:
-                raise CounterOverflow(f"counter exceeds {INT64_MAX}")
-            b += 1
-            state = nxt[state]
-        elif op < _HALT:  # a JZDEC's zero branch
-            state = nxt[state]
-        elif op == _HALT:
-            state = HALTED
-        else:  # _NEW: decode, then dispatch again
-            _decode(program, state)
-            continue
-        steps += 1
+            a, b, steps = a + k * da, b + k * db, steps + k * length
+            head = HALTED
+        elif steps - start >= _TRIP_GAP:
+            head = HALTED
     return state, a, b, steps
 
 

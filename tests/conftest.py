@@ -1,6 +1,9 @@
+import contextlib
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -35,3 +38,45 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
     env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=env, timeout=60)
+
+
+class _Expired(BaseException):
+    """A deadline's end. Not an Exception, so that hypothesis does not take it
+    for a failing example and go on shrinking with no timer running."""
+
+
+def _expire(signum, frame):
+    raise _Expired
+
+
+@contextlib.contextmanager
+def _deadline(seconds=10):
+    """Fail the test if the block takes more than ``seconds``. A run at a huge
+    fuel single-steps for years if the fast-forward breaks; under a deadline
+    that is a failure, not a hang. An enclosing deadline stops for the block
+    and then goes on with the time it had left, less the block's. An expiry
+    inside the block is reported as a plain failure: pytest cannot render
+    every frame a signal handler raises in."""
+    previous = signal.signal(signal.SIGALRM, _expire)
+    outer = signal.setitimer(signal.ITIMER_REAL, seconds)[0]
+    start = time.monotonic()
+    timed_out = False
+    try:
+        yield
+    except _Expired:
+        timed_out = True
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        if outer:  # an outer timer already due fires at once: 0 would cancel it
+            signal.setitimer(signal.ITIMER_REAL, max(outer - (time.monotonic() - start), 1e-6))
+    if timed_out:
+        raise pytest.fail.Exception(f"not done within {seconds} s", pytrace=False) from None
+
+
+@pytest.fixture(autouse=True)
+def _test_deadline():
+    """Every test under a deadline: a differential against a broken
+    fast-forward fails instead of hanging the session."""
+    with _deadline(60):
+        yield

@@ -1,4 +1,3 @@
-import contextlib
 import copy
 import dataclasses
 import pickle
@@ -24,48 +23,7 @@ from cm2cypher.machine import (
 )
 from cm2cypher.frontend import from_map_document, parse_dsl, random_program
 from cm2cypher.reduction import mcm_run
-
-
-class _Expired(BaseException):
-    """A deadline's end. Not an Exception, so that hypothesis does not take it
-    for a failing example and go on shrinking with no timer running."""
-
-
-def _expire(signum, frame):
-    raise _Expired
-
-
-@contextlib.contextmanager
-def _deadline(seconds=10):
-    """Fail the test if the block takes more than ``seconds``. A run at a huge
-    fuel single-steps for years if the fast-forward breaks; under a deadline
-    that is a failure, not a hang. An enclosing deadline stops for the block
-    and then goes on with the time it had left, less the block's. An expiry
-    inside the block is reported as a plain failure: pytest cannot render
-    every frame a signal handler raises in."""
-    previous = signal.signal(signal.SIGALRM, _expire)
-    outer = signal.setitimer(signal.ITIMER_REAL, seconds)[0]
-    start = time.monotonic()
-    timed_out = False
-    try:
-        yield
-    except _Expired:
-        timed_out = True
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-        if outer:  # an outer timer already due fires at once: 0 would cancel it
-            signal.setitimer(signal.ITIMER_REAL, max(outer - (time.monotonic() - start), 1e-6))
-    if timed_out:
-        raise pytest.fail.Exception(f"not done within {seconds} s", pytrace=False) from None
-
-
-@pytest.fixture(autouse=True)
-def _test_deadline():
-    """Every test here under a deadline: a differential against a broken
-    fast-forward fails with _Expired instead of hanging the session."""
-    with _deadline(60):
-        yield
+from conftest import _deadline, _expire
 
 
 def test_a_deadline_nests_in_the_per_test_deadline():

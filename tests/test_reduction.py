@@ -403,7 +403,7 @@ def two_counter_steps(mcm: Program) -> int:
     q(p + 3) + 2 for a JZDEC when r = 0 and 2q(p + 1) + 2r + 2 otherwise."""
     counters = [0] * mcm.num_counters
     state, steps = 0, 1
-    while not isinstance(instr := mcm[state], Halt):
+    while not isinstance(instr := mcm.instructions[state], Halt):
         p = PRIMES[instr.counter]
         a = prod(q**c for q, c in zip(PRIMES, counters))
         if isinstance(instr, Inc):
@@ -623,6 +623,18 @@ def complete_tms(draw):
 @settings(max_examples=100, deadline=None)
 def test_pipeline_stages_agree_on_random_complete_tms(machine):
     assert run_pipeline(machine, fuel_per_stage=20_000).ok
+
+
+@given(machine=complete_tms(), fuel=st.integers(0, 20_000))
+@settings(max_examples=100, deadline=None)
+def test_run_equals_mcm_run_on_reduced_programs(machine, fuel):
+    # the shape reduce-tm runs, whose gadget loops run applies in whole
+    # trips, against mcm_run, which single-steps
+    program = k_counters_to_two(two_stack_to_counters(machine))
+    result = run(program, fuel=fuel)
+    ref = mcm_run(program, fuel)
+    assert (result.halted, result.machine_steps) == (ref.halted, ref.steps)
+    assert (result.final.a, result.final.b) == ref.counters
 
 
 def test_pipeline_finishes_two_counter_stage_of_billions_of_steps():
