@@ -17,43 +17,31 @@ A tree is evaluated by compiling it once into nested closures
 ``f(env, params)`` and calling the root (Feeley & Lapalme, "Using Closures
 for Code Generation", 1987). Each node's ``_compile`` picks its operator's
 code, captures its children's closures, and may only specialise without
-changing results or errors. It keeps the specialisations the fold runs,
-most of them reads fused into the node that uses them, as superoperators
-are (Proebsting, "Optimizing an ANSI C interpreter with superoperators",
-1995): a property of a variable is read straight from ``env``, with no
-call, by a searched CASE of one ``=`` arm against an integer literal, which
-tries the integer case before the general checks, and by the loop of the
-fold's step below. A map literal copies a template of its known entries,
-which holds every key in order, and sets the others (with a repeated key it
-sets every entry in order, so the last value wins in the first key's
-position); it reads an entry that is such a property, or one ``+ - *`` an
-integer literal, inline, and calls the entry's closure only when the
-variable is not a map or the result is not a 64-bit integer. And
-``reduce`` has a fixpoint exit, and then does not bind its element. The
-exit applies when no ``Var`` in the body is named like the element variable
-(shadowed mentions count too). The parser records that verdict as it builds
-the body, in the parse's ``Source``; ``Reduce._compile`` reads it when its
-body is the node it was recorded for (the same parse, address and piece),
-and walks any other body, one built by hand or swapped in, with
-``_mentions``. The record keeps the body's address, not the body: a body
-refers to its ``Source``, so holding it there would make a cycle that only
-the garbage collector frees. Such a body sees only the accumulator and an
-environment that does not change from one iteration to the next: the subset
-is pure and deterministic, and every binder restores what it binds. So once
-an iteration returns the accumulator object itself, every later iteration
-would return an equal value without error, and the loop stops there: a
-halted fold costs the steps to its halt, not its ``max_steps``. The loop of
-the fold's step (below) also stops at an equal value: a flat map strictly
-equal to the accumulator it came from, with the same keys in the same order
-and each value an int, string, boolean or null of the same type and equal
-(``true`` is not ``1``). No operation of the subset tells two such maps
-apart, so the same argument holds. A map that holds a list or a map is
-never the same, so the check never recurses. The loop checks only at the
-end of each chunk of 1, 2, 4, ... iterations, the last value against the
-accumulator ``env`` still holds for it: a fixpoint from iteration t on is
-found by iteration 2t + 1, and a fold that never reaches one pays O(log n)
-checks and nothing per iteration. Any other body keeps the identity exit
-alone.
+changing results or errors. A ``reduce`` has a fixpoint exit, and then does
+not bind its element. The exit applies when no ``Var`` in the body is named
+like the element variable (shadowed mentions count too). The parser records
+that verdict as it builds the body, in the parse's ``Source``;
+``Reduce._compile`` reads it when its body is the node it was recorded for
+(the same parse, address and piece), and walks any other body, one built by
+hand or swapped in, with ``_mentions``. The record keeps the body's address,
+not the body: a body refers to its ``Source``, so holding it there would
+make a cycle that only the garbage collector frees. Such a body sees only
+the accumulator and an environment that does not change from one iteration
+to the next: the subset is pure and deterministic, and every binder restores
+what it binds. So once an iteration returns the accumulator object itself,
+every later iteration would return an equal value without error, and the
+loop stops there: a halted fold costs the steps to its halt, not its
+``max_steps``. The loop of the fold's step (below) also stops at an equal
+value: a flat map strictly equal to the accumulator it came from, with the
+same keys in the same order and each value an int, string, boolean or null
+of the same type and equal (``true`` is not ``1``). No operation of the
+subset tells two such maps apart, so the same argument holds. A map that
+holds a list or a map is never the same, so the check never recurses. The
+loop checks only at the end of each chunk of 1, 2, 4, ... iterations, the
+last value against the accumulator it came from: a fixpoint from iteration t
+on is found by iteration 2t + 1, and a fold that never reaches one pays
+O(log n) checks and nothing per iteration. Any other body keeps the identity
+exit alone.
 
 Compiling also threads constants, a partial evaluation (Jones, Gomard &
 Sestoft, *Partial Evaluation and Automatic Program Generation*, 1993).
@@ -84,9 +72,32 @@ accumulator itself. Any other accumulator or index, and any index past
 ``MAX_SPECIALISED`` bodies, calls the whole body, compiled on first use, so
 a fold that halts within the table never compiles it. ``head([v IN [c[e]]
 | m])`` anywhere else takes the general path and builds its lists. No
-value a result holds is built at compile time (a map template is copied at
-each evaluation), so results, their identity, errors and their positions
-stay as they are.
+value a result holds is built at compile time, so results, their identity,
+errors and their positions stay as they are.
+
+The hot steps of a fold run as generated Python. Once the loop has run
+``HOT_ITERATIONS`` iterations, counted at the end of a chunk, ``_emit``
+writes each memoised step body as the source of one function
+``step(acc, k0, k1, ...)``, and so each body the loop compiles after that.
+The loop then calls that function, with no ``env`` and no closure, for an
+int ``acc.k`` that has one (never for ``true``, which hashes as ``1``). The
+emitter covers only what a fold's step uses: a simple CASE whose arm is
+known, a searched CASE whose tests are ``=`` between integers, map literals,
+known values, reads of the accumulator's properties, and ``+ - *`` of
+integers. Any other node leaves the body on its closure. A generated step
+returns the body's value, always a new map, or None wherever the closure
+must decide: an accumulator that is not a map, a read that is not an int, a
+result outside 64 bits, or a CASE that takes a missing ELSE. On None the
+loop runs that iteration through the closure, which computes it again, so
+every value, error and position is the closure's. No text of the query
+reaches ``compile()``: each literal, known value and key enters as the
+default of a parameter ``k<n>``, reads are ``r<n>`` and results ``t<n>``. So
+the bodies of one shape have one text, and share its code object through
+``_shape``, a bounded memo keyed by the text. A fold that halts before the
+heat, as most do within a few steps, generates nothing; once hot, a body of
+a known shape costs some 25 µs to emit, and a new shape one ``compile()``
+more (closures against generated code: Feeley & Lapalme above; Würthinger et
+al., "One VM to rule them all", 2013).
 
 ``evaluator.evaluate`` is the one evaluation path: it compiles a tree, then
 calls it, except that a tree made only of literals (the fold's program
@@ -97,8 +108,10 @@ nesting level, as evaluating does; ``evaluate`` maps the resulting
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
+from types import CodeType, FunctionType
 from typing import Any, Callable, Optional
 
 from .errors import (
@@ -120,6 +133,10 @@ MAX_LIST_LENGTH = 1_000_000
 # visits; later indexes call the whole body, so a table visited once per
 # entry costs neither a compile per entry nor the memory of its bodies
 MAX_SPECIALISED = 4096
+# the iterations a fold's step loop runs, counted at the ends of its chunks,
+# before it generates Python for its step bodies (Reduce, _emit); a fold that
+# halts sooner never pays for compile()
+HOT_ITERATIONS = 63
 
 Value = Any  # None | bool | int | str | list | range | dict
 Compiled = Callable[[dict, dict], Value]  # f(env, params)
@@ -216,11 +233,6 @@ def _literal_value(node: "Expr"):
     return _MISSING
 
 
-def _int_literal(node: "Expr") -> Optional[int]:
-    """An integer literal's value, for operator fast paths; else None."""
-    return node.value if type(node) is Literal and type(node.value) is int else None
-
-
 def _restore(env: dict, name: str, saved) -> None:
     if saved is _MISSING:
         env.pop(name, None)
@@ -267,38 +279,26 @@ def _known(node: "Expr", consts: dict):
     return _MISSING
 
 
+def _known_arm(case: "Case", consts: dict):
+    """The node a simple CASE evaluates when its subject is known and its
+    matches are literals: the result of the arm eq3 picks, else the default
+    (None when there is none). Else _MISSING."""
+    if case.subject is None or not all(type(m) is Literal for m, _ in case.whens):
+        return _MISSING
+    s = _known(case.subject, consts)
+    if s is _MISSING:
+        return _MISSING
+    for match, result in case.whens:
+        if eq3(s, match.value) is True:
+            return result
+    return case.default
+
+
 def _without(consts: dict, *names: str) -> dict:
     """consts inside a binder of names: what it binds is no longer known."""
     if any(name in consts for name in names):
         return {k: v for k, v in consts.items() if k not in names}
     return consts
-
-
-def _reader(node: "Expr", consts: dict) -> tuple:
-    """node compiled for a caller to read inline, as (name, key, read): the
-    value is env[name].get(key) whenever env[name] is a map, and
-    read(env, params) whenever it is not, with read's errors. A property of
-    a variable read from env names that variable, so the common case calls
-    nothing; any other node names _MISSING, which env never holds."""
-    if type(node) is Prop and type(node.obj) is Var and node.obj.name not in consts:
-        return node.obj.name, node.key, node._compile(consts)
-    return _MISSING, None, node._compile(consts)
-
-
-def _entry(k: str, node: "Expr", consts: dict) -> tuple:
-    """Map entry k compiled for map_lit to read inline, as (k, name, key,
-    compute, c, f). When env[name] is a map, v = env[name].get(key) is the
-    value if compute is None, and so is compute(v, c) if v is an int and it
-    fits 64 bits; otherwise f(env, params) is, with f's errors. As in
-    _reader, a property of a variable read from env names that variable, and
-    so does one + - * an integer literal, with compute set; any other node
-    names _MISSING."""
-    read, compute, c = node, None, None
-    if type(node) is Binary and node.op in ("+", "-", "*") and _int_literal(node.right) is not None:
-        read, compute, c = node.left, _ARITHMETIC[node.op], node.right.value
-    if type(read) is Prop and type(read.obj) is Var and read.obj.name not in consts:
-        return k, read.obj.name, read.key, compute, c, node._compile(consts)
-    return k, _MISSING, None, compute, c, node._compile(consts)
 
 
 class Expr:
@@ -387,36 +387,12 @@ class MapLit(Expr):
         self.at = at
 
     def _compile(self, consts):
-        # the known entries are set once in a template with every key in
-        # order, and each evaluation copies it and sets the others; with a
-        # repeated key every entry is set in order, so the last value wins
-        # in the first key's position
-        keys = [k for k, _ in self.items]
-        template, computed = dict.fromkeys(keys), []
-        if len(template) < len(keys):
-            template = {}
-        for k, e in self.items:
-            v = _known(e, consts) if template else _MISSING
-            if v is _MISSING:
-                computed.append(_entry(k, e, consts))
-            else:
-                template[k] = v
+        items = [(k, e._compile(consts)) for k, e in self.items]
 
         def map_lit(env, params):
-            out = template.copy()
-            # a loop: a comprehension costs a function call in Python 3.11
-            for k, name, key, compute, c, f in computed:
-                m = env.get(name)
-                if type(m) is dict:
-                    v = m.get(key)
-                    if compute is None:
-                        out[k] = v
-                        continue
-                    if type(v) is int:
-                        v = compute(v, c)
-                        if INT64_MIN <= v <= INT64_MAX:
-                            out[k] = v
-                            continue
+            # with a repeated key, the last value wins in the first key's position
+            out = {}
+            for k, f in items:
                 out[k] = f(env, params)
             return out
 
@@ -666,23 +642,11 @@ class Case(Expr):
         self.at = at
 
     def _compile(self, consts):
+        arm = _known_arm(self, consts)
+        if arm is not _MISSING:  # compile only the arm it takes
+            return _constant(None) if arm is None else arm._compile(consts)
         default = self.default._compile(consts) if self.default is not None else _constant(None)
         if self.subject is None:
-            (cond, result), *more = self.whens
-            c = _int_literal(cond.right) if type(cond) is Binary and cond.op == "=" else None
-            if c is not None and not more:  # the fold's tests of its state and counters
-                name, key, read = _reader(cond.left, consts)
-                result = result._compile(consts)
-
-                def case_equals(env, params):
-                    m = env.get(name)
-                    l = m.get(key) if type(m) is dict else read(env, params)
-                    # true, false or null: = never gives a non-boolean
-                    if (l == c) if type(l) is int else eq3(l, c):
-                        return result(env, params)
-                    return default(env, params)
-
-                return case_equals
             arms = [(c._compile(consts), result._compile(consts)) for c, result in self.whens]
 
             def searched_case(env, params):
@@ -695,13 +659,6 @@ class Case(Expr):
                 return default(env, params)
 
             return searched_case
-        if all(type(m) is Literal for m, _ in self.whens):
-            s = _known(self.subject, consts)
-            if s is not _MISSING:  # the arm is known too: compile only that one
-                for match, result in self.whens:
-                    if eq3(s, match.value) is True:
-                        return result._compile(consts)
-                return default
         subject = self.subject._compile(consts)
         arms = [(match._compile(consts), result._compile(consts)) for match, result in self.whens]
 
@@ -772,6 +729,120 @@ def _fold_step(body: Expr, acc_name: str, consts: dict) -> Optional[tuple]:
     return test.key, cond.right.value, table, bind.var_name, bind.mapper
 
 
+class _Refused(Exception):
+    """A node the step emitter does not cover."""
+
+
+class _StepSource:
+    """The lines of a generated step, def step(acc, k0, k1, ...), and the
+    values of k0, k1, ...: each literal, known value and key the body uses.
+    acc names the accumulator, which consts does not hold; rN holds a read of
+    it, checked to be an int, and tN a sum, difference or product, checked to
+    fit 64 bits. Anything else the closure must decide returns None."""
+
+    def __init__(self, acc_name: str, consts: dict):
+        self.acc_name, self.consts = acc_name, consts
+        self.lines: list[str] = []
+        self.defaults: list = []
+        self.keys: dict = {}
+        self.reads = self.temps = 0
+
+    def const(self, value) -> str:
+        self.defaults.append(value)
+        return f"k{len(self.defaults) - 1}"
+
+    def key(self, key: str) -> str:
+        if key not in self.keys:
+            self.keys[key] = self.const(key)
+        return self.keys[key]
+
+    def bail_if(self, test: str, pad: str) -> None:
+        self.lines += [f"{pad}if {test}:", f"{pad}    return None"]
+
+    def integer(self, node: "Expr", pad: str, scope: dict) -> str:
+        """The name of node's value, an int: a known int, a read of the
+        accumulator, or + - * of two such values."""
+        known = _known(node, self.consts)
+        if type(known) is int:
+            return self.const(known)
+        kind = type(node)
+        if kind is Prop and type(node.obj) is Var and node.obj.name == self.acc_name:
+            if node.key not in scope:  # one read per key on each path
+                name = scope[node.key] = f"r{self.reads}"
+                self.reads += 1
+                self.lines.append(f"{pad}{name} = acc.get({self.key(node.key)})")
+                self.bail_if(f"type({name}) is not int", pad)
+            return scope[node.key]
+        if kind is Binary and node.op in ("+", "-", "*"):
+            left, right = self.integer(node.left, pad, scope), self.integer(node.right, pad, scope)
+            name = f"t{self.temps}"
+            self.temps += 1
+            self.lines.append(f"{pad}{name} = {left} {node.op} {right}")
+            self.bail_if(f"not {INT64_MIN} <= {name} <= {INT64_MAX}", pad)
+            return name
+        raise _Refused
+
+    def value(self, node: "Expr", pad: str, scope: dict) -> str:
+        """An expression of node's value: a known value, an int or a map."""
+        if type(node) is MapLit:
+            entries = [(self.key(k), self.value(e, pad, scope)) for k, e in node.items]
+            return "{" + ", ".join(f"{k}: {v}" for k, v in entries) + "}"
+        known = _known(node, self.consts)
+        return self.integer(node, pad, scope) if known is _MISSING else self.const(known)
+
+    def body(self, node: Optional["Expr"], pad: str, scope: dict) -> None:
+        """Lines that return node's value, a new map; None is a missing
+        ELSE, whose null the closure gives."""
+        if node is None:
+            self.lines.append(f"{pad}return None")
+        elif type(node) is MapLit:
+            value = self.value(node, pad, scope)
+            self.lines.append(f"{pad}return {value}")
+        elif type(node) is Case and node.subject is None:
+            for cond, result in node.whens:  # tests of = between ints
+                if not (type(cond) is Binary and cond.op == "="):
+                    raise _Refused
+                left, right = self.integer(cond.left, pad, scope), self.integer(cond.right, pad, scope)
+                self.lines.append(f"{pad}if {left} == {right}:")
+                self.body(result, pad + "    ", dict(scope))
+            self.body(node.default, pad, scope)
+        elif type(node) is Case and (arm := _known_arm(node, self.consts)) is not _MISSING:
+            self.body(arm, pad, scope)
+        else:
+            raise _Refused
+
+
+# the globals of a generated step: no builtins but the three it names
+_STEP_GLOBALS = {"__builtins__": {}, "type": type, "int": int, "dict": dict}
+
+
+@functools.lru_cache(maxsize=64)
+def _shape(text: str) -> CodeType:
+    """The code of a generated step's text, which every body of its shape
+    shares: the text holds no value of the query."""
+    module = compile(text, "<fold step>", "exec")
+    return next(c for c in module.co_consts if type(c) is CodeType)
+
+
+def _emit(body: "Expr", acc_name: str, consts: dict) -> Optional[Callable]:
+    """body as a generated Python function of the accumulator alone, which
+    returns body's value with acc_name bound to it, or None wherever the
+    closure must decide; or None for a body with a node it does not cover."""
+    source = _StepSource(acc_name, consts)
+    try:
+        source.body(body, "    ", {})
+    except (_Refused, RecursionError):
+        return None
+    params = "".join(f", k{n}" for n in range(len(source.defaults)))
+    text = "\n".join([f"def step(acc{params}):", "    if type(acc) is not dict:",
+                      "        return None", *source.lines, ""])
+    try:
+        code = _shape(text)
+    except SyntaxError:  # CASEs nested past Python's 100 levels of indentation
+        return None
+    return FunctionType(code, _STEP_GLOBALS, "step", tuple(source.defaults))
+
+
 class Reduce(Expr):
     __slots__ = ("acc_name", "init", "var_name", "list_expr", "body")
 
@@ -802,8 +873,22 @@ class Reduce(Expr):
         step = _fold_step(body, acc_name, inner) if fixpoint else None
         key, halt, table, v, m = step or (_MISSING, None, (), None, None)
         halt = halt if type(halt) is int else None  # the test holds for no other i
-        bodies = {}
+        # generated steps (_emit) of the memoised bodies, by index, once the
+        # loop has run HOT_ITERATIONS iterations
+        bodies, hot = {}, {}
+        heated = False
         whole = None if step else body._compile(inner)
+
+        def generate(i) -> None:
+            g = _emit(m, acc_name, {**inner, v: table[i]})
+            if g is not None:
+                hot[i] = g
+
+        def heat() -> None:
+            nonlocal heated
+            heated = True
+            for i in bodies:
+                generate(i)
 
         def step_body(i) -> Compiled:
             """The code of an iteration whose acc.k is i, with no step body
@@ -812,6 +897,8 @@ class Reduce(Expr):
             nonlocal whole
             if type(i) is int and 0 <= i < len(table) and len(bodies) < MAX_SPECIALISED:
                 f = bodies[i] = m._compile({**inner, v: table[i]})
+                if heated:
+                    generate(i)
                 return f
             if whole is None:
                 whole = body._compile(inner)
@@ -828,22 +915,39 @@ class Reduce(Expr):
                 if fixpoint:  # no Var reads the element: it is not bound
                     # a fold's step also stops at a value equal to its
                     # accumulator, checked at the end of each chunk
+                    ran = 0
                     for size in _chunks(_length(items)):
                         for _ in range(size):
-                            env[acc_name] = acc
+                            prev = acc
                             i = acc.get(key) if type(acc) is dict else None
-                            f = bodies.get(i) if type(i) is int else whole
-                            if f is None:
-                                if type(i) is int and i == halt:
-                                    break  # the test holds: the body gives acc itself
-                                f = step_body(i)
+                            if type(i) is int:  # not true, which hashes as 1
+                                g = hot.get(i)
+                                if g is not None:
+                                    value = g(acc)
+                                    if value is not None:
+                                        acc = value
+                                        continue
+                                f = bodies.get(i)
+                                if f is None:
+                                    if i == halt:
+                                        break  # the test holds: the body gives acc itself
+                                    f = step_body(i)
+                            else:
+                                f = whole or step_body(i)
+                            env[acc_name] = acc
                             value = f(env, params)
                             if value is acc:
                                 break
                             acc = value
-                        else:  # env still holds the accumulator of the last value
-                            if not (step and _same_flat_map(acc, env[acc_name])):
+                        else:
+                            if not step:
                                 continue
+                            if _same_flat_map(acc, prev):
+                                break
+                            ran += size
+                            if ran >= HOT_ITERATIONS and not heated:
+                                heat()
+                            continue
                         break
                 else:
                     for x in items:

@@ -19,7 +19,7 @@ from cm2cypher.codegen import (
     queries_token_equal,
 )
 from cm2cypher.cypher import run_query_text
-from cm2cypher.frontend import format_trace, random_program
+from cm2cypher.frontend import format_trace, parse_dsl, random_program
 from cm2cypher.machine import qpp_walk, run
 from cm2cypher.reduction import load_tm_file, run_pipeline
 from conftest import FIXTURES, GOLDEN, REFERENCE
@@ -79,6 +79,21 @@ def test_criterion_3_fold_query_end_to_end(demo):
         f"(max_steps 10^6 in {full_elapsed:.2f} s, 10^4 in {fast_elapsed:.2f} s; "
         "both folds stop at the demo's halt, 6 steps in)",
     )
+
+
+@pytest.mark.parametrize("source", [
+    "state 0: INC A -> 0\n",
+    "state 0: INC B -> 1\nstate 1: JZDEC B ? 2 : 2\nstate 2: JZDEC A ? 0 : 0\n",
+])
+def test_a_live_fold_of_a_million_iterations_equals_run(source):
+    # loops that never halt: every one of the 10^6 iterations is live
+    program = parse_dsl(source)
+    t0 = time.perf_counter()
+    got = run_query_text(gen_reduce_query(program, 1_000_000).text)
+    elapsed = time.perf_counter() - t0
+    final = run(program, fuel=1_000_000).final
+    assert got == {"result": {"state": final.state, "A": final.a, "B": final.b}}
+    print(f"live fold of 10^6 iterations equals run ({elapsed:.2f} s)")
 
 
 def test_criterion_4_differential_suite():

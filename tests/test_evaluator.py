@@ -1249,11 +1249,11 @@ def test_head_of_other_comprehensions_takes_the_general_path(text, value):
     assert ev(text) == value
 
 
-# ---------------------------------------------------------------- fused reads, map templates
+# ---------------------------------------------------------------- property reads, map literals
 
-# each node that reads a property of a variable inline, and a map built from
-# a template, with the column of the variable and the value when the
-# property reads null; c is a known list
+# each node that reads a property of a variable, as a fold's step does, with
+# the column of the variable and the value when the property reads null; c is
+# a known list
 _FUSED = [
     ("m.k = 0", 1, None),
     ("m.k = -1", 1, None),
@@ -1551,8 +1551,8 @@ def test_a_fold_over_a_table_wider_than_its_specialised_bodies(fuel, result):
     assert run_query(parse_query(_fold_text(parse_dsl(chain), fuel)))["result"] == result
 
 
-# the inline entries of a map, off their int path: values and errors as the
-# entries' own closures gave them before
+# the entries of a map that read a property, off the int path a generated
+# step takes: values and errors as the entries' own closures give them
 @pytest.mark.parametrize("text, outcome", [
     ("[m IN [{k: 1}, {j: 2}, null] | {a: m.k + 1, b: m.k, c: m.k * 2, d: m.k - 3}]",
      ("value", "[{'a': 2, 'b': 1, 'c': 2, 'd': -2}, {'a': None, 'b': None, 'c': None, 'd': None}, "
@@ -1790,6 +1790,160 @@ def test_a_live_self_loop_step_makes_at_most_2_calls():
     source = "state 0: INC A -> 0\n"
     per_step = (_ast_calls_per_live_step(2001, source) - _ast_calls_per_live_step(1001, source))
     assert per_step / 1000 <= 2, per_step / 1000
+
+
+# ---------------------------------------------------------------- generated step bodies
+
+
+def _step_bodies(text):
+    """(generated step, closure) of each step body of the fold bound to
+    result, one per entry of its table, compiled with the same consts."""
+    consts = {}
+    for name, expr in parse_query(text).bindings:
+        if name == "result":
+            _, _, table, var, body = ast._fold_step(expr.body, expr.acc_name, consts)
+            known = [{**consts, var: entry} for entry in table]
+            return expr.acc_name, [(ast._emit(body, expr.acc_name, k), body._compile(k))
+                                   for k in known]
+        consts[name] = evaluate(expr, consts, {}, dict(consts))
+
+
+_STEP_INTS = st.one_of(st.integers(0, 3), st.integers(INT64_MAX - 3, INT64_MAX),
+                       st.integers(-(2**63), -(2**63) + 3))
+_STEP_VALUES = _STEP_INTS | st.sampled_from([None, True, False, "", "0", "A", [0], [], {}])
+# maps of the three keys in any order, maps with keys missing or extra, and non-maps
+_STEP_ACCS = st.one_of(
+    st.tuples(st.permutations(["state", "A", "B"]), st.lists(_STEP_INTS, min_size=3, max_size=3))
+    .map(lambda kv: dict(zip(*kv))),
+    st.lists(st.tuples(st.sampled_from(["state", "A", "B", "x"]), _STEP_VALUES), max_size=5)
+    .map(dict),
+    _STEP_VALUES,
+)
+
+
+@given(st.integers(0, 2**32), st.lists(_STEP_ACCS, min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_a_generated_step_equals_its_closure(seed, accs):
+    acc_name, steps = _step_bodies(gen_reduce_query(random_program(seed, 8), 10).text)
+    for generated, closure in steps:
+        assert generated is not None  # the emitter covers every step of the fold
+        for acc in accs:
+            value = generated(acc)
+            if value is not None:  # else the closure decides
+                assert _outcome_of(lambda: closure({acc_name: acc}, {})) == ("value", repr(value))
+
+
+def _no_generated_steps():
+    return unittest.mock.patch.object(ast, "_emit", lambda body, acc_name, consts: None)
+
+
+@given(st.integers(0, 2**32), st.integers(1, 300) | st.sampled_from([1000, 10_000]),
+       _NEAR_INT64, _NEAR_INT64, st.sampled_from(_VALUE_INITS))
+@settings(max_examples=300, deadline=None)
+def test_a_fold_with_generated_steps_equals_the_closures(seed, fuel, a, b, init):
+    text = _fold_text(random_program(seed, 8), fuel, init.format(a=a, b=b))
+    got = _fold_outcome(text)  # a value by repr, or the error's class, message and position
+    with _no_generated_steps():
+        assert got == _fold_outcome(text)
+
+
+def _emitted(thunk):
+    """thunk's outcome and the text of each step the loop generated meanwhile."""
+    texts = []
+    shape = ast._shape
+
+    def recorded(text):
+        texts.append(text)
+        return shape(text)
+
+    with unittest.mock.patch.object(ast, "_shape", recorded):
+        return _outcome_of(thunk), texts
+
+
+def test_true_never_runs_the_generated_step_of_state_1():
+    # 200 iterations loop over states 0 and 1, past the heat; state 2 then
+    # steps to true, which hashes as 1 but is no index of the table
+    source = "state 0: JZDEC A ? 2 : 1\nstate 1: INC B -> 0\nstate 2: INC A -> 1\n"
+    text = _fold_text(parse_dsl(source), 1000, "{state: 0, A: 100, B: 0}")
+    entry = "{state: 2, op: 'INC', counter: 'A', next: 1}"
+    assert entry in text
+    text = text.replace(entry, entry.replace("next: 1", "next: true"))
+    outcome, texts = _emitted(lambda: run_query(parse_query(text))["result"])
+    assert len(texts) == 3  # states 0 and 1 at the heat, then state 2
+    assert outcome == ("error", *_NOT_AN_INDEX)
+    with _no_generated_steps():
+        assert _fold_outcome(text) == outcome
+
+
+def test_a_hot_self_loop_makes_no_ast_calls_per_live_step():
+    # both fuels pass the heat; the 1000 more live steps add one chunk: its
+    # check and a resumption of _chunks
+    source = "state 0: INC A -> 0\n"
+    assert 1001 > ast.HOT_ITERATIONS
+    calls = _ast_calls_per_live_step(2001, source) - _ast_calls_per_live_step(1001, source)
+    assert calls <= 2, calls
+
+
+def test_a_fold_that_heats_adds_no_value_checks():
+    text = gen_reduce_query(parse_dsl("state 0: INC A -> 0\n"), 100_000).text
+    result, checks = _checks_of(text)
+    with _no_generated_steps():
+        assert _checks_of(text) == (result, checks)
+
+
+_HOSTILE = "it's \"q\" \\ \n __import__('os')"
+_VOCABULARY = {"def", "step", "acc", "if", "type", "is", "not", "int", "dict", "return", "None",
+               "get"}
+
+
+def _only_vocabulary(text):
+    names = set(re.findall(r"[A-Za-z_]\w*", text))
+    assert names - _VOCABULARY <= {n for n in names if re.fullmatch(r"[krt]\d+", n)}, text
+    assert set(re.findall(r"\b\d+\b", text)) <= {"9223372036854775808", "9223372036854775807"}
+    assert not set("'\"\\") & set(text) and "import" not in text
+
+
+def test_no_query_text_reaches_the_generated_source():
+    # a table whose strings hold quotes, a backslash, a newline and code
+    text = ("LET c = $table\nLET result = reduce(m = {s: 0, a: 0}, x IN range(1, 200) |\n"
+            "  CASE WHEN m.s = -1 THEN m ELSE head([v IN [c[m.s]] | "
+            "{s: v.next, a: m.a + 1, w: v.w}]) END)\nRETURN result")
+    table = [{"next": 1, "w": _HOSTILE}, {"next": 0, "w": _HOSTILE + "'"}]
+    outcome, texts = _emitted(lambda: run_query_text(text, {"table": table})["result"])
+    assert outcome == ("value", repr({"s": 0, "a": 200, "w": _HOSTILE + "'"}))
+    assert len(texts) == 2
+    # map keys and property keys that hold the same, set on a parsed tree
+    body = parse_expression("{a: m.b + 1, c: v.d}")
+    (_, plus), (_, known) = body.items
+    body.items = [(_HOSTILE, plus), (_HOSTILE + "'", known)]
+    plus.left.key, known.key = _HOSTILE + "\\", _HOSTILE
+    consts = {"v": {_HOSTILE: "__import__('os')"}}
+    outcome, more = _emitted(lambda: ast._emit(body, "m", consts)({_HOSTILE + "\\": 1}))
+    assert outcome == ("value", repr({_HOSTILE: 2, _HOSTILE + "'": "__import__('os')"}))
+    assert len(more) == 1
+    for generated in texts + more:
+        _only_vocabulary(generated)
+
+
+@pytest.mark.parametrize("depth, generated", [(90, True), (120, False)])
+def test_a_step_nested_past_python_s_indentation_stays_on_its_closure(depth, generated):
+    body = parse_expression("CASE WHEN m.a = 0 THEN " * depth + "{s: 1}" + " END" * depth)
+    step = ast._emit(body, "m", {})
+    if generated:
+        assert step({"a": 0}) == {"s": 1}
+    else:
+        assert step is None
+    assert evaluate(body, {"m": {"a": 0}}, {}) == {"s": 1}
+
+
+def test_the_code_memo_stays_within_its_bound():
+    bound = ast._shape.cache_info().maxsize
+    misses = ast._shape.cache_info().misses
+    for n in range(1, bound + 9):  # a shape per number of entries
+        body = parse_expression("{" + ", ".join(f"k{i}: m.x + {i}" for i in range(n)) + "}")
+        assert ast._emit(body, "m", {})({"x": 1}) == {f"k{i}": 1 + i for i in range(n)}
+    info = ast._shape.cache_info()
+    assert info.misses - misses >= bound + 8 and info.currsize <= bound
 
 
 # ---------------------------------------------------------------- fixpoint verdict of the parse
