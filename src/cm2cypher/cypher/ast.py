@@ -76,27 +76,30 @@ value a result holds is built at compile time, so results, their identity,
 errors and their positions stay as they are.
 
 The hot steps of a fold run as generated Python. Once the loop has run
-``HOT_ITERATIONS`` iterations, counted at the end of a chunk, ``_emit``
-writes each memoised step body as the source of one function
-``step(acc, k0, k1, ...)``, and so each body the loop compiles after that.
-The loop then calls that function, with no ``env`` and no closure, for an
-int ``acc.k`` that has one (never for ``true``, which hashes as ``1``). The
-emitter covers only what a fold's step uses: a simple CASE whose arm is
-known, a searched CASE whose tests are ``=`` between integers, map literals,
-known values, reads of the accumulator's properties, and ``+ - *`` of
-integers. Any other node leaves the body on its closure. A generated step
-returns the body's value, always a new map, or None wherever the closure
-must decide: an accumulator that is not a map, a read that is not an int, a
-result outside 64 bits, or a CASE that takes a missing ELSE. On None the
-loop runs that iteration through the closure, which computes it again, so
-every value, error and position is the closure's. No text of the query
-reaches ``compile()``: each literal, known value and key enters as the
-default of a parameter ``k<n>``, reads are ``r<n>`` and results ``t<n>``. So
-the bodies of one shape have one text, and share its code object through
-``_shape``, a bounded memo keyed by the text. A fold that halts before the
-heat, as most do within a few steps, generates nothing; once hot, a body of
-a known shape costs some 25 µs to emit, and a new shape one ``compile()``
-more (closures against generated code: Feeley & Lapalme above; Würthinger et
+``HOT_ITERATIONS`` iterations, counted at the end of a chunk, a memoised
+step body that runs again is written by ``_emit`` as the source of one
+function ``step(acc, k0, k1, ...)``; a body that runs once, as most of a
+long program's do, is never written. The loop then calls that function,
+with no ``env`` and no closure, for an int ``acc.k`` that has one (never
+for ``true``, which hashes as ``1``). The emitter covers only what a fold's
+step uses: a simple CASE whose arm is known, at most one searched CASE on a
+path, whose tests are ``=`` between operands, and a map literal whose
+entries are known values, operands or ``+ - *`` of two operands, an operand
+being a known int or a read of an accumulator's property. Any other node,
+or a binder in the step that shadows the accumulator's name, leaves the
+body on its closure. A generated step returns the body's value, always a
+new map, or None wherever the closure must decide: an accumulator that is
+not a map, a read that is not an int, a result outside 64 bits, or a CASE
+that takes a missing ELSE. On None the loop runs that iteration through the
+closure, which computes it again, so every value, error and position is
+the closure's. No text of the query reaches ``compile()``: each literal,
+known value and key enters as the default of a parameter ``k<n>``, reads
+are ``r<n>`` and results ``t<n>``. So the bodies of one shape have one
+text, and share its code object through ``_shape``, a bounded memo keyed by
+the text. A fold that halts before the heat, as most do within a few steps,
+generates nothing; a body of a known shape costs about as much to emit as
+its closure costs to compile, and a new shape one ``compile()`` more
+(closures against generated code: Feeley & Lapalme above; Würthinger et
 al., "One VM to rule them all", 2013).
 
 ``evaluator.evaluate`` is the one evaluation path: it compiles a tree, then
@@ -134,8 +137,8 @@ MAX_LIST_LENGTH = 1_000_000
 # entry costs neither a compile per entry nor the memory of its bodies
 MAX_SPECIALISED = 4096
 # the iterations a fold's step loop runs, counted at the ends of its chunks,
-# before it generates Python for its step bodies (Reduce, _emit); a fold that
-# halts sooner never pays for compile()
+# before a step body that runs again is generated as Python (Reduce, _emit);
+# a fold that halts sooner never pays for compile()
 HOT_ITERATIONS = 63
 
 Value = Any  # None | bool | int | str | list | range | dict
@@ -759,55 +762,55 @@ class _StepSource:
     def bail_if(self, test: str, pad: str) -> None:
         self.lines += [f"{pad}if {test}:", f"{pad}    return None"]
 
-    def integer(self, node: "Expr", pad: str, scope: dict) -> str:
-        """The name of node's value, an int: a known int, a read of the
-        accumulator, or + - * of two such values."""
+    def operand(self, node: "Expr", pad: str, scope: dict) -> str:
+        """The name of node's value, an int: a known int or a read of the
+        accumulator."""
         known = _known(node, self.consts)
         if type(known) is int:
             return self.const(known)
-        kind = type(node)
-        if kind is Prop and type(node.obj) is Var and node.obj.name == self.acc_name:
+        if type(node) is Prop and type(node.obj) is Var and node.obj.name == self.acc_name:
             if node.key not in scope:  # one read per key on each path
                 name = scope[node.key] = f"r{self.reads}"
                 self.reads += 1
                 self.lines.append(f"{pad}{name} = acc.get({self.key(node.key)})")
                 self.bail_if(f"type({name}) is not int", pad)
             return scope[node.key]
-        if kind is Binary and node.op in ("+", "-", "*"):
-            left, right = self.integer(node.left, pad, scope), self.integer(node.right, pad, scope)
+        raise _Refused
+
+    def value(self, node: "Expr", pad: str, scope: dict) -> str:
+        """The name of a map entry's value: a known value, an operand, or
+        + - * of two operands."""
+        known = _known(node, self.consts)
+        if known is not _MISSING:
+            return self.const(known)
+        if type(node) is Binary and node.op in ("+", "-", "*"):
+            left, right = self.operand(node.left, pad, scope), self.operand(node.right, pad, scope)
             name = f"t{self.temps}"
             self.temps += 1
             self.lines.append(f"{pad}{name} = {left} {node.op} {right}")
             self.bail_if(f"not {INT64_MIN} <= {name} <= {INT64_MAX}", pad)
             return name
-        raise _Refused
+        return self.operand(node, pad, scope)
 
-    def value(self, node: "Expr", pad: str, scope: dict) -> str:
-        """An expression of node's value: a known value, an int or a map."""
-        if type(node) is MapLit:
-            entries = [(self.key(k), self.value(e, pad, scope)) for k, e in node.items]
-            return "{" + ", ".join(f"{k}: {v}" for k, v in entries) + "}"
-        known = _known(node, self.consts)
-        return self.integer(node, pad, scope) if known is _MISSING else self.const(known)
-
-    def body(self, node: Optional["Expr"], pad: str, scope: dict) -> None:
+    def body(self, node: Optional["Expr"], pad: str, scope: dict, searched=False) -> None:
         """Lines that return node's value, a new map; None is a missing
-        ELSE, whose null the closure gives."""
+        ELSE, whose null the closure gives. A path holds at most one
+        searched CASE, so the lines nest at most one level."""
         if node is None:
             self.lines.append(f"{pad}return None")
         elif type(node) is MapLit:
-            value = self.value(node, pad, scope)
-            self.lines.append(f"{pad}return {value}")
-        elif type(node) is Case and node.subject is None:
-            for cond, result in node.whens:  # tests of = between ints
+            entries = [(self.key(k), self.value(e, pad, scope)) for k, e in node.items]
+            self.lines.append(f"{pad}return {{" + ", ".join(f"{k}: {v}" for k, v in entries) + "}")
+        elif type(node) is Case and node.subject is None and not searched:
+            for cond, result in node.whens:  # tests of = between operands
                 if not (type(cond) is Binary and cond.op == "="):
                     raise _Refused
-                left, right = self.integer(cond.left, pad, scope), self.integer(cond.right, pad, scope)
+                left, right = self.operand(cond.left, pad, scope), self.operand(cond.right, pad, scope)
                 self.lines.append(f"{pad}if {left} == {right}:")
-                self.body(result, pad + "    ", dict(scope))
-            self.body(node.default, pad, scope)
+                self.body(result, pad + "    ", dict(scope), True)
+            self.body(node.default, pad, scope, True)
         elif type(node) is Case and (arm := _known_arm(node, self.consts)) is not _MISSING:
-            self.body(arm, pad, scope)
+            self.body(arm, pad, scope, searched)
         else:
             raise _Refused
 
@@ -827,7 +830,10 @@ def _shape(text: str) -> CodeType:
 def _emit(body: "Expr", acc_name: str, consts: dict) -> Optional[Callable]:
     """body as a generated Python function of the accumulator alone, which
     returns body's value with acc_name bound to it, or None wherever the
-    closure must decide; or None for a body with a node it does not cover."""
+    closure must decide; or None for a body with a node it does not cover, or
+    whose acc_name a binder shadows (consts then holds it)."""
+    if acc_name in consts:
+        return None
     source = _StepSource(acc_name, consts)
     try:
         source.body(body, "    ", {})
@@ -836,11 +842,7 @@ def _emit(body: "Expr", acc_name: str, consts: dict) -> Optional[Callable]:
     params = "".join(f", k{n}" for n in range(len(source.defaults)))
     text = "\n".join([f"def step(acc{params}):", "    if type(acc) is not dict:",
                       "        return None", *source.lines, ""])
-    try:
-        code = _shape(text)
-    except SyntaxError:  # CASEs nested past Python's 100 levels of indentation
-        return None
-    return FunctionType(code, _STEP_GLOBALS, "step", tuple(source.defaults))
+    return FunctionType(_shape(text), _STEP_GLOBALS, "step", tuple(source.defaults))
 
 
 class Reduce(Expr):
@@ -873,22 +875,11 @@ class Reduce(Expr):
         step = _fold_step(body, acc_name, inner) if fixpoint else None
         key, halt, table, v, m = step or (_MISSING, None, (), None, None)
         halt = halt if type(halt) is int else None  # the test holds for no other i
-        # generated steps (_emit) of the memoised bodies, by index, once the
-        # loop has run HOT_ITERATIONS iterations
+        # the generated steps (_emit) of the memoised bodies, by index, or
+        # False where _emit gives none: once the loop has run HOT_ITERATIONS
+        # iterations, a memoised body that runs again generates its step
         bodies, hot = {}, {}
-        heated = False
         whole = None if step else body._compile(inner)
-
-        def generate(i) -> None:
-            g = _emit(m, acc_name, {**inner, v: table[i]})
-            if g is not None:
-                hot[i] = g
-
-        def heat() -> None:
-            nonlocal heated
-            heated = True
-            for i in bodies:
-                generate(i)
 
         def step_body(i) -> Compiled:
             """The code of an iteration whose acc.k is i, with no step body
@@ -897,8 +888,6 @@ class Reduce(Expr):
             nonlocal whole
             if type(i) is int and 0 <= i < len(table) and len(bodies) < MAX_SPECIALISED:
                 f = bodies[i] = m._compile({**inner, v: table[i]})
-                if heated:
-                    generate(i)
                 return f
             if whole is None:
                 whole = body._compile(inner)
@@ -915,14 +904,14 @@ class Reduce(Expr):
                 if fixpoint:  # no Var reads the element: it is not bound
                     # a fold's step also stops at a value equal to its
                     # accumulator, checked at the end of each chunk
-                    ran = 0
+                    ran, heated = 0, False
                     for size in _chunks(_length(items)):
                         for _ in range(size):
                             prev = acc
                             i = acc.get(key) if type(acc) is dict else None
                             if type(i) is int:  # not true, which hashes as 1
                                 g = hot.get(i)
-                                if g is not None:
+                                if g:
                                     value = g(acc)
                                     if value is not None:
                                         acc = value
@@ -932,6 +921,8 @@ class Reduce(Expr):
                                     if i == halt:
                                         break  # the test holds: the body gives acc itself
                                     f = step_body(i)
+                                elif heated and g is None:  # a memoised body runs again
+                                    hot[i] = _emit(m, acc_name, {**inner, v: table[i]}) or False
                             else:
                                 f = whole or step_body(i)
                             env[acc_name] = acc
@@ -945,8 +936,7 @@ class Reduce(Expr):
                             if _same_flat_map(acc, prev):
                                 break
                             ran += size
-                            if ran >= HOT_ITERATIONS and not heated:
-                                heat()
+                            heated = ran >= HOT_ITERATIONS
                             continue
                         break
                 else:
