@@ -19,29 +19,26 @@ for Code Generation", 1987). Each node's ``_compile`` picks its operator's
 code, captures its children's closures, and may only specialise without
 changing results or errors. A ``reduce`` has a fixpoint exit, and then does
 not bind its element. The exit applies when no ``Var`` in the body is named
-like the element variable (shadowed mentions count too). The parser records
-that verdict as it builds the body, in the parse's ``Source``;
-``Reduce._compile`` reads it when its body is the node it was recorded for
-(the same parse, address and piece), and walks any other body, one built by
-hand or swapped in, with ``_mentions``. The record keeps the body's address,
-not the body: a body refers to its ``Source``, so holding it there would
-make a cycle that only the garbage collector frees. Such a body sees only
-the accumulator and an environment that does not change from one iteration
-to the next: the subset is pure and deterministic, and every binder restores
-what it binds. So once an iteration returns the accumulator object itself,
-every later iteration would return an equal value without error, and the
-loop stops there: a halted fold costs the steps to its halt, not its
-``max_steps``. The loop of the fold's step (below) also stops at an equal
-value: a flat map strictly equal to the accumulator it came from, with the
-same keys in the same order and each value an int, string, boolean or null
-of the same type and equal (``true`` is not ``1``). No operation of the
-subset tells two such maps apart, so the same argument holds. A map that
-holds a list or a map is never the same, so the check never recurses. The
-loop checks only at the end of each chunk of 1, 2, 4, ... iterations, the
-last value against the accumulator it came from: a fixpoint from iteration t
-on is found by iteration 2t + 1, and a fold that never reaches one pays
-O(log n) checks and nothing per iteration. Any other body keeps the identity
-exit alone.
+like the element variable (shadowed mentions count too). The parser hands
+each ``Reduce`` it builds that verdict, found as it builds the body, and the
+node keeps it with that body: ``Reduce._compile`` uses it while the body is
+still that node, and walks any other body, one built by hand or swapped in,
+with ``_mentions``. Such a body sees only the accumulator and an environment
+that does not change from one iteration to the next: the subset is pure and
+deterministic, and every binder restores what it binds. So once an iteration
+returns the accumulator object itself, every later iteration would return an
+equal value without error, and the loop stops there: a halted fold costs the
+steps to its halt, not its ``max_steps``. The loop of the fold's step
+(below) also stops at an equal value: a flat map strictly equal to the
+accumulator it came from, with the same keys in the same order and each
+value an int, string, boolean or null of the same type and equal (``true``
+is not ``1``). No operation of the subset tells two such maps apart, so the
+same argument holds. A map that holds a list or a map is never the same, so
+the check never recurses. The loop checks only at the end of each chunk of
+1, 2, 4, ... iterations, the last value against the accumulator it came
+from: a fixpoint from iteration t on is found by iteration 2t + 1, and a
+fold that never reaches one pays O(log n) checks and nothing per iteration.
+Any other body keeps the identity exit alone.
 
 Compiling also threads constants, a partial evaluation (Jones, Gomard &
 Sestoft, *Partial Evaluation and Automatic Program Generation*, 1993).
@@ -52,54 +49,53 @@ RETURN item a snapshot of the earlier LET values. A ``Var`` named in
 lookup would. Every binder (``reduce``'s accumulator and element, a
 comprehension's variable) drops the names it binds from ``consts`` before
 compiling the code in its scope, so a shadowed name is read from ``env`` as
-before. A property of a known map or null folds to a constant; a known
-non-map keeps its closure and so its ``TypeMismatch`` at run time. A simple
-CASE whose subject is known and whose match values are all literals
-compiles only the arm ``eq3`` picks. A ``reduce`` with the fixpoint exit
-whose body is the fold's step, ``CASE WHEN acc.k = <literal> THEN acc ELSE
-head([v IN [c[acc.k]] | m]) END`` with ``c`` a known list, owns its step
-table. Its loop reads ``acc.k`` once per iteration. For an integer ``0 <= i
-< len(c)`` other than the literal, the test is false and ``c[i]`` reads
-without error, so the body's value is that of an ``m`` compiled with ``v``
-known to be ``c[i]``; the loop compiles that step body on the first visit
-to ``i``, memoises it in the compiled closure, and calls it directly after,
-as direct threading does (Ertl & Gregg, "The structure and performance of
-efficient interpreters", 2003). So a fold over a program table compiles one
-step body per state it visits, with every field of the entry folded, and
-builds neither list of the comprehension. An integer equal to an integer
-literal makes the test true, and the loop stops, as the body would give the
-accumulator itself. Any other accumulator or index, and any index past
-``MAX_SPECIALISED`` bodies, calls the whole body, compiled on first use, so
-a fold that halts within the table never compiles it. ``head([v IN [c[e]]
-| m])`` anywhere else takes the general path and builds its lists. No
-value a result holds is built at compile time, so results, their identity,
-errors and their positions stay as they are.
+before. A ``reduce`` with the fixpoint exit whose body is the fold's step,
+``CASE WHEN acc.k = <literal> THEN acc ELSE head([v IN [c[acc.k]] | m])
+END`` with ``c`` a known list, owns its step table. Its loop reads ``acc.k``
+once per iteration. For an integer ``0 <= i < len(c)`` other than the
+literal, the test is false and ``c[i]`` reads without error, so the body's
+value is that of ``m`` with ``v`` known to be ``c[i]``. At the first visit
+to ``i`` the loop generates that step as Python (below), memoises it in the
+compiled closure, and calls it directly after, as direct threading does
+(Ertl & Gregg, "The structure and performance of efficient interpreters",
+2003). So a fold over a program table generates one step per state it
+visits, with every field of the entry folded, and builds neither list of
+the comprehension. An integer equal to an integer literal makes the test
+true, and the loop stops, as the body would give the accumulator itself.
+Any other accumulator or index, any index past ``MAX_SPECIALISED`` steps,
+and a step that is refused or returns None run the whole body, compiled on
+first use, so a fold that halts within the table never compiles it.
+``head([v IN [c[e]] | m])`` anywhere else takes the general path and builds
+its lists. No value a result holds is built at compile time, so results,
+their identity, errors and their positions stay as they are.
 
-The hot steps of a fold run as generated Python. Once the loop has run
-``HOT_ITERATIONS`` iterations, counted at the end of a chunk, a memoised
-step body that runs again is written by ``_emit`` as the source of one
-function ``step(acc, k0, k1, ...)``; a body that runs once, as most of a
-long program's do, is never written. The loop then calls that function,
-with no ``env`` and no closure, for an int ``acc.k`` that has one (never
-for ``true``, which hashes as ``1``). The emitter covers only what a fold's
-step uses: a simple CASE whose arm is known, at most one searched CASE on a
-path, whose tests are ``=`` between operands, and a map literal whose
-entries are known values, operands or ``+ - *`` of two operands, an operand
-being a known int or a read of an accumulator's property. Any other node,
-or a binder in the step that shadows the accumulator's name, leaves the
-body on its closure. A generated step returns the body's value, always a
-new map, or None wherever the closure must decide: an accumulator that is
-not a map, a read that is not an int, a result outside 64 bits, or a CASE
-that takes a missing ELSE. On None the loop runs that iteration through the
-closure, which computes it again, so every value, error and position is
-the closure's. No text of the query reaches ``compile()``: each literal,
-known value and key enters as the default of a parameter ``k<n>``, reads
-are ``r<n>`` and results ``t<n>``. So the bodies of one shape have one
-text, and share its code object through ``_shape``, a bounded memo keyed by
-the text. A fold that halts before the heat, as most do within a few steps,
-generates nothing; a body of a known shape costs about as much to emit as
-its closure costs to compile, and a new shape one ``compile()`` more
-(closures against generated code: Feeley & Lapalme above; Würthinger et
+``_emit`` writes a step as the source of one function ``step(acc, k0, k1,
+...)``, which the loop calls with no ``env`` and no closure, for an int
+``acc.k`` (never for ``true``, which hashes as ``1``). The emitter covers
+only what a fold's step uses: a simple CASE whose subject is known and whose
+matches are literals, which it reduces to the arm ``eq3`` picks; at most one
+searched CASE on a path, whose tests are ``=`` between operands; and a map
+literal whose entries are known values, operands or ``+ - *`` of two
+operands, an operand being a known int or a read of an accumulator's
+property. Known are a name in ``consts``, a scalar literal and a property of
+a known map or null (``_known``). Any other node, or a binder in the step
+that shadows the accumulator's name, refuses the body. The loop records the
+refusal, and each visit to that index runs the whole body: the closures of
+the whole CASE, the two lists of the comprehension and an ``env`` binding
+per iteration, where a generated step pays one call. A generated step
+returns the body's value, always a new map, or None wherever the closures
+must decide: an accumulator that is not a map, a read that is not an int, a
+result outside 64 bits, or a CASE that takes a missing ELSE. On None the
+loop runs that iteration through the whole body, which computes it again,
+so every value, error and position is the closures'. No text of the query
+reaches ``compile()``: each literal, known value and key enters as the
+default of a parameter ``k<n>``, reads are ``r<n>`` and results ``t<n>``.
+So the steps of one shape have one text, and share its code object through
+``_shape``, a bounded memo keyed by the text: a step of a known shape costs
+one walk of the body to emit, and a new shape one ``compile()`` more. There
+is one compiled form per step; the closures of ``m`` are the reference the
+tests hold each generated step to (closures against generated code: Feeley
+& Lapalme above; on keeping a second tier only where it pays, Würthinger et
 al., "One VM to rule them all", 2013).
 
 ``evaluator.evaluate`` is the one evaluation path: it compiles a tree, then
@@ -132,14 +128,10 @@ INT64_MAX = 2**63 - 1
 # the most elements a comprehension reads or format_value renders from one
 # list or range; a range is lazy, but both would materialise every element
 MAX_LIST_LENGTH = 1_000_000
-# the most step bodies one fold's loop compiles, one per table index it
-# visits; later indexes call the whole body, so a table visited once per
-# entry costs neither a compile per entry nor the memory of its bodies
+# the most steps one fold's loop generates, one per table index it visits;
+# later indexes run the whole body, so a table visited once per entry costs
+# neither an emission per entry nor the memory of its steps
 MAX_SPECIALISED = 4096
-# the iterations a fold's step loop runs, counted at the ends of its chunks,
-# before a step body that runs again is generated as Python (Reduce, _emit);
-# a fold that halts sooner never pays for compile()
-HOT_ITERATIONS = 63
 
 Value = Any  # None | bool | int | str | list | range | dict
 Compiled = Callable[[dict, dict], Value]  # f(env, params)
@@ -432,36 +424,21 @@ class Prop(Expr):
         self.at = at
 
     def _compile(self, consts):
-        return self._fold(consts)[0]
+        key, f = self.key, self.obj._compile(consts)
 
-    def _fold(self, consts):
-        """This read's closure, and its value if known, else _MISSING. A chain
-        of reads hands its known values up as it compiles, so compiling it
-        stays linear in its length."""
-        key, obj = self.key, self.obj
-        f, known = obj._fold(consts) if type(obj) is Prop else (None, _known(obj, consts))
-        if known is None or isinstance(known, dict):
-            value = None if known is None else known.get(key)
-            return _constant(value), value
-
-        def general(v):
-            if v is None:
-                return None
+        def prop(env, params):
+            v = f(env, params)
             if isinstance(v, dict):
                 return v.get(key)
+            if v is None:
+                return None
             raise TypeMismatch(
                 f"property access on non-map value of type {type(v).__name__}",
                 self.line,
                 self.column,
             )
 
-        f = obj._compile(consts) if f is None else f
-
-        def prop(env, params):
-            v = f(env, params)
-            return v.get(key) if type(v) is dict else general(v)
-
-        return prop, _MISSING
+        return prop
 
 
 class Index(Expr):
@@ -645,9 +622,6 @@ class Case(Expr):
         self.at = at
 
     def _compile(self, consts):
-        arm = _known_arm(self, consts)
-        if arm is not _MISSING:  # compile only the arm it takes
-            return _constant(None) if arm is None else arm._compile(consts)
         default = self.default._compile(consts) if self.default is not None else _constant(None)
         if self.subject is None:
             arms = [(c._compile(consts), result._compile(consts)) for c, result in self.whens]
@@ -741,7 +715,7 @@ class _StepSource:
     values of k0, k1, ...: each literal, known value and key the body uses.
     acc names the accumulator, which consts does not hold; rN holds a read of
     it, checked to be an int, and tN a sum, difference or product, checked to
-    fit 64 bits. Anything else the closure must decide returns None."""
+    fit 64 bits. Anything else the whole body must decide returns None."""
 
     def __init__(self, acc_name: str, consts: dict):
         self.acc_name, self.consts = acc_name, consts
@@ -794,7 +768,7 @@ class _StepSource:
 
     def body(self, node: Optional["Expr"], pad: str, scope: dict, searched=False) -> None:
         """Lines that return node's value, a new map; None is a missing
-        ELSE, whose null the closure gives. A path holds at most one
+        ELSE, whose null the whole body gives. A path holds at most one
         searched CASE, so the lines nest at most one level."""
         if node is None:
             self.lines.append(f"{pad}return None")
@@ -830,8 +804,8 @@ def _shape(text: str) -> CodeType:
 def _emit(body: "Expr", acc_name: str, consts: dict) -> Optional[Callable]:
     """body as a generated Python function of the accumulator alone, which
     returns body's value with acc_name bound to it, or None wherever the
-    closure must decide; or None for a body with a node it does not cover, or
-    whose acc_name a binder shadows (consts then holds it)."""
+    whole body must decide; or None for a body with a node it does not
+    cover, or whose acc_name a binder shadows (consts then holds it)."""
     if acc_name in consts:
         return None
     source = _StepSource(acc_name, consts)
@@ -845,15 +819,27 @@ def _emit(body: "Expr", acc_name: str, consts: dict) -> Optional[Callable]:
     return FunctionType(_shape(text), _STEP_GLOBALS, "step", tuple(source.defaults))
 
 
-class Reduce(Expr):
+class _Verdict(Expr):
+    """A node that keeps a verdict of its parse. The slot lies outside the
+    node's own __slots__, which name the fields tree walks visit
+    (_mentions)."""
+
+    __slots__ = ("verdict",)
+
+
+class Reduce(_Verdict):
+    """verdict is (the body the parse built, whether a Var in it is named
+    like the element), or (body, None) when unknown."""
+
     __slots__ = ("acc_name", "init", "var_name", "list_expr", "body")
 
-    def __init__(self, acc_name, init, var_name, list_expr, body, source, at):
+    def __init__(self, acc_name, init, var_name, list_expr, body, source, at, mentioned=None):
         self.acc_name = acc_name
         self.init = init
         self.var_name = var_name
         self.list_expr = list_expr
         self.body = body
+        self.verdict = (body, mentioned)
         self.source = source
         self.at = at
 
@@ -863,37 +849,23 @@ class Reduce(Expr):
         inner = _without(consts, acc_name, var_name)
         # once a body blind to the element returns its accumulator itself,
         # every later iteration would give an equal value (module docstring);
-        # the parse recorded whether the body it built names the element
-        body = self.body
-        mentioned = None
-        if body.source is self.source:
-            mentioned = self.source.fixpoints.get((self.at, id(body), body.at))
-        fixpoint = not (_mentions(body, var_name) if mentioned is None else mentioned)
-        # a fold's step (_fold_step): the loop memoises a step body per table
-        # index that acc.k takes; any other body has the key _MISSING, which
-        # no map holds, and no table
+        # the parse recorded whether the body it built names the element; a
+        # body built by hand or swapped in is walked
+        body, (parsed, mentioned) = self.body, self.verdict
+        if parsed is not body or mentioned is None:
+            mentioned = _mentions(body, var_name)
+        fixpoint = not mentioned
+        # a fold's step (_fold_step): the loop generates the step (_emit) of
+        # each table index acc.k takes, at its first visit; any other body
+        # has the key _MISSING, which no map holds, and no table
         step = _fold_step(body, acc_name, inner) if fixpoint else None
         key, halt, table, v, m = step or (_MISSING, None, (), None, None)
         halt = halt if type(halt) is int else None  # the test holds for no other i
-        # the generated steps (_emit) of the memoised bodies, by index, or
-        # False where _emit gives none: once the loop has run HOT_ITERATIONS
-        # iterations, a memoised body that runs again generates its step
-        bodies, hot = {}, {}
+        steps = {}  # by index: its generated step, or False where _emit gives none
         whole = None if step else body._compile(inner)
 
-        def step_body(i) -> Compiled:
-            """The code of an iteration whose acc.k is i, with no step body
-            memoised for it: a new one for an index of the table while the
-            memo has room, else the whole body, compiled on first use."""
-            nonlocal whole
-            if type(i) is int and 0 <= i < len(table) and len(bodies) < MAX_SPECIALISED:
-                f = bodies[i] = m._compile({**inner, v: table[i]})
-                return f
-            if whole is None:
-                whole = body._compile(inner)
-            return whole
-
         def reduce_(env, params):
+            nonlocal whole
             items = list_expr(env, params)
             if not _is_list(items):
                 raise TypeMismatch("reduce requires a list", self.line, self.column)
@@ -904,39 +876,34 @@ class Reduce(Expr):
                 if fixpoint:  # no Var reads the element: it is not bound
                     # a fold's step also stops at a value equal to its
                     # accumulator, checked at the end of each chunk
-                    ran, heated = 0, False
                     for size in _chunks(_length(items)):
                         for _ in range(size):
                             prev = acc
                             i = acc.get(key) if type(acc) is dict else None
                             if type(i) is int:  # not true, which hashes as 1
-                                g = hot.get(i)
+                                g = steps.get(i)
+                                if g is None:
+                                    if i == halt:
+                                        break  # the test holds: the body gives acc itself
+                                    if 0 <= i < len(table) and len(steps) < MAX_SPECIALISED:
+                                        known = {**inner, v: table[i]}
+                                        g = steps[i] = _emit(m, acc_name, known) or False
                                 if g:
                                     value = g(acc)
                                     if value is not None:
                                         acc = value
                                         continue
-                                f = bodies.get(i)
-                                if f is None:
-                                    if i == halt:
-                                        break  # the test holds: the body gives acc itself
-                                    f = step_body(i)
-                                elif heated and g is None:  # a memoised body runs again
-                                    hot[i] = _emit(m, acc_name, {**inner, v: table[i]}) or False
-                            else:
-                                f = whole or step_body(i)
+                            # the whole body decides the rest, compiled on first use
+                            if whole is None:
+                                whole = body._compile(inner)
                             env[acc_name] = acc
-                            value = f(env, params)
+                            value = whole(env, params)
                             if value is acc:
                                 break
                             acc = value
                         else:
-                            if not step:
-                                continue
-                            if _same_flat_map(acc, prev):
+                            if step and _same_flat_map(acc, prev):
                                 break
-                            ran += size
-                            heated = ran >= HOT_ITERATIONS
                             continue
                         break
                 else:

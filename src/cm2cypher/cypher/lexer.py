@@ -150,17 +150,14 @@ def _pieces(text: str) -> list[str]:
 class Source:
     """The text of one parse, and where its pieces are: the offset of each
     piece and the start of each line, each worked out the first time it is
-    read. fixpoints maps the piece of each reduce the parse built, with the
-    address and piece of its body, to whether a Var in that body is named
-    like its element."""
+    read."""
 
-    __slots__ = ("text", "_offsets", "_line_starts", "fixpoints")
+    __slots__ = ("text", "_offsets", "_line_starts")
 
     def __init__(self, text: str):
         self.text = text
         self._offsets: list[int] | None = None
         self._line_starts: list[int] | None = None
-        self.fixpoints: dict[int, tuple] = {}
 
     def offset(self, i: int) -> int:
         """The offset of piece i."""

@@ -39,10 +39,9 @@ keyword, the end) by parse_primary; a '.' or '[' after an operand is read
 by parse_suffixes, so trees and errors are those of the descent. When the
 next piece binds no tighter than min_power the operand is returned at once,
 and otherwise parse_operators goes on. The parser keeps the name of each
-Var it builds, and parse_reduce records in the Source whether its body
-built one named like its element, under the body's address and piece: the
-verdict of ast._mentions on that body, which the reduce's fixpoint exit
-needs (ast).
+Var it builds, and parse_reduce hands its Reduce whether its body built one
+named like its element: the verdict of ast._mentions on that body, which
+the reduce's fixpoint exit needs (ast).
 """
 
 from __future__ import annotations
@@ -387,8 +386,8 @@ class _Parser:
         body = self.parse_expr()
         self.expect_punct(")")
         # the fixpoint verdict Reduce._compile would find with ast._mentions
-        self.source.fixpoints[i, id(body), body.at] = var in self.names[mark:]
-        return ast.Reduce(acc, init, var, list_expr, body, self.source, i)
+        mentioned = var in self.names[mark:]
+        return ast.Reduce(acc, init, var, list_expr, body, self.source, i, mentioned)
 
     def parse_list(self) -> ast.Expr:
         open_i = self.expect_punct("[")

@@ -1787,11 +1787,9 @@ def test_a_nesting_step_body_runs_in_linear_time():
 
 
 def test_a_live_self_loop_step_makes_at_most_2_calls():
-    # both fuels pass the heat and the body's own HOT_ITERATIONS, so its step
-    # is generated; the 1000 more live steps add one chunk: its check and a
-    # resumption of _chunks, and no call per step
+    # the step is generated at its first visit; the 1000 more live steps add
+    # one chunk: its check and a resumption of _chunks, and no call per step
     source = "state 0: INC A -> 0\n"
-    assert 1001 > 2 * ast.HOT_ITERATIONS
     _ast_calls_per_live_step(1001, source)  # compile() of the step's shape, memoised
     calls = _ast_calls_per_live_step(2001, source) - _ast_calls_per_live_step(1001, source)
     assert calls <= 2, calls
@@ -1866,21 +1864,21 @@ def _emitted(thunk):
 
 
 def test_true_never_runs_the_generated_step_of_state_1():
-    # 600 iterations loop over states 0 and 1, whose steps are generated;
-    # state 2 then steps to true, which hashes as 1 but is no index of the table
+    # 600 iterations loop over states 0 and 1; state 2 then steps to true,
+    # which hashes as 1 but is no index of the table
     source = "state 0: JZDEC A ? 2 : 1\nstate 1: INC B -> 0\nstate 2: INC A -> 1\n"
     text = _fold_text(parse_dsl(source), 1000, "{state: 0, A: 300, B: 0}")
     entry = "{state: 2, op: 'INC', counter: 'A', next: 1}"
     assert entry in text
     text = text.replace(entry, entry.replace("next: 1", "next: true"))
     outcome, texts = _emitted(lambda: run_query(parse_query(text))["result"])
-    assert len(texts) == 2  # states 0 and 1; state 2 runs once, on its closure
+    assert len(texts) == 3  # one step per state, each at its first visit
     assert outcome == ("error", *_NOT_AN_INDEX)
     with _no_generated_steps():
         assert _fold_outcome(text) == outcome
 
 
-def test_a_fold_that_heats_adds_no_value_checks():
+def test_generated_steps_add_no_value_checks():
     text = gen_reduce_query(parse_dsl("state 0: INC A -> 0\n"), 100_000).text
     result, checks = _checks_of(text)
     with _no_generated_steps():
@@ -1944,16 +1942,20 @@ def test_a_comprehension_that_shadows_the_accumulator_folds_as_its_closure():
     assert outcome == ("value", repr({"s": 0, "n": None})) and texts == []
     with _no_generated_steps():
         assert _fold_outcome(text) == outcome
+    # the emitter refuses each state's step once; later visits run the whole body
+    with unittest.mock.patch.object(ast, "_emit", wraps=ast._emit) as emit:
+        assert _fold_outcome(text) == outcome
+    assert emit.call_count == 2
 
 
 _CHAIN = "".join(f"state {i}: INC A -> {i + 1}\n" for i in range(150)) + "state 150: INC B -> 150\n"
 
 
-# the chain's 150 states run once each, past the heat at 63 iterations, and
-# then state 150 loops; the self-loop's 60 iterations end before the heat
-@pytest.mark.parametrize("source, fuel, generated", [(_CHAIN, 1000, 1),
-                                                     ("state 0: INC A -> 0\n", 60, 0)])
-def test_only_the_bodies_that_repeat_after_the_heat_are_generated(source, fuel, generated):
+# the chain's 151 states are generated once each, though states 0 to 149 run
+# once and state 150 then loops; the self-loop's state once for 60 iterations
+@pytest.mark.parametrize("source, fuel, generated", [(_CHAIN, 1000, 151),
+                                                     ("state 0: INC A -> 0\n", 60, 1)])
+def test_each_visited_state_is_generated_once(source, fuel, generated):
     program = parse_dsl(source)
     tree = parse_query(gen_reduce_query(program, fuel).text)
     outcome, texts = _emitted(lambda: run_query(tree)["result"])
@@ -1977,14 +1979,14 @@ def test_the_code_memo_stays_within_its_bound():
 
 def _verdicts(tree):
     """The parse's fixpoint verdict of each reduce in tree, in source order,
-    each checked against the body it was recorded for and the walk's."""
+    each checked against the walk's of its body."""
     verdicts = []
     for node in _nodes(tree):
         if type(node) is ast.Reduce:
-            mentioned = node.source.fixpoints[node.at, id(node.body), node.body.at]
-            assert mentioned == ast._mentions(node.body, node.var_name)
+            body, mentioned = node.verdict
+            assert body is node.body and mentioned is not None  # the parse recorded one
+            assert mentioned == ast._mentions(body, node.var_name)
             verdicts.append(mentioned)
-    assert len(verdicts) == len(tree.source.fixpoints)
     return verdicts
 
 
@@ -2280,46 +2282,47 @@ def test_a_constant_is_the_let_value_itself():
     assert results["t"] is results["r"][0]
 
 
-class CountedCompiles(ast.Expr):
-    """A comprehension's mapper that records the value of its variable, if
-    known, each time it is compiled: a fold's step body knows its entry."""
+def _compiles(tree, runs=1):
+    """The result of each of runs evaluations of tree, and in order the
+    state of each step the fold bound to result generated (_emit) and
+    "whole" for each compile of the fold's whole body."""
+    fold = dict(tree.bindings)["result"]
+    var = fold.body.default.args[0].var_name
+    compiles = []
+    emit, compile_case = ast._emit, ast.Case._compile
 
-    __slots__ = ("inner", "var_name", "known")
+    def emitted(body, acc_name, consts):
+        compiles.append(consts[var]["state"])
+        return emit(body, acc_name, consts)
 
-    def __init__(self, inner, var_name):
-        super().__init__(inner.source, inner.at)
-        self.inner, self.var_name, self.known = inner, var_name, []
+    def compiled(case, consts):
+        if case is fold.body:
+            compiles.append("whole")
+        return compile_case(case, consts)
 
-    def _compile(self, consts):
-        self.known.append(consts.get(self.var_name, "unknown"))
-        return self.inner._compile(consts)
+    with unittest.mock.patch.object(ast, "_emit", emitted), \
+            unittest.mock.patch.object(ast.Case, "_compile", compiled):
+        results = [run_query(tree)["result"] for _ in range(runs)]
+    return results, compiles
+
+
+def _visited(program, fuel):
+    """The states a run of program visits, in the order of their first visits."""
+    return list(dict.fromkeys(row.config_before.state
+                              for row in run(program, fuel=fuel, capture_trace=True).trace))
 
 
 def test_each_table_entry_compiles_once_per_query():
     program = random_program(4, 8)
     steps = 60
-    trace = run(program, fuel=steps, capture_trace=True).trace
-    visited = {row.config_before.state for row in trace}
+    visited = _visited(program, steps)
     tree = parse_query(gen_reduce_query(program, steps).text)
-    (head,) = (n for n in _nodes(tree.bindings) if type(n) is ast.Comprehension)
-    head.mapper = counted = CountedCompiles(head.mapper, head.var_name)
-    first = run_query(tree)
-    assert "unknown" not in counted.known  # every index is in the table
-    entries = counted.known[:]
-    assert sorted(e["state"] for e in entries) == sorted(visited)
-    assert len(visited) > 1
     # a second run compiles afresh: no memo outlives its query's evaluation
-    assert run_query(tree) == first
-    assert len(counted.known) == 2 * len(entries)
-
-
-def _counted_fold(text):
-    """The parsed fold text, and the CountedCompiles record of its step's
-    mapper."""
-    tree = parse_query(text)
-    (head,) = (n for n in _nodes(tree.bindings) if type(n) is ast.Comprehension)
-    head.mapper = counted = CountedCompiles(head.mapper, head.var_name)
-    return tree, counted.known
+    (first, second), compiles = _compiles(tree, 2)
+    assert second == first
+    # one step per state visited, and no whole body: every index is in the table
+    assert compiles == visited * 2
+    assert len(visited) > 1
 
 
 def test_an_index_outside_the_table_compiles_the_general_body_once_per_query():
@@ -2332,17 +2335,14 @@ def test_an_index_outside_the_table_compiles_the_general_body_once_per_query():
         run_query_text(text.replace("LAST", "4"))
     at = text.replace("LAST", "4").index("/") + 1
     assert (exc_info.value.line, exc_info.value.column) == (1, at)
-    # a fold that steps to -3, the first entry from the end, compiles the
-    # step bodies of states 0 and 1 and, at -3, the whole body, once each
+    # a fold that steps to -3, the first entry from the end, generates the
+    # steps of states 0 and 1 and, at -3, compiles the whole body, once each
     program = parse_dsl("state 0: INC A -> 1\nstate 1: INC B -> 0\nstate 2: HALT\n")
     entry = "{state: 1, op: 'INC', counter: 'B', next: 0}"
     text = _fold_text(program, 20).replace(entry, entry.replace("next: 0", "next: -3"))
-    tree, known = _counted_fold(text)
-    result = {"state": -3, "A": 10, "B": 10}
-    assert run_query(tree)["result"] == result
-    assert run_query(tree)["result"] == result
-    states = [e if e == "unknown" else e["state"] for e in known]
-    assert states == [0, 1, "unknown"] * 2
+    results, compiles = _compiles(parse_query(text), 2)
+    assert results == [{"state": -3, "A": 10, "B": 10}] * 2
+    assert compiles == [0, 1, "whole"] * 2
 
 
 def test_a_table_read_once_per_entry_compiles_a_bounded_number_of_bodies(monkeypatch):
@@ -2351,15 +2351,28 @@ def test_a_table_read_once_per_entry_compiles_a_bounded_number_of_bodies(monkeyp
     assert run_query_text("LET c = [x IN range(0, 9) | {a: x}] "
                           "RETURN [i IN range(0, 11) | head([v IN [c[i]] | v.a])] AS r") \
         == {"r": list(range(10)) + [None, None]}
-    # a fold that visits each state of a chain once compiles 3 step bodies,
-    # then the whole body
+    # a fold that visits each state of a chain once generates 3 steps, then
+    # compiles the whole body
     chain = "".join(f"state {i}: INC A -> {i + 1}\n" for i in range(9)) + "state 9: HALT\n"
     program = parse_dsl(chain)
-    tree, known = _counted_fold(_fold_text(program, 20))
+    (result,), compiles = _compiles(parse_query(_fold_text(program, 20)))
     final = run(program, fuel=20).final
-    assert run_query(tree)["result"] == {"state": final.state, "A": final.a, "B": final.b}
+    assert result == {"state": final.state, "A": final.a, "B": final.b}
     assert final.state == -1
-    assert [e if e == "unknown" else e["state"] for e in known] == [0, 1, 2, "unknown"]
+    assert compiles == [0, 1, 2, "whole"]
+
+
+def test_a_fold_over_many_states_generates_each_visited_state_once():
+    # the reduced unary_successor program: 555 states, 112 of them visited
+    # in the 1,627 steps to its halt
+    tm = load_tm_file(FIXTURES / "tm" / "unary_successor.json")
+    program = k_counters_to_two(two_stack_to_counters(tm))
+    assert len(program.instructions) == 555
+    visited = _visited(program, 2000)
+    (result,), compiles = _compiles(parse_query(gen_reduce_query(program, 2000).text))
+    final = run(program, fuel=2000).final
+    assert result == {"state": final.state, "A": final.a, "B": final.b}
+    assert compiles == visited and len(visited) == 112
 
 
 def test_range_is_inclusive():
