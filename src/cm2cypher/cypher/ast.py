@@ -29,15 +29,30 @@ deterministic, and every binder restores what it binds. So once an iteration
 returns the accumulator object itself, every later iteration would return an
 equal value without error, and the loop stops there: a halted fold costs the
 steps to its halt, not its ``max_steps``. The loop of the fold's step
-(below) also stops at an equal value: a flat map strictly equal to the
-accumulator it came from, with the same keys in the same order and each
-value an int, string, boolean or null of the same type and equal (``true``
-is not ``1``). No operation of the subset tells two such maps apart, so the
-same argument holds. A map that holds a list or a map is never the same, so
-the check never recurses. The loop checks only at the end of each chunk of
-1, 2, 4, ... iterations, the last value against the accumulator it came
-from: a fixpoint from iteration t on is found by iteration 2t + 1, and a
-fold that never reaches one pays O(log n) checks and nothing per iteration.
+(below) also stops at a repeated value, by Brent's cycle detection (Brent,
+"An improved Monte Carlo factorization algorithm", BIT 20, 1980; Floyd's
+method is in Knuth, TAOCP vol. 2, 3.1, ex. 6). Two values are the same
+(``_same_flat_map``) when both are flat maps with the same keys in the same
+order and, for each key, values of one type among int, string, boolean and
+null that are equal (``true`` is not ``1``): no operation of the subset
+tells them apart. A map that holds a list or a map is never the same, so
+the check never recurses. The loop runs in chunks of 1, 2, 4, ...
+iterations. Each chunk keeps its first value as the anchor, and records the
+anchor's ``acc.k`` when that is an int; a later value of the chunk, up to
+the one the chunk ends with, is compared with the anchor only when its
+``acc.k`` is that int, and at most ``CYCLE_COMPARES`` times. A match d
+iterations after the anchor proves period d: each iteration is a function
+of the accumulator alone, and the d iterations from the anchor to the match
+ran without error, so every later iteration repeats one of them. The loop
+then runs the iterations left modulo d and stops, with the value and the
+outcome of the full fold. A fixpoint is the period d = 1. A cycle entered
+by iteration t with period p is found within the first chunk that starts
+at or after t and holds at least p iterations, when the anchor's ``acc.k``
+recurs at most ``CYCLE_COMPARES`` times per period; so a fixpoint from
+iteration t on is found by iteration 2t + 1. A fold with no cycle pays at
+most ``CYCLE_COMPARES`` compares per chunk, O(log n) in all, and per
+iteration a test of the compares left and, while any are, an int
+comparison of the ``acc.k`` the loop reads anyway.
 Any other body keeps the identity exit alone.
 
 Compiling also threads constants, a partial evaluation (Jones, Gomard &
@@ -132,6 +147,10 @@ MAX_LIST_LENGTH = 1_000_000
 # later indexes run the whole body, so a table visited once per entry costs
 # neither an emission per entry nor the memory of its steps
 MAX_SPECIALISED = 4096
+# the most times a chunk of a fold's loop compares a value with its anchor
+# (Reduce): in random_program(300073, 8) the anchor's state recurs twice per
+# period (states 0, 4, 3, 0), and only the second recurrence is a repeat
+CYCLE_COMPARES = 2
 
 Value = Any  # None | bool | int | str | list | range | dict
 Compiled = Callable[[dict, dict], Value]  # f(env, params)
@@ -664,15 +683,6 @@ def _same_flat_map(a, b) -> bool:
     return True
 
 
-def _chunks(n: int):
-    """1, 2, 4, ... while they sum to at most n, then what is left of n."""
-    size = 1
-    while n > 0:
-        yield min(size, n)
-        n -= size
-        size *= 2
-
-
 def _fold_step(body: Expr, acc_name: str, consts: dict) -> Optional[tuple]:
     """(k, lit, c, v, m) when body is a fold's step, CASE WHEN acc.k = lit THEN
     acc ELSE head([v IN [t[acc.k]] | m]) END with both reads of the same k and
@@ -874,17 +884,37 @@ class Reduce(_Verdict):
             saved_var = env.get(var_name, _MISSING)
             try:
                 if fixpoint:  # no Var reads the element: it is not bound
-                    # a fold's step also stops at a value equal to its
-                    # accumulator, checked at the end of each chunk
-                    for size in _chunks(_length(items)):
-                        for _ in range(size):
-                            prev = acc
+                    # a fold's step also stops at a repeated value (Brent,
+                    # module docstring): each chunk of 1, 2, 4, ... iterations
+                    # keeps its first value as the anchor, and compares a
+                    # later value whose acc.k is the anchor's int with it, at
+                    # most CYCLE_COMPARES times; a match d iterations on
+                    # leaves what is left modulo d to run, with no anchor
+                    left, size, tries, seek = _length(items), 1, 0, True
+                    while left:
+                        if seek:  # the last chunk's last value, then a new anchor
+                            i = acc.get(key) if type(acc) is dict else None
+                            if tries and i == ak and _same_flat_map(acc, anchor):
+                                left, tries, seek = left % chunk, 0, False
+                            else:
+                                anchor, ak = acc, i
+                                tries = CYCLE_COMPARES if type(i) is int else 0
+                        chunk = min(size, left)
+                        left -= chunk
+                        size *= 2
+                        for d in range(chunk):
                             i = acc.get(key) if type(acc) is dict else None
                             if type(i) is int:  # not true, which hashes as 1
+                                if tries and i == ak and d:  # the anchor's acc.k, d iterations on
+                                    if _same_flat_map(acc, anchor):
+                                        left, tries, seek = (left + chunk - d) % d, 0, False
+                                        break
+                                    tries -= 1
                                 g = steps.get(i)
                                 if g is None:
-                                    if i == halt:
-                                        break  # the test holds: the body gives acc itself
+                                    if i == halt:  # the test holds: the body gives acc itself
+                                        left = 0
+                                        break
                                     if 0 <= i < len(table) and len(steps) < MAX_SPECIALISED:
                                         known = {**inner, v: table[i]}
                                         g = steps[i] = _emit(m, acc_name, known) or False
@@ -899,13 +929,9 @@ class Reduce(_Verdict):
                             env[acc_name] = acc
                             value = whole(env, params)
                             if value is acc:
+                                left = 0
                                 break
                             acc = value
-                        else:
-                            if step and _same_flat_map(acc, prev):
-                                break
-                            continue
-                        break
                 else:
                     for x in items:
                         env[acc_name] = acc

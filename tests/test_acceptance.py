@@ -84,9 +84,13 @@ def test_criterion_3_fold_query_end_to_end(demo):
 @pytest.mark.parametrize("source", [
     "state 0: INC A -> 0\n",
     "state 0: INC B -> 1\nstate 1: JZDEC B ? 2 : 2\nstate 2: JZDEC A ? 0 : 0\n",
+    "state 0: INC B -> 1\nstate 1: INC A -> 2\nstate 2: JZDEC B ? 0 : 0\n",
 ])
 def test_a_live_fold_of_a_million_iterations_equals_run(source):
-    # loops that never halt: every one of the 10^6 iterations is live
+    # loops that never halt: the self-loop and the counter-growing loop never
+    # repeat a configuration, so each of their 10^6 iterations is live; the
+    # second loop repeats (0, 0, 0) every 3 steps, and its fold stops at that
+    # cycle
     program = parse_dsl(source)
     t0 = time.perf_counter()
     got = run_query_text(gen_reduce_query(program, 1_000_000).text)

@@ -235,6 +235,20 @@ def test_eval_fold_of_2_to_the_63_steps_stops_at_the_halt(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "{A:2, B:0, state:-1}"
 
 
+def test_eval_fold_of_a_period_3_loop_of_2_to_the_63_steps_ends_at_its_cycle(tmp_path, capsys):
+    # (0, 0, 0) comes back every 3 steps, and 2^63 - 1 = 1 (mod 3): the fold
+    # stops at the cycle and runs one step more, where run ends too
+    looper = tmp_path / "three.2cm"
+    looper.write_text("state 0: INC B -> 1\nstate 1: JZDEC B ? 2 : 2\nstate 2: JZDEC A ? 0 : 0\n")
+    assert main(["run", str(looper), "--fuel", str(INT64_MAX)]) == EXIT_FUEL
+    assert capsys.readouterr().out == f"fuel-exhausted state=1 A=0 B=1 steps={INT64_MAX}\n"
+    argv = ["compile", str(looper), "--approach", "reduce", "--max-steps", str(INT64_MAX)]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["eval", str(tmp_path / "three.reduce.cypher")]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "{A:0, B:1, state:1}"
+
+
 def test_eval_with_params(tmp_path, capsys):
     query = tmp_path / "q.cypher"
     query.write_text("RETURN $n * 2 AS doubled")

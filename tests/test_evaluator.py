@@ -1362,7 +1362,7 @@ def test_a_map_of_known_entries_is_a_fresh_dict_each_time():
     assert counted_reduce("reduce(m = {s: 0}, x IN range(1, 5) | {s: 0})") == ({"s": 0}, 5)
 
 
-def _ast_calls_per_live_step(fuel, source="state 0: INC A -> 1\nstate 1: JZDEC A ? 0 : 0\n"
+def _ast_calls_per_live_step(fuel, source="state 0: INC A -> 1\nstate 1: JZDEC B ? 0 : 0\n"
                              "state 2: HALT\n"):
     program = parse_dsl(source)
     final = run(program, fuel=fuel).final
@@ -1384,8 +1384,9 @@ def _ast_calls_per_live_step(fuel, source="state 0: INC A -> 1\nstate 1: JZDEC A
 
 
 def test_a_live_fold_step_makes_at_most_2_calls():
-    # the program never halts: every iteration between the two fuels is live,
-    # and both runs compile the same two step bodies
+    # the program never halts and never repeats a configuration (A grows):
+    # every iteration between the two fuels is live, and both runs compile
+    # the same two step bodies
     per_step = (_ast_calls_per_live_step(2001) - _ast_calls_per_live_step(1001)) / 1000
     assert per_step <= 2, per_step
 
@@ -1641,7 +1642,7 @@ def test_mentions_counts_shadowed_binders(text, mentioned):
         assert ast._mentions(tree, name) == (name in mentioned)
 
 
-# ---------------------------------------------------------------- value fixpoint of a fold's step
+# ---------------------------------------------------------------- repeated values of a fold's step
 
 _ZERO_LOOP = "state 0: JZDEC A ? 0 : 0\n"
 
@@ -1714,15 +1715,16 @@ def test_a_reordered_init_stops_once_the_order_matches():
     text = _fold_text(parse_dsl(_ZERO_LOOP), 100, "{A: 0, state: 0, B: 0}")
     result, calls = _step_calls(text)
     assert list(result.items()) == [("state", 0), ("A", 0), ("B", 0)]
-    # the check after the first iteration sees the order change, the next one does not
-    assert calls == 3
+    # the first chunk's compare sees the order change; the second chunk's
+    # anchor, the reordered map, meets its repeat one call later
+    assert calls == 2
     assert _step_calls(_fold_text(parse_dsl(_ZERO_LOOP), 100)) == (result, 1)
 
 
 def test_true_is_not_the_same_as_1():
     assert _step_calls(_hand_fold("{s: 0, A: 1}", "A: 1")) == ({"s": 0, "A": 1}, 1)
     result, calls = _step_calls(_hand_fold("{s: 0, A: true}", "A: 1"))
-    assert (repr(result), calls) == ("{'s': 0, 'A': 1}", 3)
+    assert (repr(result), calls) == ("{'s': 0, 'A': 1}", 2)
 
 
 def test_a_list_valued_entry_never_stops_the_fold():
@@ -1759,11 +1761,17 @@ def _checks_of(text):
     return result, checks
 
 
+def _compare_bound(n):
+    """The most compares of a fold of n iterations: CYCLE_COMPARES in each of
+    its chunks of 1, 2, 4, ..., of which there are n.bit_length()."""
+    return ast.CYCLE_COMPARES * n.bit_length()
+
+
 def test_a_fold_that_never_reaches_a_fixpoint_checks_log_n_times():
     text = gen_reduce_query(parse_dsl("state 0: INC A -> 0\n"), 100_000).text
     result, checks = _checks_of(text)
     assert result == {"state": 0, "A": 100_000, "B": 0}
-    assert checks <= 18, checks
+    assert checks <= _compare_bound(100_000) == 34, checks
 
 
 def _nesting(m):
@@ -1781,18 +1789,90 @@ def test_a_nesting_step_body_runs_in_linear_time():
     start = time.perf_counter()
     result, checks = _checks_of(text)
     assert time.perf_counter() - start < 2
-    assert _nesting(result) == (0, 5000) and checks <= 13
+    assert _nesting(result) == (0, 5000) and checks <= _compare_bound(5000) == 26
     with _no_value_exit():
         assert _nesting(run_query_text(text)["result"]) == (0, 5000)
 
 
 def test_a_live_self_loop_step_makes_at_most_2_calls():
     # the step is generated at its first visit; the 1000 more live steps add
-    # one chunk: its check and a resumption of _chunks, and no call per step
+    # one chunk: its CYCLE_COMPARES compares with its anchor, and no call per step
     source = "state 0: INC A -> 0\n"
     _ast_calls_per_live_step(1001, source)  # compile() of the step's shape, memoised
     calls = _ast_calls_per_live_step(2001, source) - _ast_calls_per_live_step(1001, source)
     assert calls <= 2, calls
+
+
+# (item seed, tail, period) of each verify-random program of seeds 1, 3 and 7
+# whose run repeats a configuration with a period of 2 or more
+_CYCLE_CENSUS = [
+    (100013, 0, 2), (100018, 0, 2), (100037, 1, 3), (100045, 0, 2), (100060, 0, 5),
+    (100088, 3, 4), (300009, 0, 2), (300053, 0, 2), (300056, 0, 3), (300073, 0, 4),
+    (300081, 0, 4), (700022, 0, 2), (700028, 0, 2), (700035, 0, 2), (700053, 0, 3),
+    (700060, 1, 7),
+]
+_CYCLE_FUELS = [5000, 10_000, INT64_MAX]
+
+
+def _tail_and_period(program):
+    """The step at which run first enters a repeating configuration, and the
+    repeat's period, from a trace of 64 steps."""
+    first = {}
+    for j, row in enumerate(run(program, 64, capture_trace=True).trace):
+        i = first.setdefault(row.config_before, j)
+        if i < j:
+            return i, j - i
+    return None
+
+
+@pytest.mark.parametrize("seed, tail, period", _CYCLE_CENSUS)
+def test_a_repeating_fold_stops_at_its_cycle_and_equals_run(seed, tail, period):
+    program = random_program(seed, 8)
+    assert _tail_and_period(program) == (tail, period)
+    for fuel in _CYCLE_FUELS:
+        text = _fold_text(program, fuel)
+        final = run(program, fuel=fuel).final
+        got = _fold_outcome(text)
+        assert got == ("value", repr({"state": final.state, "A": final.a, "B": final.b}))
+        if fuel < INT64_MAX:  # the fold without the exit runs every iteration
+            with _no_value_exit():
+                assert _fold_outcome(text) == got
+
+
+@pytest.mark.parametrize("seed", [700060, 300073])
+def test_a_repeating_fold_stops_within_32_step_calls(seed):
+    # 700060 enters its period-7 cycle after one step; its first chunk that
+    # starts at or after that and holds 7 iterations, the one of 8 from
+    # iteration 7, finds it. In 300073 the anchor's state recurs twice per period (states
+    # 0, 4, 3, 0), and the first recurrence is not a repeat: a chunk that
+    # compared once would never find it
+    program = random_program(seed, 8)
+    for fuel in _CYCLE_FUELS:
+        result, calls = _step_calls(_fold_text(program, fuel))
+        final = run(program, fuel=fuel).final
+        assert result == {"state": final.state, "A": final.a, "B": final.b}
+        assert calls <= 32, (fuel, calls)
+
+
+# programs of 3 states, about a tenth of which repeat a configuration (most
+# with period 1), and, since only about 1% repeat with a longer period, the
+# census and five 3-state programs that repeat with a period of 2 or 3, at
+# each fuel's phase of their cycle
+_CYCLE_PROGRAMS = st.one_of(
+    st.tuples(st.integers(0, 2**32), st.just(3)),
+    st.sampled_from([(seed, 8) for seed, _, _ in _CYCLE_CENSUS]
+                    + [(seed, 3) for seed in (17, 130, 193, 1490, 1703)]),
+)
+
+
+@given(_CYCLE_PROGRAMS, st.integers(1, 300) | st.just(10_000), _NEAR_INT64, _NEAR_INT64,
+       st.sampled_from(_VALUE_INITS))
+@settings(max_examples=300, deadline=None)
+def test_the_cycle_exit_equals_the_fold_without_it(program, fuel, a, b, init):
+    text = _fold_text(random_program(*program), fuel, init.format(a=a, b=b))
+    got = _fold_outcome(text)
+    with _no_value_exit():
+        assert got == _fold_outcome(text)
 
 
 # ---------------------------------------------------------------- generated step bodies
