@@ -55,34 +55,28 @@ iteration a test of the compares left and, while any are, an int
 comparison of the ``acc.k`` the loop reads anyway.
 Any other body keeps the identity exit alone.
 
-Compiling also threads constants, a partial evaluation (Jones, Gomard &
-Sestoft, *Partial Evaluation and Automatic Program Generation*, 1993).
-``_compile(consts)`` takes a map from names to the values ``env`` holds for
-them throughout the evaluation; ``run_query`` hands each LET binding and
-RETURN item a snapshot of the earlier LET values. A ``Var`` named in
-``consts`` compiles to a constant that returns the very object an ``env``
-lookup would. Every binder (``reduce``'s accumulator and element, a
-comprehension's variable) drops the names it binds from ``consts`` before
-compiling the code in its scope, so a shadowed name is read from ``env`` as
-before. A ``reduce`` with the fixpoint exit whose body is the fold's step,
-``CASE WHEN acc.k = <literal> THEN acc ELSE head([v IN [c[acc.k]] | m])
-END`` with ``c`` a known list, owns its step table. Its loop reads ``acc.k``
-once per iteration. For an integer ``0 <= i < len(c)`` other than the
-literal, the test is false and ``c[i]`` reads without error, so the body's
-value is that of ``m`` with ``v`` known to be ``c[i]``. At the first visit
-to ``i`` the loop generates that step as Python (below), memoises it in the
-compiled closure, and calls it directly after, as direct threading does
-(Ertl & Gregg, "The structure and performance of efficient interpreters",
-2003). So a fold over a program table generates one step per state it
-visits, with every field of the entry folded, and builds neither list of
-the comprehension. An integer equal to an integer literal makes the test
-true, and the loop stops, as the body would give the accumulator itself.
-Any other accumulator or index, any index past ``MAX_SPECIALISED`` steps,
+A ``reduce`` with the fixpoint exit whose body is the fold's step,
+``CASE WHEN acc.k = <literal> THEN acc ELSE head([v IN [t[acc.k]] | m])
+END`` with ``t`` a variable not named like the accumulator, reads its step
+table at run time: once per call, the value ``c`` that ``env`` holds for
+``t``. The purity argument above says that value cannot change during the
+fold, whether a LET or an enclosing binder bound it. When ``c`` is a list,
+the loop reads ``acc.k`` once per iteration. For an integer ``0 <= i <
+len(c)`` other than the literal, the test is false and ``c[i]`` reads
+without error, so the body's value is that of ``m`` with ``v`` known to be
+``c[i]``. At the first visit to ``i`` in a call the loop generates that
+step as Python (below), memoises it for the call, and calls it directly
+after, as direct threading does (Ertl & Gregg, "The structure and
+performance of efficient interpreters", 2003). So a fold over a program
+table generates one step per state it visits, with every field of the entry
+folded, and builds neither list of the comprehension. An integer equal to
+an integer literal makes the test true, and the loop stops, as the body
+would give the accumulator itself. A table that is missing or not a list,
+any other accumulator or index, any index past ``MAX_SPECIALISED`` steps,
 and a step that is refused or returns None run the whole body, compiled on
 first use, so a fold that halts within the table never compiles it.
 ``head([v IN [c[e]] | m])`` anywhere else takes the general path and builds
-its lists. No value a result holds is built at compile time, so results,
-their identity, errors and their positions stay as they are.
+its lists.
 
 ``_emit`` writes a step as the source of one function ``step(acc, k0, k1,
 ...)``, which the loop calls with no ``env`` and no closure, for an int
@@ -92,9 +86,9 @@ matches are literals, which it reduces to the arm ``eq3`` picks; at most one
 searched CASE on a path, whose tests are ``=`` between operands; and a map
 literal whose entries are known values, operands or ``+ - *`` of two
 operands, an operand being a known int or a read of an accumulator's
-property. Known are a name in ``consts``, a scalar literal and a property of
-a known map or null (``_known``). Any other node, or a binder in the step
-that shadows the accumulator's name, refuses the body. The loop records the
+property. Known are ``v``, a scalar literal and a property of a known map
+or null (``_known``). Any other node, or a binder in the step that shadows
+the accumulator's name, refuses the body. The loop records the
 refusal, and each visit to that index runs the whole body: the closures of
 the whole CASE, the two lists of the comprehension and an ``env`` binding
 per iteration, where a generated step pays one call. A generated step
@@ -275,17 +269,18 @@ def _mentions(tree: "Expr", name: str) -> bool:
     return False
 
 
-def _known(node: "Expr", consts: dict):
-    """The value node has at every evaluation when consts holds, if reading it
-    can neither raise nor build a new object; else _MISSING. Known are a name
-    in consts, a scalar literal, and a property of a known map or null."""
+def _known(node: "Expr", known: dict):
+    """The value node has in a fold's step whose entry variable is bound as
+    known says ({v: c[i]}), if reading it can neither raise nor build a new
+    object; else _MISSING. Known are a name in known, a scalar literal, and a
+    property of a known map or null."""
     kind = type(node)
     if kind is Var:
-        return consts.get(node.name, _MISSING)
+        return known.get(node.name, _MISSING)
     if kind is Literal:
         return node.value
     if kind is Prop:
-        obj = _known(node.obj, consts)
+        obj = _known(node.obj, known)
         if obj is None:
             return None
         if isinstance(obj, dict):
@@ -293,26 +288,19 @@ def _known(node: "Expr", consts: dict):
     return _MISSING
 
 
-def _known_arm(case: "Case", consts: dict):
+def _known_arm(case: "Case", known: dict):
     """The node a simple CASE evaluates when its subject is known and its
     matches are literals: the result of the arm eq3 picks, else the default
     (None when there is none). Else _MISSING."""
     if case.subject is None or not all(type(m) is Literal for m, _ in case.whens):
         return _MISSING
-    s = _known(case.subject, consts)
+    s = _known(case.subject, known)
     if s is _MISSING:
         return _MISSING
     for match, result in case.whens:
         if eq3(s, match.value) is True:
             return result
     return case.default
-
-
-def _without(consts: dict, *names: str) -> dict:
-    """consts inside a binder of names: what it binds is no longer known."""
-    if any(name in consts for name in names):
-        return {k: v for k, v in consts.items() if k not in names}
-    return consts
 
 
 class Expr:
@@ -334,7 +322,7 @@ class Expr:
     def column(self) -> int:
         return self.source.position(self.at)[1]
 
-    def _compile(self, consts: dict) -> Compiled:
+    def _compile(self) -> Compiled:
         raise NotImplementedError
 
 
@@ -346,7 +334,7 @@ class Literal(Expr):
         self.source = source
         self.at = at
 
-    def _compile(self, consts):
+    def _compile(self):
         return _constant(self.value)
 
 
@@ -358,10 +346,8 @@ class Var(Expr):
         self.source = source
         self.at = at
 
-    def _compile(self, consts):
+    def _compile(self):
         name = self.name
-        if name in consts:
-            return _constant(consts[name])
 
         def var(env, params):
             try:
@@ -381,7 +367,7 @@ class Param(Expr):
         self.source = source
         self.at = at
 
-    def _compile(self, consts):
+    def _compile(self):
         name = self.name
 
         def param(env, params):
@@ -400,8 +386,8 @@ class MapLit(Expr):
         self.source = source
         self.at = at
 
-    def _compile(self, consts):
-        items = [(k, e._compile(consts)) for k, e in self.items]
+    def _compile(self):
+        items = [(k, e._compile()) for k, e in self.items]
 
         def map_lit(env, params):
             # with a repeated key, the last value wins in the first key's position
@@ -421,8 +407,8 @@ class ListLit(Expr):
         self.source = source
         self.at = at
 
-    def _compile(self, consts):
-        items = [e._compile(consts) for e in self.items]
+    def _compile(self):
+        items = [e._compile() for e in self.items]
 
         def list_lit(env, params):
             out = []
@@ -442,8 +428,8 @@ class Prop(Expr):
         self.source = source
         self.at = at
 
-    def _compile(self, consts):
-        key, f = self.key, self.obj._compile(consts)
+    def _compile(self):
+        key, f = self.key, self.obj._compile()
 
         def prop(env, params):
             v = f(env, params)
@@ -469,8 +455,8 @@ class Index(Expr):
         self.source = source
         self.at = at
 
-    def _compile(self, consts):
-        obj, index = self.obj._compile(consts), self.index._compile(consts)
+    def _compile(self):
+        obj, index = self.obj._compile(), self.index._compile()
 
         def index_(env, params):
             container, idx = obj(env, params), index(env, params)
@@ -504,8 +490,8 @@ class Not(Expr):
         self.source = source
         self.at = at
 
-    def _compile(self, consts):
-        operand = self.operand._compile(consts)
+    def _compile(self):
+        operand = self.operand._compile()
 
         def not_(env, params):
             v = operand(env, params)
@@ -526,8 +512,8 @@ class Neg(Expr):
         self.source = source
         self.at = at
 
-    def _compile(self, consts):
-        operand = self.operand._compile(consts)
+    def _compile(self):
+        operand = self.operand._compile()
 
         def neg(env, params):
             v = operand(env, params)
@@ -565,9 +551,9 @@ class Binary(Expr):
         self.source = source
         self.at = at
 
-    def _compile(self, consts):
+    def _compile(self):
         op, compute = self.op, _ARITHMETIC.get(self.op)
-        left, right = self.left._compile(consts), self.right._compile(consts)
+        left, right = self.left._compile(), self.right._compile()
         if op == "AND" or op == "OR":
             decisive = op == "OR"  # the left value that decides without the right
             other = not decisive
@@ -606,26 +592,23 @@ class Binary(Expr):
             return ordering
 
         def checked(env, params):
-            return self._arithmetic(compute, left(env, params), right(env, params))
+            l, r = left(env, params), right(env, params)
+            if l is None or r is None:
+                return None
+            if not (_is_int(l) and _is_int(r)):
+                raise TypeMismatch(
+                    f"operator {op} requires integers, got "
+                    f"{type(l).__name__} and {type(r).__name__}",
+                    self.line,
+                    self.column,
+                )
+            if compute is None:
+                raise AssertionError(f"unknown operator {op}")
+            if r == 0 and op in _BY_ZERO:
+                raise DivisionByZero(_BY_ZERO[op], self.line, self.column)
+            return _check64(compute(l, r), self)
 
         return checked
-
-    def _arithmetic(self, compute, l, r):
-        """The general path: null, type, zero-divisor and 64-bit checks."""
-        if l is None or r is None:
-            return None
-        if not (_is_int(l) and _is_int(r)):
-            raise TypeMismatch(
-                f"operator {self.op} requires integers, got "
-                f"{type(l).__name__} and {type(r).__name__}",
-                self.line,
-                self.column,
-            )
-        if compute is None:
-            raise AssertionError(f"unknown operator {self.op}")
-        if r == 0 and self.op in _BY_ZERO:
-            raise DivisionByZero(_BY_ZERO[self.op], self.line, self.column)
-        return _check64(compute(l, r), self)
 
 
 class Case(Expr):
@@ -640,10 +623,10 @@ class Case(Expr):
         self.source = source
         self.at = at
 
-    def _compile(self, consts):
-        default = self.default._compile(consts) if self.default is not None else _constant(None)
+    def _compile(self):
+        default = self.default._compile() if self.default is not None else _constant(None)
         if self.subject is None:
-            arms = [(c._compile(consts), result._compile(consts)) for c, result in self.whens]
+            arms = [(c._compile(), result._compile()) for c, result in self.whens]
 
             def searched_case(env, params):
                 for cond, result in arms:
@@ -655,8 +638,8 @@ class Case(Expr):
                 return default(env, params)
 
             return searched_case
-        subject = self.subject._compile(consts)
-        arms = [(match._compile(consts), result._compile(consts)) for match, result in self.whens]
+        subject = self.subject._compile()
+        arms = [(match._compile(), result._compile()) for match, result in self.whens]
 
         def simple_case(env, params):
             s = subject(env, params)
@@ -683,13 +666,13 @@ def _same_flat_map(a, b) -> bool:
     return True
 
 
-def _fold_step(body: Expr, acc_name: str, consts: dict) -> Optional[tuple]:
-    """(k, lit, c, v, m) when body is a fold's step, CASE WHEN acc.k = lit THEN
+def _fold_step(body: Expr, acc_name: str) -> Optional[tuple]:
+    """(k, lit, t, v, m) when body is a fold's step, CASE WHEN acc.k = lit THEN
     acc ELSE head([v IN [t[acc.k]] | m]) END with both reads of the same k and
-    t a known list, whose value is c; else None. For a map acc whose acc.k is
-    an int i other than lit with 0 <= i < len(c), the test is false and
-    [t[i]] is [c[i]], both without error, so the body's value is m's with v
-    bound to c[i]."""
+    t a variable not named acc_name; else None. When env holds a list c for
+    t, then for a map acc whose acc.k is an int i other than lit with 0 <= i <
+    len(c), the test is false and [t[i]] is [c[i]], both without error, so
+    the body's value is m's with v bound to c[i]."""
     if not (type(body) is Case and body.subject is None and len(body.whens) == 1):
         return None
     (cond, result), head = body.whens[0], body.default
@@ -710,10 +693,10 @@ def _fold_step(body: Expr, acc_name: str, consts: dict) -> Optional[tuple]:
         return None
     if not (test.obj.name == index.obj.name == acc_name and test.key == index.key):
         return None
-    table = _known(items[0].obj, consts)
-    if type(table) is not list:
+    table = items[0].obj
+    if type(table) is not Var or table.name == acc_name:
         return None
-    return test.key, cond.right.value, table, bind.var_name, bind.mapper
+    return test.key, cond.right.value, table.name, bind.var_name, bind.mapper
 
 
 class _Refused(Exception):
@@ -723,12 +706,12 @@ class _Refused(Exception):
 class _StepSource:
     """The lines of a generated step, def step(acc, k0, k1, ...), and the
     values of k0, k1, ...: each literal, known value and key the body uses.
-    acc names the accumulator, which consts does not hold; rN holds a read of
+    acc names the accumulator, which known does not hold; rN holds a read of
     it, checked to be an int, and tN a sum, difference or product, checked to
     fit 64 bits. Anything else the whole body must decide returns None."""
 
-    def __init__(self, acc_name: str, consts: dict):
-        self.acc_name, self.consts = acc_name, consts
+    def __init__(self, acc_name: str, known: dict):
+        self.acc_name, self.known = acc_name, known
         self.lines: list[str] = []
         self.defaults: list = []
         self.keys: dict = {}
@@ -749,7 +732,7 @@ class _StepSource:
     def operand(self, node: "Expr", pad: str, scope: dict) -> str:
         """The name of node's value, an int: a known int or a read of the
         accumulator."""
-        known = _known(node, self.consts)
+        known = _known(node, self.known)
         if type(known) is int:
             return self.const(known)
         if type(node) is Prop and type(node.obj) is Var and node.obj.name == self.acc_name:
@@ -764,7 +747,7 @@ class _StepSource:
     def value(self, node: "Expr", pad: str, scope: dict) -> str:
         """The name of a map entry's value: a known value, an operand, or
         + - * of two operands."""
-        known = _known(node, self.consts)
+        known = _known(node, self.known)
         if known is not _MISSING:
             return self.const(known)
         if type(node) is Binary and node.op in ("+", "-", "*"):
@@ -793,7 +776,7 @@ class _StepSource:
                 self.lines.append(f"{pad}if {left} == {right}:")
                 self.body(result, pad + "    ", dict(scope), True)
             self.body(node.default, pad, scope, True)
-        elif type(node) is Case and (arm := _known_arm(node, self.consts)) is not _MISSING:
+        elif type(node) is Case and (arm := _known_arm(node, self.known)) is not _MISSING:
             self.body(arm, pad, scope, searched)
         else:
             raise _Refused
@@ -811,14 +794,15 @@ def _shape(text: str) -> CodeType:
     return next(c for c in module.co_consts if type(c) is CodeType)
 
 
-def _emit(body: "Expr", acc_name: str, consts: dict) -> Optional[Callable]:
+def _emit(body: "Expr", acc_name: str, known: dict) -> Optional[Callable]:
     """body as a generated Python function of the accumulator alone, which
-    returns body's value with acc_name bound to it, or None wherever the
-    whole body must decide; or None for a body with a node it does not
-    cover, or whose acc_name a binder shadows (consts then holds it)."""
-    if acc_name in consts:
+    returns body's value with acc_name bound to it and the names of known to
+    their values, or None wherever the whole body must decide; or None for a
+    body with a node it does not cover, or whose acc_name a binder shadows
+    (known then holds it)."""
+    if acc_name in known:
         return None
-    source = _StepSource(acc_name, consts)
+    source = _StepSource(acc_name, known)
     try:
         source.body(body, "    ", {})
     except (_Refused, RecursionError):
@@ -853,10 +837,9 @@ class Reduce(_Verdict):
         self.source = source
         self.at = at
 
-    def _compile(self, consts):
+    def _compile(self):
         acc_name, var_name = self.acc_name, self.var_name
-        list_expr, init = self.list_expr._compile(consts), self.init._compile(consts)
-        inner = _without(consts, acc_name, var_name)
+        list_expr, init = self.list_expr._compile(), self.init._compile()
         # once a body blind to the element returns its accumulator itself,
         # every later iteration would give an equal value (module docstring);
         # the parse recorded whether the body it built names the element; a
@@ -866,13 +849,11 @@ class Reduce(_Verdict):
             mentioned = _mentions(body, var_name)
         fixpoint = not mentioned
         # a fold's step (_fold_step): the loop generates the step (_emit) of
-        # each table index acc.k takes, at its first visit; any other body
-        # has the key _MISSING, which no map holds, and no table
-        step = _fold_step(body, acc_name, inner) if fixpoint else None
-        key, halt, table, v, m = step or (_MISSING, None, (), None, None)
+        # each table index acc.k takes, at its first visit in a call
+        step = _fold_step(body, acc_name) if fixpoint else None
+        step_key, halt, t, v, m = step or (_MISSING, None, None, None, None)
         halt = halt if type(halt) is int else None  # the test holds for no other i
-        steps = {}  # by index: its generated step, or False where _emit gives none
-        whole = None if step else body._compile(inner)
+        whole = None if step else body._compile()
 
         def reduce_(env, params):
             nonlocal whole
@@ -884,6 +865,12 @@ class Reduce(_Verdict):
             saved_var = env.get(var_name, _MISSING)
             try:
                 if fixpoint:  # no Var reads the element: it is not bound
+                    # the step table, which no iteration can rebind (module
+                    # docstring); with no list there, or no fold's step, the
+                    # key is _MISSING, which no map holds
+                    table = env.get(t)
+                    key = step_key if type(table) is list else _MISSING
+                    steps = {}  # by index: its generated step, or False where _emit gives none
                     # a fold's step also stops at a repeated value (Brent,
                     # module docstring): each chunk of 1, 2, 4, ... iterations
                     # keeps its first value as the anchor, and compares a
@@ -916,8 +903,7 @@ class Reduce(_Verdict):
                                         left = 0
                                         break
                                     if 0 <= i < len(table) and len(steps) < MAX_SPECIALISED:
-                                        known = {**inner, v: table[i]}
-                                        g = steps[i] = _emit(m, acc_name, known) or False
+                                        g = steps[i] = _emit(m, acc_name, {v: table[i]}) or False
                                 if g:
                                     value = g(acc)
                                     if value is not None:
@@ -925,7 +911,7 @@ class Reduce(_Verdict):
                                         continue
                             # the whole body decides the rest, compiled on first use
                             if whole is None:
-                                whole = body._compile(inner)
+                                whole = body._compile()
                             env[acc_name] = acc
                             value = whole(env, params)
                             if value is acc:
@@ -956,11 +942,10 @@ class Comprehension(Expr):
         self.source = source
         self.at = at
 
-    def _compile(self, consts):
-        var_name, list_expr = self.var_name, self.list_expr._compile(consts)
-        inner = _without(consts, var_name)
-        where = self.where._compile(inner) if self.where is not None else None
-        mapper = self.mapper._compile(inner) if self.mapper is not None else None
+    def _compile(self):
+        var_name, list_expr = self.var_name, self.list_expr._compile()
+        where = self.where._compile() if self.where is not None else None
+        mapper = self.mapper._compile() if self.mapper is not None else None
 
         def comprehension(env, params):
             items = list_expr(env, params)
@@ -993,9 +978,9 @@ class Call(Expr):
         self.source = source
         self.at = at
 
-    def _compile(self, consts):
+    def _compile(self):
         if self.name == "head":
-            arg = self.args[0]._compile(consts)
+            arg = self.args[0]._compile()
 
             def head(env, params):
                 v = arg(env, params)
@@ -1007,7 +992,7 @@ class Call(Expr):
 
             return head
         if self.name == "range":
-            low, high = (a._compile(consts) for a in self.args)
+            low, high = (a._compile() for a in self.args)
 
             def range_(env, params):
                 lo, hi = low(env, params), high(env, params)

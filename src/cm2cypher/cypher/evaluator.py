@@ -3,9 +3,9 @@
 ``evaluate`` is the one way to evaluate an expression: it compiles the tree
 into closures once (see ``ast``) and calls the root, or builds a tree made
 only of literals (the fold's program table) as its value without compiling.
-``run_query`` evaluates each LET binding and RETURN item that way, handing
-in a snapshot of the earlier LET values as constants. It refuses a
-parameter value outside the subset's domain before it evaluates anything.
+``run_query`` evaluates each LET binding and RETURN item that way, in an
+environment of the earlier LET values. It refuses a parameter value outside
+the subset's domain before it evaluates anything.
 Compiling, evaluating and formatting recurse once per nesting level, and
 ``evaluate`` and ``format_results`` turn the ``RecursionError`` raised past
 Python's recursion limit into EvalError. ``format_value`` renders no
@@ -28,20 +28,13 @@ _STRING_ESCAPES = str.maketrans({
 })
 
 
-def evaluate(
-    expr: Expr,
-    environment: dict | None = None,
-    parameters: dict | None = None,
-    constants: dict | None = None,
-):
-    """The value of expr. constants, if given, maps names to the very values
-    the environment holds for them throughout the evaluation, which the
-    compiler may then fold (see ast)."""
+def evaluate(expr: Expr, environment: dict | None = None, parameters: dict | None = None):
+    """The value of expr."""
     try:
         value = _literal_value(expr)  # a literal tree's fold is already a fresh value
         if value is not _MISSING:
             return value
-        return expr._compile(constants or {})(environment or {}, parameters or {})
+        return expr._compile()(environment or {}, parameters or {})
     except RecursionError:
         raise EvalError(_TOO_DEEP) from None
 
@@ -73,9 +66,9 @@ def run_query(query: QueryAst, parameters: dict | None = None) -> dict:
     if parameters:
         _check_parameters(parameters)
     env: dict = {}
-    for name, expr in query.bindings:  # every earlier LET value is a constant
-        env[name] = evaluate(expr, env, parameters, dict(env))
-    return {item.alias: evaluate(item.expr, env, parameters, dict(env)) for item in query.returns}
+    for name, expr in query.bindings:
+        env[name] = evaluate(expr, env, parameters)
+    return {item.alias: evaluate(item.expr, env, parameters) for item in query.returns}
 
 
 def run_query_text(text: str, parameters: dict | None = None) -> dict:

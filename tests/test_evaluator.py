@@ -1105,8 +1105,8 @@ class Counted(ast.Expr):
         self.inner = inner
         self.calls = 0
 
-    def _compile(self, consts):
-        inner = self.inner._compile(consts)
+    def _compile(self):
+        inner = self.inner._compile()
 
         def counted(env, params):
             self.calls += 1
@@ -1184,7 +1184,7 @@ def test_a_reduce_that_can_stop_at_its_fixpoint_does_not_bind_its_element():
             super().__init__(inner.source, inner.at)
             self.inner = inner
 
-        def _compile(self, consts):
+        def _compile(self):
             def peek(env, params):
                 seen.append(env.get("s"))
                 return env["a"] + 1
@@ -1253,7 +1253,7 @@ def test_head_of_other_comprehensions_takes_the_general_path(text, value):
 
 # each node that reads a property of a variable, as a fold's step does, with
 # the column of the variable and the value when the property reads null; c is
-# a known list
+# a list
 _FUSED = [
     ("m.k = 0", 1, None),
     ("m.k = -1", 1, None),
@@ -1269,7 +1269,7 @@ _TABLE = [10, 20]
 
 def _fused_outcome(text, env):
     env = {**env, "c": _TABLE}
-    return _outcome_of(lambda: evaluate(parse_expression(text), env, {}, {"c": _TABLE}))
+    return _outcome_of(lambda: evaluate(parse_expression(text), env, {}))
 
 
 @pytest.mark.parametrize("text, column, null_value", _FUSED)
@@ -1351,12 +1351,13 @@ def test_map_keys_keep_their_order_and_the_last_repeat_wins():
 
 def test_a_map_of_known_entries_is_a_fresh_dict_each_time():
     table = [1]
-    fn = parse_expression("{s: 0, t: c, u: d.n, v: null}")._compile({"c": table, "d": {"n": 2}})
-    first, second = fn({}, {}), fn({}, {})
+    env = {"c": table, "d": {"n": 2}}
+    fn = parse_expression("{s: 0, t: c, u: d.n, v: null}")._compile()
+    first, second = fn(env, {}), fn(env, {})
     assert first == second == {"s": 0, "t": table, "u": 2, "v": None}
     assert first is not second and first["t"] is table
     first["s"] = 9
-    assert fn({}, {})["s"] == 0
+    assert fn(env, {})["s"] == 0
     # so outside the fold's step loop, a fold whose body builds an equal map
     # never takes the fixpoint exit
     assert counted_reduce("reduce(m = {s: 0}, x IN range(1, 5) | {s: 0})") == ({"s": 0}, 5)
@@ -1407,13 +1408,9 @@ def _fold_outcome(text):
 
 
 def _fold_step_of(text):
-    """ast._fold_step of the fold bound to result, with the earlier LET values
-    known, as run_query compiles it."""
-    consts = {}
-    for name, expr in parse_query(text).bindings:
-        if name == "result":
-            return ast._fold_step(expr.body, expr.acc_name, consts)
-        consts[name] = evaluate(expr, consts, {}, dict(consts))
+    """ast._fold_step of the fold bound to result."""
+    fold = dict(parse_query(text).bindings)["result"]
+    return ast._fold_step(fold.body, fold.acc_name)
 
 
 _NEAR_INT64 = st.one_of(st.integers(0, 3), st.integers(INT64_MAX - 3, INT64_MAX),
@@ -1879,16 +1876,17 @@ def test_the_cycle_exit_equals_the_fold_without_it(program, fuel, a, b, init):
 
 
 def _step_bodies(text):
-    """(generated step, closure) of each step body of the fold bound to
-    result, one per entry of its table, compiled with the same consts."""
-    consts = {}
+    """The accumulator's name, the closure of the step body of the fold bound
+    to result, and (generated step, entry binding) for each entry of its
+    table, as run_query evaluates the earlier LET values."""
+    env = {}
     for name, expr in parse_query(text).bindings:
         if name == "result":
-            _, _, table, var, body = ast._fold_step(expr.body, expr.acc_name, consts)
-            known = [{**consts, var: entry} for entry in table]
-            return expr.acc_name, [(ast._emit(body, expr.acc_name, k), body._compile(k))
-                                   for k in known]
-        consts[name] = evaluate(expr, consts, {}, dict(consts))
+            _, _, table, var, body = ast._fold_step(expr.body, expr.acc_name)
+            known = [{var: entry} for entry in env[table]]
+            return expr.acc_name, body._compile(), [(ast._emit(body, expr.acc_name, k), k)
+                                                   for k in known]
+        env[name] = evaluate(expr, env, {})
 
 
 _STEP_INTS = st.one_of(st.integers(0, 3), st.integers(INT64_MAX - 3, INT64_MAX),
@@ -1907,17 +1905,18 @@ _STEP_ACCS = st.one_of(
 @given(st.integers(0, 2**32), st.lists(_STEP_ACCS, min_size=1, max_size=8))
 @settings(max_examples=300, deadline=None)
 def test_a_generated_step_equals_its_closure(seed, accs):
-    acc_name, steps = _step_bodies(gen_reduce_query(random_program(seed, 8), 10).text)
-    for generated, closure in steps:
+    acc_name, closure, steps = _step_bodies(gen_reduce_query(random_program(seed, 8), 10).text)
+    for generated, known in steps:
         assert generated is not None  # the emitter covers every step of the fold
         for acc in accs:
             value = generated(acc)
             if value is not None:  # else the closure decides
-                assert _outcome_of(lambda: closure({acc_name: acc}, {})) == ("value", repr(value))
+                env = {**known, acc_name: acc}
+                assert _outcome_of(lambda: closure(env, {})) == ("value", repr(value))
 
 
 def _no_generated_steps():
-    return unittest.mock.patch.object(ast, "_emit", lambda body, acc_name, consts: None)
+    return unittest.mock.patch.object(ast, "_emit", lambda body, acc_name, known: None)
 
 
 @given(st.integers(0, 2**32), st.integers(1, 300) | st.sampled_from([1000, 10_000]),
@@ -1991,8 +1990,8 @@ def test_no_query_text_reaches_the_generated_source():
     (_, plus), (_, known) = body.items
     body.items = [(_HOSTILE, plus), (_HOSTILE + "'", known)]
     plus.left.key, known.key = _HOSTILE + "\\", _HOSTILE
-    consts = {"v": {_HOSTILE: "__import__('os')"}}
-    outcome, more = _emitted(lambda: ast._emit(body, "m", consts)({_HOSTILE + "\\": 1}))
+    known = {"v": {_HOSTILE: "__import__('os')"}}
+    outcome, more = _emitted(lambda: ast._emit(body, "m", known)({_HOSTILE + "\\": 1}))
     assert outcome == ("value", repr({_HOSTILE: 2, _HOSTILE + "'": "__import__('os')"}))
     assert len(more) == 1
     for generated in texts + more:
@@ -2173,7 +2172,7 @@ def test_a_swapped_body_is_walked(monkeypatch):
     assert walked == [(expr.body, "s")]
 
 
-# ---------------------------------------------------------------- LET constants
+# ---------------------------------------------------------------- LET values and run-time tables
 
 # the LET values a query may hold: scalars, lists and maps, and tables of maps
 _SCALARS = ["null", "true", "false", "0", "1", "-1", "2", "9223372036854775807",
@@ -2200,9 +2199,10 @@ def _const_map(rng, depth):
 
 
 def _expr_text(rng, depth, scope=()):
-    """A random expression over the constants c and d, the binder names v and
+    """A random expression over the LET values c and d, the binder names v and
     acc, and the parameter $p; binders may shadow c and d. A name is most
-    often one of the two innermost binders in scope."""
+    often one of the two innermost binders in scope. A fold's step reads its
+    table, c or d, at run time; its accumulator may be named like either."""
     def sub(*bound):
         return "(" + _expr_text(rng, depth - 1, scope + bound) + ")"
 
@@ -2225,7 +2225,7 @@ def _expr_text(rng, depth, scope=()):
     if depth == 0:
         return name() if rng.random() < 0.5 else rng.choice(_SCALARS + ["$p"])
     kind = rng.choice(["index", "prop", "case", "searched", "arith", "head", "head",
-                       "comprehension", "reduce", "map", "list"])
+                       "comprehension", "reduce", "fold", "fold", "map", "list"])
     if kind == "index":
         return entry() if rng.random() < 0.5 else f"{sub()}[{sub()}]"
     if kind == "prop":
@@ -2255,6 +2255,19 @@ def _expr_text(rng, depth, scope=()):
         acc, var = rng.choice(["acc", "c", "d"]), binder()
         items = rng.choice([lambda: "c", lambda: "range(1, 3)", sub])()
         return f"reduce({acc} = {sub()}, {var} IN {items} | {body(acc, var)})"
+    if kind == "fold":  # the element s is named nowhere: the loop may read the table
+        acc, table, var, k = rng.choice(["acc", "c", "d"]), rng.choice(["c", "d"]), binder(), \
+            rng.choice(["k", "k", "next"])
+        init = rng.choice([lambda: "{k: 0, next: 0}", lambda: "{k: 1, next: 2}", sub])()
+        step = rng.choice([
+            lambda: f"{{k: {var}.next, next: {acc}.next + 1}}",
+            lambda: f"CASE {var}.op WHEN 'INC' THEN {{k: {var}.k, next: {acc}.next - 1}} "
+                    f"ELSE {{k: {var}.next, next: {acc}.k * 2}} END",
+            lambda: body(acc, var),
+        ])()
+        return (f"reduce({acc} = {init}, s IN range(1, {rng.randint(1, 9)}) | "
+                f"CASE WHEN {acc}.{k} = {rng.choice(_SCALARS)} THEN {acc} "
+                f"ELSE head([{var} IN [{table}[{acc}.{k}]] | {step}]) END)")
     if kind == "map":
         return f"{{op: {sub()}, next: {sub()}}}"
     return f"[{sub()}, {sub()}]"
@@ -2275,13 +2288,13 @@ def _outcome_of(thunk):
 @given(st.integers(0, 2**32))  # a seed: hypothesis draws are slow for a grammar this size
 @settings(max_examples=1000, deadline=None)
 def test_let_constants_change_no_value_error_or_environment(max_specialised, seed):
-    # patched here, not by monkeypatch: hypothesis does not reset a
-    # function-scoped fixture between examples
-    with unittest.mock.patch.object(ast, "MAX_SPECIALISED", max_specialised):
-        _check_let_constants(seed)
+    _check_let_constants(seed, max_specialised)
 
 
-def _check_let_constants(seed):
+def _check_let_constants(seed, max_specialised):
+    """The query's outcome with generated steps up to max_specialised, as at 0,
+    where every index runs the whole body, and as with no fold's step at all,
+    where no loop reads a table; and no evaluation changes its environment."""
     rng = random.Random(seed)
     lets = [f"LET c = {_const_text(rng, 3)}",
             f"LET d = {rng.choice([_const_text(rng, 2), 'c[1]', 'c'])}"]
@@ -2290,29 +2303,29 @@ def _check_let_constants(seed):
     tree = parse_query(text)
     params = {"p": rng.choice([None, 1, "INC", [0, 1]])}
 
-    def reference():  # every expression evaluated with no constants
-        env = {}
-        for name, expr in tree.bindings:
-            env[name] = evaluate(expr, env, params)
-        return {item.alias: evaluate(item.expr, env, params) for item in tree.returns}
+    # patched here, not by monkeypatch: hypothesis does not reset a
+    # function-scoped fixture between examples
+    def outcome(bound, fold_step=ast._fold_step):
+        with unittest.mock.patch.object(ast, "MAX_SPECIALISED", bound), \
+                unittest.mock.patch.object(ast, "_fold_step", fold_step):
+            return _outcome_of(lambda: run_query(tree, params))
 
-    assert _outcome_of(lambda: run_query(tree, params)) == _outcome_of(reference), text
+    got = outcome(max_specialised)
+    assert got == outcome(0) == outcome(0, lambda body, acc_name: None), text
     env = {}
-    for name, expr in tree.bindings:
-        got = _outcome_of(lambda: evaluate(expr, env, params, dict(env)))
-        assert got == _outcome_of(lambda: evaluate(expr, env, params)), text
-        if got[0] == "error":
-            return
-        env[name] = evaluate(expr, env, params)
-    for item in tree.returns:
-        before = dict(env)
-        got = _outcome_of(lambda: evaluate(item.expr, env, params, dict(env)))
-        assert env == before and all(env[k] is before[k] for k in env), text
-        assert got == _outcome_of(lambda: evaluate(item.expr, env, params)), text
+    with unittest.mock.patch.object(ast, "MAX_SPECIALISED", max_specialised):
+        for name, expr in tree.bindings:
+            if _outcome_of(lambda: evaluate(expr, env, params))[0] == "error":
+                return
+            env[name] = evaluate(expr, env, params)
+        for item in tree.returns:
+            before = dict(env)
+            _outcome_of(lambda: evaluate(item.expr, env, params))
+            assert env == before and all(env[k] is before[k] for k in env), text
 
 
 @pytest.mark.parametrize("text, value", [
-    # a known map's property and a CASE over it fold, with Cypher equality
+    # a LET map's property and a CASE over it, with Cypher equality
     ("LET c = {op: 'INC'} RETURN CASE c.op WHEN 'INC' THEN 1 ELSE 2 END AS r", 1),
     ("LET c = [{op: 1}] RETURN head([v IN [c[0]] | CASE v.op WHEN '1' THEN 1 WHEN 1 THEN 3 END])"
      " AS r", 3),
@@ -2321,7 +2334,7 @@ def _check_let_constants(seed):
     ("LET c = 0 RETURN CASE c WHEN false THEN 1 END AS r", None),
     ("LET c = [1] RETURN CASE c WHEN 1 THEN 1 ELSE c END AS r", [1]),
     ("LET c = null RETURN c.op AS r", None),
-    # a binder's name is not the constant inside its scope
+    # inside its scope, a binder's name is not the LET value
     ("LET c = [{op: 'INC'}] RETURN head([c IN [c[0].op] | c]) AS r", "INC"),
     ("LET c = [5, 6] RETURN [c IN [1, 2] | c] AS r", [1, 2]),
     ("LET c = [5, 6] RETURN reduce(c = 0, s IN [1, 2] | c + s) AS r", 3),
@@ -2371,14 +2384,14 @@ def _compiles(tree, runs=1):
     compiles = []
     emit, compile_case = ast._emit, ast.Case._compile
 
-    def emitted(body, acc_name, consts):
-        compiles.append(consts[var]["state"])
-        return emit(body, acc_name, consts)
+    def emitted(body, acc_name, known):
+        compiles.append(known[var]["state"])
+        return emit(body, acc_name, known)
 
-    def compiled(case, consts):
+    def compiled(case):
         if case is fold.body:
             compiles.append("whole")
-        return compile_case(case, consts)
+        return compile_case(case)
 
     with unittest.mock.patch.object(ast, "_emit", emitted), \
             unittest.mock.patch.object(ast.Case, "_compile", compiled):
@@ -2453,6 +2466,46 @@ def test_a_fold_over_many_states_generates_each_visited_state_once():
     final = run(program, fuel=2000).final
     assert result == {"state": final.state, "A": final.a, "B": final.b}
     assert compiles == visited and len(visited) == 112
+
+
+# two programs whose states step alike and whose instructions differ, and
+# two random ones
+_TWO_TABLES = [
+    (parse_dsl("state 0: INC A -> 1\nstate 1: INC A -> 2\nstate 2: HALT\n"),
+     parse_dsl("state 0: INC B -> 1\nstate 1: INC B -> 2\nstate 2: HALT\n")),
+    (random_program(4, 8), random_program(5, 8)),
+]
+
+
+@pytest.mark.parametrize("first, second", _TWO_TABLES)
+def test_one_fold_over_two_tables_generates_the_steps_of_each(first, second):
+    # the table is the variable of an enclosing comprehension: each call of
+    # the fold reads its own, and no step generated for one serves the other
+    fuel = 60
+    text, other = (gen_reduce_query(p, fuel).text for p in (first, second))
+    start = other.index("LET program = ") + len("LET program = ")
+    table = other[start:other.index("\nLET max_steps")]
+    edits = [("LET program = ", "LET t1 = "), ("LET max_steps", f"LET t2 = {table}\nLET max_steps"),
+             ("LET result = reduce(", "LET result = [p IN [t1, t2] | reduce("),
+             ("[instr IN [program[machine.state]]", "[instr IN [p[machine.state]]"),
+             ("\nRETURN result", "]\nRETURN result")]
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    tree = parse_query(text)
+    emitted, emit = [], ast._emit
+
+    def recorded(body, acc_name, known):
+        emitted.append(known["instr"])
+        return emit(body, acc_name, known)
+
+    with unittest.mock.patch.object(ast, "_emit", recorded):
+        result = run_query(tree)["result"]
+    finals = [run(p, fuel=fuel).final for p in (first, second)]
+    assert result == [{"state": f.state, "A": f.a, "B": f.b} for f in finals]
+    tables = dict(tree.bindings)
+    assert emitted == [evaluate(tables[t])[s] for t, p in (("t1", first), ("t2", second))
+                       for s in _visited(p, fuel)]
 
 
 def test_range_is_inclusive():
