@@ -30,18 +30,20 @@ hands an item that starts with '{' to parse_map directly, then reads
 whatever follows its '}' as parse_expr would. An item of any other shape
 takes the general descent, so trees and errors are the same.
 
-Operand fast path: parse_expr reads the common operand itself. A name that
-is neither a keyword nor a refused word, and is not followed by '(', becomes
-a Var, and each '.' and name after it a Prop; an int of at most 18 digits or
-a string becomes a Literal. A sign is read by parse_unary, NOT by
-parse_expr, and any other operand ('(', '[', '{', '$', CASE, a call, a
-keyword, the end) by parse_primary; a '.' or '[' after an operand is read
-by parse_suffixes, so trees and errors are those of the descent. When the
-next piece binds no tighter than min_power the operand is returned at once,
-and otherwise parse_operators goes on. The parser keeps the name of each
-Var it builds, and parse_reduce hands its Reduce whether its body built one
-named like its element: the verdict of ast._mentions on that body, which
-the reduce's fixpoint exit needs (ast).
+Operand fast path: parse_expr reads the common operand itself, and is the
+one place a Var is built. A name that is neither a keyword nor a refused
+word, and is not followed by '(', becomes a Var, and each '.' and name
+after it a Prop; an int of at most 18 digits or a string becomes a Literal.
+A sign is read by parse_unary, which reads the operand after its signs with
+parse_expr at the binding power of '*'. NOT is read by parse_expr, and any
+other operand ('(', '[', '{', '$', CASE, a call, a keyword, the end) by
+parse_primary; a '.' or '[' after an operand is read by parse_suffixes, so
+trees and errors are those of the descent. When the next piece binds no
+tighter than min_power the operand is returned at once, and otherwise
+parse_operators goes on. The parser keeps the name of each Var it builds,
+and parse_reduce hands its Reduce whether its body built one named like its
+element: the verdict of ast._mentions on that body, which the reduce's
+fixpoint exit needs (ast).
 """
 
 from __future__ import annotations
@@ -299,7 +301,7 @@ class _Parser:
         if piece == "+":
             self.pos += 1
             return self.parse_unary()
-        return self.parse_suffixes(self.parse_primary())
+        return self.parse_expr(_BINDING_POWER["*"])
 
     def parse_suffixes(self, expr: ast.Expr) -> ast.Expr:
         while True:
@@ -333,11 +335,7 @@ class _Parser:
                 return ast.Literal(_CONSTANTS[upper], self.source, i)
             if upper in KEYWORDS:
                 raise CypherSyntaxError(f"unexpected keyword {piece!r}", *self.position(i))
-            if self.peek(1) == "(":
-                return self.parse_call()
-            self.pos = i + 1
-            self.names.append(piece)
-            return ast.Var(piece, self.source, i)
+            return self.parse_call()  # parse_expr reads a name with no '(' after it
         if piece == "(":
             self.pos = i + 1
             expr = self.parse_expr()

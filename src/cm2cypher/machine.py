@@ -16,24 +16,25 @@ execution views are provided for 2-counter programs:
   graph, mirroring the pruned quantified-path-pattern traversal (edges
   INC / JZDEC_ZERO / JZDEC_POS, predicate on the post-update accumulator).
 
-``run`` executes a table that it decodes on demand and keeps per program:
-the first time a run enters a state, it decodes that state alone. Loops are
-found as the run goes, by one rule: when the run executes a state again
-within ``_TRIP_GAP`` (64) steps, it single-steps on from there, recording
-the trip, until it is back at that state with every counter the trip tested
-for zero at its start value. A zero test holds on the next trip only if its
-counter starts that trip at the same value, so the trip then repeats
-exactly as long as its positive tests hold and its INCs stay in range, and
-it is applied in as many whole trips as those and the fuel allow (exact
-acceleration of a guarded loop, as in Comon and Jurski 1998); otherwise the
-recording goes on to the next return, within ``_TRIP_GAP`` steps. So a loop
-whose trip is at most 64 steps and repeats exactly is applied in whole
-trips; longer trips are single-stepped. Final configuration,
-``machine_steps`` and the point where ``CounterOverflow`` is raised are
-those of single-stepping, whatever order the states were decoded in. With
-``capture_trace`` it single-steps instead, one trace row per instruction
-holding the configurations before and after it, until the trace holds
-``trace_cap`` rows; the rest of the run is untraced.
+``run`` executes a table that it decodes on demand and keeps per run: the
+first time a run enters a state, it decodes that state alone, and the
+``Program`` keeps nothing of the run. Loops are found as the run goes, by
+one rule: when the run executes a state again within ``_TRIP_GAP`` (64)
+steps, it single-steps on from there, recording the trip, until it is back
+at that state with every counter the trip tested for zero at its start
+value. A zero test holds on the next trip only if its counter starts that
+trip at the same value, so the trip then repeats exactly as long as its
+positive tests hold and its INCs stay in range, and it is applied in as
+many whole trips as those and the fuel allow (exact acceleration of a
+guarded loop, as in Comon and Jurski 1998); otherwise the recording goes on
+to the next return, within ``_TRIP_GAP`` steps. So a loop whose trip is at
+most 64 steps and repeats exactly is applied in whole trips; longer trips
+are single-stepped. Final configuration, ``machine_steps`` and the point
+where ``CounterOverflow`` is raised are those of single-stepping, whatever
+order the states were decoded in. With ``capture_trace`` it single-steps
+instead, one trace row per instruction holding the configurations before
+and after it, until the trace holds ``trace_cap`` rows; the rest of the run
+is untraced.
 ``run(program, fuel=1, capture_trace=True, start=config).final`` is one
 step from ``config``; a halted configuration is its own successor.
 """
@@ -41,7 +42,6 @@ step from ``config``; a halted configuration is its own successor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 INT64_MAX = 2**63 - 1
 HALTED = -1
@@ -158,14 +158,6 @@ class Program:
     def __len__(self) -> int:
         return len(self.instructions)
 
-    @cached_property
-    def _decoded(self) -> tuple[list[int], list[int], list[int]]:
-        """``run``'s tables, empty until ``run`` enters a state
-        (``_decode``), and kept on the instance (outside the dataclass
-        fields, so equality, hashing and ``repr`` ignore them)."""
-        n = len(self.instructions)
-        return [_NEW] * n, [HALTED] * n, [HALTED] * n
-
 
 @dataclass(frozen=True)
 class Config:
@@ -222,27 +214,13 @@ _INC_A, _INC_B, _DEC_A, _DEC_B, _HALT, _NEW = range(6)
 _TRIP_GAP = 64
 
 
-def _decode(program: Program, s: int) -> None:
-    """Decode state ``s`` into an opcode, a next/zero target and a positive
-    target. The opcode is written last, so a decode cut short (say by
-    ``KeyboardInterrupt``) leaves the state undecoded."""
-    ops, nxt, pos = program._decoded
-    instr = program.instructions[s]
-    if isinstance(instr, Inc):
-        nxt[s] = instr.next
-        ops[s] = _INC_A + instr.counter
-    elif isinstance(instr, JzDec):
-        nxt[s] = instr.q_zero
-        pos[s] = instr.q_pos
-        ops[s] = _DEC_A + instr.counter
-    else:
-        ops[s] = _HALT
-
-
 def _run_decoded(
     program: Program, fuel: int, state: int, a: int, b: int
 ) -> tuple[int, int, int, int]:
     """``run`` without a trace: (state, a, b, machine_steps).
+
+    The run decodes a state the first time it enters it, into tables of its
+    own: an opcode, a next or zero target and a positive target.
 
     A state executed again within ``_TRIP_GAP`` steps (``seen``, noted
     outside recordings) opens a recording at it (``head``), which notes the
@@ -256,7 +234,9 @@ def _run_decoded(
     (two returns may make one trip that repeats), and closes with no trip
     applied after ``_TRIP_GAP`` steps or at a state it has to decode.
     """
-    ops, nxt, pos = program._decoded
+    instructions = program.instructions
+    n = len(instructions)
+    ops, nxt, pos = [_NEW] * n, [HALTED] * n, [HALTED] * n
     seen = {}  # state -> the step at which the run last executed it
     steps = 0
     head = HALTED  # the state the open recording started at; HALTED: none
@@ -270,7 +250,14 @@ def _run_decoded(
                 state = HALTED
                 steps += 1
             else:  # _NEW: decode, then dispatch again
-                _decode(program, state)
+                instr = instructions[state]
+                if isinstance(instr, Inc):
+                    ops[state], nxt[state] = _INC_A + instr.counter, instr.next
+                elif isinstance(instr, JzDec):
+                    ops[state] = _DEC_A + instr.counter
+                    nxt[state], pos[state] = instr.q_zero, instr.q_pos
+                else:
+                    ops[state] = _HALT
                 head = HALTED
             continue
         if head == HALTED:

@@ -415,8 +415,9 @@ def test_a_capped_trace_runs_on_untraced_to_the_uncapped_result(data, program, f
 @given(data=st.data(), program=_programs())
 @settings(max_examples=150, deadline=None)
 def test_run_does_not_depend_on_the_order_it_decodes_states_in(data, program):
-    # runs of one Program share the table it decodes on demand, so each run
-    # here reads states that runs from other starts decoded
+    # each run decodes states in the order it reaches them from its start,
+    # into a table of its own: runs of one Program from several starts
+    # agree with the traced runs of an equal fresh Program
     counter = st.integers(0, 100) | st.integers(INT64_MAX - 50, INT64_MAX)
     for _ in range(data.draw(st.integers(2, 6))):
         start = Config(data.draw(st.integers(0, len(program) - 1)), data.draw(counter),
@@ -424,6 +425,16 @@ def test_run_does_not_depend_on_the_order_it_decodes_states_in(data, program):
         fuel = data.draw(st.integers(0, 2000))
         fresh = Program(program.instructions)
         assert _outcome(program, fuel, start, False) == _outcome(fresh, fuel, start, True)
+
+
+def test_run_leaves_its_program_as_it_was():
+    # a run keeps its decoded tables to itself: the Program it ran copies and
+    # pickles as an equal fresh one does
+    p = random_program(3, 8)
+    run(p, fuel=50)
+    fresh = Program(p.instructions)
+    assert vars(p) == vars(fresh)
+    assert pickle.dumps(p) == pickle.dumps(fresh)
 
 
 @given(data=st.data(), program=_programs())
@@ -589,6 +600,20 @@ def test_run_nested_loop_with_growing_trips_matches_single_step():
     for start in (Config(0, 0, 0), Config(2, 5, 0), Config(0, 0, 2),
                   Config(0, 0, INT64_MAX // 2 - 1), Config(2, *_NEAR_MAX)):
         assert _fast_outcomes(program, start, 400) == _folded_outcomes(program, start, 400)
+
+
+def test_run_reopens_its_recording_at_the_head_until_the_trip_repeats():
+    # state 0 takes B down to 0 on its positive branch, then sends it round
+    # states 1 and 2, which add 2: the run opens a recording at state 0, and
+    # the 5-step trip repeats only from the return at which B is back at 0
+    program = Program((JzDec(1, 1, 0), Inc(1, 2), Inc(1, 0)))
+    for start in (Config(0, 0, 0), Config(1, 0, 0), Config(0, 3, 5), Config(2, 0, INT64_MAX - 2)):
+        assert _fast_outcomes(program, start, 300) == _folded_outcomes(program, start, 300)
+    with _deadline():
+        result = run(program, fuel=INT64_MAX)
+    # 2^63 - 1 = 2 (mod 5): whole trips, then the zero branch and one INC of B
+    assert (result.final, result.machine_steps, result.halted) == (
+        Config(2, 0, 1), INT64_MAX, False)
 
 
 def _positive_loop(length):

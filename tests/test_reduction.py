@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cm2cypher.codegen import gen_reduce_query
 from cm2cypher.cypher import evaluate, parse_query, run_query
 from cm2cypher.frontend import render_dsl, to_map_document
-from cm2cypher.machine import _NEW, Config, Halt, Inc, InvalidProgram, JzDec, Program, run
+from cm2cypher.machine import Config, Halt, Inc, InvalidProgram, JzDec, Program, run
 from cm2cypher.reduction import (
     PRIMES,
     DecodeError,
@@ -422,23 +422,42 @@ def two_counter_steps(mcm: Program) -> int:
     return steps + 1
 
 
-def _decoded_states(program: Program) -> int:
-    return sum(op != _NEW for op in program._decoded[0])
+class _Reads(tuple):
+    """Instructions that list the states read from them by index, in order.
+    ``Program`` validates its instructions by iterating them, so it reads
+    none this way."""
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return tuple.__getitem__(self, i)
+
+
+def _states_read(program: Program, fuel: int):
+    """run's result and the states it read, each once: a run decodes a state
+    when it first enters it, into a table of its own."""
+    program.instructions.read = []
+    result = run(program, fuel=fuel)
+    read = program.instructions.read
+    assert len(set(read)) == len(read)
+    return result, read
 
 
 def test_run_decodes_only_what_it_reaches():
     # white-box: run decodes a state when it first enters it, and leaves the
-    # rest of the table alone
-    program = k_counters_to_two(two_stack_to_counters(tm("unary_successor")))
+    # rest of the program unread
+    reduced = k_counters_to_two(two_stack_to_counters(tm("unary_successor")))
+    program = Program(_Reads(reduced.instructions), reduced.num_counters)
     assert len(program) == 555
-    run(program, fuel=1)
-    assert _decoded_states(program) == 1
-    result = run(program, fuel=10**6)
+    assert _states_read(program, 1)[1] == [0]
+    result, read = _states_read(program, 10**6)
     assert (result.final, result.machine_steps) == (Config(-1, 16, 0), 1627)
-    assert _decoded_states(program) <= len(program) // 3
-    halt_first = Program((Halt(),) + (Inc(0, 0),) * 1000)
-    assert run(halt_first).halted
-    assert _decoded_states(halt_first) == 1
+    assert len(read) <= len(program) // 3
+    # a second run of the same Program decodes afresh, from its state 0
+    assert read[0] == 0
+    halt_first = Program(_Reads((Halt(),) + (Inc(0, 0),) * 1000))
+    result, read = _states_read(halt_first, 10**6)
+    assert result.halted
+    assert read == [0]
 
 
 @pytest.mark.parametrize("name, steps", [
