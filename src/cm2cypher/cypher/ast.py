@@ -52,7 +52,9 @@ recurs at most ``CYCLE_COMPARES`` times per period; so a fixpoint from
 iteration t on is found by iteration 2t + 1. A fold with no cycle pays at
 most ``CYCLE_COMPARES`` compares per chunk, O(log n) in all, and per
 iteration a test of the compares left and, while any are, an int
-comparison of the ``acc.k`` the loop reads anyway.
+comparison of the ``acc.k`` the loop reads anyway. The loop of the fold's
+step holds its anchor as it holds the accumulator (below): the values and
+the keys in order, compared by the same rule.
 Any other body keeps the identity exit alone.
 
 A ``reduce`` with the fixpoint exit whose body is the fold's step,
@@ -64,41 +66,55 @@ fold, whether a LET or an enclosing binder bound it. When ``c`` is a list,
 the loop reads ``acc.k`` once per iteration. For an integer ``0 <= i <
 len(c)`` other than the literal, the test is false and ``c[i]`` reads
 without error, so the body's value is that of ``m`` with ``v`` known to be
-``c[i]``. At the first visit to ``i`` in a call the loop generates that
-step as Python (below), memoises it for the call, and calls it directly
-after, as direct threading does (Ertl & Gregg, "The structure and
-performance of efficient interpreters", 2003). So a fold over a program
-table generates one step per state it visits, with every field of the entry
-folded, and builds neither list of the comprehension. An integer equal to
+``c[i]``. While the accumulator is a map that holds ``k``, the loop holds
+it unboxed: a tuple of its values, and its keys in order, the layout
+(allocation removal: Bolz et al., "Allocation removal by partial
+evaluation in a tracing JIT", PEPM 2011). At the first visit to ``i``
+under a layout in a call the loop generates that step as Python for the
+layout (below), memoises it for the call and the layout, and calls it
+directly after, as direct threading does (Ertl & Gregg, "The structure and
+performance of efficient interpreters", 2003). The step takes the values
+and returns those of the map it builds, so a live iteration builds no map:
+the loop builds one, ``dict(zip(layout, values))``, only where a value
+leaves it, for the whole body and once at its end. That map is new, with
+the keys, order and values the body's map literal would have given. A
+value of the whole body that is a map holding ``k`` is unboxed again, and
+a new layout starts a new memo. So a fold over a program table generates
+one step per state it visits, with every field of the entry folded, and
+builds neither list of the comprehension nor any map. An integer equal to
 an integer literal makes the test true, and the loop stops, as the body
 would give the accumulator itself. A table that is missing or not a list,
-any other accumulator or index, any index past ``MAX_SPECIALISED`` steps,
-and a step that is refused or returns None run the whole body, compiled on
-first use, so a fold that halts within the table never compiles it.
-``head([v IN [c[e]] | m])`` anywhere else takes the general path and builds
-its lists.
+any other accumulator or index, any index once ``MAX_SPECIALISED`` steps
+have been generated in the call, whatever their layouts, and a step that
+is refused or returns None run the whole body, compiled on first use, so a
+fold that halts within the table never compiles it. ``head([v IN [c[e]] |
+m])`` anywhere else takes the general path and builds its lists.
 
-``_emit`` writes a step as the source of one function ``step(acc, k0, k1,
-...)``, which the loop calls with no ``env`` and no closure, for an int
-``acc.k`` (never for ``true``, which hashes as ``1``). The emitter covers
-only what a fold's step uses: a simple CASE whose subject is known and whose
-matches are literals, which it reduces to the arm ``eq3`` picks; at most one
-searched CASE on a path, whose tests are ``=`` between operands; and a map
-literal whose entries are known values, operands or ``+ - *`` of two
-operands, an operand being a known int or a read of an accumulator's
-property. Known are ``v``, a scalar literal and a property of a known map
-or null (``_known``). Any other node, or a binder in the step that shadows
-the accumulator's name, refuses the body. The loop records the
-refusal, and each visit to that index runs the whole body: the closures of
-the whole CASE, the two lists of the comprehension and an ``env`` binding
-per iteration, where a generated step pays one call. A generated step
-returns the body's value, always a new map, or None wherever the closures
-must decide: an accumulator that is not a map, a read that is not an int, a
-result outside 64 bits, or a CASE that takes a missing ELSE. On None the
-loop runs that iteration through the whole body, which computes it again,
-so every value, error and position is the closures'. No text of the query
-reaches ``compile()``: each literal, known value and key enters as the
-default of a parameter ``k<n>``, reads are ``r<n>`` and results ``t<n>``.
+``_emit`` writes a step for a layout as the source of one function
+``step(f0, f1, ..., k0, k1, ...)``, whose field ``fJ`` is the value of the
+layout's J-th key, which the loop calls with no ``env`` and no closure, for
+an int ``acc.k`` (never for ``true``, which hashes as ``1``). The emitter
+covers only what a fold's step uses: a simple CASE whose subject is known
+and whose matches are literals, which it reduces to the arm ``eq3`` picks;
+at most one searched CASE on a path, whose tests are ``=`` between
+operands; and a map literal whose keys, in order, are the layout's and
+whose entries are known values, operands or ``+ - *`` of two operands, an
+operand being a known int or a read of an accumulator's property, its
+field. Known are ``v``, a scalar literal and a property of a known map or
+null (``_known``). Any other node, a map of other keys, a read of a key
+outside the layout, or a binder in the step that shadows the accumulator's
+name, refuses the body. The loop records the refusal, and each visit to
+that index under that layout runs the whole body: the closures of the
+whole CASE, the two lists of the comprehension, a map and an ``env``
+binding per iteration, where a generated step pays one call. A generated
+step returns the values of the body's value, always a new map of the
+layout's keys, or None wherever the closures must decide: a read that is
+not an int, a result outside 64 bits, or a CASE that takes a missing ELSE.
+On None the loop runs that iteration through the whole body, which
+computes it again, so every value, error and position is the closures'. No
+text of the query reaches ``compile()``: each literal and known value
+enters as the default of a parameter ``k<n>``, fields are ``f<n>`` and
+results ``t<n>``, and no key appears.
 So the steps of one shape have one text, and share its code object through
 ``_shape``, a bounded memo keyed by the text: a step of a known shape costs
 one walk of the body to emit, and a new shape one ``compile()`` more. There
@@ -137,9 +153,10 @@ INT64_MAX = 2**63 - 1
 # the most elements a comprehension reads or format_value renders from one
 # list or range; a range is lazy, but both would materialise every element
 MAX_LIST_LENGTH = 1_000_000
-# the most steps one fold's loop generates, one per table index it visits;
-# later indexes run the whole body, so a table visited once per entry costs
-# neither an emission per entry nor the memory of its steps
+# the most steps one fold's loop generates, one per table index it visits
+# under each layout; later indexes run the whole body, so a table visited
+# once per entry costs neither an emission per entry nor the memory of its
+# steps
 MAX_SPECIALISED = 4096
 # the most times a chunk of a fold's loop compares a value with its anchor
 # (Reduce): in random_program(300073, 8) the anchor's state recurs twice per
@@ -653,15 +670,18 @@ class Case(Expr):
 
 
 def _same_flat_map(a, b) -> bool:
-    """Whether a and b are maps with the same keys in the same order and, for
-    each key, values of one type among int, str, bool and null that are
-    equal: no operation of the subset tells such maps apart. A list or map
-    value is never the same, so the check never recurses."""
-    if type(a) is not dict or type(b) is not dict or len(a) != len(b):
+    """Whether a and b are maps with the same keys in the same order, or
+    tuples of the values of two such maps (as the fold's loop holds them),
+    whose values are, key by key, of one type among int, str, bool and null
+    and equal: no operation of the subset tells such maps apart. A list or
+    map value is never the same, so the check never recurses."""
+    if type(a) is dict and type(b) is dict and list(a) == list(b):
+        a, b = tuple(a.values()), tuple(b.values())
+    if type(a) is not tuple or type(b) is not tuple or len(a) != len(b):
         return False
-    for (ka, va), (kb, vb) in zip(a.items(), b.items()):
+    for va, vb in zip(a, b):
         kind = type(va)
-        if ka != kb or kind is not type(vb) or kind not in (int, str, bool, type(None)) or va != vb:
+        if kind is not type(vb) or kind not in (int, str, bool, type(None)) or va != vb:
             return False
     return True
 
@@ -704,47 +724,45 @@ class _Refused(Exception):
 
 
 class _StepSource:
-    """The lines of a generated step, def step(acc, k0, k1, ...), and the
-    values of k0, k1, ...: each literal, known value and key the body uses.
-    acc names the accumulator, which known does not hold; rN holds a read of
-    it, checked to be an int, and tN a sum, difference or product, checked to
-    fit 64 bits. Anything else the whole body must decide returns None."""
+    """The lines of a generated step, def step(f0, f1, ..., k0, k1, ...), and
+    the values of k0, k1, ...: each literal and known value the body uses.
+    fJ is the value of the accumulator's J-th key in layout, which known does
+    not hold; a read of a key checks its field to be an int once on each
+    path, and tN holds a sum, difference or product, checked to fit 64 bits.
+    The step returns the values of the map it builds, whose keys are the
+    layout's; anything else the whole body must decide returns None."""
 
-    def __init__(self, acc_name: str, known: dict):
-        self.acc_name, self.known = acc_name, known
+    def __init__(self, acc_name: str, known: dict, layout: tuple):
+        self.acc_name, self.known, self.layout = acc_name, known, layout
+        self.fields = {key: f"f{j}" for j, key in enumerate(layout)}
         self.lines: list[str] = []
         self.defaults: list = []
-        self.keys: dict = {}
-        self.reads = self.temps = 0
+        self.temps = 0
 
     def const(self, value) -> str:
         self.defaults.append(value)
         return f"k{len(self.defaults) - 1}"
 
-    def key(self, key: str) -> str:
-        if key not in self.keys:
-            self.keys[key] = self.const(key)
-        return self.keys[key]
-
     def bail_if(self, test: str, pad: str) -> None:
         self.lines += [f"{pad}if {test}:", f"{pad}    return None"]
 
-    def operand(self, node: "Expr", pad: str, scope: dict) -> str:
+    def operand(self, node: "Expr", pad: str, scope: set) -> str:
         """The name of node's value, an int: a known int or a read of the
-        accumulator."""
+        accumulator, which a key outside the layout refuses."""
         known = _known(node, self.known)
         if type(known) is int:
             return self.const(known)
         if type(node) is Prop and type(node.obj) is Var and node.obj.name == self.acc_name:
-            if node.key not in scope:  # one read per key on each path
-                name = scope[node.key] = f"r{self.reads}"
-                self.reads += 1
-                self.lines.append(f"{pad}{name} = acc.get({self.key(node.key)})")
-                self.bail_if(f"type({name}) is not int", pad)
-            return scope[node.key]
+            field = self.fields.get(node.key)
+            if field is None:
+                raise _Refused
+            if field not in scope:  # one check per field on each path
+                scope.add(field)
+                self.bail_if(f"type({field}) is not int", pad)
+            return field
         raise _Refused
 
-    def value(self, node: "Expr", pad: str, scope: dict) -> str:
+    def value(self, node: "Expr", pad: str, scope: set) -> str:
         """The name of a map entry's value: a known value, an operand, or
         + - * of two operands."""
         known = _known(node, self.known)
@@ -759,22 +777,25 @@ class _StepSource:
             return name
         return self.operand(node, pad, scope)
 
-    def body(self, node: Optional["Expr"], pad: str, scope: dict, searched=False) -> None:
-        """Lines that return node's value, a new map; None is a missing
-        ELSE, whose null the whole body gives. A path holds at most one
-        searched CASE, so the lines nest at most one level."""
+    def body(self, node: Optional["Expr"], pad: str, scope: set, searched=False) -> None:
+        """Lines that return the values of node's value, a new map whose keys
+        are the layout's, in order; a map of other keys refuses the body.
+        None is a missing ELSE, whose null the whole body gives. A path holds
+        at most one searched CASE, so the lines nest at most one level."""
         if node is None:
             self.lines.append(f"{pad}return None")
         elif type(node) is MapLit:
-            entries = [(self.key(k), self.value(e, pad, scope)) for k, e in node.items]
-            self.lines.append(f"{pad}return {{" + ", ".join(f"{k}: {v}" for k, v in entries) + "}")
+            if tuple(k for k, _ in node.items) != self.layout:
+                raise _Refused
+            values = [self.value(e, pad, scope) for _, e in node.items]
+            self.lines.append(f"{pad}return " + ", ".join(values) + ",")
         elif type(node) is Case and node.subject is None and not searched:
             for cond, result in node.whens:  # tests of = between operands
                 if not (type(cond) is Binary and cond.op == "="):
                     raise _Refused
                 left, right = self.operand(cond.left, pad, scope), self.operand(cond.right, pad, scope)
                 self.lines.append(f"{pad}if {left} == {right}:")
-                self.body(result, pad + "    ", dict(scope), True)
+                self.body(result, pad + "    ", set(scope), True)
             self.body(node.default, pad, scope, True)
         elif type(node) is Case and (arm := _known_arm(node, self.known)) is not _MISSING:
             self.body(arm, pad, scope, searched)
@@ -782,8 +803,8 @@ class _StepSource:
             raise _Refused
 
 
-# the globals of a generated step: no builtins but the three it names
-_STEP_GLOBALS = {"__builtins__": {}, "type": type, "int": int, "dict": dict}
+# the globals of a generated step: no builtins but the two it names
+_STEP_GLOBALS = {"__builtins__": {}, "type": type, "int": int}
 
 
 @functools.lru_cache(maxsize=64)
@@ -794,23 +815,34 @@ def _shape(text: str) -> CodeType:
     return next(c for c in module.co_consts if type(c) is CodeType)
 
 
-def _emit(body: "Expr", acc_name: str, known: dict) -> Optional[Callable]:
-    """body as a generated Python function of the accumulator alone, which
-    returns body's value with acc_name bound to it and the names of known to
-    their values, or None wherever the whole body must decide; or None for a
-    body with a node it does not cover, or whose acc_name a binder shadows
-    (known then holds it)."""
+def _emit(body: "Expr", acc_name: str, known: dict, layout: tuple) -> Optional[Callable]:
+    """body as a generated Python function of the values of an accumulator
+    whose keys are layout, in order: it returns the values of body's value,
+    a map of the same keys, with acc_name bound to the accumulator and the
+    names of known to their values, or None wherever the whole body must
+    decide. None for a body with a node it does not cover, a map of other
+    keys or a read of a key outside layout, or whose acc_name a binder
+    shadows (known then holds it)."""
     if acc_name in known:
         return None
-    source = _StepSource(acc_name, known)
+    source = _StepSource(acc_name, known, layout)
     try:
-        source.body(body, "    ", {})
+        source.body(body, "    ", set())
     except (_Refused, RecursionError):
         return None
-    params = "".join(f", k{n}" for n in range(len(source.defaults)))
-    text = "\n".join([f"def step(acc{params}):", "    if type(acc) is not dict:",
-                      "        return None", *source.lines, ""])
+    params = [*source.fields.values(), *(f"k{n}" for n in range(len(source.defaults)))]
+    text = "\n".join([f"def step({', '.join(params)}):", *source.lines, ""])
     return FunctionType(_shape(text), _STEP_GLOBALS, "step", tuple(source.defaults))
+
+
+def _unbox(acc, key, memos: dict) -> tuple:
+    """How the fold's loop holds a map that holds key (Reduce): its values,
+    its keys in order (the layout), the position of key, and the memo of
+    steps of the layout in memos. Four Nones for any other value."""
+    if type(acc) is not dict or key not in acc:
+        return None, None, None, None
+    layout = tuple(acc)
+    return tuple(acc.values()), layout, layout.index(key), memos.setdefault(layout, {})
 
 
 class _Verdict(Expr):
@@ -849,7 +881,8 @@ class Reduce(_Verdict):
             mentioned = _mentions(body, var_name)
         fixpoint = not mentioned
         # a fold's step (_fold_step): the loop generates the step (_emit) of
-        # each table index acc.k takes, at its first visit in a call
+        # each table index acc.k takes, at its first visit under each layout
+        # in a call
         step = _fold_step(body, acc_name) if fixpoint else None
         step_key, halt, t, v, m = step or (_MISSING, None, None, None, None)
         halt = halt if type(halt) is int else None  # the test holds for no other i
@@ -870,7 +903,14 @@ class Reduce(_Verdict):
                     # key is _MISSING, which no map holds
                     table = env.get(t)
                     key = step_key if type(table) is list else _MISSING
-                    steps = {}  # by index: its generated step, or False where _emit gives none
+                    # a map that holds key is held unboxed (module docstring):
+                    # vals its values, layout its keys, steps the layout's
+                    # memo (by index: its generated step, or False where _emit
+                    # gives none); acc is their map while vals is boxed, and
+                    # budget counts the steps left to generate in the call
+                    memos, budget = {}, MAX_SPECIALISED
+                    vals, layout, at, steps = _unbox(acc, key, memos)
+                    boxed = vals
                     # a fold's step also stops at a repeated value (Brent,
                     # module docstring): each chunk of 1, 2, 4, ... iterations
                     # keeps its first value as the anchor, and compares a
@@ -880,20 +920,21 @@ class Reduce(_Verdict):
                     left, size, tries, seek = _length(items), 1, 0, True
                     while left:
                         if seek:  # the last chunk's last value, then a new anchor
-                            i = acc.get(key) if type(acc) is dict else None
-                            if tries and i == ak and _same_flat_map(acc, anchor):
+                            i = vals[at] if vals is not None else None
+                            if tries and i == ak and layout == anchor_layout \
+                                    and _same_flat_map(vals, anchor):
                                 left, tries, seek = left % chunk, 0, False
                             else:
-                                anchor, ak = acc, i
+                                anchor, anchor_layout, ak = vals, layout, i
                                 tries = CYCLE_COMPARES if type(i) is int else 0
                         chunk = min(size, left)
                         left -= chunk
                         size *= 2
                         for d in range(chunk):
-                            i = acc.get(key) if type(acc) is dict else None
+                            i = vals[at] if vals is not None else None
                             if type(i) is int:  # not true, which hashes as 1
                                 if tries and i == ak and d:  # the anchor's acc.k, d iterations on
-                                    if _same_flat_map(acc, anchor):
+                                    if layout == anchor_layout and _same_flat_map(vals, anchor):
                                         left, tries, seek = (left + chunk - d) % d, 0, False
                                         break
                                     tries -= 1
@@ -902,14 +943,19 @@ class Reduce(_Verdict):
                                     if i == halt:  # the test holds: the body gives acc itself
                                         left = 0
                                         break
-                                    if 0 <= i < len(table) and len(steps) < MAX_SPECIALISED:
-                                        g = steps[i] = _emit(m, acc_name, {v: table[i]}) or False
+                                    if 0 <= i < len(table) and budget:
+                                        budget -= 1
+                                        known = {v: table[i]}
+                                        g = steps[i] = _emit(m, acc_name, known, layout) or False
                                 if g:
-                                    value = g(acc)
+                                    value = g(*vals)
                                     if value is not None:
-                                        acc = value
+                                        vals = value
                                         continue
-                            # the whole body decides the rest, compiled on first use
+                            # the whole body decides the rest, compiled on first
+                            # use, on the map of vals
+                            if vals is not boxed:
+                                acc, boxed = dict(zip(layout, vals)), vals
                             if whole is None:
                                 whole = body._compile()
                             env[acc_name] = acc
@@ -917,7 +963,13 @@ class Reduce(_Verdict):
                             if value is acc:
                                 left = 0
                                 break
-                            acc = value
+                            acc = value  # unboxed again; a new layout takes its own memo
+                            vals = tuple(acc.values()) if type(acc) is dict and key in acc else None
+                            if vals is not None and tuple(acc) != layout:
+                                vals, layout, at, steps = _unbox(acc, key, memos)
+                            boxed = vals
+                    if vals is not boxed:  # the value leaves the loop as a map
+                        acc = dict(zip(layout, vals))
                 else:
                     for x in items:
                         env[acc_name] = acc

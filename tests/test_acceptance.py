@@ -81,19 +81,32 @@ def test_criterion_3_fold_query_end_to_end(demo):
     )
 
 
-@pytest.mark.parametrize("source", [
-    "state 0: INC A -> 0\n",
-    "state 0: INC B -> 1\nstate 1: JZDEC B ? 2 : 2\nstate 2: JZDEC A ? 0 : 0\n",
-    "state 0: INC B -> 1\nstate 1: INC A -> 2\nstate 2: JZDEC B ? 0 : 0\n",
+_GROW = "state 0: INC B -> 1\nstate 1: INC A -> 2\nstate 2: JZDEC B ? 0 : 0\n"
+_INIT = "machine = {state: 0, A: 0, B: 0}"
+
+
+@pytest.mark.parametrize("source, init", [
+    *(pytest.param(source, None, id=source) for source in [
+        "state 0: INC A -> 0\n",
+        "state 0: INC B -> 1\nstate 1: JZDEC B ? 2 : 2\nstate 2: JZDEC A ? 0 : 0\n",
+        _GROW,
+    ]),
+    # the same start with its keys in another order: the first step's map
+    # changes the order the fold holds, and every later step keeps it
+    pytest.param(_GROW, "machine = {B: 0, A: 0, state: 0}", id="grow from {B: 0, A: 0, state: 0}"),
 ])
-def test_a_live_fold_of_a_million_iterations_equals_run(source):
+def test_a_live_fold_of_a_million_iterations_equals_run(source, init):
     # loops that never halt: the self-loop and the counter-growing loop never
     # repeat a configuration, so each of their 10^6 iterations is live; the
     # second loop repeats (0, 0, 0) every 3 steps, and its fold stops at that
     # cycle
     program = parse_dsl(source)
+    text = gen_reduce_query(program, 1_000_000).text
+    if init is not None:
+        assert text.count(_INIT) == 1
+        text = text.replace(_INIT, init)
     t0 = time.perf_counter()
-    got = run_query_text(gen_reduce_query(program, 1_000_000).text)
+    got = run_query_text(text)
     elapsed = time.perf_counter() - t0
     final = run(program, fuel=1_000_000).final
     assert got == {"result": {"state": final.state, "A": final.a, "B": final.b}}

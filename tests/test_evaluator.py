@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import gc
 import hashlib
+import itertools
 import random
 import re
 import sys
@@ -1877,15 +1879,15 @@ def test_the_cycle_exit_equals_the_fold_without_it(program, fuel, a, b, init):
 
 def _step_bodies(text):
     """The accumulator's name, the closure of the step body of the fold bound
-    to result, and (generated step, entry binding) for each entry of its
-    table, as run_query evaluates the earlier LET values."""
+    to result, and (emitter of the step for a layout, entry binding) for each
+    entry of its table, as run_query evaluates the earlier LET values."""
     env = {}
     for name, expr in parse_query(text).bindings:
         if name == "result":
             _, _, table, var, body = ast._fold_step(expr.body, expr.acc_name)
             known = [{var: entry} for entry in env[table]]
-            return expr.acc_name, body._compile(), [(ast._emit(body, expr.acc_name, k), k)
-                                                   for k in known]
+            return expr.acc_name, body._compile(), [
+                (functools.partial(ast._emit, body, expr.acc_name, k), k) for k in known]
         env[name] = evaluate(expr, env, {})
 
 
@@ -1906,17 +1908,23 @@ _STEP_ACCS = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_a_generated_step_equals_its_closure(seed, accs):
     acc_name, closure, steps = _step_bodies(gen_reduce_query(random_program(seed, 8), 10).text)
-    for generated, known in steps:
-        assert generated is not None  # the emitter covers every step of the fold
+    for emit, known in steps:
         for acc in accs:
-            value = generated(acc)
-            if value is not None:  # else the closure decides
+            if type(acc) is not dict:  # the loop holds only a map unboxed
+                continue
+            layout = tuple(acc)
+            generated = emit(layout)
+            # the emitter covers every step of the fold, for the keys it builds
+            assert (generated is not None) == (layout == ("state", "A", "B"))
+            values = generated and generated(*acc.values())
+            if values is not None:  # else the closure decides
                 env = {**known, acc_name: acc}
+                value = dict(zip(layout, values))
                 assert _outcome_of(lambda: closure(env, {})) == ("value", repr(value))
 
 
 def _no_generated_steps():
-    return unittest.mock.patch.object(ast, "_emit", lambda body, acc_name, known: None)
+    return unittest.mock.patch.object(ast, "_emit", lambda body, acc_name, known, layout: None)
 
 
 @given(st.integers(0, 2**32), st.integers(1, 300) | st.sampled_from([1000, 10_000]),
@@ -1929,12 +1937,53 @@ def test_a_fold_with_generated_steps_equals_the_closures(seed, fuel, a, b, init)
         assert got == _fold_outcome(text)
 
 
+# a hand-written fold whose entries build the accumulator's keys in their
+# order, in another order, with B dropped or with x added: the keys of the map
+# the loop holds unboxed change in the middle of the fold
+_LAYOUT_ARMS = {
+    "inc": "{state: v.next, A: m.A + 1, B: m.B}",
+    "swap": "{B: m.B, A: m.A, state: v.next}",
+    "drop": "{state: v.next, A: m.A - 1}",
+    "add": "{state: v.next, A: m.A, B: m.B * 2, x: v.next}",
+    "dec": "CASE WHEN m.B = 0 THEN {state: v.next, A: m.A, B: 0} "
+           "ELSE {state: v.next, A: m.A, B: m.B - 1} END",
+}
+
+
+def _layout_fold(entries, init, fuel):
+    table = ", ".join(f"{{op: '{op}', next: {next_}}}" for op, next_ in entries)
+    arms = " ".join(f"WHEN '{op}' THEN {arm}" for op, arm in _LAYOUT_ARMS.items())
+    return (f"LET c = [{table}]\nLET result = reduce(m = {init}, x IN range(1, {fuel}) |\n"
+            f"  CASE WHEN m.state = -1 THEN m ELSE head([v IN [c[m.state]] | "
+            f"CASE v.op {arms} END]) END)\nRETURN result")
+
+
+@given(st.lists(st.tuples(st.sampled_from(sorted(_LAYOUT_ARMS)), st.integers(-1, 5)),
+                min_size=1, max_size=6),
+       st.integers(1, 300), _NEAR_INT64, _NEAR_INT64)
+@example([("swap", 1), ("add", 2), ("drop", 3), ("inc", 4), ("dec", 0)], 300, 0, 5)
+@settings(max_examples=300, deadline=None)
+def test_a_fold_whose_layout_changes_equals_the_closures(entries, fuel, a, b):
+    for init in _VALUE_INITS:
+        text = _layout_fold(entries, init.format(a=a, b=b), fuel)
+        got = _fold_outcome(text)  # a value by repr, or the error's class, message and position
+        with _no_generated_steps():
+            assert got == _fold_outcome(text)
+        # one budget of generated steps per call, whatever the layouts
+        with unittest.mock.patch.object(ast, "MAX_SPECIALISED", 3), \
+                unittest.mock.patch.object(ast, "_emit", wraps=ast._emit) as emit:
+            assert _fold_outcome(text) == got
+        assert emit.call_count <= 3
+
+
 def _emitted(thunk):
-    """thunk's outcome and the text of each step the loop generated meanwhile."""
+    """thunk's outcome and the text of each step the loop generated meanwhile,
+    each checked to be of a step's form."""
     texts = []
     shape = ast._shape
 
     def recorded(text):
+        _step_form(text)
         texts.append(text)
         return shape(text)
 
@@ -1965,20 +2014,28 @@ def test_generated_steps_add_no_value_checks():
 
 
 _HOSTILE = "it's \"q\" \\ \n __import__('os')"
-_VOCABULARY = {"def", "step", "acc", "if", "type", "is", "not", "int", "dict", "return", "None",
-               "get"}
+_VOCABULARY = {"def", "step", "if", "type", "is", "not", "int", "return", "None"}
 
 
 def _only_vocabulary(text):
     names = set(re.findall(r"[A-Za-z_]\w*", text))
-    assert names - _VOCABULARY <= {n for n in names if re.fullmatch(r"[krt]\d+", n)}, text
+    assert names - _VOCABULARY <= {n for n in names if re.fullmatch(r"[fkt]\d+", n)}, text
     assert set(re.findall(r"\b\d+\b", text)) <= {"9223372036854775808", "9223372036854775807"}
     assert not set("'\"\\") & set(text) and "import" not in text
 
 
+def _step_form(text):
+    """A generated step takes the accumulator's fields, then its constants, as
+    parameters, returns their values without building a map, and names no
+    key."""
+    assert re.match(r"def step\(f0(, f\d+)*(, k\d+)*\):\n", text), text
+    assert "{" not in text, text
+    _only_vocabulary(text)
+
+
 def test_no_query_text_reaches_the_generated_source():
     # a table whose strings hold quotes, a backslash, a newline and code
-    text = ("LET c = $table\nLET result = reduce(m = {s: 0, a: 0}, x IN range(1, 400) |\n"
+    text = ("LET c = $table\nLET result = reduce(m = {s: 0, a: 0, w: null}, x IN range(1, 400) |\n"
             "  CASE WHEN m.s = -1 THEN m ELSE head([v IN [c[m.s]] | "
             "{s: v.next, a: m.a + 1, w: v.w}]) END)\nRETURN result")
     table = [{"next": 1, "w": _HOSTILE}, {"next": 0, "w": _HOSTILE + "'"}]
@@ -1989,9 +2046,10 @@ def test_no_query_text_reaches_the_generated_source():
     body = parse_expression("{a: m.b + 1, c: v.d}")
     (_, plus), (_, known) = body.items
     body.items = [(_HOSTILE, plus), (_HOSTILE + "'", known)]
-    plus.left.key, known.key = _HOSTILE + "\\", _HOSTILE
+    plus.left.key, known.key = _HOSTILE + "'", _HOSTILE
     known = {"v": {_HOSTILE: "__import__('os')"}}
-    outcome, more = _emitted(lambda: ast._emit(body, "m", known)({_HOSTILE + "\\": 1}))
+    layout = (_HOSTILE, _HOSTILE + "'")
+    outcome, more = _emitted(lambda: dict(zip(layout, ast._emit(body, "m", known, layout)(0, 1))))
     assert outcome == ("value", repr({_HOSTILE: 2, _HOSTILE + "'": "__import__('os')"}))
     assert len(more) == 1
     for generated in texts + more:
@@ -2007,7 +2065,12 @@ def test_no_query_text_reaches_the_generated_source():
     ("{s: m.n + 1}", {"m": {"n": 5}}),  # a binder shadows the accumulator
 ])
 def test_a_step_the_emitter_does_not_cover_stays_on_its_closure(text, consts):
-    assert ast._emit(parse_expression(text), "m", consts) is None
+    # refused whatever the accumulator's keys: every order of every subset of
+    # the keys the bodies build and read
+    body = parse_expression(text)
+    for n in range(6):
+        for layout in itertools.permutations(("s", "t", "a", "b", "n"), n):
+            assert ast._emit(body, "m", consts, layout) is None, layout
 
 
 def test_a_comprehension_that_shadows_the_accumulator_folds_as_its_closure():
@@ -2047,8 +2110,10 @@ def test_the_code_memo_stays_within_its_bound():
     bound = ast._shape.cache_info().maxsize
     misses = ast._shape.cache_info().misses
     for n in range(1, bound + 9):  # a shape per number of entries
-        body = parse_expression("{" + ", ".join(f"k{i}: m.x + {i}" for i in range(n)) + "}")
-        assert ast._emit(body, "m", {})({"x": 1}) == {f"k{i}": 1 + i for i in range(n)}
+        body = parse_expression("{" + ", ".join(f"k{i}: m.k0 + {i}" for i in range(n)) + "}")
+        layout = tuple(f"k{i}" for i in range(n))
+        step = ast._emit(body, "m", {}, layout)
+        assert step(1, *[None] * (n - 1)) == tuple(1 + i for i in range(n))
     info = ast._shape.cache_info()
     assert info.misses - misses >= bound + 8 and info.currsize <= bound
 
@@ -2384,9 +2449,9 @@ def _compiles(tree, runs=1):
     compiles = []
     emit, compile_case = ast._emit, ast.Case._compile
 
-    def emitted(body, acc_name, known):
+    def emitted(body, acc_name, known, layout):
         compiles.append(known[var]["state"])
-        return emit(body, acc_name, known)
+        return emit(body, acc_name, known, layout)
 
     def compiled(case):
         if case is fold.body:
@@ -2495,9 +2560,9 @@ def test_one_fold_over_two_tables_generates_the_steps_of_each(first, second):
     tree = parse_query(text)
     emitted, emit = [], ast._emit
 
-    def recorded(body, acc_name, known):
+    def recorded(body, acc_name, known, layout):
         emitted.append(known["instr"])
-        return emit(body, acc_name, known)
+        return emit(body, acc_name, known, layout)
 
     with unittest.mock.patch.object(ast, "_emit", recorded):
         result = run_query(tree)["result"]
